@@ -17,7 +17,7 @@ def main() -> None:
     print()
     print(f"{'coder':<12} {'K_eff':>9} {'KA':>9} {'R':>8} {'deficiency':>11}")
     for name in kj.CODER_NAMES:
-        rep = kj.adjusted(word, kj.coder_from_name(name))
+        rep = kj.adjusted(word, kj.CoderId(name))
         print(
             f"{name:<12} {rep.k_eff:>9.3f} {rep.KA:>9.3f} {rep.R:>8.4f} "
             f"{rep.deficiency:>11.3f}"

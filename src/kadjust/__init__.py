@@ -11,7 +11,6 @@ from .coders import (
     CODER_NAMES,
     CodeResult,
     CoderId,
-    coder_from_name,
     code_word,
     concrete_coder_ids,
     decode_word,
@@ -100,7 +99,6 @@ __all__ = [
     "block_shell_log_size",
     "code_len_shell_ideal",
     "code_word",
-    "coder_from_name",
     "concrete_coder_ids",
     "conditional_entropy",
     "convergence_trace",

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: analyze, test, cond, mutual, simulate, calibrate, audit.
-Exit status: 0 on success, 1 when the test command rejects, 2 on usage
-errors.
+Exit status: 0 on success, 1 when the test command rejects or the audit
+finds a violation, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .coders import CODER_NAMES, CoderId, coder_from_name
+from .coders import CODER_NAMES, CoderId
 from .inputs import INPUT_FORMATS, InputSource, read_word
 from .simulate import GeneratorSpec, convergence_trace, geometric_schedule
 from .stats import (
@@ -27,25 +26,6 @@ from .testing import TestConfig, counting_lemma_audit, monte_carlo_fpr, test_wor
 from .words import BitWord
 
 USAGE_ERROR = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation of one CLI command."""
-
-    command: str
-    coder: CoderId | None = None
-    m: int = 5
-    seed: int = 1
-    length: int | None = None
-    measure: str | None = None
-    fmt: str = "table"
-    schedule: str | None = None
-    trials: int = 10000
-    inputs: tuple[str, ...] = ()
-    input_format: str = "ascii01"
-    max_bits: int | None = None
-    lengths: str = "ideal"
 
 
 def parse_measure(text: str, seed: int, length: int) -> GeneratorSpec:
@@ -94,12 +74,12 @@ def _emit_records(records: list[dict], fmt: str, out) -> None:
             out.write("\n")
 
 
-def _read_inputs(cfg: RunConfig, expected: int | None = None) -> list[BitWord]:
-    paths = list(cfg.inputs) or [None]
+def _read_inputs(args: argparse.Namespace, expected: int | None = None) -> list[BitWord]:
+    paths = args.inputs or [None]
     if expected is not None and len(paths) != expected:
         raise ValueError(f"this command requires exactly {expected} input words")
     return [
-        read_word(InputSource(format=cfg.input_format, path=p, max_bits=cfg.max_bits))
+        read_word(InputSource(format=args.input_format, path=p, max_bits=args.max_bits))
         for p in paths
     ]
 
@@ -120,43 +100,43 @@ def _constant_record(word: BitWord, coder: CoderId) -> dict:
     }
 
 
-def cmd_analyze(cfg: RunConfig, out) -> int:
+def cmd_analyze(args: argparse.Namespace, out) -> int:
     records = []
-    for word in _read_inputs(cfg):
+    for word in _read_inputs(args):
         try:
-            records.append(adjusted(word, cfg.coder, cfg.lengths).to_record())
+            records.append(adjusted(word, args.coder, args.lengths).to_record())
         except ConstantWordError:
-            records.append(_constant_record(word, cfg.coder))
-    _emit_records(records, cfg.fmt, out)
+            records.append(_constant_record(word, args.coder))
+    _emit_records(records, args.fmt, out)
     return 0
 
 
-def cmd_test(cfg: RunConfig, out) -> int:
-    tc = TestConfig(m=cfg.m, coder=cfg.coder, lengths=cfg.lengths)
-    verdicts = [test_word(word, tc) for word in _read_inputs(cfg)]
-    _emit_records([v.to_record() for v in verdicts], cfg.fmt, out)
+def cmd_test(args: argparse.Namespace, out) -> int:
+    tc = TestConfig(m=args.m, coder=args.coder, lengths=args.lengths)
+    verdicts = [test_word(word, tc) for word in _read_inputs(args)]
+    _emit_records([v.to_record() for v in verdicts], args.fmt, out)
     return 1 if any(v.rejected for v in verdicts) else 0
 
 
-def cmd_cond(cfg: RunConfig, out) -> int:
-    x, y = _read_inputs(cfg, expected=2)
-    rec = adjusted_conditional(x, y, cfg.coder, cfg.lengths).to_record()
-    _emit_records([rec], cfg.fmt, out)
+def cmd_cond(args: argparse.Namespace, out) -> int:
+    x, y = _read_inputs(args, expected=2)
+    rec = adjusted_conditional(x, y, args.coder, args.lengths).to_record()
+    _emit_records([rec], args.fmt, out)
     return 0
 
 
-def cmd_mutual(cfg: RunConfig, out) -> int:
-    x, y = _read_inputs(cfg, expected=2)
-    rec = adjusted_mutual(x, y, cfg.coder, cfg.lengths).to_record()
-    _emit_records([rec], cfg.fmt, out)
+def cmd_mutual(args: argparse.Namespace, out) -> int:
+    x, y = _read_inputs(args, expected=2)
+    rec = adjusted_mutual(x, y, args.coder, args.lengths).to_record()
+    _emit_records([rec], args.fmt, out)
     return 0
 
 
-def cmd_simulate(cfg: RunConfig, out) -> int:
-    spec = parse_measure(cfg.measure, cfg.seed, cfg.length)
-    schedule = parse_schedule(cfg.schedule, cfg.length)
-    trace = convergence_trace(spec, cfg.coder, schedule)
-    if cfg.fmt == "json":
+def cmd_simulate(args: argparse.Namespace, out) -> int:
+    spec = parse_measure(args.measure, args.seed, args.length)
+    schedule = parse_schedule(args.schedule, args.length)
+    trace = convergence_trace(spec, args.coder, schedule)
+    if args.fmt == "json":
         for row in trace.rows:
             out.write(
                 json.dumps(
@@ -176,25 +156,25 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
     return 0
 
 
-def cmd_calibrate(cfg: RunConfig, out) -> int:
-    kind, _, rest = (cfg.measure or "").partition(":")
+def cmd_calibrate(args: argparse.Namespace, out) -> int:
+    kind, _, rest = args.measure.partition(":")
     if kind != "bernoulli":
         raise ValueError("calibration requires a bernoulli:p measure")
-    tc = TestConfig(m=1, coder=cfg.coder, lengths=cfg.lengths)
-    result = monte_carlo_fpr(float(rest), cfg.length, tc, cfg.trials, cfg.seed)
+    tc = TestConfig(m=1, coder=args.coder)
+    result = monte_carlo_fpr(float(rest), args.length, tc, args.trials, args.seed)
     result.to_csv(out)
     return 0
 
 
-def cmd_audit(cfg: RunConfig, out) -> int:
-    rows = counting_lemma_audit(cfg.length, cfg.coder)
+def cmd_audit(args: argparse.Namespace, out) -> int:
+    rows = counting_lemma_audit(args.length, args.coder)
     out.write("k,t,count,bound,ok\n")
     violations = 0
     for row in rows:
         violations += 0 if row.ok else 1
         out.write(f"{row.k},{row.t},{row.count},{row.bound:.6g},{row.ok}\n")
     out.write(f"# violations: {violations}\n")
-    return 0
+    return 1 if violations else 0
 
 
 _COMMANDS = {
@@ -218,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_inputs=True, coder_default="shell"):
         p.add_argument("--coder", default=coder_default, choices=CODER_NAMES)
-        p.add_argument("--format", dest="fmt", default=None, choices=("json", "csv", "table"))
-        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--format", dest="fmt", default="table" if with_inputs else "csv",
+                       choices=("json", "csv", "table"))
         if with_inputs:
             p.add_argument("inputs", nargs="*", help="input files (default: stdin)")
             p.add_argument("--input-format", default="ascii01", choices=INPUT_FORMATS)
@@ -242,12 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="convergence trace for a seeded measure")
     add_common(p, with_inputs=False)
     p.add_argument("--measure", required=True, help="bernoulli:p | mixture:w1:p1,... | block")
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--schedule", default=None, help="comma-separated prefix lengths")
 
     p = sub.add_parser("calibrate", help="Monte Carlo false-positive calibration")
     add_common(p, with_inputs=False)
     p.add_argument("--measure", required=True, help="bernoulli:p")
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--length", type=int, required=True, help="word length per trial")
     p.add_argument("--trials", type=int, default=10000)
 
@@ -262,23 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        coder = coder_from_name(args.coder)
-        cfg = RunConfig(
-            command=args.command,
-            coder=coder,
-            m=getattr(args, "m", 5),
-            seed=args.seed,
-            length=getattr(args, "length", None),
-            measure=getattr(args, "measure", None),
-            fmt=args.fmt or ("csv" if args.command in ("simulate", "calibrate", "audit") else "table"),
-            schedule=getattr(args, "schedule", None),
-            trials=getattr(args, "trials", 10000),
-            inputs=tuple(getattr(args, "inputs", ()) or ()),
-            input_format=getattr(args, "input_format", "ascii01"),
-            max_bits=getattr(args, "max_bits", None),
-            lengths=getattr(args, "lengths", "ideal"),
-        )
-        return _COMMANDS[args.command](cfg, sys.stdout)
+        args.coder = CoderId(args.coder)
+        return _COMMANDS[args.command](args, sys.stdout)
     except (ValueError, ZeroMutualBaselineError, OSError) as exc:
         print(f"kadjust: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

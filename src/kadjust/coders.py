@@ -21,8 +21,8 @@ for model_class.
 from __future__ import annotations
 
 import math
-import subprocess
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -36,12 +36,8 @@ from .shellcode import (
 )
 from .words import BitWord, block_counts
 
-CODER_NAMES = ("literal", "shell", "run_length", "periodic", "pair_shell", "model_class")
-
 DEFAULT_P_MAX = 32
 MODEL_TAG_BITS = 3
-# Order fixes both the model tag values and the model_class tie-break.
-MODEL_MEMBERS = ("literal", "shell", "run_length", "periodic", "pair_shell")
 
 
 @dataclass(frozen=True)
@@ -52,7 +48,7 @@ class CoderId:
     p_max: int | None = None
 
     def __post_init__(self):
-        if self.name not in CODER_NAMES and self.name != "external":
+        if self.name not in _CODERS:
             raise ValueError(f"unknown coder {self.name!r}")
         if self.name == "periodic":
             if self.p_max is None:
@@ -92,28 +88,13 @@ class CodeResult:
         raise ValueError(f"unknown length kind {kind!r}")
 
 
-def coder_from_name(name: str, p_max: int | None = None) -> CoderId:
-    """Resolve a CLI-style coder name to a CoderId."""
-    if name == "periodic":
-        return CoderId("periodic", p_max if p_max is not None else DEFAULT_P_MAX)
-    if p_max is not None:
-        raise ValueError(f"coder {name!r} takes no p_max parameter")
-    return CoderId(name)
-
-
 def is_concrete(coder: CoderId) -> bool:
-    return coder.name in ("literal", "shell", "run_length", "periodic", "model_class")
+    return _CODERS[coder.name].encode is not None
 
 
 def concrete_coder_ids() -> tuple[CoderId, ...]:
     """All built-in coders with a concrete prefix-free code."""
-    return (
-        CoderId("literal"),
-        CoderId("shell"),
-        CoderId("run_length"),
-        CoderId("periodic"),
-        CoderId("model_class"),
-    )
+    return tuple(CoderId(name) for name, entry in _CODERS.items() if entry.encode is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +173,7 @@ def k_pair_shell(word: BitWord) -> CodeResult:
 
 
 def _member_results(word: BitWord) -> list[CodeResult]:
-    return [
-        k_len(word),
-        k_comb(word),
-        k_run_length(word),
-        k_periodic(word, DEFAULT_P_MAX),
-        k_pair_shell(word),
-    ]
+    return [_CODERS[m.name].length(word, m) for m in _MEMBER_IDS]
 
 
 def k_model_class(word: BitWord) -> CodeResult:
@@ -222,33 +197,25 @@ def k_model_class(word: BitWord) -> CodeResult:
     )
 
 
-_LENGTH_FUNCS = {
-    "literal": k_len,
-    "shell": k_comb,
-    "run_length": k_run_length,
-    "pair_shell": k_pair_shell,
-    "model_class": k_model_class,
-}
-
-
 def code_word(coder: CoderId, word: BitWord) -> CodeResult:
     """Score a word under the chosen coder."""
-    if coder.name == "periodic":
-        return k_periodic(word, coder.p_max)
-    try:
-        return _LENGTH_FUNCS[coder.name](word)
-    except KeyError:
-        raise ValueError(f"coder {coder.label} cannot score words") from None
+    return _CODERS[coder.name].length(word, coder)
 
 
 # ---------------------------------------------------------------------------
 # concrete encoders / decoders
 
 
-def _encode_run_length(word: BitWord, out: BitWriter) -> None:
+def _decode_literal(n: int, reader: BitReader) -> BitWord:
+    return BitWord([reader.read_bit() for _ in range(n)])
+
+
+def _encode_run_length(word: BitWord, coder: CoderId) -> np.ndarray:
+    out = BitWriter()
     out.write_bit(word[0])
     for r in run_lengths(word):
         out.write_elias_gamma(r)
+    return out.getvalue()
 
 
 def _decode_run_length(n: int, reader: BitReader) -> BitWord:
@@ -263,17 +230,19 @@ def _decode_run_length(n: int, reader: BitReader) -> BitWord:
     return BitWord(bits)
 
 
-def _encode_periodic(word: BitWord, p_max: int, out: BitWriter) -> None:
+def _encode_periodic(word: BitWord, coder: CoderId) -> np.ndarray:
     n = word.n
-    p, _ = _best_period(word, p_max)
+    p, _ = _best_period(word, coder.p_max)
     tiled = np.resize(word.bits[:p], n)
     positions = (np.flatnonzero(word.bits[p:] != tiled[p:]) + p).tolist()
+    out = BitWriter()
     out.write_elias_gamma(p)
     out.write_bits(word.bits[:p])
     out.write_elias_gamma(len(positions) + 1)
     width = ceil_log2(n + 1)
     for pos in positions:
         out.write_uint(pos, width)
+    return out.getvalue()
 
 
 def _decode_periodic(n: int, reader: BitReader) -> BitWord:
@@ -292,80 +261,66 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
     return BitWord(bits)
 
 
+def _encode_model_class(word: BitWord, coder: CoderId) -> np.ndarray:
+    members = _member_results(word)
+    best = min(
+        (i for i in range(len(members)) if members[i].concrete_len is not None),
+        key=lambda i: (members[i].concrete_len, i),
+    )
+    member = _MEMBER_IDS[best]
+    out = BitWriter()
+    out.write_uint(best, MODEL_TAG_BITS)
+    out.write_bits(_CODERS[member.name].encode(word, member))
+    return out.getvalue()
+
+
+def _decode_model_class(n: int, reader: BitReader) -> BitWord:
+    tag = reader.read_uint(MODEL_TAG_BITS)
+    decode = _CODERS[MODEL_MEMBERS[tag]].decode if tag < len(MODEL_MEMBERS) else None
+    if decode is None:
+        raise DecodeError(f"invalid model tag {tag}")
+    return decode(n, reader)
+
+
 def encode_word(coder: CoderId, word: BitWord) -> np.ndarray:
     """Concrete codeword bits for the word; n is side information for decoding."""
-    out = BitWriter()
-    name = coder.name
-    if name == "literal":
-        out.write_bits(word.bits)
-    elif name == "shell":
-        return encode_shell(word).bits
-    elif name == "run_length":
-        _encode_run_length(word, out)
-    elif name == "periodic":
-        _encode_periodic(word, coder.p_max, out)
-    elif name == "model_class":
-        members = _member_results(word)
-        best = min(
-            (i for i in range(len(members)) if members[i].concrete_len is not None),
-            key=lambda i: (members[i].concrete_len, i),
-        )
-        out.write_uint(best, MODEL_TAG_BITS)
-        member_id = (
-            CoderId("periodic", DEFAULT_P_MAX)
-            if MODEL_MEMBERS[best] == "periodic"
-            else CoderId(MODEL_MEMBERS[best])
-        )
-        out.write_bits(encode_word(member_id, word))
-    else:
+    encode = _CODERS[coder.name].encode
+    if encode is None:
         raise ValueError(f"coder {coder.label} has no concrete code")
-    return out.getvalue()
+    return encode(word, coder)
 
 
 def decode_word(coder: CoderId, n: int, source) -> BitWord:
     """Decode a concrete codeword back to the original word of known length n."""
+    decode = _CODERS[coder.name].decode
+    if decode is None:
+        raise ValueError(f"coder {coder.label} has no concrete code")
     reader = source if isinstance(source, BitReader) else BitReader(source)
-    name = coder.name
-    if name == "literal":
-        return BitWord([reader.read_bit() for _ in range(n)])
-    if name == "shell":
-        return decode_shell(n, reader)
-    if name == "run_length":
-        return _decode_run_length(n, reader)
-    if name == "periodic":
-        return _decode_periodic(n, reader)
-    if name == "model_class":
-        tag = reader.read_uint(MODEL_TAG_BITS)
-        if tag >= len(MODEL_MEMBERS) or MODEL_MEMBERS[tag] == "pair_shell":
-            raise DecodeError(f"invalid model tag {tag}")
-        member = MODEL_MEMBERS[tag]
-        member_id = CoderId("periodic", DEFAULT_P_MAX) if member == "periodic" else CoderId(member)
-        return decode_word(member_id, n, reader)
-    raise ValueError(f"coder {coder.label} has no concrete code")
+    return decode(n, reader)
 
 
 # ---------------------------------------------------------------------------
-# external compressor adapter
+# coder table
 
 
-class ExternalCompressor:
-    """Adapter for a deterministic external executable used as a coder.
+@dataclass(frozen=True)
+class _Coder:
+    """One coder: its length function and, for concrete coders, its codec."""
 
-    The word is packed MSB-first into bytes and piped to the command; the
-    description length is 8 bits per output byte.  The resulting code is
-    not prefix-free, so it is excluded from Kraft and counting audits.
-    """
+    length: Callable[[BitWord, CoderId], CodeResult]
+    encode: Callable[[BitWord, CoderId], np.ndarray] | None = None
+    decode: Callable[[int, BitReader], BitWord] | None = None
 
-    def __init__(self, command: list[str]):
-        if not command:
-            raise ValueError("command must be nonempty")
-        self.command = list(command)
-        self.id = CoderId("external")
 
-    def code(self, word: BitWord) -> CodeResult:
-        payload = np.packbits(word.bits).tobytes()
-        proc = subprocess.run(
-            self.command, input=payload, stdout=subprocess.PIPE, check=True
-        )
-        bits = 8 * len(proc.stdout)
-        return CodeResult(self.id, float(bits), bits)
+# Order fixes both the model tag values and the model_class tie-break.
+_CODERS = {
+    "literal": _Coder(lambda w, c: k_len(w), lambda w, c: w.bits.copy(), _decode_literal),
+    "shell": _Coder(lambda w, c: k_comb(w), lambda w, c: encode_shell(w).bits, decode_shell),
+    "run_length": _Coder(lambda w, c: k_run_length(w), _encode_run_length, _decode_run_length),
+    "periodic": _Coder(lambda w, c: k_periodic(w, c.p_max), _encode_periodic, _decode_periodic),
+    "pair_shell": _Coder(lambda w, c: k_pair_shell(w)),
+    "model_class": _Coder(lambda w, c: k_model_class(w), _encode_model_class, _decode_model_class),
+}
+CODER_NAMES = tuple(_CODERS)
+MODEL_MEMBERS = tuple(name for name in CODER_NAMES if name != "model_class")
+_MEMBER_IDS = tuple(CoderId(name) for name in MODEL_MEMBERS)

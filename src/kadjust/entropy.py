@@ -96,16 +96,6 @@ def mutual_information_emp(pc: PairCounts) -> float:
     return hx + hy - hxy
 
 
-def joint_entropy_emp(pc: PairCounts) -> float:
-    """Empirical joint entropy of the aligned pair cells, bits per symbol."""
-    n = pc.n
-    h = 0.0
-    for c in (pc.c00, pc.c01, pc.c10, pc.c11):
-        if c > 0:
-            h -= (c / n) * math.log2(c / n)
-    return h
-
-
 def ceil_log2(m: int) -> int:
     """Smallest integer w with 2**w >= m, for m >= 1."""
     if m < 1:

@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .coders import CoderId, code_word
-from .entropy import binary_entropy
 from .stats import adjusted, ConstantWordError
 from .words import BitWord
 
@@ -228,8 +227,3 @@ def entropy_rate_estimate(spec: GeneratorSpec, coder: CoderId, m: int) -> float:
         raise ValueError("entropy rate estimation requires m >= 1000")
     word = generate(replace(spec, length=m))
     return code_word(coder, word).ideal_len / m
-
-
-def empirical_entropy(word: BitWord) -> float:
-    """Single-symbol empirical entropy of a word, bits per symbol."""
-    return binary_entropy(word.weight / word.n)

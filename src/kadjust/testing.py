@@ -16,7 +16,7 @@ import numpy as np
 
 from .coders import CoderId, code_word, concrete_len_shell, is_concrete
 from .entropy import binary_entropy, shell_log_size, shell_size
-from .simulate import GeneratorSpec, derive_seed, generate, uniform_floats
+from .simulate import GeneratorSpec, derive_seed, generate, geometric_schedule, uniform_floats
 from .words import BitWord, SymbolCounts
 
 
@@ -125,19 +125,6 @@ SCAN_START = 4
 SCAN_FACTOR = 1.25
 
 
-def scan_schedule(n: int) -> list[int]:
-    """Geometric prefix schedule ceil(4 * 1.25^j), capped at n."""
-    points: list[int] = []
-    m = float(SCAN_START)
-    while True:
-        v = min(math.ceil(m), n)
-        if not points or v > points[-1]:
-            points.append(v)
-        if v >= n:
-            return points
-        m *= SCAN_FACTOR
-
-
 def prefix_scan(word: BitWord, cfg: TestConfig) -> PrefixScanResult:
     """Run the deficiency test along growing prefixes of the word.
 
@@ -150,7 +137,7 @@ def prefix_scan(word: BitWord, cfg: TestConfig) -> PrefixScanResult:
     ones = np.concatenate([[0], np.cumsum(word.bits, dtype=np.int64)])
     rows = []
     first_flag = None
-    for m_p in scan_schedule(word.n):
+    for m_p in geometric_schedule(word.n, SCAN_START, SCAN_FACTOR):
         h = binary_entropy(int(ones[m_p]) / m_p)
         if h == 0.0:
             rows.append(PrefixScanRow(m_prefix=m_p, deficiency=None, penalized=None))

@@ -20,6 +20,12 @@ class BitWord:
     __slots__ = ("_bits",)
 
     def __init__(self, bits: Iterable[int] | np.ndarray):
+        if not (isinstance(bits, np.ndarray) and bits.dtype in (np.uint8, np.bool_)):
+            # The uint8 cast below truncates floats and wraps negative or
+            # large integers, so check such input before it.
+            bits = np.asarray(bits)
+            if bits.size and (bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1):
+                raise ValueError("bits must be integers 0 or 1")
         arr = np.array(bits, dtype=np.uint8, copy=True)
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
@@ -42,7 +48,7 @@ class BitWord:
         """Word of length n whose bits are the big-endian binary digits of value."""
         if n < 1 or value < 0 or value >= (1 << n):
             raise ValueError("value out of range for word length")
-        return cls([(value >> (n - 1 - i)) & 1 for i in range(n)])
+        return cls(np.array([(value >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8))
 
     @property
     def bits(self) -> np.ndarray:

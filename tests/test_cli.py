@@ -5,6 +5,7 @@ import pytest
 
 from kadjust.cli import main, parse_measure, parse_schedule
 from kadjust.simulate import GeneratorSpec
+from kadjust.testing import AuditRow
 
 from conftest import WORD35_STR
 
@@ -252,6 +253,13 @@ class TestAuditCommand:
         assert lines[0] == "k,t,count,bound,ok"
         assert lines[-1] == "# violations: 0"
 
+    def test_audit_violation_exits_one(self, capsys, monkeypatch):
+        row = AuditRow(k=4, t=1, count=71, bound=35.0, ok=False)
+        monkeypatch.setattr("kadjust.cli.counting_lemma_audit", lambda n, coder: [row])
+        code, out, _ = run_cli(capsys, "audit", "--length", "8")
+        assert code == 1
+        assert out.strip().splitlines()[-1] == "# violations: 1"
+
     def test_audit_rejects_ideal_coder(self, capsys):
         code, _, err = run_cli(capsys, "audit", "--length", "8", "--coder", "pair_shell")
         assert code == 2
@@ -261,6 +269,11 @@ class TestUsageErrors:
     def test_unknown_coder_exits_two(self, capsys, word_file):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", word_file, "--coder", "zip"])
+        assert exc.value.code == 2
+
+    def test_analyze_rejects_seed(self, capsys, word_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", word_file, "--seed", "3"])
         assert exc.value.code == 2
 
     def test_unknown_command_exits_two(self, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from kadjust import (
     GeneratorSpec,
     binary_entropy,
     code_word,
-    coder_from_name,
     concrete_coder_ids,
     decode_word,
     encode_word,
@@ -23,9 +23,13 @@ from kadjust import (
     k_run_length,
 )
 from kadjust.bitio import DecodeError, elias_gamma_len
-from kadjust.coders import ExternalCompressor, MODEL_TAG_BITS, is_concrete
+from kadjust.coders import MODEL_TAG_BITS, is_concrete
 
-from conftest import all_words
+from conftest import WORD35_STR, all_words
+
+# sha256 over the codewords of test_codeword_bits_pinned; change it only with
+# an intended change of bitstream.
+CODEWORD_DIGEST = "8b544eae4fd6725d5a80d50f1bb9e3fc8f508303efdfbb89aa87c806149f701e"
 
 
 class TestLiteral:
@@ -203,6 +207,16 @@ class TestConcreteCodecs:
                 res = code_word(coder, word)
                 assert res.concrete_len >= res.ideal_len - 1
 
+    def test_codeword_bits_pinned(self):
+        # Round trips cannot catch a change of bitstream; this digest does.
+        words = [w for n in range(1, 9) for w in all_words(n)] + [BitWord.from01(WORD35_STR)]
+        digest = hashlib.sha256()
+        for coder in (*concrete_coder_ids(), CoderId("periodic", 5)):
+            for word in words:
+                bits = "".join(map(str, encode_word(coder, word).tolist()))
+                digest.update(f"{coder.label}:{word.n}:{bits};".encode())
+        assert digest.hexdigest() == CODEWORD_DIGEST
+
     def test_decode_error_on_garbage(self):
         with pytest.raises(DecodeError):
             decode_word(CoderId("run_length"), 8, np.zeros(4, dtype=np.uint8))
@@ -213,13 +227,12 @@ class TestConcreteCodecs:
 
 class TestRegistry:
     def test_names_and_params(self):
-        assert coder_from_name("shell") == CoderId("shell")
-        assert coder_from_name("periodic").p_max == 32
-        assert coder_from_name("periodic", 8).p_max == 8
+        assert CoderId("periodic").p_max == 32
+        assert CoderId("periodic", 8).p_max == 8
         with pytest.raises(ValueError):
-            coder_from_name("nope")
+            CoderId("nope")
         with pytest.raises(ValueError):
-            coder_from_name("shell", p_max=4)
+            CoderId("shell", p_max=4)
         with pytest.raises(ValueError):
             CoderId("literal", p_max=2)
 
@@ -231,16 +244,3 @@ class TestRegistry:
         assert CoderId("periodic", 32).label == "periodic"
         assert CoderId("periodic", 8).label == "periodic(p_max=8)"
 
-
-class TestExternalCompressor:
-    def test_cat_adapter(self, word35):
-        coder = ExternalCompressor(["/bin/cat"])
-        res = coder.code(word35)
-        assert res.concrete_len == 8 * math.ceil(35 / 8)
-        assert res.ideal_len == res.concrete_len
-        # deterministic
-        assert coder.code(word35).concrete_len == res.concrete_len
-
-    def test_rejects_empty_command(self):
-        with pytest.raises(ValueError):
-            ExternalCompressor([])

@@ -19,8 +19,8 @@ from kadjust import (
 )
 from kadjust import TestConfig as Config
 from kadjust import test_word as run_test
-from kadjust.simulate import derive_seed
-from kadjust.testing import scan_schedule
+from kadjust.simulate import derive_seed, geometric_schedule
+from kadjust.testing import SCAN_FACTOR, SCAN_START
 
 from conftest import all_words
 
@@ -81,7 +81,7 @@ class TestTestWord:
 
 class TestPrefixScan:
     def test_schedule_is_geometric_and_capped(self):
-        sched = scan_schedule(100)
+        sched = geometric_schedule(100, SCAN_START, SCAN_FACTOR)
         assert sched[0] == 4 and sched[-1] == 100
         assert all(b > a for a, b in zip(sched, sched[1:]))
         assert 5 in sched and 7 in sched  # ceil(4 * 1.25^j) early values

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,6 +28,21 @@ class TestBitWord:
             BitWord.from01("01a")
         with pytest.raises(ValueError):
             BitWord.from01("")
+
+    @pytest.mark.parametrize(
+        "bits",
+        [[0.5, 1.7], np.array([0.9]), [1.0, 0.0], [-1], [256],
+         np.array([256], dtype=np.int64), ["1"]],
+    )
+    def test_rejects_non_integer_and_negative(self, bits):
+        # Each of these used to be coerced by the uint8 cast or to raise
+        # OverflowError, which callers handling ValueError do not catch.
+        with pytest.raises(ValueError):
+            BitWord(bits)
+
+    def test_accepts_bool_and_wide_integer_arrays(self):
+        assert BitWord(np.array([True, False])).to01() == "10"
+        assert BitWord(np.array([0, 1], dtype=np.int64)).to01() == "01"
 
     def test_immutable(self):
         w = BitWord([1, 0])
