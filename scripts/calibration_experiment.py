@@ -9,6 +9,7 @@ import argparse
 import pathlib
 
 from kadjust import CoderId, TestConfig, monte_carlo_fpr
+from kadjust.stats import write_records
 
 
 def main() -> None:
@@ -29,9 +30,9 @@ def main() -> None:
         result = monte_carlo_fpr(p, args.length, cfg, args.trials, args.seed)
         path = outdir / f"fpr_p{int(100 * p):02d}.csv"
         with open(path, "w", newline="") as fh:
-            result.to_csv(fh)
+            write_records(result.rows, "csv", fh)
         for row in result.rows:
-            mark = "" if row.rate <= row.bound else "  VIOLATION"
+            mark = "" if row.ok else "  VIOLATION"
             print(f"{p:>5.2f} {row.m:>3} {row.rate:>10.5f} {row.bound:>10.5f}{mark}")
     print(f"\ntables written to {outdir}/")
 

@@ -11,6 +11,7 @@ import argparse
 import pathlib
 
 from kadjust import CoderId, GeneratorSpec, convergence_trace, geometric_schedule
+from kadjust.stats import write_records
 
 
 def main() -> None:
@@ -36,7 +37,7 @@ def main() -> None:
         trace = convergence_trace(spec, coder, schedule)
         path = outdir / f"trace_{name}.csv"
         with open(path, "w", newline="") as fh:
-            trace.to_csv(fh)
+            write_records(trace.rows, "csv", fh)
         last = trace.final()
         r = "nan" if last.R is None else f"{last.R:8.4f}"
         print(f"{name:<18} {last.m:>8} {last.p_hat:>8.4f} {last.H:>8.4f} {r}")

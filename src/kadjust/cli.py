@@ -1,26 +1,27 @@
 """Command-line front end.
 
 Commands: analyze, test, cond, mutual, simulate, calibrate, audit.
-Exit status: 0 on success, 1 when the test command rejects or the audit
-finds a violation, 2 on usage errors.
+Every command writes records through --format json|csv|table.
+Exit status: 0 on success, 1 when the test command rejects, a calibrate
+rate exceeds its bound or the audit finds a violation, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import logging
 import sys
 
 from .coders import CODER_NAMES, CoderId
 from .inputs import INPUT_FORMATS, InputSource, read_word
 from .simulate import GeneratorSpec, convergence_trace, geometric_schedule
 from .stats import (
-    ConstantWordError,
+    RECORD_FORMATS,
     ZeroMutualBaselineError,
     adjusted,
     adjusted_conditional,
     adjusted_mutual,
-    sig6,
+    write_records,
 )
 from .testing import TestConfig, counting_lemma_audit, monte_carlo_fpr, test_word
 from .words import BitWord
@@ -57,23 +58,6 @@ def parse_schedule(text: str | None, length: int) -> list[int]:
     return points
 
 
-def _emit_records(records: list[dict], fmt: str, out) -> None:
-    if fmt == "json":
-        for rec in records:
-            out.write(json.dumps(rec) + "\n")
-    elif fmt == "csv":
-        keys = list(records[0].keys())
-        out.write(",".join(keys) + "\n")
-        for rec in records:
-            out.write(",".join("" if rec[k] is None else str(rec[k]) for k in keys) + "\n")
-    else:
-        for rec in records:
-            width = max(len(k) for k in rec)
-            for k, v in rec.items():
-                out.write(f"{k:<{width}}  {'-' if v is None else v}\n")
-            out.write("\n")
-
-
 def _read_inputs(args: argparse.Namespace, expected: int | None = None) -> list[BitWord]:
     paths = args.inputs or [None]
     if expected is not None and len(paths) != expected:
@@ -84,75 +68,35 @@ def _read_inputs(args: argparse.Namespace, expected: int | None = None) -> list[
     ]
 
 
-def _constant_record(word: BitWord, coder: CoderId) -> dict:
-    from .coders import code_word
-
-    return {
-        "n": word.n,
-        "w": word.weight,
-        "H": 0.0,
-        "baseline": 0.0,
-        "k_eff": sig6(code_word(coder, word).ideal_len),
-        "KA": None,
-        "R": None,
-        "deficiency": None,
-        "coder": coder.label,
-    }
-
-
 def cmd_analyze(args: argparse.Namespace, out) -> int:
-    records = []
-    for word in _read_inputs(args):
-        try:
-            records.append(adjusted(word, args.coder, args.lengths).to_record())
-        except ConstantWordError:
-            records.append(_constant_record(word, args.coder))
-    _emit_records(records, args.fmt, out)
+    reports = [adjusted(word, args.coder, args.lengths) for word in _read_inputs(args)]
+    write_records(reports, args.fmt, out)
     return 0
 
 
 def cmd_test(args: argparse.Namespace, out) -> int:
     tc = TestConfig(m=args.m, coder=args.coder, lengths=args.lengths)
     verdicts = [test_word(word, tc) for word in _read_inputs(args)]
-    _emit_records([v.to_record() for v in verdicts], args.fmt, out)
+    write_records(verdicts, args.fmt, out)
     return 1 if any(v.rejected for v in verdicts) else 0
 
 
 def cmd_cond(args: argparse.Namespace, out) -> int:
     x, y = _read_inputs(args, expected=2)
-    rec = adjusted_conditional(x, y, args.coder, args.lengths).to_record()
-    _emit_records([rec], args.fmt, out)
+    write_records([adjusted_conditional(x, y, args.coder, args.lengths)], args.fmt, out)
     return 0
 
 
 def cmd_mutual(args: argparse.Namespace, out) -> int:
     x, y = _read_inputs(args, expected=2)
-    rec = adjusted_mutual(x, y, args.coder, args.lengths).to_record()
-    _emit_records([rec], args.fmt, out)
+    write_records([adjusted_mutual(x, y, args.coder, args.lengths)], args.fmt, out)
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace, out) -> int:
     spec = parse_measure(args.measure, args.seed, args.length)
     schedule = parse_schedule(args.schedule, args.length)
-    trace = convergence_trace(spec, args.coder, schedule)
-    if args.fmt == "json":
-        for row in trace.rows:
-            out.write(
-                json.dumps(
-                    {
-                        "m": row.m,
-                        "p_hat": sig6(row.p_hat),
-                        "H": sig6(row.H),
-                        "K_eff": sig6(row.k_eff),
-                        "R": sig6(row.R),
-                        "coder": trace.coder.label,
-                    }
-                )
-                + "\n"
-            )
-    else:
-        trace.to_csv(out)
+    write_records(convergence_trace(spec, args.coder, schedule).rows, args.fmt, out)
     return 0
 
 
@@ -161,19 +105,16 @@ def cmd_calibrate(args: argparse.Namespace, out) -> int:
     if kind != "bernoulli":
         raise ValueError("calibration requires a bernoulli:p measure")
     tc = TestConfig(m=1, coder=args.coder)
-    result = monte_carlo_fpr(float(rest), args.length, tc, args.trials, args.seed)
-    result.to_csv(out)
-    return 0
+    rows = monte_carlo_fpr(float(rest), args.length, tc, args.trials, args.seed).rows
+    write_records(rows, args.fmt, out)
+    return 0 if all(row.ok for row in rows) else 1
 
 
 def cmd_audit(args: argparse.Namespace, out) -> int:
     rows = counting_lemma_audit(args.length, args.coder)
-    out.write("k,t,count,bound,ok\n")
-    violations = 0
-    for row in rows:
-        violations += 0 if row.ok else 1
-        out.write(f"{row.k},{row.t},{row.count},{row.bound:.6g},{row.ok}\n")
-    out.write(f"# violations: {violations}\n")
+    write_records(rows, args.fmt, out)
+    violations = sum(not row.ok for row in rows)
+    print(f"# violations: {violations}", file=sys.stderr)
     return 1 if violations else 0
 
 
@@ -199,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_inputs=True, coder_default="shell"):
         p.add_argument("--coder", default=coder_default, choices=CODER_NAMES)
         p.add_argument("--format", dest="fmt", default="table" if with_inputs else "csv",
-                       choices=("json", "csv", "table"))
+                       choices=RECORD_FORMATS)
         if with_inputs:
             p.add_argument("inputs", nargs="*", help="input files (default: stdin)")
             p.add_argument("--input-format", default="ascii01", choices=INPUT_FORMATS)
@@ -241,6 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    logging.basicConfig(format="%(name)s: %(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -45,13 +45,11 @@ class ShellId:
 class ShellCodeword:
     """Concrete shell codeword: weight header then fixed-width rank index.
 
-    ideal_len is the headerless ideal index cost log2(C(n,k)); concrete_len
-    counts the actual header and index bits.
+    concrete_len counts the actual header and index bits.
     """
 
     header_bits: np.ndarray
     index_bits: np.ndarray
-    ideal_len: float
     concrete_len: int
 
     @property
@@ -132,7 +130,6 @@ def encode_shell(word: BitWord) -> ShellCodeword:
     return ShellCodeword(
         header_bits=header.getvalue(),
         index_bits=index.getvalue(),
-        ideal_len=shell_log_size(n, k),
         concrete_len=len(header) + len(index),
     )
 

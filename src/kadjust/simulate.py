@@ -8,7 +8,6 @@ the vectorized paths reproduce the sequential stream exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -16,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .coders import CoderId, code_word
-from .stats import adjusted, ConstantWordError
+from .stats import adjusted
 from .words import BitWord
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -148,35 +147,22 @@ def generate(spec: GeneratorSpec) -> BitWord:
 
 @dataclass(frozen=True)
 class TraceRow:
+    """One prefix of a convergence trace; the field names are the output columns."""
+
     m: int
     p_hat: float
     H: float
-    k_eff: float
+    K_eff: float
     R: float | None  # None marks a constant prefix
+    coder: CoderId
 
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
-    coder: CoderId
     rows: tuple[TraceRow, ...]
 
     def final(self) -> TraceRow:
         return self.rows[-1]
-
-    def to_csv(self, fileobj) -> None:
-        writer = csv.writer(fileobj)
-        writer.writerow(["m", "p_hat", "H", "K_eff", "R", "coder"])
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.m,
-                    f"{row.p_hat:.6g}",
-                    f"{row.H:.6g}",
-                    f"{row.k_eff:.6g}",
-                    "" if row.R is None else f"{row.R:.6g}",
-                    self.coder.label,
-                ]
-            )
 
 
 def geometric_schedule(length: int, start: int = 16, factor: float = 2.0) -> list[int]:
@@ -206,19 +192,11 @@ def convergence_trace(
     if schedule[0] < 1 or schedule[-1] > spec.length:
         raise ValueError("schedule out of range for the generated length")
     word = generate(spec)
-    ones = np.concatenate([[0], np.cumsum(word.bits, dtype=np.int64)])
     rows = []
     for m in schedule:
-        prefix = word.prefix(m)
-        k = int(ones[m])
-        p_hat = k / m
-        try:
-            rep = adjusted(prefix, coder)
-            rows.append(TraceRow(m=m, p_hat=p_hat, H=rep.H, k_eff=rep.k_eff, R=rep.R))
-        except ConstantWordError:
-            k_eff = code_word(coder, prefix).ideal_len
-            rows.append(TraceRow(m=m, p_hat=p_hat, H=0.0, k_eff=k_eff, R=None))
-    return ConvergenceTrace(coder=coder, rows=tuple(rows))
+        rep = adjusted(word.prefix(m), coder)
+        rows.append(TraceRow(m=m, p_hat=rep.w / m, H=rep.H, K_eff=rep.k_eff, R=rep.R, coder=coder))
+    return ConvergenceTrace(rows=tuple(rows))
 
 
 def entropy_rate_estimate(spec: GeneratorSpec, coder: CoderId, m: int) -> float:

@@ -5,13 +5,18 @@ description length to the empirical-entropy baseline, together with its
 scale KA = K_eff / H and the deficiency n*H - K_eff.  Conditional and
 mutual variants swap in the empirical conditional entropy and empirical
 mutual information baselines.
+
+Every result is a dataclass; record and write_records turn results into
+the json, csv or table output of the CLI and the experiment scripts.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +33,7 @@ logger = logging.getLogger(__name__)
 
 
 class ConstantWordError(ValueError):
-    """The empirical (or conditional) entropy baseline is zero."""
+    """The conditional entropy baseline is zero."""
 
 
 class ZeroMutualBaselineError(ValueError):
@@ -36,38 +41,68 @@ class ZeroMutualBaselineError(ValueError):
 
 
 def sig6(value):
-    """Round a float to 6 significant digits for serialized reports."""
+    """Round a float to 6 significant digits for table output."""
     if value is None:
         return None
     return float(f"{value:.6g}")
 
 
+def record(result) -> dict:
+    """The fields of a result dataclass in declaration order; a CoderId
+    becomes its label."""
+    rec = {}
+    for f in fields(result):
+        value = getattr(result, f.name)
+        rec[f.name] = value.label if isinstance(value, CoderId) else value
+    return rec
+
+
+RECORD_FORMATS = ("json", "csv", "table")
+
+
+def write_records(results, fmt: str, out) -> None:
+    """Write result dataclasses as records: one JSON object per line, CSV
+    with a header row, or a key/value block per record.
+
+    json and csv keep full float precision; table rounds floats through
+    sig6.  Every line ends in a bare newline.
+    """
+    records = [record(r) for r in results]
+    if fmt == "json":
+        for rec in records:
+            out.write(json.dumps(rec) + "\n")
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(records[0].keys())
+        writer.writerows(rec.values() for rec in records)
+    elif fmt == "table":
+        for rec in records:
+            width = max(len(k) for k in rec)
+            for k, v in rec.items():
+                shown = "-" if v is None else sig6(v) if isinstance(v, float) else v
+                out.write(f"{k:<{width}}  {shown}\n")
+            out.write("\n")
+    else:
+        raise ValueError(f"unknown record format {fmt!r}")
+
+
 @dataclass(frozen=True)
 class AdjustedReport:
-    """Statistic bundle for one word under one coder."""
+    """Statistic bundle for one word under one coder.
+
+    KA, R and deficiency are None for a constant word, whose entropy
+    baseline is zero.
+    """
 
     n: int
     w: int
     H: float
     baseline: float
     k_eff: float
-    KA: float
-    R: float
-    deficiency: float
+    KA: float | None
+    R: float | None
+    deficiency: float | None
     coder: CoderId
-
-    def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "w": self.w,
-            "H": sig6(self.H),
-            "baseline": sig6(self.baseline),
-            "k_eff": sig6(self.k_eff),
-            "KA": sig6(self.KA),
-            "R": sig6(self.R),
-            "deficiency": sig6(self.deficiency),
-            "coder": self.coder.label,
-        }
 
 
 @dataclass(frozen=True)
@@ -83,18 +118,6 @@ class ConditionalReport:
     deficiency_cond: float
     coder: CoderId
 
-    def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "H_cond": sig6(self.H_cond),
-            "baseline": sig6(self.baseline),
-            "k_eff_cond": sig6(self.k_eff_cond),
-            "KA_cond": sig6(self.KA_cond),
-            "R_cond": sig6(self.R_cond),
-            "deficiency_cond": sig6(self.deficiency_cond),
-            "coder": self.coder.label,
-        }
-
 
 @dataclass(frozen=True)
 class MutualReport:
@@ -109,38 +132,28 @@ class MutualReport:
     KA_mutual: float
     R_mutual: float
 
-    def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "I_emp": sig6(self.I_emp),
-            "I_eff": sig6(self.I_eff),
-            "KA_mutual": sig6(self.KA_mutual),
-            "R_mutual": sig6(self.R_mutual),
-        }
-
 
 def adjusted(word: BitWord, coder: CoderId, lengths: str = "ideal") -> AdjustedReport:
     """Full adjusted-complexity report for a word under the chosen coder.
 
-    Raises ConstantWordError for constant words, whose entropy baseline is
-    zero.
+    A constant word gets H = 0, baseline = 0 and its k_eff under the
+    requested length kind, with KA, R and deficiency None.
     """
     counts = SymbolCounts.from_word(word)
     h = binary_entropy(counts.p)
-    if h == 0.0:
-        raise ConstantWordError("adjusted complexity is undefined for constant words")
     result = code_word(coder, word)
     k_eff = result.length(lengths)
     baseline = word.n * h
+    constant = h == 0.0
     return AdjustedReport(
         n=word.n,
         w=counts.n1,
         H=h,
         baseline=baseline,
         k_eff=k_eff,
-        KA=k_eff / h,
-        R=k_eff / baseline,
-        deficiency=baseline - k_eff,
+        KA=None if constant else k_eff / h,
+        R=None if constant else k_eff / baseline,
+        deficiency=None if constant else baseline - k_eff,
         coder=result.coder,
     )
 

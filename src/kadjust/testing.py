@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coders import CoderId, code_word, concrete_len_shell, is_concrete
-from .entropy import binary_entropy, shell_log_size, shell_size
+from .entropy import shell_log_size, shell_size
 from .simulate import GeneratorSpec, derive_seed, generate, geometric_schedule, uniform_floats
-from .words import BitWord, SymbolCounts
+from .stats import adjusted
+from .words import BitWord
 
 
 @dataclass(frozen=True)
@@ -53,48 +54,24 @@ class TestVerdict:
     def rejected(self) -> bool:
         return self.decision == "reject"
 
-    def to_record(self) -> dict:
-        from .stats import sig6
-
-        return {
-            "decision": self.decision,
-            "R": sig6(self.R),
-            "deficiency": sig6(self.deficiency),
-            "threshold": sig6(self.threshold),
-            "m": self.m,
-            "coder": self.coder.label,
-            "n": self.n,
-            "w": self.w,
-        }
-
 
 def test_word(word: BitWord, cfg: TestConfig) -> TestVerdict:
     """Classify a word as accept / reject / constant-word at threshold cfg.m."""
-    counts = SymbolCounts.from_word(word)
-    h = binary_entropy(counts.p)
-    if h == 0.0:
-        return TestVerdict(
-            decision="constant-word",
-            R=None,
-            deficiency=None,
-            threshold=None,
-            m=cfg.m,
-            coder=cfg.coder,
-            n=word.n,
-            w=counts.n1,
-        )
-    k_eff = code_word(cfg.coder, word).length(cfg.lengths)
-    baseline = word.n * h
-    deficiency = baseline - k_eff
+    rep = adjusted(word, cfg.coder, cfg.lengths)
+    if rep.deficiency is None:
+        decision, threshold = "constant-word", None
+    else:
+        decision = "reject" if rep.deficiency >= cfg.m else "accept"
+        threshold = 1.0 - cfg.m / rep.baseline
     return TestVerdict(
-        decision="reject" if deficiency >= cfg.m else "accept",
-        R=k_eff / baseline,
-        deficiency=deficiency,
-        threshold=1.0 - cfg.m / baseline,
+        decision=decision,
+        R=rep.R,
+        deficiency=rep.deficiency,
+        threshold=threshold,
         m=cfg.m,
         coder=cfg.coder,
-        n=word.n,
-        w=counts.n1,
+        n=rep.n,
+        w=rep.w,
     )
 
 
@@ -134,16 +111,13 @@ def prefix_scan(word: BitWord, cfg: TestConfig) -> PrefixScanResult:
     """
     if word.n < SCAN_START:
         raise ValueError(f"prefix scan requires at least {SCAN_START} bits")
-    ones = np.concatenate([[0], np.cumsum(word.bits, dtype=np.int64)])
     rows = []
     first_flag = None
     for m_p in geometric_schedule(word.n, SCAN_START, SCAN_FACTOR):
-        h = binary_entropy(int(ones[m_p]) / m_p)
-        if h == 0.0:
+        d = adjusted(word.prefix(m_p), cfg.coder, cfg.lengths).deficiency
+        if d is None:
             rows.append(PrefixScanRow(m_prefix=m_p, deficiency=None, penalized=None))
             continue
-        k_eff = code_word(cfg.coder, word.prefix(m_p)).length(cfg.lengths)
-        d = m_p * h - k_eff
         penalized = d - 2.0 * math.log2(m_p + 1) if cfg.penalty else d
         rows.append(PrefixScanRow(m_prefix=m_p, deficiency=d, penalized=penalized))
         if first_flag is None and penalized >= cfg.m:
@@ -212,6 +186,7 @@ class FprRow:
     rejections: int
     rate: float
     bound: float  # 2^(2-m), the calibrated reference
+    ok: bool  # rate <= bound
 
 
 @dataclass(frozen=True)
@@ -227,14 +202,6 @@ class FprResult:
             if row.m == m:
                 return row.rate
         raise KeyError(m)
-
-    def to_csv(self, fileobj) -> None:
-        import csv
-
-        writer = csv.writer(fileobj)
-        writer.writerow(["m", "trials", "rejections", "rate", "bound"])
-        for row in self.rows:
-            writer.writerow([row.m, row.trials, row.rejections, f"{row.rate:.6g}", f"{row.bound:.6g}"])
 
 
 FPR_M_RANGE = range(1, 9)
@@ -259,18 +226,20 @@ def monte_carlo_fpr(
         deficiencies = np.empty(trials, dtype=np.float64)
         for i in range(trials):
             word = generate(GeneratorSpec.bernoulli(p, derive_seed(seed, i), n))
-            verdict = test_word(word, cfg)
-            deficiencies[i] = -math.inf if verdict.deficiency is None else verdict.deficiency
+            d = adjusted(word, cfg.coder, cfg.lengths).deficiency
+            deficiencies[i] = -math.inf if d is None else d
     rows = []
     for m in FPR_M_RANGE:
         rejections = int(np.count_nonzero(deficiencies >= m))
+        rate, bound = rejections / trials, 2.0 ** (2 - m)
         rows.append(
             FprRow(
                 m=m,
                 trials=trials,
                 rejections=rejections,
-                rate=rejections / trials,
-                bound=2.0 ** (2 - m),
+                rate=rate,
+                bound=bound,
+                ok=rate <= bound,
             )
         )
     return FprResult(p=p, n=n, coder=cfg.coder, seed=seed, rows=tuple(rows))

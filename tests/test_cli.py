@@ -1,31 +1,38 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kadjust
 from kadjust.cli import main, parse_measure, parse_schedule
-from kadjust.simulate import GeneratorSpec
-from kadjust.testing import AuditRow
+from kadjust.coders import CoderId
+from kadjust.simulate import GeneratorSpec, generate
+from kadjust.testing import AuditRow, FprResult, FprRow
 
 from conftest import WORD35_STR
 
+# json and csv carry floats at full precision.
 GOLDEN_ANALYZE = {
     "n": 35,
     "w": 9,
-    "H": 0.822404,
-    "baseline": 28.7841,
-    "k_eff": 31.2432,
-    "KA": 37.9901,
-    "R": 1.08543,
-    "deficiency": -2.45909,
+    "H": 0.8224042259549891,
+    "baseline": 28.784147908424618,
+    "k_eff": 31.24324228451052,
+    "KA": 37.99012857482628,
+    "R": 1.0854322449950364,
+    "deficiency": -2.4590943760859005,
     "coder": "shell",
 }
 
 GOLDEN_TEST = {
     "decision": "accept",
-    "R": 1.08543,
-    "deficiency": -2.45909,
-    "threshold": 0.826293,
+    "R": 1.0854322449950364,
+    "deficiency": -2.4590943760859005,
+    "threshold": 0.826293277261246,
     "m": 5,
     "coder": "shell",
     "n": 35,
@@ -78,6 +85,26 @@ class TestAnalyze:
         rec = json.loads(out.strip())
         assert rec["H"] == 0.0 and rec["R"] is None and rec["KA"] is None
         assert list(rec) == list(GOLDEN_ANALYZE)
+
+    def test_constant_word_concrete_length(self, capsys, tmp_path):
+        path = tmp_path / "const.txt"
+        path.write_text("0000000000")
+        code, out, _ = run_cli(
+            capsys, "analyze", str(path), "--coder", "shell", "--lengths", "concrete",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out.strip())["k_eff"] == 1.0
+
+    def test_ideal_only_coder_rejects_concrete_on_constant_word(self, capsys, tmp_path):
+        path = tmp_path / "const.txt"
+        path.write_text("0000000000")
+        for command in ("analyze", "test"):
+            code, _, err = run_cli(
+                capsys, command, str(path), "--coder", "pair_shell", "--lengths", "concrete"
+            )
+            assert code == 2
+            assert "no concrete code" in err
 
     def test_multiple_inputs_in_order(self, capsys, tmp_path):
         a = tmp_path / "a.txt"
@@ -235,10 +262,18 @@ class TestCalibrateCommand:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "m,trials,rejections,rate,bound"
+        assert lines[0] == "m,trials,rejections,rate,bound,ok"
         assert len(lines) == 9
         first = lines[1].split(",")
-        assert first[0] == "1" and first[1] == "200"
+        assert first[0] == "1" and first[1] == "200" and first[-1] == "True"
+
+    def test_rate_above_bound_exits_one(self, capsys, monkeypatch):
+        row = FprRow(m=3, trials=100, rejections=60, rate=0.6, bound=0.5, ok=False)
+        result = FprResult(p=0.5, n=64, coder=CoderId("shell"), seed=1, rows=(row,))
+        monkeypatch.setattr("kadjust.cli.monte_carlo_fpr", lambda *args: result)
+        code, out, _ = run_cli(capsys, "calibrate", "--measure", "bernoulli:0.5", "--length", "64")
+        assert code == 1
+        assert out.strip().splitlines()[-1] == "3,100,60,0.6,0.5,False"
 
     def test_requires_bernoulli(self, capsys):
         code, _, _ = run_cli(capsys, "calibrate", "--measure", "block", "--length", "64")
@@ -247,22 +282,71 @@ class TestCalibrateCommand:
 
 class TestAuditCommand:
     def test_audit_runs_clean(self, capsys):
-        code, out, _ = run_cli(capsys, "audit", "--length", "8", "--coder", "run_length")
+        code, out, err = run_cli(capsys, "audit", "--length", "8", "--coder", "run_length")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "k,t,count,bound,ok"
-        assert lines[-1] == "# violations: 0"
+        assert len(lines) == 1 + 9 * 8
+        assert err.strip().splitlines()[-1] == "# violations: 0"
 
     def test_audit_violation_exits_one(self, capsys, monkeypatch):
         row = AuditRow(k=4, t=1, count=71, bound=35.0, ok=False)
         monkeypatch.setattr("kadjust.cli.counting_lemma_audit", lambda n, coder: [row])
-        code, out, _ = run_cli(capsys, "audit", "--length", "8")
+        code, _, err = run_cli(capsys, "audit", "--length", "8")
         assert code == 1
-        assert out.strip().splitlines()[-1] == "# violations: 1"
+        assert err.strip().splitlines()[-1] == "# violations: 1"
 
     def test_audit_rejects_ideal_coder(self, capsys):
         code, _, err = run_cli(capsys, "audit", "--length", "8", "--coder", "pair_shell")
         assert code == 2
+
+
+class TestRecordFormats:
+    COMMANDS = {
+        "analyze": ["analyze", "{word}"],
+        "test": ["test", "{word}", "--m", "5"],
+        "cond": ["cond", "{word}", "{other}"],
+        "mutual": ["mutual", "{word}", "{word}"],
+        "simulate": ["simulate", "--measure", "bernoulli:0.3", "--length", "256", "--seed", "2"],
+        "calibrate": ["calibrate", "--measure", "bernoulli:0.5", "--length", "64", "--trials", "50"],
+        "audit": ["audit", "--length", "6", "--coder", "run_length"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_command_honours_format(self, capsys, word_file, tmp_path, command):
+        other = tmp_path / "other.txt"
+        other.write_text(WORD35_STR[::-1])
+        argv = [a.format(word=word_file, other=other) for a in self.COMMANDS[command]]
+        outputs = {}
+        for fmt in ("json", "csv", "table"):
+            code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+            assert code in (0, 1)
+            assert "\r" not in out
+            outputs[fmt] = out
+        records = [json.loads(line) for line in outputs["json"].splitlines()]
+        header = outputs["csv"].splitlines()[0]
+        assert header == ",".join(records[0])
+        assert len(outputs["csv"].splitlines()) == 1 + len(records)
+        assert outputs["table"].count("\n\n") == len(records)
+
+
+class TestLogging:
+    def test_negative_i_eff_warning_goes_through_a_handler(self, tmp_path):
+        # Pair with negative I_eff under the shell coder (see test_stats).
+        x = generate(GeneratorSpec.bernoulli(0.5, 0, 64))
+        y = generate(GeneratorSpec.bernoulli(0.5, 1, 64))
+        paths = []
+        for name, word in (("x.txt", x), ("y.txt", y)):
+            (tmp_path / name).write_text(word.to01())
+            paths.append(str(tmp_path / name))
+        env = dict(os.environ, PYTHONPATH=str(Path(kadjust.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kadjust.cli", "mutual", *paths, "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["I_eff"] < 0
+        assert proc.stderr.startswith("kadjust.stats: WARNING: effective mutual information")
 
 
 class TestUsageErrors:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kadjust import (
     BitWord,
@@ -223,6 +224,21 @@ class TestConcreteCodecs:
         with pytest.raises(DecodeError):
             # model tag 7 is undefined
             decode_word(CoderId("model_class"), 4, np.array([1, 1, 1, 0, 0], dtype=np.uint8))
+
+    @given(
+        coder=st.sampled_from([*concrete_coder_ids(), CoderId("periodic", 5)]),
+        n=st.integers(1, 64),
+        bits=st.lists(st.integers(0, 1), max_size=300),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decode_is_total(self, coder, n, bits):
+        # Any bitstream decodes to a word of the declared length or raises
+        # DecodeError; nothing else escapes.
+        try:
+            word = decode_word(coder, n, np.array(bits, dtype=np.uint8))
+        except DecodeError:
+            return
+        assert word.n == n
 
 
 class TestRegistry:

@@ -13,6 +13,7 @@ from kadjust import (
     decode_shell,
     encode_shell,
     rank,
+    shell_log_size,
     shell_size,
     unrank,
 )
@@ -126,8 +127,7 @@ class TestShellCodec:
         for n in range(1, 17):
             for k in range(n + 1):
                 word = unrank(ShellId(n, k), 0)
-                cw = encode_shell(word)
-                gap = cw.concrete_len - cw.ideal_len
+                gap = encode_shell(word).concrete_len - shell_log_size(n, k)
                 assert 0.0 <= gap <= 2 * math.log2(k + 2) + 2
 
     def test_prefix_free_per_length(self):

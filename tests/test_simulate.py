@@ -15,6 +15,7 @@ from kadjust import (
     geometric_schedule,
 )
 from kadjust.simulate import derive_seed, splitmix_outputs, uniform_floats
+from kadjust.stats import write_records
 
 
 class TestSplitMix64:
@@ -131,7 +132,7 @@ class TestConvergenceTrace:
         for row in trace.rows:
             assert row.p_hat == word.prefix(row.m).weight / row.m
             if row.R is not None:
-                assert row.R == pytest.approx(row.k_eff / (row.m * row.H), abs=1e-9)
+                assert row.R == pytest.approx(row.K_eff / (row.m * row.H), abs=1e-9)
         assert trace.final().m == 2**14
 
     def test_constant_prefix_rows_marked(self):
@@ -155,7 +156,7 @@ class TestConvergenceTrace:
         spec = GeneratorSpec.bernoulli(0.3, 9, 64)
         trace = convergence_trace(spec, CoderId("shell"), [16, 64])
         buf = io.StringIO()
-        trace.to_csv(buf)
+        write_records(trace.rows, "csv", buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "m,p_hat,H,K_eff,R,coder"
         assert len(lines) == 3

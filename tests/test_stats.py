@@ -19,7 +19,7 @@ from kadjust import (
     mutual_information_emp,
     shell_log_size,
 )
-from kadjust.stats import conditional_code_len, joint_pair_code_len, sig6
+from kadjust.stats import conditional_code_len, joint_pair_code_len, record, sig6
 
 
 nonconstant_words = (
@@ -49,9 +49,12 @@ class TestAdjusted:
         rep = adjusted(BitWord([0, 1] * 500), CoderId("model_class"))
         assert rep.R <= 0.02
 
-    def test_constant_word_raises(self):
-        with pytest.raises(ConstantWordError):
-            adjusted(BitWord([0] * 12), CoderId("shell"))
+    def test_constant_word_report(self):
+        word = BitWord([0] * 12)
+        rep = adjusted(word, CoderId("shell"))
+        assert (rep.H, rep.baseline, rep.KA, rep.R, rep.deficiency) == (0.0, 0.0, None, None, None)
+        assert rep.k_eff == code_len_shell_ideal(word)
+        assert adjusted(word, CoderId("shell"), lengths="concrete").k_eff == 1.0
 
     def test_concrete_lengths_selectable(self, word35):
         rep = adjusted(word35, CoderId("shell"), lengths="concrete")
@@ -81,10 +84,10 @@ class TestAdjusted:
             assert r_shell >= 1.0
 
     def test_record_keys_and_rounding(self, word35):
-        rec = adjusted(word35, CoderId("shell")).to_record()
+        rec = record(adjusted(word35, CoderId("shell")))
         assert list(rec) == ["n", "w", "H", "baseline", "k_eff", "KA", "R", "deficiency", "coder"]
         assert rec["coder"] == "shell"
-        assert rec["R"] == float(f"{rec['k_eff'] / rec['baseline']:.6g}") == pytest.approx(1.0854, abs=1e-3)
+        assert rec["R"] == rec["k_eff"] / rec["baseline"] == pytest.approx(1.0854, abs=1e-3)
 
     def test_sig6(self):
         assert sig6(None) is None
@@ -130,7 +133,7 @@ class TestConditional:
 
     def test_record_keys(self, table1_pair):
         x, y = table1_pair
-        rec = adjusted_conditional(x, y, CoderId("shell")).to_record()
+        rec = record(adjusted_conditional(x, y, CoderId("shell")))
         assert list(rec) == [
             "n", "H_cond", "baseline", "k_eff_cond", "KA_cond", "R_cond",
             "deficiency_cond", "coder",
@@ -178,5 +181,5 @@ class TestMutual:
 
     def test_record_keys(self):
         x = BitWord.from01("01" * 32)
-        rec = adjusted_mutual(x, x, CoderId("shell")).to_record()
+        rec = record(adjusted_mutual(x, x, CoderId("shell")))
         assert list(rec) == ["n", "I_emp", "I_eff", "KA_mutual", "R_mutual"]

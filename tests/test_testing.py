@@ -20,6 +20,7 @@ from kadjust import (
 from kadjust import TestConfig as Config
 from kadjust import test_word as run_test
 from kadjust.simulate import derive_seed, geometric_schedule
+from kadjust.stats import record, write_records
 from kadjust.testing import SCAN_FACTOR, SCAN_START
 
 from conftest import all_words
@@ -75,7 +76,7 @@ class TestTestWord:
             assert earlier or not later
 
     def test_verdict_record_keys(self, word35):
-        rec = run_test(word35, Config(m=5, coder=CoderId("shell"))).to_record()
+        rec = record(run_test(word35, Config(m=5, coder=CoderId("shell"))))
         assert list(rec) == ["decision", "R", "deficiency", "threshold", "m", "coder", "n", "w"]
 
 
@@ -215,9 +216,9 @@ class TestMonteCarloFpr:
         cfg = Config(m=1, coder=CoderId("shell"))
         res = monte_carlo_fpr(0.5, 64, cfg, 100, seed=2)
         buf = io.StringIO()
-        res.to_csv(buf)
+        write_records(res.rows, "csv", buf)
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "m,trials,rejections,rate,bound"
+        assert lines[0] == "m,trials,rejections,rate,bound,ok"
         assert len(lines) == 9
 
     def test_validation(self):
