@@ -52,7 +52,6 @@ from .simulate import (
 from .stats import (
     AdjustedReport,
     ConditionalReport,
-    ConstantWordError,
     MutualReport,
     ZeroMutualBaselineError,
     adjusted,
@@ -78,7 +77,6 @@ __all__ = [
     "CodeResult",
     "CoderId",
     "ConditionalReport",
-    "ConstantWordError",
     "ConvergenceTrace",
     "GeneratorSpec",
     "MutualReport",

@@ -9,6 +9,7 @@ rate exceeds its bound or the audit finds a violation, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 
@@ -181,10 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built on first use and reused after."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(name)s: %(levelname)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.coder = CoderId(args.coder)
         return _COMMANDS[args.command](args, sys.stdout)

@@ -115,17 +115,26 @@ def k_comb(word: BitWord) -> CodeResult:
     )
 
 
+def _runs(bits: np.ndarray) -> np.ndarray:
+    """Lengths of the maximal constant runs of a bit array, left to right."""
+    breaks = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    return np.diff(np.concatenate(([0], breaks, [bits.size])))
+
+
 def run_lengths(word: BitWord) -> list[int]:
     """Lengths of the maximal constant runs, left to right."""
-    bits = word.bits
-    breaks = np.flatnonzero(np.diff(bits)) + 1
-    edges = np.concatenate([[0], breaks, [bits.size]])
-    return np.diff(edges).tolist()
+    return _runs(word.bits).tolist()
 
 
 def k_run_length(word: BitWord) -> CodeResult:
-    """First bit plus an Elias gamma code for every run length."""
-    total = 1 + sum(elias_gamma_len(r) for r in run_lengths(word))
+    """First bit plus an Elias gamma code for every run length.
+
+    gamma(r) takes 2 * (bit_length(r) - 1) + 1 bits; np.frexp gives
+    bit_length exactly for every run length below 2^53.
+    """
+    runs = _runs(word.bits)
+    bit_lengths = np.frexp(runs)[1]
+    total = 1 + 2 * int(bit_lengths.sum()) - runs.size
     return CodeResult(CoderId("run_length"), float(total), total)
 
 
@@ -138,14 +147,46 @@ def _periodic_cost(n: int, p: int, mismatches: int) -> int:
     )
 
 
+# A row one period wide costs numpy one inner loop per row, which dominates
+# for small periods on long words; there each row holds as many whole
+# periods as fit in _WIDE_ROW bits.  Below _WIDE_FROM bits np.tile costs more
+# than it saves.
+_WIDE_ROW = 1024
+_WIDE_FROM = 1 << 14
+
+
+def _period_mismatch(bits: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+    """Boolean mask of the positions where bits differ from the pattern
+    repeated over their length, the last copy cut short.
+
+    Compares the whole periods as one block of rows against the pattern and
+    the remainder against its prefix.  With bits all zero the mask is the
+    tiled pattern itself.
+    """
+    n = bits.size
+    if n >= _WIDE_FROM and pattern.size < _WIDE_ROW:
+        pattern = np.tile(pattern, _WIDE_ROW // pattern.size)
+    width = pattern.size
+    head = n - n % width
+    mask = np.empty(n, dtype=bool)
+    np.not_equal(bits[:head].reshape(-1, width), pattern, out=mask[:head].reshape(-1, width))
+    np.not_equal(bits[head:], pattern[: n - head], out=mask[head:])
+    return mask
+
+
 def _best_period(word: BitWord, p_max: int) -> tuple[int, int]:
-    """(period, mismatch count) minimizing the periodic cost; smallest period wins ties."""
+    """(period, mismatch count) minimizing the periodic cost; smallest period wins ties.
+
+    For each p <= min(p_max, n) the mismatch count is the number of
+    positions where the word differs from its first p bits tiled over
+    its length (see _period_mismatch); the first period never mismatches.
+    Each period costs O(n) array work and no Python per-bit loop.
+    """
     bits = word.bits
     n = bits.size
     best_p, best_cost, best_r = 1, None, 0
     for p in range(1, min(p_max, n) + 1):
-        tiled = np.resize(bits[:p], n)
-        r = int(np.count_nonzero(bits[p:] != tiled[p:]))
+        r = int(np.count_nonzero(_period_mismatch(bits, bits[:p])))
         cost = _periodic_cost(n, p, r)
         if best_cost is None or cost < best_cost:
             best_p, best_cost, best_r = p, cost, r
@@ -233,8 +274,7 @@ def _decode_run_length(n: int, reader: BitReader) -> BitWord:
 def _encode_periodic(word: BitWord, coder: CoderId) -> np.ndarray:
     n = word.n
     p, _ = _best_period(word, coder.p_max)
-    tiled = np.resize(word.bits[:p], n)
-    positions = (np.flatnonzero(word.bits[p:] != tiled[p:]) + p).tolist()
+    positions = np.flatnonzero(_period_mismatch(word.bits, word.bits[:p])).tolist()
     out = BitWriter()
     out.write_elias_gamma(p)
     out.write_bits(word.bits[:p])
@@ -249,16 +289,16 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
     p = reader.read_elias_gamma()
     if p > n:
         raise DecodeError(f"period {p} exceeds word length {n}")
-    pattern = [reader.read_bit() for _ in range(p)]
-    bits = np.resize(np.array(pattern, dtype=np.uint8), n)
+    pattern = np.array([reader.read_bit() for _ in range(p)], dtype=np.uint8)
+    flips = np.zeros(n, dtype=np.uint8)
     r = reader.read_elias_gamma() - 1
     width = ceil_log2(n + 1)
     for _ in range(r):
         pos = reader.read_uint(width)
         if pos >= n:
             raise DecodeError(f"mismatch position {pos} out of range")
-        bits[pos] ^= 1
-    return BitWord(bits)
+        flips[pos] ^= 1
+    return BitWord(_period_mismatch(flips, pattern))
 
 
 def _encode_model_class(word: BitWord, coder: CoderId) -> np.ndarray:

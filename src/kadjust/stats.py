@@ -32,10 +32,6 @@ from .words import BitWord, PairCounts, SymbolCounts
 logger = logging.getLogger(__name__)
 
 
-class ConstantWordError(ValueError):
-    """The conditional entropy baseline is zero."""
-
-
 class ZeroMutualBaselineError(ValueError):
     """The empirical mutual information baseline is (numerically) zero."""
 
@@ -107,15 +103,19 @@ class AdjustedReport:
 
 @dataclass(frozen=True)
 class ConditionalReport:
-    """Adjusted statistics of x against the conditional baseline given y."""
+    """Adjusted statistics of x against the conditional baseline given y.
+
+    KA_cond, R_cond and deficiency_cond are None when y determines x,
+    which makes the conditional baseline zero.
+    """
 
     n: int
     H_cond: float
     baseline: float
     k_eff_cond: float
-    KA_cond: float
-    R_cond: float
-    deficiency_cond: float
+    KA_cond: float | None
+    R_cond: float | None
+    deficiency_cond: float | None
     coder: CoderId
 
 
@@ -181,21 +181,25 @@ def conditional_code_len(
 def adjusted_conditional(
     x: BitWord, y: BitWord, coder: CoderId, lengths: str = "ideal"
 ) -> ConditionalReport:
-    """Adjusted statistics of x against the baseline n * H_emp(X|Y)."""
+    """Adjusted statistics of x against the baseline n * H_emp(X|Y).
+
+    When y determines x the baseline is zero and the report carries
+    KA_cond, R_cond and deficiency_cond as None, like adjusted() on a
+    constant word.
+    """
     pc = PairCounts.from_words(x, y)
     h_cond = conditional_entropy(pc)
-    if h_cond == 0.0:
-        raise ConstantWordError("conditional entropy baseline is zero")
     k_eff = conditional_code_len(x, y, coder, lengths)
     baseline = x.n * h_cond
+    determined = h_cond == 0.0
     return ConditionalReport(
         n=x.n,
         H_cond=h_cond,
         baseline=baseline,
         k_eff_cond=k_eff,
-        KA_cond=k_eff / h_cond,
-        R_cond=k_eff / baseline,
-        deficiency_cond=baseline - k_eff,
+        KA_cond=None if determined else k_eff / h_cond,
+        R_cond=None if determined else k_eff / baseline,
+        deficiency_cond=None if determined else baseline - k_eff,
         coder=coder,
     )
 

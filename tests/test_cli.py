@@ -173,6 +173,18 @@ class TestPairCommands:
         assert rec["H_cond"] == pytest.approx(0.819685, abs=1e-4)
         assert rec["R_cond"] == pytest.approx(1.13288, abs=1e-3)
 
+    def test_cond_determined_pair_reports_nulls(self, capsys, word_file):
+        code, out, err = run_cli(capsys, "cond", word_file, word_file, "--format", "json")
+        assert code == 0
+        assert err == ""
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 1
+        rec = records[0]
+        assert rec["H_cond"] == 0.0 and rec["baseline"] == 0.0
+        assert rec["k_eff_cond"] > 0
+        assert rec["KA_cond"] is None and rec["R_cond"] is None
+        assert rec["deficiency_cond"] is None
+
     def test_mutual(self, capsys, tmp_path):
         x = tmp_path / "x.txt"
         x.write_text("01" * 32)

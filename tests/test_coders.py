@@ -24,7 +24,13 @@ from kadjust import (
     k_run_length,
 )
 from kadjust.bitio import DecodeError, elias_gamma_len
-from kadjust.coders import MODEL_TAG_BITS, is_concrete
+from kadjust.coders import (
+    MODEL_TAG_BITS,
+    _period_mismatch,
+    _periodic_cost,
+    is_concrete,
+    run_lengths,
+)
 
 from conftest import WORD35_STR, all_words
 
@@ -90,6 +96,49 @@ class TestPeriodic:
     def test_p_max_validation(self):
         with pytest.raises(ValueError):
             k_periodic(BitWord.from01("01"), p_max=0)
+
+
+class TestLengthKernelsBruteForce:
+    @given(
+        bits=st.integers(1, 200).flatmap(
+            lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        ),
+        p_max=st.integers(1, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, bits, p_max):
+        # Covers n < p_max, n not a multiple of the period, and p_max = 1.
+        word = BitWord(bits)
+        n = len(bits)
+        best = min(
+            _periodic_cost(n, p, sum(bits[i] != bits[i % p] for i in range(p, n)))
+            for p in range(1, min(p_max, n) + 1)
+        )
+        assert k_periodic(word, p_max).concrete_len == best
+        runs = run_lengths(word)
+        assert sum(runs) == n
+        assert k_run_length(word).concrete_len == 1 + sum(elias_gamma_len(r) for r in runs)
+
+    @pytest.mark.parametrize("n", [1 << 14, (1 << 16) + 1031])
+    def test_long_words_match_index_reference(self, n):
+        # Long words compare rows of many periods at once; check the mask
+        # against bits[i] != bits[i % p], also for periods wider than a row.
+        rng = np.random.default_rng(n)
+        bits = np.tile(rng.integers(0, 2, 24, dtype=np.uint8), n // 24 + 1)[:n]
+        bits[24:] ^= (rng.random(n - 24) < 0.01).astype(np.uint8)
+        index = np.arange(n)
+        for p in (1, 2, 3, 24, 1000, 1023, 1024, 1025, 1100):
+            expected = bits != bits[index % p]
+            assert np.array_equal(_period_mismatch(bits, bits[:p]), expected), p
+        word = BitWord(bits)
+        for p_max in (1, 32):
+            best = min(
+                _periodic_cost(n, p, int(np.count_nonzero(bits != bits[index % p])))
+                for p in range(1, p_max + 1)
+            )
+            assert k_periodic(word, p_max).concrete_len == best
+            coder = CoderId("periodic", p_max)
+            assert decode_word(coder, n, encode_word(coder, word)) == word
 
 
 class TestPairShell:
@@ -185,6 +234,27 @@ class TestConcreteCodecs:
             for n in (1, 7, 12):
                 for word in all_words(n):
                     assert len(encode_word(coder, word)) == code_word(coder, word).concrete_len
+
+    def test_encoded_length_matches_concrete_len_large(self):
+        n = 1 << 16
+        rng = np.random.default_rng(2016)
+        pattern = rng.integers(0, 2, 24, dtype=np.uint8)
+        periodic = np.tile(pattern, n // 24 + 1)[:n]
+        # flip 1% of the bits after the first period, which stays clean
+        flips = rng.random(n) < 0.01
+        flips[:24] = False
+        periodic ^= flips.astype(np.uint8)
+        words = {
+            "bernoulli:0.3": (rng.random(n) < 0.3).astype(np.uint8),
+            "periodic24": periodic,
+        }
+        for name in ("literal", "run_length", "periodic", "model_class"):
+            coder = CoderId(name)
+            for label, bits in words.items():
+                word = BitWord(bits)
+                assert len(encode_word(coder, word)) == code_word(coder, word).concrete_len, (
+                    name, label,
+                )
 
     def test_kraft_sums(self):
         for coder in concrete_coder_ids():

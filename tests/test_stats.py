@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from kadjust import (
     BitWord,
     CoderId,
-    ConstantWordError,
     GeneratorSpec,
     ZeroMutualBaselineError,
     adjusted,
@@ -109,8 +108,11 @@ class TestConditional:
 
     def test_identical_words_is_determined(self):
         w = BitWord.from01("0110101")
-        with pytest.raises(ConstantWordError):
-            adjusted_conditional(w, w, CoderId("shell"))
+        rep = adjusted_conditional(w, w, CoderId("shell"))
+        assert rep.H_cond == 0.0 and rep.baseline == 0.0
+        # x splits into the constant classes 000 and 1111
+        assert rep.k_eff_cond == pytest.approx(math.log2(4) + math.log2(5), abs=1e-12)
+        assert rep.KA_cond is None and rep.R_cond is None and rep.deficiency_cond is None
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
