@@ -67,7 +67,7 @@ from .testing import (
     prefix_scan,
     test_word,
 )
-from .words import BitWord, BlockCounts, PairCounts, SymbolCounts, block_counts, weight
+from .words import BitWord, BlockCounts, PairCounts, SymbolCounts, block_counts
 
 __all__ = [
     "AdjustedReport",
@@ -123,7 +123,6 @@ __all__ = [
     "shell_size",
     "test_word",
     "unrank",
-    "weight",
 ]
 
 __version__ = "0.1.0"

@@ -102,11 +102,11 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace, out) -> int:
-    kind, _, rest = args.measure.partition(":")
-    if kind != "bernoulli":
+    spec = parse_measure(args.measure, args.seed, args.length)
+    if spec.kind != "bernoulli":
         raise ValueError("calibration requires a bernoulli:p measure")
     tc = TestConfig(m=1, coder=args.coder)
-    rows = monte_carlo_fpr(float(rest), args.length, tc, args.trials, args.seed).rows
+    rows = monte_carlo_fpr(spec.p, args.length, tc, args.trials, args.seed).rows
     write_records(rows, args.fmt, out)
     return 0 if all(row.ok for row in rows) else 1
 

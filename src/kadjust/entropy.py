@@ -43,7 +43,7 @@ def shell_log_size(n: int, k: int) -> float:
         raise ValueError(f"invalid shell ({n},{k})")
     if n <= _BIG_N:
         return _log2_comb_small(n, k)
-    return _log2_from_exponents(_comb_prime_exponents(n, k))
+    return log2_multinomial((k, n - k))
 
 
 def block_shell_log_size(bc: BlockCounts) -> float:
@@ -67,7 +67,7 @@ def log2_multinomial(counts) -> float:
     exps = _factorial_prime_exponents(total)
     for c in counts:
         exps = exps - _factorial_prime_exponents(c, upto=total)
-    return _log2_from_exponents((_primes_upto(total), exps))
+    return _log2_from_exponents(_primes_upto(total), exps)
 
 
 def conditional_entropy(pc: PairCounts) -> float:
@@ -149,18 +149,7 @@ def _factorial_prime_exponents(m: int, upto: int | None = None) -> np.ndarray:
     return exps
 
 
-def _comb_prime_exponents(n: int, k: int):
-    primes = _primes_upto(n)
-    exps = (
-        _factorial_prime_exponents(n)
-        - _factorial_prime_exponents(k, upto=n)
-        - _factorial_prime_exponents(n - k, upto=n)
-    )
-    return primes, exps
-
-
-def _log2_from_exponents(pe) -> float:
-    primes, exps = pe
+def _log2_from_exponents(primes: np.ndarray, exps: np.ndarray) -> float:
     if np.any(exps < 0):
         raise ValueError("invalid factorization")
     nz = exps != 0

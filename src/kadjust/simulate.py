@@ -47,16 +47,20 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-def splitmix_outputs(seed: int, count: int) -> np.ndarray:
-    """The first `count` outputs of SplitMix64(seed), vectorized."""
+def splitmix_outputs(seed: int | np.ndarray, count: int) -> np.ndarray:
+    """The first `count` outputs of SplitMix64(seed), vectorized.
+
+    An array of seeds gives one row of `count` outputs per seed.
+    """
     idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK) + idx * np.uint64(GAMMA)
+    z = np.asarray(seed & _MASK, dtype=np.uint64)[..., None] + idx * np.uint64(GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
 
 
-def uniform_floats(seed: int, count: int) -> np.ndarray:
+def uniform_floats(seed: int | np.ndarray, count: int) -> np.ndarray:
+    """Uniforms in [0, 1) from splitmix_outputs, one row per seed of an array."""
     return (splitmix_outputs(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coders import CoderId, code_word, concrete_len_shell, is_concrete
+from .coders import CoderId, code_word, is_concrete
 from .entropy import shell_log_size, shell_size
-from .simulate import GeneratorSpec, derive_seed, generate, geometric_schedule, uniform_floats
+from .simulate import geometric_schedule, splitmix_outputs, uniform_floats
 from .stats import adjusted
 from .words import BitWord
 
@@ -144,35 +144,24 @@ def counting_lemma_audit(n: int, coder: CoderId) -> list[AuditRow]:
     For a prefix-free coder the count in shell (n,k) can be at most
     2^(1-t) * C(n,k); each row records count against that bound.
     """
-    if n < 1 or n > 16:
-        raise ValueError("exhaustive audit is limited to n <= 16")
+    if not 1 <= n <= 16:
+        raise ValueError("exhaustive audit needs 1 <= n <= 16")
     if not is_concrete(coder):
         raise ValueError(f"coder {coder.label} has no concrete code to audit")
+    # Row v holds the n big-endian binary digits of v.
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
+    words = ((np.arange(1 << n, dtype=np.uint32)[:, None] >> shifts) & 1).astype(np.uint8)
+    ks = words.sum(axis=1)
     shell_logs = [shell_log_size(n, k) for k in range(n + 1)]
-    counts = [[0] * (AUDIT_T_MAX + 1) for _ in range(n + 1)]
-    if coder.name == "shell":
-        # Concrete shell lengths depend on the shell only.
-        per_shell = [
-            (k, shell_logs[k] - concrete_len_shell(n, k), shell_size(n, k))
-            for k in range(n + 1)
-        ]
-        for k, d, size in per_shell:
-            for t in range(1, AUDIT_T_MAX + 1):
-                if d >= t:
-                    counts[k][t] += size
-    else:
-        for v in range(1 << n):
-            word = BitWord.from_uint(v, n)
-            k = word.weight
-            d = shell_logs[k] - code_word(coder, word).concrete_len
-            t_hit = min(AUDIT_T_MAX, math.floor(d))
-            for t in range(1, t_hit + 1):
-                counts[k][t] += 1
+    deficits = np.array(
+        [shell_logs[k] - code_word(coder, BitWord(bits)).concrete_len for k, bits in zip(ks, words)]
+    )
     rows = []
     for k in range(n + 1):
         size = shell_size(n, k)
+        in_shell = deficits[ks == k]
         for t in range(1, AUDIT_T_MAX + 1):
-            count = counts[k][t]
+            count = int(np.count_nonzero(in_shell >= t))
             # count <= 2^(1-t) * C(n,k), checked exactly on integers
             ok = count * (1 << t) <= 2 * size
             rows.append(AuditRow(k=k, t=t, count=count, bound=2.0 ** (1 - t) * size, ok=ok))
@@ -205,6 +194,8 @@ class FprResult:
 
 
 FPR_M_RANGE = range(1, 9)
+# Uniform draws per block of trial words, which bounds the Monte Carlo memory.
+_DRAW_BLOCK = 1 << 16
 
 
 def monte_carlo_fpr(
@@ -212,21 +203,26 @@ def monte_carlo_fpr(
 ) -> FprResult:
     """Empirical rejection rate under Bernoulli(p) for thresholds m = 1..8.
 
-    Trial i uses the derived seed derive_seed(seed, i), so parallel and
-    sequential evaluation give identical results.  Constant words count as
-    non-rejections.
+    Trial i draws its word from the seed derive_seed(seed, i), the i-th
+    output of SplitMix64(seed), so it equals
+    generate(GeneratorSpec.bernoulli(p, derive_seed(seed, i), n)).  The
+    words are drawn in blocks of at most 2^16 uniforms (one word when n is
+    larger) and each is scored by adjusted() under cfg's coder and length
+    kind.  Constant words count as non-rejections.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0,1)")
+    if n < 1:
+        raise ValueError("length must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if cfg.coder.name == "shell" and cfg.lengths == "ideal":
-        deficiencies = _shell_deficiencies_vectorized(p, n, trials, seed)
-    else:
-        deficiencies = np.empty(trials, dtype=np.float64)
-        for i in range(trials):
-            word = generate(GeneratorSpec.bernoulli(p, derive_seed(seed, i), n))
-            d = adjusted(word, cfg.coder, cfg.lengths).deficiency
+    seeds = splitmix_outputs(seed, trials)
+    block = max(1, _DRAW_BLOCK // n)
+    deficiencies = np.empty(trials, dtype=np.float64)
+    for start in range(0, trials, block):
+        words = uniform_floats(seeds[start : start + block], n) < p
+        for i, bits in enumerate(words, start):
+            d = adjusted(BitWord(bits), cfg.coder, cfg.lengths).deficiency
             deficiencies[i] = -math.inf if d is None else d
     rows = []
     for m in FPR_M_RANGE:
@@ -243,24 +239,3 @@ def monte_carlo_fpr(
             )
         )
     return FprResult(p=p, n=n, coder=cfg.coder, seed=seed, rows=tuple(rows))
-
-
-def _shell_deficiencies_vectorized(p: float, n: int, trials: int, seed: int) -> np.ndarray:
-    log2c = np.array([shell_log_size(n, k) for k in range(n + 1)])
-    header = math.log2(n + 1)
-    ks = np.empty(trials, dtype=np.int64)
-    for i in range(trials):
-        u = uniform_floats(derive_seed(seed, i), n)
-        ks[i] = int(np.count_nonzero(u < p))
-    frac = ks / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(
-            (ks == 0) | (ks == n),
-            0.0,
-            -frac * np.log2(np.where(frac > 0, frac, 1.0))
-            - (1 - frac) * np.log2(np.where(frac < 1, 1 - frac, 1.0)),
-        )
-    deficiencies = n * h - (log2c[ks] + header)
-    # Constant words never reject.
-    deficiencies[(ks == 0) | (ks == n)] = -np.inf
-    return deficiencies

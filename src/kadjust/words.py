@@ -97,11 +97,6 @@ class BitWord:
         return f"BitWord({s!r}, n={self.n})"
 
 
-def weight(word: BitWord) -> int:
-    """Number of ones in the word."""
-    return word.weight
-
-
 @dataclass(frozen=True)
 class SymbolCounts:
     """Zero/one tallies of a single word."""

@@ -287,6 +287,16 @@ class TestCalibrateCommand:
         assert code == 1
         assert out.strip().splitlines()[-1] == "3,100,60,0.6,0.5,False"
 
+    def test_rejects_length_below_one(self, capsys):
+        for coder in ("shell", "run_length"):
+            for length in ("0", "-3"):
+                code, out, err = run_cli(
+                    capsys, "calibrate", "--measure", "bernoulli:0.5", "--length", length,
+                    "--coder", coder,
+                )
+                assert code == 2 and out == ""
+                assert err == "kadjust: error: length must be >= 1\n"
+
     def test_requires_bernoulli(self, capsys):
         code, _, _ = run_cli(capsys, "calibrate", "--measure", "block", "--length", "64")
         assert code == 2

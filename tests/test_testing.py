@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kadjust import (
+    CODER_NAMES,
     BitWord,
     CoderId,
     GeneratorSpec,
+    adjusted,
     code_word,
     counting_lemma_audit,
     generate,
@@ -18,6 +20,7 @@ from kadjust import (
     shell_size,
 )
 from kadjust import TestConfig as Config
+from kadjust import testing
 from kadjust import test_word as run_test
 from kadjust.simulate import derive_seed, geometric_schedule
 from kadjust.stats import record, write_records
@@ -143,17 +146,23 @@ class TestCountingLemmaAudit:
             assert all(row.ok for row in rows), coder.label
 
     def test_counts_match_brute_force(self):
-        n, coder = 8, CoderId("model_class")
-        rows = {(r.k, r.t): r.count for r in counting_lemma_audit(n, coder)}
-        for k in range(n + 1):
-            base = shell_log_size(n, k)
-            for t in (1, 3):
-                brute = sum(
-                    1
-                    for w in all_words(n)
-                    if w.weight == k and base - code_word(coder, w).concrete_len >= t
-                )
-                assert rows[(k, t)] == brute
+        from kadjust import concrete_coder_ids
+
+        # Every count is zero at n=8; periodic words of 12 bits give nonzero ones.
+        cases = [(8, coder) for coder in concrete_coder_ids()] + [(12, CoderId("periodic"))]
+        nonzero = 0
+        for n, coder in cases:
+            rows = {(r.k, r.t): r.count for r in counting_lemma_audit(n, coder)}
+            deficits = [
+                (w.weight, shell_log_size(n, w.weight) - code_word(coder, w).concrete_len)
+                for w in all_words(n)
+            ]
+            for k in range(n + 1):
+                for t in range(1, 9):
+                    brute = sum(1 for wk, d in deficits if wk == k and d >= t)
+                    assert rows[(k, t)] == brute, (n, coder.label, k, t)
+                    nonzero += brute > 0
+        assert nonzero > 0
 
     def test_bound_column_value(self):
         rows = counting_lemma_audit(6, CoderId("literal"))
@@ -161,8 +170,9 @@ class TestCountingLemmaAudit:
             assert row.bound == pytest.approx(2.0 ** (1 - row.t) * shell_size(6, row.k))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            counting_lemma_audit(17, CoderId("shell"))
+        for n in (0, 17):
+            with pytest.raises(ValueError, match=r"1 <= n <= 16"):
+                counting_lemma_audit(n, CoderId("shell"))
         with pytest.raises(ValueError):
             counting_lemma_audit(8, CoderId("pair_shell"))
 
@@ -187,16 +197,36 @@ class TestMonteCarloFpr:
         res = monte_carlo_fpr(0.3, 128, Config(m=1, coder=CoderId("shell")), 1000, seed=3)
         assert all(row.rejections == 0 for row in res.rows)
 
-    def test_vectorized_path_matches_generic(self):
-        trials, n, p, seed = 300, 64, 0.3, 21
-        cfg = Config(m=1, coder=CoderId("shell"))
-        res = monte_carlo_fpr(p, n, cfg, trials, seed)
+    def test_trial_words_match_generate_across_draw_blocks(self, monkeypatch):
+        n, p, seed = 3000, 0.3, 21
+        trials = 2 * (testing._DRAW_BLOCK // n) + 3  # three draw blocks
+        scored = []
+
+        def spy(word, coder, lengths):
+            scored.append(word)
+            return adjusted(word, coder, lengths)
+
+        monkeypatch.setattr(testing, "adjusted", spy)
+        monte_carlo_fpr(p, n, Config(m=1, coder=CoderId("shell")), trials, seed)
+        assert scored == [
+            generate(GeneratorSpec.bernoulli(p, derive_seed(seed, i), n)) for i in range(trials)
+        ]
+
+    def test_rates_match_per_trial_reference(self):
+        # Words of 16 bits reject at every m = 1..8 under Bernoulli(0.5) and
+        # the periodic coder.
+        n, p, seed = 16, 0.5, 21
+        trials = testing._DRAW_BLOCK // n + 904  # two draw blocks
+        coder = CoderId("periodic", p_max=8)
+        res = monte_carlo_fpr(p, n, Config(m=1, coder=coder, lengths="concrete"), trials, seed)
+        words = [generate(GeneratorSpec.bernoulli(p, derive_seed(seed, i), n)) for i in range(trials)]
+        # A word accepted at m=1 is accepted at every larger m.
+        cfg = Config(m=1, coder=coder, lengths="concrete")
+        words = [w for w in words if run_test(w, cfg).rejected]
         for m in range(1, 9):
-            brute = 0
-            for i in range(trials):
-                word = generate(GeneratorSpec.bernoulli(p, derive_seed(seed, i), n))
-                v = run_test(word, Config(m=m, coder=CoderId("shell")))
-                brute += v.rejected
+            cfg = Config(m=m, coder=coder, lengths="concrete")
+            brute = sum(run_test(w, cfg).rejected for w in words)
+            assert brute > 0  # the reference rejects, so the rates can differ
             assert res.rate(m) == brute / trials
 
     def test_generic_coder_path(self):
@@ -227,3 +257,7 @@ class TestMonteCarloFpr:
             monte_carlo_fpr(0.0, 64, cfg, 10, seed=1)
         with pytest.raises(ValueError):
             monte_carlo_fpr(0.5, 64, cfg, 0, seed=1)
+        for name in CODER_NAMES:
+            for n in (0, -3):
+                with pytest.raises(ValueError, match="length must be >= 1"):
+                    monte_carlo_fpr(0.5, n, Config(m=1, coder=CoderId(name)), 10, seed=1)

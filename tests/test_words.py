@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kadjust import BitWord, BlockCounts, PairCounts, SymbolCounts, block_counts, weight
+from kadjust import BitWord, BlockCounts, PairCounts, SymbolCounts, block_counts
 
 from conftest import WORD35_STR
 
@@ -67,17 +67,17 @@ class TestBitWord:
 
 class TestWeight:
     def test_all_zeros(self):
-        assert weight(BitWord.from01("0000")) == 0
+        assert BitWord.from01("0000").weight == 0
 
     def test_all_ones(self):
-        assert weight(BitWord.from01("1111")) == 4
+        assert BitWord.from01("1111").weight == 4
 
     def test_running_example_word(self):
-        assert weight(BitWord.from01(WORD35_STR)) == 9
+        assert BitWord.from01(WORD35_STR).weight == 9
 
     @given(bit_lists)
     def test_matches_sum(self, bits):
-        assert weight(BitWord(bits)) == sum(bits)
+        assert BitWord(bits).weight == sum(bits)
 
 
 class TestCounts:
