@@ -11,6 +11,7 @@ from .coders import (
     CODER_NAMES,
     CodeResult,
     CoderId,
+    code_lengths,
     code_word,
     concrete_coder_ids,
     decode_word,
@@ -56,6 +57,7 @@ from .stats import (
     ZeroMutualBaselineError,
     adjusted,
     adjusted_conditional,
+    adjusted_deficiencies,
     adjusted_mutual,
 )
 from .testing import (
@@ -91,11 +93,13 @@ __all__ = [
     "ZeroMutualBaselineError",
     "adjusted",
     "adjusted_conditional",
+    "adjusted_deficiencies",
     "adjusted_mutual",
     "binary_entropy",
     "block_counts",
     "block_shell_log_size",
     "code_len_shell_ideal",
+    "code_lengths",
     "code_word",
     "concrete_coder_ids",
     "conditional_entropy",

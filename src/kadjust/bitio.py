@@ -81,6 +81,14 @@ class BitReader:
         self._pos += 1
         return b
 
+    def read_bits(self, count: int) -> np.ndarray:
+        """The next count bits as a uint8 array."""
+        if count < 0 or self._pos + count > self._bits.size:
+            raise DecodeError("bitstream exhausted")
+        bits = self._bits[self._pos : self._pos + count].copy()
+        self._pos += count
+        return bits
+
     def read_uint(self, width: int) -> int:
         if width < 0 or self._pos + width > self._bits.size:
             raise DecodeError("bitstream exhausted")

@@ -124,14 +124,27 @@ def _log2_comb_small(n: int, k: int) -> float:
     return math.log2(math.comb(n, k)) if 0 < k < n else 0.0
 
 
+# One sieve, grown to the largest n asked for so far; smaller n take a
+# prefix.  The cache holds views of the current sieve only, so it keeps no
+# older sieve alive.
+_primes = np.zeros(0, dtype=np.int64)
+_primes_limit = 1
+
+
 @lru_cache(maxsize=8)
 def _primes_upto(n: int) -> np.ndarray:
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+    global _primes, _primes_limit
+    if n > _primes_limit:
+        sieve = np.ones(n + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, int(n**0.5) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        _primes = np.flatnonzero(sieve).astype(np.int64)
+        _primes.setflags(write=False)
+        _primes_limit = n
+        _primes_upto.cache_clear()
+    return _primes[: np.searchsorted(_primes, n, side="right")]
 
 
 def _factorial_prime_exponents(m: int, upto: int | None = None) -> np.ndarray:

@@ -104,10 +104,15 @@ def unrank(shell: ShellId, index: int) -> BitWord:
     return BitWord(bits)
 
 
+def ideal_len_shell(n: int, k: int) -> float:
+    """Idealized shell description length from the shell alone:
+    log2(C(n,k)) + log2(n+1) bits."""
+    return shell_log_size(n, k) + math.log2(n + 1)
+
+
 def code_len_shell_ideal(word: BitWord) -> float:
-    """Idealized shell description length: log2(C(n,k)) + log2(n+1) bits."""
-    n = word.n
-    return shell_log_size(n, word.weight) + math.log2(n + 1)
+    """Idealized shell description length of a word."""
+    return ideal_len_shell(word.n, word.weight)
 
 
 @lru_cache(maxsize=4096)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .coders import CoderId, code_word
+from .coders import CoderId, code_lengths, code_word, pick_length
 from .entropy import (
     binary_entropy,
     conditional_entropy,
@@ -156,6 +156,25 @@ def adjusted(word: BitWord, coder: CoderId, lengths: str = "ideal") -> AdjustedR
         deficiency=None if constant else baseline - k_eff,
         coder=result.coder,
     )
+
+
+def adjusted_deficiencies(bits, coder: CoderId, lengths: str = "ideal") -> np.ndarray:
+    """Deficiency n*H - K_eff of every row of a 0/1 matrix, one word per
+    row, equal to adjusted(BitWord(row), coder, lengths).deficiency; -inf
+    for a constant row.
+
+    The rows are scored in one code_lengths() call and H comes from one
+    binary_entropy() call per distinct weight.
+    """
+    bits = np.asarray(bits)
+    ideal, concrete, _ = code_lengths(coder, bits)
+    k_eff = np.asarray(pick_length(coder, lengths, ideal, concrete), dtype=np.float64)
+    n = bits.shape[1]
+    weights, inverse = np.unique(bits.sum(axis=1), return_inverse=True)
+    h = np.array([binary_entropy(w / n) for w in weights.tolist()])[inverse]
+    deficiency = n * h - k_eff
+    deficiency[h == 0.0] = -np.inf
+    return deficiency
 
 
 def conditional_code_len(

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coders import CoderId, code_word, is_concrete
+from .coders import CoderId, code_lengths, is_concrete
 from .entropy import shell_log_size, shell_size
 from .simulate import geometric_schedule, splitmix_outputs, uniform_floats
-from .stats import adjusted
+from .stats import adjusted, adjusted_deficiencies
 from .words import BitWord
 
 
@@ -142,7 +142,8 @@ def counting_lemma_audit(n: int, coder: CoderId) -> list[AuditRow]:
     the shell baseline by at least t bits, for t = 1..8.
 
     For a prefix-free coder the count in shell (n,k) can be at most
-    2^(1-t) * C(n,k); each row records count against that bound.
+    2^(1-t) * C(n,k); each row records count against that bound.  All 2^n
+    words are built as one matrix and scored in one code_lengths() call.
     """
     if not 1 <= n <= 16:
         raise ValueError("exhaustive audit needs 1 <= n <= 16")
@@ -152,10 +153,8 @@ def counting_lemma_audit(n: int, coder: CoderId) -> list[AuditRow]:
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
     words = ((np.arange(1 << n, dtype=np.uint32)[:, None] >> shifts) & 1).astype(np.uint8)
     ks = words.sum(axis=1)
-    shell_logs = [shell_log_size(n, k) for k in range(n + 1)]
-    deficits = np.array(
-        [shell_logs[k] - code_word(coder, BitWord(bits)).concrete_len for k, bits in zip(ks, words)]
-    )
+    shell_logs = np.array([shell_log_size(n, k) for k in range(n + 1)])
+    deficits = shell_logs[ks] - code_lengths(coder, words)[1]
     rows = []
     for k in range(n + 1):
         size = shell_size(n, k)
@@ -207,8 +206,10 @@ def monte_carlo_fpr(
     output of SplitMix64(seed), so it equals
     generate(GeneratorSpec.bernoulli(p, derive_seed(seed, i), n)).  The
     words are drawn in blocks of at most 2^16 uniforms (one word when n is
-    larger) and each is scored by adjusted() under cfg's coder and length
-    kind.  Constant words count as non-rejections.
+    larger) and each block is scored in one adjusted_deficiencies() call
+    under cfg's coder and length kind, which gives every word the
+    deficiency adjusted() gives it.  Constant words count as
+    non-rejections.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0,1)")
@@ -221,9 +222,9 @@ def monte_carlo_fpr(
     deficiencies = np.empty(trials, dtype=np.float64)
     for start in range(0, trials, block):
         words = uniform_floats(seeds[start : start + block], n) < p
-        for i, bits in enumerate(words, start):
-            d = adjusted(BitWord(bits), cfg.coder, cfg.lengths).deficiency
-            deficiencies[i] = -math.inf if d is None else d
+        deficiencies[start : start + len(words)] = adjusted_deficiencies(
+            words, cfg.coder, cfg.lengths
+        )
     rows = []
     for m in FPR_M_RANGE:
         rejections = int(np.count_nonzero(deficiencies >= m))

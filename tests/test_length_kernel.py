@@ -1,0 +1,187 @@
+"""The batched length kernel against an independent per-word reference,
+and the Kraft inequality of every coder's lengths."""
+
+import itertools
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from kadjust import CODER_NAMES, CoderId, code_lengths
+from kadjust import coders
+from kadjust.coders import MODEL_MEMBERS, MODEL_TAG_BITS
+
+CODERS = [CoderId(name) for name in CODER_NAMES] + [
+    CoderId("periodic", 1),
+    CoderId("periodic", 5),
+]
+
+
+def all_words_matrix(n: int) -> np.ndarray:
+    """Every word of length n as one row, in integer order."""
+    shifts = np.arange(n - 1, -1, -1)
+    return ((np.arange(1 << n)[:, None] >> shifts) & 1).astype(np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# pure-Python reference: one word (a list of 0/1) at a time
+
+
+def gamma_len(v: int) -> int:
+    return 2 * v.bit_length() - 1
+
+
+def ref_literal(bits):
+    return float(len(bits)), len(bits)
+
+
+def ref_shell(bits):
+    n, k = len(bits), sum(bits)
+    size = math.comb(n, k)
+    ideal = (math.log2(size) if 0 < k < n else 0.0) + math.log2(n + 1)
+    return ideal, gamma_len(k + 1) + (size - 1).bit_length()
+
+
+def ref_run_length(bits):
+    runs = [len(list(group)) for _, group in itertools.groupby(bits)]
+    total = 1 + sum(gamma_len(r) for r in runs)
+    return float(total), total
+
+
+def ref_periodic(bits, p_max):
+    n = len(bits)
+    best = None
+    for p in range(1, min(p_max, n) + 1):
+        r = sum(bits[i] != bits[i % p] for i in range(n))
+        cost = gamma_len(p) + p + gamma_len(r + 1) + r * n.bit_length()
+        if best is None or cost < best:
+            best = cost
+    return float(best), best
+
+
+def ref_pair_shell(bits):
+    nb, tail = divmod(len(bits), 2)
+    counts = Counter(zip(bits[0 : 2 * nb : 2], bits[1 : 2 * nb : 2]))
+    size = math.factorial(nb)
+    for c in counts.values():
+        size //= math.factorial(c)
+    index = math.log2(size) if size > 1 else 0.0
+    return index + 4 * math.log2(nb + 1) + (1.0 if tail else 0.0), None
+
+
+def ref_members(bits):
+    return [
+        ref_literal(bits),
+        ref_shell(bits),
+        ref_run_length(bits),
+        ref_periodic(bits, coders.DEFAULT_P_MAX),
+        ref_pair_shell(bits),
+    ]
+
+
+def reference(coder: CoderId, bits):
+    """(ideal, concrete, model tag) of one word."""
+    if coder.name == "model_class":
+        members = ref_members(bits)
+        ideals = [ideal for ideal, _ in members]
+        tag = ideals.index(min(ideals))
+        concrete = min(c for _, c in members if c is not None)
+        return MODEL_TAG_BITS + ideals[tag], MODEL_TAG_BITS + concrete, MODEL_MEMBERS[tag]
+    if coder.name == "periodic":
+        return (*ref_periodic(bits, coder.p_max), None)
+    scalar = {
+        "literal": ref_literal,
+        "shell": ref_shell,
+        "run_length": ref_run_length,
+        "pair_shell": ref_pair_shell,
+    }[coder.name]
+    return (*scalar(bits), None)
+
+
+def assert_matches_reference(coder: CoderId, matrix: np.ndarray):
+    ideal, concrete, tag = code_lengths(coder, matrix)
+    assert ideal.shape == (len(matrix),)
+    assert (concrete is None) == (coder.name == "pair_shell")
+    assert (tag is None) == (coder.name != "model_class")
+    for i, row in enumerate(matrix.tolist()):
+        want = reference(coder, row)
+        got = (
+            float(ideal[i]),
+            None if concrete is None else int(concrete[i]),
+            None if tag is None else MODEL_MEMBERS[tag[i]],
+        )
+        assert got == want, (coder.label, row)
+
+
+def random_matrix(n: int, seed: int) -> np.ndarray:
+    """Rows from several sources, so every member of model_class wins some."""
+    rng = np.random.default_rng(seed)
+    rows = [np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8)]
+    for p in (0.5, 0.3, 0.02):
+        rows += [(rng.random(n) < p).astype(np.uint8) for _ in range(3)]
+    for period in (2, 7, 24):
+        row = np.resize(rng.integers(0, 2, period, dtype=np.uint8), n)
+        row[period:] ^= (rng.random(n - period) < 0.01).astype(np.uint8)
+        rows.append(row)
+    # two-bit blocks from {00, 01, 11} only, as in the block-constrained source
+    blocks = rng.choice(np.array([[0, 0], [0, 1], [1, 1]], dtype=np.uint8), n // 2)
+    rows.append(np.resize(blocks.ravel(), n))
+    rows.append(np.repeat([0, 1, 0], [n // 3, 5, n - n // 3 - 5]))
+    return np.array(rows)
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_exhaustive(self, n):
+        matrix = all_words_matrix(n)
+        for coder in CODERS:
+            assert_matches_reference(coder, matrix)
+
+    # The small budgets split the matrices into several row chunks, and the
+    # periodic scan into chunks of one to a few periods.  Rows of 1100 bits
+    # take the one-period-at-a-time scan instead of the gather.
+    @pytest.mark.parametrize("budget", [1 << 13, 1 << 16])
+    @pytest.mark.parametrize("n", [256, 1000, 1100])
+    def test_random_matrices_across_chunks(self, monkeypatch, n, budget):
+        monkeypatch.setattr(coders, "_CHUNK_BYTES", budget)
+        matrix = random_matrix(n, seed=n + budget)
+        for coder in CODERS:
+            assert_matches_reference(coder, matrix)
+        _, _, tag = code_lengths(CoderId("model_class"), matrix)
+        assert {MODEL_MEMBERS[t] for t in tag} == set(MODEL_MEMBERS)
+
+    def test_bool_rows_and_one_row(self):
+        matrix = random_matrix(64, seed=3)
+        for coder in CODERS:
+            ideal, concrete, tag = code_lengths(coder, matrix.astype(bool))
+            for i, row in enumerate(matrix):
+                one = code_lengths(coder, row[None])
+                assert one[0][0] == ideal[i]
+                if concrete is not None:
+                    assert one[1][0] == concrete[i]
+                if tag is not None:
+                    assert one[2][0] == tag[i]
+
+    @pytest.mark.parametrize(
+        "bad", [np.zeros(5), np.zeros((0, 5)), np.zeros((2, 0)), np.full((2, 3), 2), [[0.5, 1]]]
+    )
+    def test_rejects_malformed_matrices(self, bad):
+        with pytest.raises(ValueError):
+            code_lengths(CoderId("shell"), bad)
+
+
+class TestKraft:
+    # Lengths of a code that is prefix-free given n satisfy
+    # sum over all words of length n of 2^-length <= 1.
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_kraft_sums(self, n):
+        matrix = all_words_matrix(n)
+        for coder in (CoderId(name) for name in CODER_NAMES):
+            ideal, concrete, _ = code_lengths(coder, matrix)
+            assert math.fsum(np.exp2(-ideal).tolist()) <= 1 + 1e-9, coder.label
+            if concrete is not None:
+                lengths, counts = np.unique(concrete, return_counts=True)
+                top = int(lengths.max())
+                total = sum(int(c) << (top - int(L)) for L, c in zip(lengths, counts))
+                assert total <= 1 << top, coder.label

@@ -1,16 +1,19 @@
 import logging
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kadjust import (
+    CODER_NAMES,
     BitWord,
     CoderId,
     GeneratorSpec,
     ZeroMutualBaselineError,
     adjusted,
     adjusted_conditional,
+    adjusted_deficiencies,
     adjusted_mutual,
     binary_entropy,
     code_len_shell_ideal,
@@ -19,6 +22,8 @@ from kadjust import (
     shell_log_size,
 )
 from kadjust.stats import conditional_code_len, joint_pair_code_len, record, sig6
+
+from conftest import all_words
 
 
 nonconstant_words = (
@@ -87,6 +92,22 @@ class TestAdjusted:
         assert list(rec) == ["n", "w", "H", "baseline", "k_eff", "KA", "R", "deficiency", "coder"]
         assert rec["coder"] == "shell"
         assert rec["R"] == rec["k_eff"] / rec["baseline"] == pytest.approx(1.0854, abs=1e-3)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 9])
+    def test_deficiencies_match_adjusted(self, n):
+        # Every word of length n, one matrix per coder and length kind.
+        words = list(all_words(n))
+        matrix = np.array([w.bits for w in words])
+        for coder in (CoderId(name) for name in CODER_NAMES):
+            for lengths in ("ideal", "concrete"):
+                if lengths == "concrete" and coder.name == "pair_shell":
+                    with pytest.raises(ValueError, match="no concrete code"):
+                        adjusted_deficiencies(matrix, coder, lengths)
+                    continue
+                got = adjusted_deficiencies(matrix, coder, lengths)
+                for word, d in zip(words, got.tolist()):
+                    want = adjusted(word, coder, lengths).deficiency
+                    assert d == (-math.inf if want is None else want)
 
     def test_sig6(self):
         assert sig6(None) is None

@@ -10,7 +10,7 @@ from kadjust import (
     BitWord,
     CoderId,
     GeneratorSpec,
-    adjusted,
+    adjusted_deficiencies,
     code_word,
     counting_lemma_audit,
     generate,
@@ -202,11 +202,11 @@ class TestMonteCarloFpr:
         trials = 2 * (testing._DRAW_BLOCK // n) + 3  # three draw blocks
         scored = []
 
-        def spy(word, coder, lengths):
-            scored.append(word)
-            return adjusted(word, coder, lengths)
+        def spy(bits, coder, lengths):
+            scored.extend(BitWord(row) for row in bits)
+            return adjusted_deficiencies(bits, coder, lengths)
 
-        monkeypatch.setattr(testing, "adjusted", spy)
+        monkeypatch.setattr(testing, "adjusted_deficiencies", spy)
         monte_carlo_fpr(p, n, Config(m=1, coder=CoderId("shell")), trials, seed)
         assert scored == [
             generate(GeneratorSpec.bernoulli(p, derive_seed(seed, i), n)) for i in range(trials)
