@@ -385,40 +385,34 @@ def code_word(coder: CoderId, word: BitWord) -> CodeResult:
 
 
 def _decode_literal(n: int, reader: BitReader) -> BitWord:
-    return BitWord(reader.read_bits(n))
+    return BitWord(reader.read_bits(n).view(np.bool_))  # the reader holds 0/1 only
 
 
 def _encode_run_length(word: BitWord, coder: CoderId) -> np.ndarray:
     out = BitWriter()
     out.write_bit(word[0])
-    for r in run_lengths(word):
-        out.write_elias_gamma(r)
+    out.write_elias_gammas(_runs(word.bits[None])[0])
     return out.getvalue()
 
 
 def _decode_run_length(n: int, reader: BitReader) -> BitWord:
     bit = reader.read_bit()
-    bits: list[int] = []
-    while len(bits) < n:
-        r = reader.read_elias_gamma()
-        if len(bits) + r > n:
-            raise DecodeError("run overruns the declared word length")
-        bits.extend([bit] * r)
-        bit ^= 1
-    return BitWord(bits)
+    runs = reader.read_elias_gammas(n)
+    if sum(runs) > n:
+        raise DecodeError("run overruns the declared word length")
+    values = (bit + np.arange(len(runs))) & 1  # the runs alternate from bit
+    return BitWord(np.repeat(values.astype(np.bool_), runs))
 
 
 def _encode_periodic(word: BitWord, coder: CoderId) -> np.ndarray:
     n = word.n
     p = int(_periodic_scan(word.bits[None], coder.p_max)[1][0])
-    positions = np.flatnonzero(_period_mismatch(word.bits, word.bits[:p])).tolist()
+    positions = np.flatnonzero(_period_mismatch(word.bits, word.bits[:p]))
     out = BitWriter()
     out.write_elias_gamma(p)
     out.write_bits(word.bits[:p])
-    out.write_elias_gamma(len(positions) + 1)
-    width = ceil_log2(n + 1)
-    for pos in positions:
-        out.write_uint(pos, width)
+    out.write_elias_gamma(positions.size + 1)
+    out.write_uints(positions, ceil_log2(n + 1))
     return out.getvalue()
 
 
@@ -427,14 +421,13 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
     if p > n:
         raise DecodeError(f"period {p} exceeds word length {n}")
     pattern = reader.read_bits(p)
-    flips = np.zeros(n, dtype=np.uint8)
     r = reader.read_elias_gamma() - 1
-    width = ceil_log2(n + 1)
-    for _ in range(r):
-        pos = reader.read_uint(width)
-        if pos >= n:
-            raise DecodeError(f"mismatch position {pos} out of range")
-        flips[pos] ^= 1
+    positions = reader.read_uints(r, ceil_log2(n + 1))
+    if r and positions.max() >= n:
+        pos = positions[np.argmax(positions >= n)]
+        raise DecodeError(f"mismatch position {pos} out of range")
+    flips = np.zeros(n, dtype=np.uint8)
+    np.bitwise_xor.at(flips, positions, 1)  # a position listed twice flips back
     return BitWord(_period_mismatch(flips, pattern))
 
 
@@ -469,6 +462,8 @@ def decode_word(coder: CoderId, n: int, source) -> BitWord:
     decode = _CODERS[coder.name].decode
     if decode is None:
         raise ValueError(f"coder {coder.label} has no concrete code")
+    if n < 1:
+        raise ValueError("length must be >= 1")
     reader = source if isinstance(source, BitReader) else BitReader(source)
     return decode(n, reader)
 

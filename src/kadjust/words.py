@@ -20,19 +20,22 @@ class BitWord:
     __slots__ = ("_bits",)
 
     def __init__(self, bits: Iterable[int] | np.ndarray):
-        if not (isinstance(bits, np.ndarray) and bits.dtype in (np.uint8, np.bool_)):
-            # The uint8 cast below truncates floats and wraps negative or
-            # large integers, so check such input before it.
-            bits = np.asarray(bits)
-            if bits.size and (bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1):
-                raise ValueError("bits must be integers 0 or 1")
-        arr = np.array(bits, dtype=np.uint8, copy=True)
+        if isinstance(bits, np.ndarray) and bits.dtype == np.bool_:
+            arr = bits.astype(np.uint8)  # a copy, 0 or 1 by construction
+        else:
+            if not (isinstance(bits, np.ndarray) and bits.dtype == np.uint8):
+                # The uint8 cast below truncates floats and wraps negative or
+                # large integers, so check such input before it.
+                bits = np.asarray(bits)
+                if bits.size and (bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1):
+                    raise ValueError("bits must be integers 0 or 1")
+            arr = np.array(bits, dtype=np.uint8, copy=True)
+            if arr.max(initial=0) > 1:
+                raise ValueError("bits must be 0 or 1")
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
         if arr.size == 0:
             raise ValueError("a word must contain at least one bit")
-        if arr.max(initial=0) > 1:
-            raise ValueError("bits must be 0 or 1")
         arr.setflags(write=False)
         self._bits = arr
 

@@ -1,0 +1,118 @@
+"""Long codewords: the shell rank and unrank against a sequential oracle,
+and the codeword bits of every concrete coder pinned on long words."""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from kadjust import BitWord, ShellId, concrete_coder_ids, decode_word, encode_word, rank, unrank
+
+# sha256 over the codewords of test_long_codeword_bits_pinned; change it only
+# with an intended change of bitstream.
+LONG_CODEWORD_DIGEST = "2c87c4a5e6bd6547613a1d9ba85fa7f25e3843a8e9ae803d38a8b88bbcec857b"
+
+
+def rank_reference(word: BitWord) -> int:
+    """Sequential rank: one exact bigint update per bit."""
+    n, k = word.n, word.weight
+    r = k
+    c = math.comb(n - 1, k)
+    idx = 0
+    m = n - 1  # positions remaining after the current one; c == C(m, r)
+    for bit in word.tolist():
+        if bit:
+            idx += c
+            if m > 0:
+                c = c * r // m
+            r -= 1
+        elif m > 0:
+            c = c * (m - r) // m
+        m -= 1
+    return idx
+
+
+def unrank_reference(n: int, k: int, index: int) -> BitWord:
+    """Sequential unrank: one exact bigint comparison and update per bit."""
+    bits = np.empty(n, dtype=np.uint8)
+    r = k
+    m = n - 1
+    c = math.comb(m, r)
+    for i in range(n):
+        if index < c:
+            bits[i] = 0
+            if m > 0:
+                c = c * (m - r) // m
+        else:
+            bits[i] = 1
+            index -= c
+            if m > 0:
+                c = c * r // m
+            r -= 1
+        m -= 1
+    return BitWord(bits)
+
+
+def _seeded(n: int, p: float) -> BitWord:
+    rng = np.random.default_rng([n, round(100 * p)])
+    return BitWord((rng.random(n) < p).astype(np.uint8))
+
+
+def _ones_at(n: int, ones) -> BitWord:
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[list(ones)] = 1
+    return BitWord(bits)
+
+
+def _long_words() -> dict[str, BitWord]:
+    words = {
+        f"bernoulli({p})/{n}": _seeded(n, p)
+        for n in (1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15)
+        for p in (0.02, 0.1, 0.5, 0.9)
+    }
+    n = 1 << 12
+    words["k=1 first"] = _ones_at(n, [0])
+    words["k=1 middle"] = _ones_at(n, [n // 2 + 3])
+    words["k=1 last"] = _ones_at(n, [n - 1])
+    words["k=n-1 first"] = BitWord(1 - _ones_at(n, [0]).bits)
+    words["k=n-1 middle"] = BitWord(1 - _ones_at(n, [n // 3]).bits)
+    # half random, then a run of ones to the end
+    tail = _seeded(n, 0.5).bits.copy()
+    tail[n // 2 :] = 1
+    words["trailing ones"] = BitWord(tail)
+    # 1 0^z 1^(k-1): its rank is exactly C(n-1, k), the count of the words
+    # starting with 0, so the first comparison of unrank is a tie
+    for z, k in ((3000, 1096), (2048, 2048), (4000, 96)):
+        words[f"1 0^{z} 1^{k - 1}"] = BitWord([1] + [0] * z + [1] * (k - 1))
+    return words
+
+
+LONG_WORDS = _long_words()
+
+
+@pytest.mark.parametrize("label", list(LONG_WORDS))
+def test_rank_unrank_match_reference(label):
+    word = LONG_WORDS[label]
+    index = rank_reference(word)
+    assert rank(word) == index
+    assert unrank(ShellId(word.n, word.weight), index) == word
+    assert unrank_reference(word.n, word.weight, index) == word
+
+
+def test_tie_word_rank_is_binomial():
+    for label, word in LONG_WORDS.items():
+        if label.startswith("1 0^"):
+            assert rank(word) == math.comb(word.n - 1, word.weight), label
+
+
+def test_long_codeword_bits_pinned():
+    digest = hashlib.sha256()
+    for coder in concrete_coder_ids():
+        for label, word in LONG_WORDS.items():
+            bits = encode_word(coder, word)
+            assert decode_word(coder, word.n, bits) == word, (coder.label, label)
+            digest.update(f"{coder.label}:{label}:".encode())
+            digest.update(np.packbits(bits).tobytes())
+            digest.update(f":{bits.size};".encode())
+    assert digest.hexdigest() == LONG_CODEWORD_DIGEST

@@ -295,6 +295,21 @@ class TestConcreteCodecs:
             # model tag 7 is undefined
             decode_word(CoderId("model_class"), 4, np.array([1, 1, 1, 0, 0], dtype=np.uint8))
 
+    def test_non_binary_stream_rejected(self):
+        # A 2 or a 3 is no bit: no coder may read it as one.
+        stream = [0, 2, 3, 1, 1, 0, 1, 1, 0, 1, 1, 1]
+        for coder in (*concrete_coder_ids(), CoderId("periodic", 5)):
+            for bad in (stream, np.array(stream, dtype=np.uint8), [0, 1, -1, 1], [0.0, 1.0]):
+                with pytest.raises(DecodeError):
+                    decode_word(coder, 4, bad)
+
+    def test_length_below_one_rejected_before_reading(self):
+        for coder in (*concrete_coder_ids(), CoderId("periodic", 5)):
+            for n in (0, -3):
+                for stream in ([], [1, 0, 1, 1], [2]):
+                    with pytest.raises(ValueError, match="length must be >= 1"):
+                        decode_word(coder, n, stream)
+
     @given(
         coder=st.sampled_from([*concrete_coder_ids(), CoderId("periodic", 5)]),
         n=st.integers(1, 64),

@@ -90,6 +90,11 @@ class TestShellLogSize:
                 gap = shell_log_size(n, k) - n * binary_entropy(k / n)
                 assert -math.log2(n + 1) - 1e-9 <= gap <= 1e-9
 
+    def test_big_exact_size_matches_comb(self):
+        for n in (4097, 5000, 1 << 15):
+            for k in (0, 1, 2, n // 3, n // 2, n - 1, n):
+                assert shell_size(n, k) == math.comb(n, k), (n, k)
+
     def test_big_path_matches_exact_integer(self):
         for n, k in ((4097, 1000), (8192, 4096), (131072, 1000)):
             exact = math.log2(math.comb(n, k))
