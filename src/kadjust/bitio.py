@@ -12,7 +12,8 @@ an integer by translating its bits to ASCII digits for int(_, 2); a gamma
 code's zero run ends at the next 1, which bytes.find locates.  Every cost is
 linear in the bits written or read.  The batched forms write_uints,
 read_uints, write_elias_gammas and read_elias_gammas take one call for a
-whole array of integers.
+whole array of integers.  The reader leaves the 0/1 check of an array
+stream to words.as_bits.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import operator
 
 import numpy as np
+
+from .words import as_bits
 
 
 class DecodeError(ValueError):
@@ -44,7 +47,6 @@ _ONE = np.ones(1, dtype=np.uint8)
 _ZERO.setflags(write=False)
 _ONE.setflags(write=False)
 _ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
-_UINT8 = np.dtype(np.uint8)
 
 
 def _uint64_bits(values: np.ndarray) -> np.ndarray:
@@ -126,37 +128,23 @@ class BitWriter:
         return np.packbits(self.getvalue()).tobytes()
 
 
-def _stream_bits(bits) -> np.ndarray:
-    """A bitstream other than a 1-D uint8 array as one: bytes unpack MSB
-    first; an array or sequence must hold integers 0 or 1 only."""
-    if isinstance(bits, (bytes, bytearray)):
-        return np.unpackbits(np.frombuffer(bytes(bits), dtype=np.uint8))
-    bits = np.asarray(bits)
-    if bits.ndim != 1:
-        raise DecodeError("a bitstream must be one-dimensional")
-    if bits.dtype == np.bool_:
-        return bits.view(np.uint8)
-    if bits.size and (bits.dtype.kind not in "iu" or bits.min() < 0 or bits.max() > 1):
-        raise DecodeError("a bitstream holds integers 0 or 1 only")
-    return bits.astype(np.uint8)
-
-
 class BitReader:
     """Reads bits MSB-first from an array produced by BitWriter (or bytes).
 
-    An array must hold integers 0 or 1 only; anything else is a DecodeError
-    at construction, so no malformed stream is coerced into bits.
+    An array must hold only 0/1 values; words.as_bits checks them and
+    raises DecodeError at construction for anything else, so no malformed
+    stream is coerced into bits.
     """
 
     def __init__(self, bits):
-        if not (isinstance(bits, np.ndarray) and bits.dtype is _UINT8 and bits.ndim == 1):
-            bits = _stream_bits(bits)
+        if isinstance(bits, (bytes, bytearray)):
+            bits = np.unpackbits(np.frombuffer(bits, dtype=np.uint8))
+        else:
+            bits = as_bits(bits, DecodeError)
+        if bits.ndim != 1:
+            raise DecodeError("a bitstream must be one-dimensional")
         raw = bits.tobytes()  # one byte per bit, for bytes.find and int(_, 2)
-        # translate costs about 1 ns a byte, max a flat 2 us
-        invalid = bits.max() > 1 if bits.size > 2048 else raw.translate(None, b"\x00\x01")
-        if invalid:
-            raise DecodeError("a bitstream holds integers 0 or 1 only")
-        self._bits = np.frombuffer(raw, dtype=_UINT8)  # the checked copy, not the input
+        self._bits = np.frombuffer(raw, dtype=np.uint8)  # the checked copy, not the input
         self._raw = raw
         self._size = len(raw)
         self._pos = 0

@@ -46,7 +46,7 @@ import numpy as np
 from .bitio import BitReader, BitWriter, DecodeError
 from .entropy import ceil_log2, log2_multinomial
 from .shellcode import concrete_len_shell, decode_shell, encode_shell, ideal_len_shell
-from .words import BitWord
+from .words import BitWord, as_bits, block_tallies
 
 DEFAULT_P_MAX = 32
 MODEL_TAG_BITS = 3
@@ -270,18 +270,10 @@ def _periodic_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
 
 
 def _pair_shell_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
-    m, n = bits.shape
-    nb, tail = divmod(n, 2)
-    pairs = 2 * bits[:, : 2 * nb : 2] + bits[:, 1 : 2 * nb : 2]
-    # one bincount over all rows, row i's block values offset by 4 * i
-    counts = np.bincount(
-        (pairs + 4 * np.arange(m)[:, None]).ravel(), minlength=4 * m
-    ).reshape(m, 4)
+    nb, tail = divmod(bits.shape[1], 2)
     header = 4 * math.log2(nb + 1)
-    ideal = _tabulate(
-        lambda c: log2_multinomial(c) + header + (1.0 if tail else 0.0), counts, np.float64
-    )
-    return ideal, None, None
+    ideal = _tabulate(lambda c: log2_multinomial(c) + header, block_tallies(bits), np.float64)
+    return ideal + tail, None, None
 
 
 _NO_CODE = np.iinfo(np.int64).max
@@ -319,12 +311,7 @@ def code_lengths(coder: CoderId, bits) -> Lengths:
     bits = np.asarray(bits)
     if bits.ndim != 2 or 0 in bits.shape:
         raise ValueError("bits must be a matrix of at least one row and one column")
-    if bits.dtype == np.bool_:
-        bits = bits.view(np.uint8)
-    elif bits.dtype.kind not in "iu" or bits.min() < 0 or bits.max() > 1:
-        raise ValueError("bits must be integers 0 or 1")
-    else:
-        bits = bits.astype(np.uint8, copy=False)
+    bits = as_bits(bits)
     kernel = _CODERS[coder.name].lengths
     m, n = bits.shape
     step = max(1, _CHUNK_BYTES // n)

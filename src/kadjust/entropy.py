@@ -50,12 +50,11 @@ def shell_size(n: int, k: int) -> int:
     return powers[0] if powers else 1
 
 
+@lru_cache(maxsize=65536)
 def shell_log_size(n: int, k: int) -> float:
     """log2 of the exact binomial coefficient C(n, k)."""
     if n < 1 or k < 0 or k > n:
         raise ValueError(f"invalid shell ({n},{k})")
-    if n <= _BIG_N:
-        return _log2_comb_small(n, k)
     return log2_multinomial((k, n - k))
 
 
@@ -122,19 +121,11 @@ def ceil_log2_comb(n: int, k: int) -> int:
     The factorized log is trusted when it is far from an integer; near a
     boundary the exact integer decides.
     """
-    if n <= _BIG_N:
-        size = math.comb(n, k)
-        return ceil_log2(size) if size > 1 else 0
-    lg = shell_log_size(n, k)
-    if abs(lg - round(lg)) < 1e-6:
-        size = shell_size(n, k)
-        return ceil_log2(size) if size > 1 else 0
-    return math.ceil(lg)
-
-
-@lru_cache(maxsize=65536)
-def _log2_comb_small(n: int, k: int) -> float:
-    return math.log2(math.comb(n, k)) if 0 < k < n else 0.0
+    if n > _BIG_N:
+        lg = shell_log_size(n, k)
+        if abs(lg - round(lg)) >= 1e-6:
+            return math.ceil(lg)
+    return ceil_log2(shell_size(n, k))
 
 
 # One sieve, grown to the largest n asked for so far; smaller n take a

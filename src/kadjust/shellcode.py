@@ -325,11 +325,8 @@ def encode_shell(word: BitWord) -> ShellCodeword:
 def decode_shell(n: int, codeword) -> BitWord:
     """Decode a shell codeword (ShellCodeword, bit array, bytes, or BitReader)."""
     if isinstance(codeword, ShellCodeword):
-        reader = BitReader(codeword.bits)
-    elif isinstance(codeword, BitReader):
-        reader = codeword
-    else:
-        reader = BitReader(codeword)
+        codeword = codeword.bits
+    reader = codeword if isinstance(codeword, BitReader) else BitReader(codeword)
     k = reader.read_elias_gamma() - 1
     if k > n:
         raise DecodeError(f"decoded weight {k} exceeds word length {n}")

@@ -52,10 +52,11 @@ def splitmix_outputs(seed: int | np.ndarray, count: int) -> np.ndarray:
 
     An array of seeds gives one row of `count` outputs per seed.
     """
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.asarray(seed & _MASK, dtype=np.uint64)[..., None] + idx * np.uint64(GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GAMMA)
+    z = np.asarray(seed & _MASK, dtype=np.uint64)[..., None] + z
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):  # in place: no temporaries but the shifts
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mix)
     return z ^ (z >> np.uint64(31))
 
 

@@ -27,7 +27,7 @@ from .entropy import (
     log2_multinomial,
     mutual_information_emp,
 )
-from .words import BitWord, PairCounts, SymbolCounts
+from .words import BitWord, PairCounts
 
 logger = logging.getLogger(__name__)
 
@@ -133,29 +133,26 @@ class MutualReport:
     R_mutual: float
 
 
+def _ratios(k_eff: float, h: float, baseline: float):
+    """(KA, R, deficiency) = (K/H, K/(nH), nH - K) of a length K against
+    the entropy H and baseline nH; all three None when H is zero."""
+    if h == 0.0:
+        return None, None, None
+    return k_eff / h, k_eff / baseline, baseline - k_eff
+
+
 def adjusted(word: BitWord, coder: CoderId, lengths: str = "ideal") -> AdjustedReport:
     """Full adjusted-complexity report for a word under the chosen coder.
 
     A constant word gets H = 0, baseline = 0 and its k_eff under the
     requested length kind, with KA, R and deficiency None.
     """
-    counts = SymbolCounts.from_word(word)
-    h = binary_entropy(counts.p)
+    n, w = word.n, word.weight
+    h = binary_entropy(w / n)
     result = code_word(coder, word)
     k_eff = result.length(lengths)
-    baseline = word.n * h
-    constant = h == 0.0
-    return AdjustedReport(
-        n=word.n,
-        w=counts.n1,
-        H=h,
-        baseline=baseline,
-        k_eff=k_eff,
-        KA=None if constant else k_eff / h,
-        R=None if constant else k_eff / baseline,
-        deficiency=None if constant else baseline - k_eff,
-        coder=result.coder,
-    )
+    baseline = n * h
+    return AdjustedReport(n, w, h, baseline, k_eff, *_ratios(k_eff, h, baseline), result.coder)
 
 
 def adjusted_deficiencies(bits, coder: CoderId, lengths: str = "ideal") -> np.ndarray:
@@ -210,17 +207,7 @@ def adjusted_conditional(
     h_cond = conditional_entropy(pc)
     k_eff = conditional_code_len(x, y, coder, lengths)
     baseline = x.n * h_cond
-    determined = h_cond == 0.0
-    return ConditionalReport(
-        n=x.n,
-        H_cond=h_cond,
-        baseline=baseline,
-        k_eff_cond=k_eff,
-        KA_cond=None if determined else k_eff / h_cond,
-        R_cond=None if determined else k_eff / baseline,
-        deficiency_cond=None if determined else baseline - k_eff,
-        coder=coder,
-    )
+    return ConditionalReport(x.n, h_cond, baseline, k_eff, *_ratios(k_eff, h_cond, baseline), coder)
 
 
 def joint_pair_code_len(pc: PairCounts) -> float:

@@ -106,7 +106,10 @@ class TestShellLogSize:
         assert ceil_log2(5) == 3
         with pytest.raises(ValueError):
             ceil_log2(0)
-        for n, k in ((6, 2), (4097, 3), (8192, 4096)):
+        # Above 4096 bits a log within 1e-6 of an integer falls back to the
+        # exact binomial: C(8192, 1) = 2^13 and C(4097, 0) = 1 take that path.
+        for n, k in ((6, 2), (4097, 3), (8192, 4096), (8192, 1), (8192, 8191), (4097, 0),
+                     (4097, 4097)):
             size = math.comb(n, k)
             assert ceil_log2_comb(n, k) == (size - 1).bit_length()
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kadjust import BitWord, BlockCounts, PairCounts, SymbolCounts, block_counts
+from kadjust import BitWord, BlockCounts, CoderId, PairCounts, SymbolCounts, block_counts
+from kadjust import code_lengths
+from kadjust.bitio import BitReader, DecodeError
 
 from conftest import WORD35_STR
 
@@ -63,6 +65,40 @@ class TestBitWord:
             w.prefix(0)
         with pytest.raises(ValueError):
             w.prefix(7)
+
+
+def _two_at_end(size: int) -> np.ndarray:
+    bits = np.zeros(size, dtype=np.uint8)
+    bits[-1] = 2
+    return bits
+
+
+class TestOneBitCheck:
+    """BitWord, code_lengths and BitReader share one 0/1 check."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        # uint8 arrays of 2048 and 2049 entries sit on both sides of the
+        # check's switch from bytes.translate to max
+        [_two_at_end(2048), _two_at_end(2049), np.array([-1], dtype=np.int64),
+         np.array([256], dtype=np.int64), np.array([0.5]), ["1"]],
+        ids=["uint8-2048", "uint8-2049", "int64-neg", "int64-256", "float", "str"],
+    )
+    def test_same_inputs_rejected(self, bad):
+        with pytest.raises(ValueError) as word_error:
+            BitWord(bad)
+        with pytest.raises(ValueError) as kernel_error:
+            code_lengths(CoderId("shell"), np.asarray(bad)[None])
+        assert word_error.type is ValueError and kernel_error.type is ValueError
+        with pytest.raises(DecodeError):
+            BitReader(bad)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int64])
+    def test_bool_and_integer_arrays_accepted(self, dtype):
+        bits = np.array([1, 0, 0, 1, 1], dtype=dtype)
+        assert BitWord(bits).tolist() == [1, 0, 0, 1, 1]
+        assert code_lengths(CoderId("literal"), bits[None])[1].tolist() == [5]
+        assert BitReader(bits).read_bits(5).tolist() == [1, 0, 0, 1, 1]
 
 
 class TestWeight:
