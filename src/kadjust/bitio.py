@@ -13,7 +13,7 @@ code's zero run ends at the next 1, which bytes.find locates.  Every cost is
 linear in the bits written or read.  The batched forms write_uints,
 read_uints, write_elias_gammas and read_elias_gammas take one call for a
 whole array of integers.  The reader leaves the 0/1 check of an array
-stream to words.as_bits.
+stream to words.bit_bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import operator
 
 import numpy as np
 
-from .words import as_bits
+from .words import bit_bytes
 
 
 class DecodeError(ValueError):
@@ -131,19 +131,16 @@ class BitWriter:
 class BitReader:
     """Reads bits MSB-first from an array produced by BitWriter (or bytes).
 
-    An array must hold only 0/1 values; words.as_bits checks them and
+    An array must hold only 0/1 values; words.bit_bytes checks them and
     raises DecodeError at construction for anything else, so no malformed
     stream is coerced into bits.
     """
 
     def __init__(self, bits):
         if isinstance(bits, (bytes, bytearray)):
-            bits = np.unpackbits(np.frombuffer(bits, dtype=np.uint8))
+            raw = np.unpackbits(np.frombuffer(bits, dtype=np.uint8)).tobytes()
         else:
-            bits = as_bits(bits, DecodeError)
-        if bits.ndim != 1:
-            raise DecodeError("a bitstream must be one-dimensional")
-        raw = bits.tobytes()  # one byte per bit, for bytes.find and int(_, 2)
+            raw = bit_bytes(bits, DecodeError)  # one byte per bit, for bytes.find and int(_, 2)
         self._bits = np.frombuffer(raw, dtype=np.uint8)  # the checked copy, not the input
         self._raw = raw
         self._size = len(raw)

@@ -17,9 +17,11 @@ k_* functions are its one-row case.
   run_length   leading bit plus Elias gamma code       one flatnonzero over the break mask
                of every maximal run                    with a row-end sentinel; gamma
                                                        lengths summed per row by bincount
-  periodic     best period P <= p_max: pattern plus    mismatch counts from one gather
-               coded mismatch positions                bits[:, arange(n) % P] per chunk
-                                                       of periods, then argmin
+  periodic     best period P <= p_max: pattern plus    mismatch counts per chunk of periods,
+               coded mismatch positions                from one gather bits[:, arange(n) % P]
+                                                       (short rows) or the popcount of the
+                                                       packed row xor each period's packed
+                                                       block (long rows); then argmin
   pair_shell   multinomial index over disjoint 2-bit   per-distinct-block-count table
                block counts (ideal only)               of log2_multinomial
   model_class  3-bit model tag plus the best of the    tag bits plus the row minimum
@@ -27,9 +29,13 @@ k_* functions are its one-row case.
 
 The tables are filled by the scalar functions of shellcode and entropy, so
 a word scores the same in a batch as on its own.  Words of 2^10 bits or
-more are compared with one period at a time through _period_mismatch
-instead of the gather.  Each chunk's temporaries (rows x n, and rows x
-periods x n for the gather) stay within _CHUNK_BYTES.
+more are packed once, 64 bits to a uint64 word, instead of gathered.  For
+each period P one gather builds P's pattern tiled over a block of a
+multiple of lcm(P, 64) bits, packed alike; the row, cut into rows of
+blocks, is xored with the block and np.bitwise_count counts the
+mismatches, the padding of the row's last word masked out.  Each chunk's
+temporaries (rows x n; rows x periods x n for the gather; the xored words
+and the blocks for the packed scan) stay within _CHUNK_BYTES.
 
 Tie-breaks are deterministic: smallest period for periodic, listed order
 for model_class.
@@ -46,7 +52,7 @@ import numpy as np
 from .bitio import BitReader, BitWriter, DecodeError
 from .entropy import ceil_log2, log2_multinomial
 from .shellcode import concrete_len_shell, decode_shell, encode_shell, ideal_len_shell
-from .words import BitWord, as_bits, block_tallies
+from .words import BitWord, as_bits, block_tallies, packed_rows
 
 DEFAULT_P_MAX = 32
 MODEL_TAG_BITS = 3
@@ -54,7 +60,8 @@ MODEL_TAG_BITS = 3
 # Byte budget of one chunk: code_lengths() scores rows x n <= _CHUNK_BYTES
 # bits at a time (each kernel's temporaries take a few bytes per bit), and
 # the periodic gather takes rows x periods x n bytes plus an index of
-# 8 x periods x n, together at most _CHUNK_BYTES.
+# 8 x periods x n, together at most _CHUNK_BYTES; the packed scan sizes its
+# chunks of periods the same way (see _periodic_scan).
 _CHUNK_BYTES = 1 << 20
 
 # (ideal[rows], concrete[rows] or None, model tag[rows] or None)
@@ -133,15 +140,17 @@ def _gamma_len(v):
     return 2 * np.frexp(v)[1] - 1
 
 
-def _tabulate(fn, keys: np.ndarray, dtype) -> np.ndarray:
-    """fn of each key (one entry, or one row of a 2-D keys, per word),
-    called once per distinct key."""
+def _tabulate(fn, keys: np.ndarray, *dtypes) -> list[np.ndarray]:
+    """fn of each key (one entry, or one row of a 2-D keys, per word), a
+    tuple of one value per dtype, called once per distinct key; one array
+    per dtype."""
     if len(keys) == 1:
-        return np.array([fn(keys[0].tolist())], dtype=dtype)
-    distinct, inverse = np.unique(
-        keys, return_inverse=True, axis=0 if keys.ndim == 2 else None
-    )
-    return np.array([fn(k) for k in distinct.tolist()], dtype=dtype)[inverse.reshape(-1)]
+        distinct, inverse = [keys[0].tolist()], None
+    else:
+        distinct, inverse = np.unique(keys, return_inverse=True, axis=0 if keys.ndim == 2 else None)
+        distinct = distinct.tolist()
+    tables = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*map(fn, distinct)), dtypes)]
+    return tables if inverse is None else [table[inverse.reshape(-1)] for table in tables]
 
 
 def _literal_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
@@ -153,8 +162,9 @@ def _shell_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
     n = bits.shape[1]
     # count_nonzero is fastest on one long row, an int32 sum on many rows
     weights = np.array([np.count_nonzero(bits)]) if len(bits) == 1 else bits.sum(1, np.int32)
-    ideal = _tabulate(lambda k: ideal_len_shell(n, k), weights, np.float64)
-    concrete = _tabulate(lambda k: concrete_len_shell(n, k), weights, np.int64)
+    ideal, concrete = _tabulate(
+        lambda k: (ideal_len_shell(n, k), concrete_len_shell(n, k)), weights, np.float64, np.int64
+    )
     return ideal, concrete, None
 
 
@@ -220,40 +230,89 @@ def _period_mismatch(bits: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     return mask
 
 
-# Rows of _GATHER_BELOW bits or more are compared with one period at a
-# time: there one reshape per period costs less than gathering rows x
-# periods x n bytes (one 4096-bit word, 32 periods: 0.43 ms against 2.3 ms).
+# Rows of _GATHER_BELOW bits or more are scanned packed, 64 bits to a word:
+# there gathering rows x periods x n bytes costs more than building each
+# period's packed block and comparing words.
 _GATHER_BELOW = 1 << 10
 
 
-def _mismatch_counts(bits: np.ndarray, first: int, stop: int) -> np.ndarray:
-    """(rows, periods) counts of the positions where each row differs from
-    its first p bits tiled over its length, for p in [first, stop)."""
-    n = bits.shape[1]
-    if n >= _GATHER_BELOW:
-        return np.array(
-            [[np.count_nonzero(_period_mismatch(row, row[:p])) for p in range(first, stop)]
-             for row in bits]
+def _block_words(periods: np.ndarray, words: int) -> np.ndarray:
+    """Words in each period's packed block: a multiple of lcm(p, 64) bits
+    of at least _WIDE_ROW bits (so one row of blocks makes a long inner
+    loop), or the whole packed row when that is shorter."""
+    span = np.lcm(periods, 64)
+    return np.minimum(span * -(-_WIDE_ROW // span), 64 * words) // 64
+
+
+def _period_blocks(bits: np.ndarray, periods: np.ndarray, block_words: np.ndarray) -> np.ndarray:
+    """(rows, periods, max(block_words)) uint64: each row's first p bits
+    tiled over block_words[i] words for the i-th period p, packed as the
+    row is packed.  The tiling repeats every lcm(p, 8) bits, a whole number
+    of bytes, so one gather builds those bits and the bytes are repeated."""
+    m = bits.shape[0]
+    unit = np.lcm(periods, 8) // 8  # bytes
+    tiled = np.take(bits, np.arange(8 * unit.max()) % periods[:, None], axis=1)
+    units = np.packbits(tiled, axis=2).reshape(m, -1)
+    index = np.arange(8 * block_words.max()) % unit[:, None]
+    index += units.shape[1] // len(periods) * np.arange(len(periods))[:, None]
+    return np.take(units, index, axis=1).view(np.uint64)
+
+
+def _packed_mismatch_counts(
+    bits: np.ndarray, packed: np.ndarray, last: np.uint64, periods: np.ndarray
+) -> np.ndarray:
+    """(rows, periods) mismatch counts from the rows packed into uint64
+    words, with room for one block past the row: a period's count is the
+    popcount of the packed row xor its block, tiled over the row.  last
+    masks the row's bits in its last word."""
+    m, n = bits.shape
+    words = -(-n // 64)
+    block_words = _block_words(periods, words)
+    rows = -(-words // block_words)
+    ext = (rows * block_words).tolist()  # words the tiled blocks cover, >= words
+    blocks = _period_blocks(bits, periods, block_words)
+    xor = np.empty((len(periods), m, max(ext)), dtype=np.uint64)
+    for i, (e, r, b) in enumerate(zip(ext, rows.tolist(), block_words.tolist())):
+        np.bitwise_xor(
+            packed[:, :e].reshape(m, r, b), blocks[:, i, None, :b], out=xor[i, :, :e].reshape(m, r, b)
         )
-    tiled = np.take(bits, np.arange(n) % np.arange(first, stop)[:, None], axis=1)
+    xor[:, :, words - 1] &= last  # the row's padding is zero, the blocks' is pattern
+    return np.bitwise_count(xor[:, :, :words]).sum(axis=2, dtype=np.int32).T
+
+
+def _gathered_mismatch_counts(bits: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """(rows, periods) mismatch counts from one gather of every row's
+    first p bits tiled over its length."""
+    tiled = np.take(bits, np.arange(bits.shape[1]) % periods[:, None], axis=1)
     mask = np.not_equal(tiled, bits[:, None, :], out=tiled.view(bool))
     return mask.sum(axis=2, dtype=np.int32)
 
 
 def _periodic_scan(bits: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(cost, period) of every row minimizing the periodic cost over
-    p <= min(p_max, n); the smallest period wins ties."""
+    p <= min(p_max, n); the smallest period wins ties.  The cost counts
+    the positions where a row differs from its first p bits tiled over
+    its length."""
     m, n = bits.shape
     top = min(p_max, n)
-    if n >= _GATHER_BELOW:  # one period at a time: no gather
-        step = top
+    if n >= _GATHER_BELOW:
+        words = -(-n // 64)
+        block = int(_block_words(np.arange(1, top + 1), words).max())
+        packed = packed_rows(bits, words + block)
+        last = packed_rows((np.arange(64) < n - 64 * (words - 1))[None])[0, 0]
+        # per period: its xor words, and its tiled bits (at most 8 x top)
+        # and block bytes, each with an 8-byte gather index
+        step = max(1, _CHUNK_BYTES // (8 * m * (words + block) + (m + 8) * 8 * (top + block)))
     else:
         step = max(1, _CHUNK_BYTES // ((m + 8) * n))
     best_cost = best_p = None
     for first in range(1, top + 1, step):
-        stop = min(first + step, top + 1)
-        periods = np.arange(first, stop)
-        costs = _periodic_cost(n, periods, _mismatch_counts(bits, first, stop))
+        periods = np.arange(first, min(first + step, top + 1))
+        if n >= _GATHER_BELOW:
+            counts = _packed_mismatch_counts(bits, packed, last, periods)
+        else:
+            counts = _gathered_mismatch_counts(bits, periods)
+        costs = _periodic_cost(n, periods, counts)
         # argmin takes the first minimum: the smallest period
         cost, p = costs.min(axis=1), periods[costs.argmin(axis=1)]
         if best_cost is None:
@@ -272,30 +331,35 @@ def _periodic_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
 def _pair_shell_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
     nb, tail = divmod(bits.shape[1], 2)
     header = 4 * math.log2(nb + 1)
-    ideal = _tabulate(lambda c: log2_multinomial(c) + header, block_tallies(bits), np.float64)
+    (ideal,) = _tabulate(lambda c: (log2_multinomial(c) + header,), block_tallies(bits), np.float64)
     return ideal + tail, None, None
 
 
 _NO_CODE = np.iinfo(np.int64).max
 
 
-def _member_lengths(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _member_lengths(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, members) ideal and concrete lengths of every model_class
-    member; a member without a concrete code has concrete length _NO_CODE."""
+    member, and each row's best period under the periodic member; a member
+    without a concrete code has concrete length _NO_CODE."""
     ideal = np.empty((bits.shape[0], len(_MEMBER_IDS)))
     concrete = np.full(ideal.shape, _NO_CODE, dtype=np.int64)
     for j, member in enumerate(_MEMBER_IDS):
+        if member.name == "periodic":  # the scan's period saves the encoder a second scan
+            concrete[:, j], period = _periodic_scan(bits, member.p_max)
+            ideal[:, j] = concrete[:, j]
+            continue
         ideal[:, j], member_concrete, _ = _CODERS[member.name].lengths(bits, member)
         if member_concrete is not None:
             concrete[:, j] = member_concrete
-    return ideal, concrete
+    return ideal, concrete, period
 
 
 def _model_class_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
     """The ideal length takes the minimum over member ideal lengths and the
     concrete length the minimum over members with a concrete code; the tag
     indexes MODEL_MEMBERS at the ideal winner (first on ties)."""
-    ideal, concrete = _member_lengths(bits)
+    ideal, concrete, _ = _member_lengths(bits)
     tag = np.argmin(ideal, axis=1)
     return MODEL_TAG_BITS + ideal.min(axis=1), MODEL_TAG_BITS + concrete.min(axis=1), tag
 
@@ -392,8 +456,12 @@ def _decode_run_length(n: int, reader: BitReader) -> BitWord:
 
 
 def _encode_periodic(word: BitWord, coder: CoderId) -> np.ndarray:
+    return _periodic_codeword(word, int(_periodic_scan(word.bits[None], coder.p_max)[1][0]))
+
+
+def _periodic_codeword(word: BitWord, p: int) -> np.ndarray:
+    """The periodic codeword of the word with period p."""
     n = word.n
-    p = int(_periodic_scan(word.bits[None], coder.p_max)[1][0])
     positions = np.flatnonzero(_period_mismatch(word.bits, word.bits[:p]))
     out = BitWriter()
     out.write_elias_gamma(p)
@@ -419,12 +487,15 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
 
 
 def _encode_model_class(word: BitWord, coder: CoderId) -> np.ndarray:
-    _, concrete = _member_lengths(word.bits[None])
+    _, concrete, period = _member_lengths(word.bits[None])
     best = int(np.argmin(concrete[0]))  # the first shortest concrete member
     member = _MEMBER_IDS[best]
     out = BitWriter()
     out.write_uint(best, MODEL_TAG_BITS)
-    out.write_bits(_CODERS[member.name].encode(word, member))
+    if member.name == "periodic":
+        out.write_bits(_periodic_codeword(word, int(period[0])))
+    else:
+        out.write_bits(_CODERS[member.name].encode(word, member))
     return out.getvalue()
 
 

@@ -4,6 +4,12 @@ Binomial and multinomial coefficients are evaluated as exact arbitrary
 precision integers (directly for moderate sizes, via their exact prime
 factorization for very large ones) and the logarithm is taken last, so no
 Stirling-style drift enters the downstream baselines.
+
+Above _BIG_N the factorization of a factorial m! comes from Legendre's
+formula: one division m // p over the primes up to m, then the higher
+powers m // p^i over the primes up to sqrt(m) only, the few whose square
+divides into m.  log2_multinomial and shell_size take one such pass per
+factorial.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ def log2_multinomial(counts) -> float:
         return math.log2(value) if value > 1 else 0.0
     exps = _factorial_prime_exponents(total)
     for c in counts:
-        exps = exps - _factorial_prime_exponents(c, upto=total)
+        exps -= _factorial_prime_exponents(c, upto=total)
     return _log2_from_exponents(_primes_upto(total), exps)
 
 
@@ -152,17 +158,20 @@ def _primes_upto(n: int) -> np.ndarray:
 
 
 def _factorial_prime_exponents(m: int, upto: int | None = None) -> np.ndarray:
-    """Exponent of each prime <= (upto or m) in the factorization of m!."""
+    """Exponent of each prime <= (upto or m) in the factorization of m!,
+    by Legendre's formula: the sum over i >= 1 of m // p^i."""
     primes = _primes_upto(upto if upto is not None else m)
     exps = np.zeros(primes.size, dtype=np.int64)
-    if m < 2:
-        return exps
-    pk = primes.copy()
-    alive = np.arange(primes.size)
-    while alive.size:
-        exps[alive] += m // pk[alive]
-        pk[alive] *= primes[alive]
-        alive = alive[pk[alive] <= m]
+    below = np.searchsorted(primes, m, side="right")  # primes > m divide m! zero times
+    exps[:below] = m // primes[:below]
+    # only the primes <= sqrt(m) have p^2 <= m: add m // p^i for i >= 2
+    small = np.searchsorted(primes, math.isqrt(m), side="right")
+    q = exps[:small].copy()
+    while small:
+        q //= primes[:small]
+        small = np.count_nonzero(q)  # q falls with p, so the nonzero ones lead
+        exps[:small] += q[:small]
+        q = q[:small]
     return exps
 
 

@@ -4,7 +4,8 @@ A BitWord is an immutable sequence of 0/1 symbols.  Everything downstream
 (entropy baselines, coders, tests) consumes either a BitWord or one of the
 count summaries defined here: per-symbol counts, aligned-pair counts for a
 pair of words, and disjoint 2-bit block counts of a single word.
-as_bits is the package's one check that an array holds only 0/1 values.
+as_bits (and bit_bytes, its form for bitstreams) is the package's one check
+that an array holds only 0/1 values.
 """
 
 from __future__ import annotations
@@ -15,23 +16,44 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
+def _checked_bits(values, error: type[Exception]) -> tuple[np.ndarray, bytes | None]:
+    """as_bits(values, error), and the bytes of a uint8 array short enough
+    to be checked through them (None otherwise)."""
+    bits = values if isinstance(values, np.ndarray) else np.asarray(values)
+    char = bits.dtype.char  # "?" for bool, "B" for uint8; cheaper than comparing dtypes
+    if char == "?":
+        return bits.view(np.uint8), None
+    raw = None
+    if char == "B":
+        # translate costs about 1 ns a byte, max a flat 2 us
+        if bits.size > 2048:
+            bad = bits.max() > 1
+        else:
+            raw = bits.tobytes()
+            bad = raw.translate(None, b"\x00\x01")
+    else:
+        bad = bits.size and (bits.dtype.kind not in "iu" or bits.min() < 0 or bits.max() > 1)
+    if bad:
+        raise error("bits must be integers 0 or 1")
+    return (bits if char == "B" else bits.astype(np.uint8)), raw
+
+
 def as_bits(values, error: type[Exception] = ValueError) -> np.ndarray:
     """values as a uint8 array, or error raised if an entry is not the
     integer 0 or 1.  uint8 and bool arrays are not copied; anything else is
     checked before the uint8 cast, which would truncate floats and wrap
     negative or large integers."""
-    bits = values if isinstance(values, np.ndarray) else np.asarray(values)
-    char = bits.dtype.char  # "?" for bool, "B" for uint8; cheaper than comparing dtypes
-    if char == "?":
-        return bits.view(np.uint8)
-    if char == "B":
-        # translate costs about 1 ns a byte, max a flat 2 us
-        bad = bits.max() > 1 if bits.size > 2048 else bits.tobytes().translate(None, b"\x00\x01")
-    else:
-        bad = bits.size and (bits.dtype.kind not in "iu" or bits.min() < 0 or bits.max() > 1)
-    if bad:
-        raise error("bits must be integers 0 or 1")
-    return bits if char == "B" else bits.astype(np.uint8)
+    return _checked_bits(values, error)[0]
+
+
+def bit_bytes(values, error: type[Exception] = ValueError) -> bytes:
+    """The bits of a one-dimensional values, one byte each, checked as
+    as_bits checks them; a short uint8 array is turned into bytes once,
+    for the check and the result alike."""
+    bits, raw = _checked_bits(values, error)
+    if bits.ndim != 1:
+        raise error("a bitstream must be one-dimensional")
+    return bits.tobytes() if raw is None else raw
 
 
 class BitWord:
@@ -206,14 +228,41 @@ class BlockCounts:
         return (self.b00, self.b01, self.b10, self.b11)
 
 
+def packed_rows(bits: np.ndarray, words: int | None = None) -> np.ndarray:
+    """(rows, words) uint64: every row of a 0/1 uint8 matrix packed as
+    np.packbits packs it, 64 bits to a word and zero-padded to `words`
+    words (by default the fewest that hold a row).  One packbits call over
+    the padded matrix, as fast for many short rows as for one long row."""
+    m, n = bits.shape
+    words = words or -(-n // 64)
+    padded = np.zeros((m, 64 * words), dtype=np.uint8)
+    padded[:, :n] = bits
+    return np.packbits(padded).view(np.uint64).reshape(m, words)
+
+
+# In a packed word the bits at even positions of the row take the mask
+# 0xAA of every byte, those at odd positions 0x55.
+_EVEN = np.frombuffer(b"\xaa" * 8, dtype=np.uint64)[0]
+_ODD = np.frombuffer(b"\x55" * 8, dtype=np.uint64)[0]
+
+
 def block_tallies(bits: np.ndarray) -> np.ndarray:
     """(rows, 4) counts of the disjoint 2-bit blocks 00, 01, 10, 11 of every
-    row of a 0/1 uint8 matrix, left-aligned; an odd trailing bit is left out."""
-    m, n = bits.shape
-    nb = n // 2
-    pairs = 2 * bits[:, : 2 * nb : 2] + bits[:, 1 : 2 * nb : 2]
-    # one bincount over all rows, row i's block values offset by 4 * i
-    return np.bincount((pairs + 4 * np.arange(m)[:, None]).ravel(), minlength=4 * m).reshape(m, 4)
+    row of a 0/1 uint8 matrix, left-aligned; an odd trailing bit is left out.
+
+    They follow from three counts per row: the ones at even positions
+    (first bits of blocks), the ones at odd positions and their AND
+    (blocks 11), each a popcount of the packed row under a mask.
+    """
+    nb = bits.shape[1] // 2
+    w = packed_rows(bits[:, : 2 * nb])
+    masked = np.empty((3,) + w.shape, dtype=np.uint64)
+    np.bitwise_and(w, _EVEN, out=masked[0])
+    np.bitwise_and(w, _ODD, out=masked[1])
+    np.right_shift(w, 1, out=masked[2])  # each block's first bit onto its second
+    masked[2] &= masked[1]
+    first, second, both = np.bitwise_count(masked).sum(axis=2, dtype=np.int64)
+    return np.stack([nb - first - second + both, second - both, first - both, both], axis=1)
 
 
 def block_counts(word: BitWord) -> BlockCounts:

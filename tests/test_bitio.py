@@ -18,6 +18,17 @@ def _gamma_values() -> list[int]:
 
 
 class TestBitReader:
+    @pytest.mark.parametrize("size", [5, 2048, 2049])
+    def test_checks_uint8_streams_on_both_sides_of_the_translate_limit(self, size):
+        bits = np.tile(np.array([1, 0], dtype=np.uint8), size)[:size]
+        reader = BitReader(bits)
+        assert reader.read_bits(size).tolist() == bits.tolist()
+        bits[-1] = 2
+        with pytest.raises(DecodeError):
+            BitReader(bits)
+        with pytest.raises(DecodeError):
+            BitReader(bits[:-1].reshape(1, -1))
+
     def test_read_bits(self):
         reader = BitReader(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
         assert reader.read_bits(0).tolist() == []

@@ -288,6 +288,23 @@ class TestConcreteCodecs:
                 digest.update(f"{coder.label}:{word.n}:{bits};".encode())
         assert digest.hexdigest() == CODEWORD_DIGEST
 
+    def test_model_class_encode_scans_periods_once(self, monkeypatch):
+        from kadjust import coders
+
+        rng = np.random.default_rng(24)
+        bits = np.resize(rng.integers(0, 2, 24, dtype=np.uint8), 1 << 12)
+        bits[rng.choice(np.arange(24, 1 << 12), 20, replace=False)] ^= 1
+        word = BitWord(bits)
+        coder = CoderId("model_class")
+        scans = []
+        scan = coders._periodic_scan
+        monkeypatch.setattr(coders, "_periodic_scan", lambda *a: scans.append(1) or scan(*a))
+        codeword = encode_word(coder, word)
+        assert len(scans) == 1
+        assert codeword[:3].tolist() == [0, 1, 1]  # tag 3: periodic won
+        assert len(codeword) == code_word(coder, word).concrete_len
+        assert decode_word(coder, word.n, codeword) == word
+
     def test_decode_error_on_garbage(self):
         with pytest.raises(DecodeError):
             decode_word(CoderId("run_length"), 8, np.zeros(4, dtype=np.uint8))

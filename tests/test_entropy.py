@@ -16,6 +16,7 @@ from kadjust import (
     shell_log_size,
     shell_size,
 )
+from kadjust import entropy
 from kadjust.entropy import ceil_log2, ceil_log2_comb
 
 from conftest import TABLE1
@@ -205,3 +206,77 @@ class TestBlockShellLogSize:
 
         word = generate(GeneratorSpec.block(seed=11, length=100_000))
         assert block_counts(word).b10 == 0
+
+
+# ---------------------------------------------------------------------------
+# the factorized path: Legendre exponents, and log2_multinomial against a
+# frozen copy of its earlier implementation
+
+
+def _legendre(m: int, p: int) -> int:
+    e, q = 0, p
+    while q <= m:
+        e += m // q
+        q *= p
+    return e
+
+
+def _frozen_factorial_prime_exponents(m, upto=None):
+    primes = entropy._primes_upto(upto if upto is not None else m)
+    exps = np.zeros(primes.size, dtype=np.int64)
+    if m < 2:
+        return exps
+    pk = primes.copy()
+    alive = np.arange(primes.size)
+    while alive.size:
+        exps[alive] += m // pk[alive]
+        pk[alive] *= primes[alive]
+        alive = alive[pk[alive] <= m]
+    return exps
+
+
+def _frozen_log2_multinomial(counts) -> float:
+    counts = [int(c) for c in counts]
+    total = sum(counts)
+    if total <= 4096:
+        value, remaining = 1, total
+        for c in counts:
+            value *= math.comb(remaining, c)
+            remaining -= c
+        return math.log2(value) if value > 1 else 0.0
+    exps = _frozen_factorial_prime_exponents(total)
+    for c in counts:
+        exps = exps - _frozen_factorial_prime_exponents(c, upto=total)
+    primes = entropy._primes_upto(total)
+    nz = exps != 0
+    return float(np.dot(exps[nz].astype(np.float64), np.log2(primes[nz].astype(np.float64))))
+
+
+class TestFactorizedPath:
+    @pytest.mark.parametrize("m", [0, 1, 2, 4096, 4097] + [
+        int(v) for v in np.random.default_rng(20).integers(2, 1 << 20, 6)
+    ])
+    def test_prime_exponents_match_legendre(self, m):
+        upto = m + 1000
+        primes = entropy._primes_upto(upto).tolist()
+        want = [_legendre(m, p) for p in primes]
+        assert entropy._factorial_prime_exponents(m, upto).tolist() == want
+        if m >= 2:
+            assert entropy._factorial_prime_exponents(m).tolist() == want[: len(
+                entropy._primes_upto(m))]
+
+    def test_log2_multinomial_equals_frozen_code(self):
+        rng = np.random.default_rng(21)
+        tuples = [(4097,), (0, 4097, 0, 0), (1 << 20, 0), (0, 0, 0, 1 << 20)]
+        for _ in range(200):
+            total = int(rng.integers(4097, (1 << 20) + 1))
+            parts = int(rng.integers(2, 5))
+            cuts = np.sort(rng.integers(0, total + 1, parts - 1))
+            counts = np.diff(np.concatenate([[0], cuts, [total]]))
+            if rng.random() < 0.3:  # a zero count
+                counts[rng.integers(parts)] = 0
+                counts[0] += total - counts.sum()
+            tuples.append(tuple(int(c) for c in counts))
+        assert sum(1 for t in tuples if sum(t) > 4096) >= 200
+        for counts in tuples:
+            assert log2_multinomial(counts) == _frozen_log2_multinomial(counts), counts

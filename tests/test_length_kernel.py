@@ -185,3 +185,35 @@ class TestKraft:
                 top = int(lengths.max())
                 total = sum(int(c) << (top - int(L)) for L, c in zip(lengths, counts))
                 assert total <= 1 << top, coder.label
+
+
+class TestPackedPeriodicScan:
+    """Rows of coders._GATHER_BELOW bits or more take the packed scan;
+    these lengths cover a row ending inside, and exactly at, a 64-bit word."""
+
+    @pytest.mark.parametrize("n", [1024, 1087, 4159])
+    @pytest.mark.parametrize("p_max", [1, 5, 32, 100])
+    def test_periodic_matches_reference(self, n, p_max):
+        assert n >= coders._GATHER_BELOW
+        matrix = random_matrix(n, seed=n + p_max)[::4]
+        assert_matches_reference(CoderId("periodic", p_max), matrix)
+
+    @pytest.mark.parametrize("n", [1024, 1087, 4159])
+    def test_model_class_matches_reference(self, n):
+        # Above 4096 bits the package takes log2 C(n, k) from its prime
+        # factorization and the reference from the exact integer; the two
+        # may differ in the last place, so ideal lengths match to 1e-12.
+        matrix = random_matrix(n, seed=n)[::3]
+        ideal, concrete, tag = code_lengths(CoderId("model_class"), matrix)
+        for i, row in enumerate(matrix.tolist()):
+            want_ideal, want_concrete, want_tag = reference(CoderId("model_class"), row)
+            assert ideal[i] == pytest.approx(want_ideal, rel=1e-12)
+            assert (int(concrete[i]), MODEL_MEMBERS[tag[i]]) == (want_concrete, want_tag)
+
+    def test_multi_row_matrix_across_period_chunks(self, monkeypatch):
+        # a budget this small scans a few periods per chunk
+        monkeypatch.setattr(coders, "_CHUNK_BYTES", 1 << 17)
+        matrix = random_matrix(1500, seed=9)
+        ideal, concrete, _ = code_lengths(CoderId("periodic", 40), matrix)
+        for i, row in enumerate(matrix.tolist()):
+            assert (ideal[i], concrete[i]) == ref_periodic(row, 40)

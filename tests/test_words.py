@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from kadjust import BitWord, BlockCounts, CoderId, PairCounts, SymbolCounts, block_counts
 from kadjust import code_lengths
 from kadjust.bitio import BitReader, DecodeError
+from kadjust.words import block_tallies
 
 from conftest import WORD35_STR
 
@@ -166,3 +167,21 @@ class TestBlockCounts:
         assert 2 * bc.num_blocks + bc.tail == len(bits)
         assert bc.tail == len(bits) % 2
         assert bc.n == len(bits)
+
+
+class TestBlockTallies:
+    @staticmethod
+    def reference(bits: np.ndarray) -> np.ndarray:
+        nb = bits.shape[1] // 2
+        pairs = 2 * bits[:, : 2 * nb : 2].astype(np.intp) + bits[:, 1 : 2 * nb : 2]
+        return np.array([np.bincount(row, minlength=4) for row in pairs]).reshape(-1, 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 13, 63, 64, 65, 127, 129, 1001, 4159])
+    def test_matches_bincount_on_many_rows(self, n):
+        rng = np.random.default_rng(n)
+        bits = (rng.random((300, n)) < rng.random((300, 1))).astype(np.uint8)
+        assert np.array_equal(block_tallies(bits), self.reference(bits))
+
+    def test_one_long_row(self):
+        bits = (np.random.default_rng(2).random((1, (1 << 17) + 1)) < 0.3).astype(np.uint8)
+        assert np.array_equal(block_tallies(bits), self.reference(bits))
