@@ -95,9 +95,7 @@ class BitWriter:
             self._append(_uint64_bits(values[i : i + _BATCH])[:, 64 - width :].ravel())
 
     def write_elias_gamma(self, v: int) -> None:
-        if v < 1:
-            raise ValueError("Elias gamma is defined for positive integers")
-        self.write_uint(v, 2 * v.bit_length() - 1)
+        self.write_uint(v, elias_gamma_len(v))
 
     def write_elias_gammas(self, values) -> None:
         """The Elias gamma code of each value, in order."""

@@ -14,7 +14,7 @@ import logging
 import sys
 
 from .coders import CODER_NAMES, CoderId
-from .inputs import INPUT_FORMATS, InputSource, read_word
+from .inputs import INPUT_FORMATS, read_word
 from .simulate import GeneratorSpec, convergence_trace, geometric_schedule
 from .stats import (
     RECORD_FORMATS,
@@ -63,10 +63,7 @@ def _read_inputs(args: argparse.Namespace, expected: int | None = None) -> list[
     paths = args.inputs or [None]
     if expected is not None and len(paths) != expected:
         raise ValueError(f"this command requires exactly {expected} input words")
-    return [
-        read_word(InputSource(format=args.input_format, path=p, max_bits=args.max_bits))
-        for p in paths
-    ]
+    return [read_word(p, args.input_format, args.max_bits) for p in paths]
 
 
 def cmd_analyze(args: argparse.Namespace, out) -> int:

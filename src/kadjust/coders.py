@@ -21,7 +21,8 @@ k_* functions are its one-row case.
                coded mismatch positions                from one gather bits[:, arange(n) % P]
                                                        (short rows) or the popcount of the
                                                        packed row xor each period's packed
-                                                       block (long rows); then argmin
+                                                       block (long rows); one argmin over
+                                                       the counts of all periods
   pair_shell   multinomial index over disjoint 2-bit   per-distinct-block-count table
                block counts (ideal only)               of log2_multinomial
   model_class  3-bit model tag plus the best of the    tag bits plus the row minimum
@@ -30,12 +31,14 @@ k_* functions are its one-row case.
 The tables are filled by the scalar functions of shellcode and entropy, so
 a word scores the same in a batch as on its own.  Words of 2^10 bits or
 more are packed once, 64 bits to a uint64 word, instead of gathered.  For
-each period P one gather builds P's pattern tiled over a block of a
-multiple of lcm(P, 64) bits, packed alike; the row, cut into rows of
-blocks, is xored with the block and np.bitwise_count counts the
-mismatches, the padding of the row's last word masked out.  Each chunk's
-temporaries (rows x n; rows x periods x n for the gather; the xored words
-and the blocks for the packed scan) stay within _CHUNK_BYTES.
+each period P one gather builds P's pattern tiled over a block of at
+least _WIDE_ROW bits (a multiple of lcm(P, 64), or the whole row), packed
+alike; the row, cut into rows of blocks, is xored with the block and
+np.bitwise_count counts the mismatches, the padding of the row's last
+word masked out.  Each chunk's temporaries (rows x n; rows x periods x n
+for the gather; the xored words and the blocks for the packed scan) stay
+within _CHUNK_BYTES.  The periodic encoder and decoder tile a pattern over
+_WIDE_ROW bits too, then that row over the word (_tiled).
 
 Tie-breaks are deterministic: smallest period for periodic, listed order
 for model_class.
@@ -204,30 +207,17 @@ def _periodic_cost(n: int, p, mismatches):
 
 
 # A row one period wide costs numpy one inner loop per row, which dominates
-# for small periods on long words; there each row holds as many whole
-# periods as fit in _WIDE_ROW bits.  Below _WIDE_FROM bits np.tile costs more
-# than it saves.
+# for small periods on long words: a pattern is tiled over at least
+# _WIDE_ROW bits before the row is compared or repeated.
 _WIDE_ROW = 1024
-_WIDE_FROM = 1 << 14
 
 
-def _period_mismatch(bits: np.ndarray, pattern: np.ndarray) -> np.ndarray:
-    """Boolean mask of the positions where bits differ from the pattern
-    repeated over their length, the last copy cut short.
-
-    Compares the whole periods as one block of rows against the pattern and
-    the remainder against its prefix.  With bits all zero the mask is the
-    tiled pattern itself.
-    """
-    n = bits.size
-    if n >= _WIDE_FROM and pattern.size < _WIDE_ROW:
-        pattern = np.tile(pattern, _WIDE_ROW // pattern.size)
-    width = pattern.size
-    head = n - n % width
-    mask = np.empty(n, dtype=bool)
-    np.not_equal(bits[:head].reshape(-1, width), pattern, out=mask[:head].reshape(-1, width))
-    np.not_equal(bits[head:], pattern[: n - head], out=mask[head:])
-    return mask
+def _tiled(pattern: np.ndarray, n: int) -> np.ndarray:
+    """A fresh array of the pattern repeated over n entries, the last copy
+    cut short: the pattern tiled over _WIDE_ROW entries, then that row over
+    n."""
+    row = np.tile(pattern, -(-_WIDE_ROW // pattern.size))
+    return np.tile(row, -(-n // row.size))[:n]
 
 
 # Rows of _GATHER_BELOW bits or more are scanned packed, 64 bits to a word:
@@ -295,9 +285,10 @@ def _periodic_scan(bits: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray
     its length."""
     m, n = bits.shape
     top = min(p_max, n)
+    periods = np.arange(1, top + 1)
     if n >= _GATHER_BELOW:
         words = -(-n // 64)
-        block = int(_block_words(np.arange(1, top + 1), words).max())
+        block = int(_block_words(periods, words).max())
         packed = packed_rows(bits, words + block)
         last = packed_rows((np.arange(64) < n - 64 * (words - 1))[None])[0, 0]
         # per period: its xor words, and its tiled bits (at most 8 x top)
@@ -305,22 +296,16 @@ def _periodic_scan(bits: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray
         step = max(1, _CHUNK_BYTES // (8 * m * (words + block) + (m + 8) * 8 * (top + block)))
     else:
         step = max(1, _CHUNK_BYTES // ((m + 8) * n))
-    best_cost = best_p = None
-    for first in range(1, top + 1, step):
-        periods = np.arange(first, min(first + step, top + 1))
+    counts = []
+    for first in range(0, top, step):
+        chunk = periods[first : first + step]
         if n >= _GATHER_BELOW:
-            counts = _packed_mismatch_counts(bits, packed, last, periods)
+            counts.append(_packed_mismatch_counts(bits, packed, last, chunk))
         else:
-            counts = _gathered_mismatch_counts(bits, periods)
-        costs = _periodic_cost(n, periods, counts)
-        # argmin takes the first minimum: the smallest period
-        cost, p = costs.min(axis=1), periods[costs.argmin(axis=1)]
-        if best_cost is None:
-            best_cost, best_p = cost, p
-        else:
-            better = cost < best_cost
-            best_cost, best_p = np.where(better, cost, best_cost), np.where(better, p, best_p)
-    return best_cost, best_p
+            counts.append(_gathered_mismatch_counts(bits, chunk))
+    costs = _periodic_cost(n, periods, np.concatenate(counts, axis=1))
+    # argmin takes the first minimum: the smallest period
+    return costs.min(axis=1), periods[costs.argmin(axis=1)]
 
 
 def _periodic_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
@@ -462,7 +447,7 @@ def _encode_periodic(word: BitWord, coder: CoderId) -> np.ndarray:
 def _periodic_codeword(word: BitWord, p: int) -> np.ndarray:
     """The periodic codeword of the word with period p."""
     n = word.n
-    positions = np.flatnonzero(_period_mismatch(word.bits, word.bits[:p]))
+    positions = np.flatnonzero(word.bits != _tiled(word.bits[:p], n))
     out = BitWriter()
     out.write_elias_gamma(p)
     out.write_bits(word.bits[:p])
@@ -481,9 +466,9 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
     if r and positions.max() >= n:
         pos = positions[np.argmax(positions >= n)]
         raise DecodeError(f"mismatch position {pos} out of range")
-    flips = np.zeros(n, dtype=np.uint8)
-    np.bitwise_xor.at(flips, positions, 1)  # a position listed twice flips back
-    return BitWord(_period_mismatch(flips, pattern))
+    bits = _tiled(pattern, n)
+    np.bitwise_xor.at(bits, positions, 1)  # a position listed twice flips back
+    return BitWord(bits.view(np.bool_))  # the reader holds 0/1 only
 
 
 def _encode_model_class(word: BitWord, coder: CoderId) -> np.ndarray:

@@ -135,13 +135,11 @@ def ceil_log2_comb(n: int, k: int) -> int:
 
 
 # One sieve, grown to the largest n asked for so far; smaller n take a
-# prefix.  The cache holds views of the current sieve only, so it keeps no
-# older sieve alive.
+# prefix of it.
 _primes = np.zeros(0, dtype=np.int64)
 _primes_limit = 1
 
 
-@lru_cache(maxsize=8)
 def _primes_upto(n: int) -> np.ndarray:
     global _primes, _primes_limit
     if n > _primes_limit:
@@ -153,7 +151,6 @@ def _primes_upto(n: int) -> np.ndarray:
         _primes = np.flatnonzero(sieve).astype(np.int64)
         _primes.setflags(write=False)
         _primes_limit = n
-        _primes_upto.cache_clear()
     return _primes[: np.searchsorted(_primes, n, side="right")]
 
 

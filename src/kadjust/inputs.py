@@ -4,13 +4,13 @@ ascii01   the characters 0 and 1, line breaks allowed and ignored
 raw       every byte expands to 8 bits, most-significant-bit first
 hex       hexadecimal text for the same byte expansion
 
-An optional bit cap truncates after expansion.
+read_word reads a word from a path (None or "-" for standard input) and
+parse_word decodes it; an optional bit cap truncates after expansion.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,30 +19,17 @@ from .words import BitWord
 INPUT_FORMATS = ("ascii01", "raw", "hex")
 
 
-@dataclass(frozen=True)
-class InputSource:
-    """Where and how to read one word; path None means standard input."""
-
-    format: str = "ascii01"
-    path: str | None = None
-    max_bits: int | None = None
-
-    def __post_init__(self):
-        if self.format not in INPUT_FORMATS:
-            raise ValueError(f"unknown input format {self.format!r}")
-        if self.max_bits is not None and self.max_bits < 1:
-            raise ValueError("max_bits must be >= 1")
-
-
-def _read_payload(source: InputSource) -> bytes:
-    if source.path is None or source.path == "-":
+def _read_payload(path: str | None) -> bytes:
+    if path is None or path == "-":
         return sys.stdin.buffer.read()
-    with open(source.path, "rb") as fh:
+    with open(path, "rb") as fh:
         return fh.read()
 
 
 def parse_word(payload: bytes, fmt: str, max_bits: int | None = None) -> BitWord:
     """Decode a word from raw file content in the given format."""
+    if max_bits is not None and max_bits < 1:
+        raise ValueError("max_bits must be >= 1")
     if fmt == "ascii01":
         cleaned = payload.translate(None, b"\r\n")
         if cleaned.translate(None, b"01"):
@@ -67,8 +54,8 @@ def parse_word(payload: bytes, fmt: str, max_bits: int | None = None) -> BitWord
     return BitWord(bits)
 
 
-def read_word(source: InputSource) -> BitWord:
-    return parse_word(_read_payload(source), source.format, source.max_bits)
+def read_word(path: str | None, fmt: str = "ascii01", max_bits: int | None = None) -> BitWord:
+    return parse_word(_read_payload(path), fmt, max_bits)
 
 
 def format_word(word: BitWord, fmt: str) -> bytes:

@@ -174,6 +174,8 @@ def geometric_schedule(length: int, start: int = 16, factor: float = 2.0) -> lis
     """Strictly increasing prefix lengths from `start`, ending exactly at `length`."""
     if length < 1:
         raise ValueError("length must be >= 1")
+    if start < 1 or factor <= 1:
+        raise ValueError("start must be >= 1 and factor > 1")
     points: list[int] = []
     m = float(min(start, length))
     while True:

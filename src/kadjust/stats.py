@@ -68,9 +68,10 @@ def write_records(results, fmt: str, out) -> None:
         for rec in records:
             out.write(json.dumps(rec) + "\n")
     elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(records[0].keys())
-        writer.writerows(rec.values() for rec in records)
+        if records:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(records[0].keys())
+            writer.writerows(rec.values() for rec in records)
     elif fmt == "table":
         for rec in records:
             width = max(len(k) for k in rec)

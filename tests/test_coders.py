@@ -26,8 +26,9 @@ from kadjust import (
 from kadjust.bitio import DecodeError, elias_gamma_len
 from kadjust.coders import (
     MODEL_TAG_BITS,
-    _period_mismatch,
     _periodic_cost,
+    _periodic_scan,
+    _tiled,
     is_concrete,
     run_lengths,
 )
@@ -121,15 +122,14 @@ class TestLengthKernelsBruteForce:
 
     @pytest.mark.parametrize("n", [1 << 14, (1 << 16) + 1031])
     def test_long_words_match_index_reference(self, n):
-        # Long words compare rows of many periods at once; check the mask
-        # against bits[i] != bits[i % p], also for periods wider than a row.
+        # The codec tiles a pattern over a wide row first; check the tiling
+        # against bits[i % p], also for periods wider than a row.
         rng = np.random.default_rng(n)
         bits = np.tile(rng.integers(0, 2, 24, dtype=np.uint8), n // 24 + 1)[:n]
         bits[24:] ^= (rng.random(n - 24) < 0.01).astype(np.uint8)
         index = np.arange(n)
         for p in (1, 2, 3, 24, 1000, 1023, 1024, 1025, 1100):
-            expected = bits != bits[index % p]
-            assert np.array_equal(_period_mismatch(bits, bits[:p]), expected), p
+            assert np.array_equal(_tiled(bits[:p], n), bits[index % p]), p
         word = BitWord(bits)
         for p_max in (1, 32):
             best = min(
@@ -139,6 +139,31 @@ class TestLengthKernelsBruteForce:
             assert k_periodic(word, p_max).concrete_len == best
             coder = CoderId("periodic", p_max)
             assert decode_word(coder, n, encode_word(coder, word)) == word
+
+    @pytest.mark.parametrize("n", [1, 35, 1023])
+    def test_tiled_short_words(self, n):
+        bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+        for p in (1, n):
+            tiled = _tiled(bits[:p], n)
+            assert np.array_equal(tiled, bits[np.arange(n) % p]), p
+            assert not np.shares_memory(tiled, bits)  # the decoder writes into it
+
+    @pytest.mark.parametrize("p_max", [1, 3, 32])
+    def test_scan_argmin_across_one_period_chunks(self, monkeypatch, p_max):
+        # One period per chunk: the scan must still return the overall
+        # minimum and, on ties, the smallest period.
+        from kadjust import coders
+
+        monkeypatch.setattr(coders, "_CHUNK_BYTES", 1)
+        for n in range(1, 11):
+            rows = [word.tolist() for word in all_words(n)]
+            cost, period = _periodic_scan(np.array(rows, dtype=np.uint8), p_max)
+            for row, c, q in zip(rows, cost.tolist(), period.tolist()):
+                costs = [
+                    _periodic_cost(n, p, sum(row[i] != row[i % p] for i in range(n)))
+                    for p in range(1, min(p_max, n) + 1)
+                ]
+                assert (c, q) == (min(costs), costs.index(min(costs)) + 1), (row, p_max)
 
 
 class TestPairShell:

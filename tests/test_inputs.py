@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kadjust import BitWord
-from kadjust.inputs import InputSource, format_word, parse_word
+from kadjust.inputs import format_word, parse_word
 
 
 class TestParseWord:
@@ -35,9 +35,10 @@ class TestParseWord:
 
     def test_source_validation(self):
         with pytest.raises(ValueError):
-            InputSource(format="base64")
-        with pytest.raises(ValueError):
-            InputSource(max_bits=0)
+            parse_word(b"0101", "base64")
+        for max_bits in (0, -1):
+            with pytest.raises(ValueError, match="max_bits must be >= 1"):
+                parse_word(b"0101", "ascii01", max_bits=max_bits)
 
 
 class TestFormatWord:

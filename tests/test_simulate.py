@@ -123,6 +123,13 @@ class TestSchedules:
     def test_geometric_schedule_short(self):
         assert geometric_schedule(10) == [10]
 
+    @pytest.mark.parametrize(
+        "start, factor", [(16, 1.0), (16, 0.5), (0, 2.0), (-3, 2.0), (16, -2.0)]
+    )
+    def test_geometric_schedule_rejects_non_growing(self, start, factor):
+        with pytest.raises(ValueError):
+            geometric_schedule(100, start, factor)
+
 
 class TestConvergenceTrace:
     def test_rows_internally_consistent(self):

@@ -1,3 +1,4 @@
+import io
 import logging
 import math
 
@@ -21,7 +22,7 @@ from kadjust import (
     mutual_information_emp,
     shell_log_size,
 )
-from kadjust.stats import conditional_code_len, joint_pair_code_len, record, sig6
+from kadjust.stats import conditional_code_len, joint_pair_code_len, record, sig6, write_records
 
 from conftest import all_words
 
@@ -108,6 +109,12 @@ class TestAdjusted:
                 for word, d in zip(words, got.tolist()):
                     want = adjusted(word, coder, lengths).deficiency
                     assert d == (-math.inf if want is None else want)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_no_records_write_nothing(self, fmt):
+        buf = io.StringIO()
+        write_records([], fmt, buf)
+        assert buf.getvalue() == ""
 
     def test_sig6(self):
         assert sig6(None) is None
