@@ -25,7 +25,6 @@ from .coders import (
 )
 from .entropy import (
     binary_entropy,
-    block_shell_log_size,
     conditional_entropy,
     log2_multinomial,
     mutual_information_emp,
@@ -35,7 +34,6 @@ from .entropy import (
 from .shellcode import (
     ShellCodeword,
     ShellId,
-    code_len_shell_ideal,
     decode_shell,
     encode_shell,
     rank,
@@ -44,9 +42,7 @@ from .shellcode import (
 from .simulate import (
     ConvergenceTrace,
     GeneratorSpec,
-    SplitMix64,
     convergence_trace,
-    entropy_rate_estimate,
     generate,
     geometric_schedule,
 )
@@ -69,12 +65,11 @@ from .testing import (
     prefix_scan,
     test_word,
 )
-from .words import BitWord, BlockCounts, PairCounts, SymbolCounts, block_counts
+from .words import BitWord, PairCounts
 
 __all__ = [
     "AdjustedReport",
     "BitWord",
-    "BlockCounts",
     "CODER_NAMES",
     "CodeResult",
     "CoderId",
@@ -86,8 +81,6 @@ __all__ = [
     "PrefixScanResult",
     "ShellCodeword",
     "ShellId",
-    "SplitMix64",
-    "SymbolCounts",
     "TestConfig",
     "TestVerdict",
     "ZeroMutualBaselineError",
@@ -96,9 +89,6 @@ __all__ = [
     "adjusted_deficiencies",
     "adjusted_mutual",
     "binary_entropy",
-    "block_counts",
-    "block_shell_log_size",
-    "code_len_shell_ideal",
     "code_lengths",
     "code_word",
     "concrete_coder_ids",
@@ -109,7 +99,6 @@ __all__ = [
     "decode_word",
     "encode_shell",
     "encode_word",
-    "entropy_rate_estimate",
     "generate",
     "geometric_schedule",
     "k_comb",

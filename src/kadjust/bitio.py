@@ -121,10 +121,6 @@ class BitWriter:
             return np.zeros(0, dtype=np.uint8)
         return np.concatenate(self._chunks)
 
-    def to_bytes(self) -> bytes:
-        """Pack MSB-first, zero-padded to a byte boundary."""
-        return np.packbits(self.getvalue()).tobytes()
-
 
 class BitReader:
     """Reads bits MSB-first from an array produced by BitWriter (or bytes).

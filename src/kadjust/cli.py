@@ -127,7 +127,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and reused after."""
     parser = argparse.ArgumentParser(
         prog="kadjust",
         description="Entropy-adjusted description-length statistics and randomness tests "
@@ -179,15 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main() uses, built on first use and reused after."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(name)s: %(levelname)s: %(message)s")
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.coder = CoderId(args.coder)
         return _COMMANDS[args.command](args, sys.stdout)

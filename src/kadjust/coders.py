@@ -195,11 +195,6 @@ def _run_length_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
     return totals.astype(np.float64), totals, None
 
 
-def run_lengths(word: BitWord) -> list[int]:
-    """Lengths of the maximal constant runs, left to right."""
-    return _runs(word.bits[None])[0].tolist()
-
-
 def _periodic_cost(n: int, p, mismatches):
     """Periodic codeword length: gamma(p), the p pattern bits, gamma(r + 1)
     and r mismatch positions of ceil_log2(n + 1) bits; elementwise."""

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .words import BlockCounts, PairCounts
+from .words import PairCounts
 
 # Above this total the log of a binomial/multinomial is evaluated from the
 # exact prime factorization instead of materializing the integer.
@@ -64,11 +64,6 @@ def shell_log_size(n: int, k: int) -> float:
     return log2_multinomial((k, n - k))
 
 
-def block_shell_log_size(bc: BlockCounts) -> float:
-    """log2 of the exact multinomial counting arrangements of the 2-bit blocks."""
-    return log2_multinomial(bc.as_tuple())
-
-
 def log2_multinomial(counts) -> float:
     """log2 of the exact multinomial coefficient (sum counts)! / prod(counts!)."""
     counts = [int(c) for c in counts]
@@ -105,8 +100,8 @@ def conditional_entropy(pc: PairCounts) -> float:
 def mutual_information_emp(pc: PairCounts) -> float:
     """Empirical mutual information H(X) + H(Y) - H(X,Y) in bits per symbol."""
     n = pc.n
-    hx = binary_entropy(pc.x_counts.p)
-    hy = binary_entropy(pc.y_counts.p)
+    hx = binary_entropy((pc.c10 + pc.c11) / n)
+    hy = binary_entropy((pc.c01 + pc.c11) / n)
     hxy = 0.0
     for c in (pc.c00, pc.c01, pc.c10, pc.c11):
         if c > 0:

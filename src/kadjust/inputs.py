@@ -1,4 +1,4 @@
-"""Reading and writing words in the supported exchange formats.
+"""Reading words in the supported exchange formats.
 
 ascii01   the characters 0 and 1, line breaks allowed and ignored
 raw       every byte expands to 8 bits, most-significant-bit first
@@ -56,15 +56,3 @@ def parse_word(payload: bytes, fmt: str, max_bits: int | None = None) -> BitWord
 
 def read_word(path: str | None, fmt: str = "ascii01", max_bits: int | None = None) -> BitWord:
     return parse_word(_read_payload(path), fmt, max_bits)
-
-
-def format_word(word: BitWord, fmt: str) -> bytes:
-    """Serialize a word: MSB-first byte packing for raw/hex, digits for ascii01."""
-    if fmt == "ascii01":
-        return word.to01().encode("ascii")
-    packed = np.packbits(word.bits).tobytes()
-    if fmt == "raw":
-        return packed
-    if fmt == "hex":
-        return packed.hex().encode("ascii")
-    raise ValueError(f"unknown input format {fmt!r}")

@@ -293,11 +293,6 @@ def ideal_len_shell(n: int, k: int) -> float:
     return shell_log_size(n, k) + math.log2(n + 1)
 
 
-def code_len_shell_ideal(word: BitWord) -> float:
-    """Idealized shell description length of a word."""
-    return ideal_len_shell(word.n, word.weight)
-
-
 @lru_cache(maxsize=4096)
 def _index_width(n: int, k: int) -> int:
     return ceil_log2_comb(n, k)

@@ -2,19 +2,20 @@
 
 All randomness flows through SplitMix64 with the fixed constants below, so
 output is bit-identical across runs and platforms for a given seed.  The
-generator is counter-based (output i is mix64(seed + i*GAMMA)), which lets
-the vectorized paths reproduce the sequential stream exactly.
+generator is counter-based (output i is the finalizer applied to
+seed + i*GAMMA), so splitmix_outputs computes any prefix of the stream at
+once, without stepping through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .coders import CoderId, code_word
+from .coders import CoderId
 from .stats import adjusted
 from .words import BitWord
 
@@ -22,29 +23,6 @@ GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
-
-
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
-class SplitMix64:
-    """Sequential SplitMix64 stream; reference for the vectorized paths."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + GAMMA) & _MASK
-        return mix64(self._state)
-
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
 
 
 def splitmix_outputs(seed: int | np.ndarray, count: int) -> np.ndarray:
@@ -63,11 +41,6 @@ def splitmix_outputs(seed: int | np.ndarray, count: int) -> np.ndarray:
 def uniform_floats(seed: int | np.ndarray, count: int) -> np.ndarray:
     """Uniforms in [0, 1) from splitmix_outputs, one row per seed of an array."""
     return (splitmix_outputs(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def derive_seed(seed: int, index: int) -> int:
-    """Independent child seed for stream `index`; mirrors splitmix_outputs."""
-    return mix64((seed + (index + 1) * GAMMA) & _MASK)
 
 
 GENERATOR_KINDS = ("bernoulli", "mixture", "block")
@@ -93,7 +66,11 @@ class GeneratorSpec:
         if self.kind == "bernoulli":
             if self.p is None or not 0.0 < self.p < 1.0:
                 raise ValueError("bernoulli requires p in (0,1)")
+            if self.components is not None:
+                raise ValueError("bernoulli takes p, not components")
         elif self.kind == "mixture":
+            if self.p is not None:
+                raise ValueError("mixture takes components, not p")
             comps = self.components
             if not comps:
                 raise ValueError("mixture requires at least one component")
@@ -129,8 +106,8 @@ def generate(spec: GeneratorSpec) -> BitWord:
     if spec.kind == "bernoulli":
         return BitWord(_bernoulli_bits(spec.p, spec.seed, spec.length))
     if spec.kind == "mixture":
-        rng = SplitMix64(spec.seed)
-        u = rng.next_float()
+        # output 1 of the stream picks the component, output 2 seeds its bits
+        u = uniform_floats(spec.seed, 1)[0]
         cum = 0.0
         chosen = spec.components[-1][1]
         for w, p in spec.components:
@@ -138,7 +115,7 @@ def generate(spec: GeneratorSpec) -> BitWord:
             if u < cum:
                 chosen = p
                 break
-        stream_seed = rng.next_u64()
+        stream_seed = int(splitmix_outputs(spec.seed, 2)[1])
         return BitWord(_bernoulli_bits(chosen, stream_seed, spec.length))
     # block: uniform over {00, 01, 11}; block 10 never occurs.
     nblocks = (spec.length + 1) // 2
@@ -204,11 +181,3 @@ def convergence_trace(
         rep = adjusted(word.prefix(m), coder)
         rows.append(TraceRow(m=m, p_hat=rep.w / m, H=rep.H, K_eff=rep.k_eff, R=rep.R, coder=coder))
     return ConvergenceTrace(rows=tuple(rows))
-
-
-def entropy_rate_estimate(spec: GeneratorSpec, coder: CoderId, m: int) -> float:
-    """K_eff(prefix of length m) / m, the effective stand-in for the entropy rate."""
-    if m < 1000:
-        raise ValueError("entropy rate estimation requires m >= 1000")
-    word = generate(replace(spec, length=m))
-    return code_word(coder, word).ideal_len / m

@@ -23,11 +23,10 @@ from .words import BitWord
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Deficiency test parameters: threshold m (bits), coder, penalty flag."""
+    """Deficiency test parameters: threshold m (bits), coder, length kind."""
 
     m: int
     coder: CoderId
-    penalty: bool = True
     lengths: str = "ideal"  # or "concrete"
 
     def __post_init__(self):
@@ -105,9 +104,8 @@ SCAN_FACTOR = 1.25
 def prefix_scan(word: BitWord, cfg: TestConfig) -> PrefixScanResult:
     """Run the deficiency test along growing prefixes of the word.
 
-    With cfg.penalty on, 2*log2(m+1) is subtracted from each prefix
-    deficiency before comparing against cfg.m; the first row at or above
-    the threshold is flagged.
+    2*log2(m+1) is subtracted from each prefix deficiency before comparing
+    against cfg.m; the first row at or above the threshold is flagged.
     """
     if word.n < SCAN_START:
         raise ValueError(f"prefix scan requires at least {SCAN_START} bits")
@@ -118,7 +116,7 @@ def prefix_scan(word: BitWord, cfg: TestConfig) -> PrefixScanResult:
         if d is None:
             rows.append(PrefixScanRow(m_prefix=m_p, deficiency=None, penalized=None))
             continue
-        penalized = d - 2.0 * math.log2(m_p + 1) if cfg.penalty else d
+        penalized = d - 2.0 * math.log2(m_p + 1)
         rows.append(PrefixScanRow(m_prefix=m_p, deficiency=d, penalized=penalized))
         if first_flag is None and penalized >= cfg.m:
             first_flag = len(rows) - 1
@@ -202,10 +200,9 @@ def monte_carlo_fpr(
 ) -> FprResult:
     """Empirical rejection rate under Bernoulli(p) for thresholds m = 1..8.
 
-    Trial i draws its word from the seed derive_seed(seed, i), the i-th
-    output of SplitMix64(seed), so it equals
-    generate(GeneratorSpec.bernoulli(p, derive_seed(seed, i), n)).  The
-    words are drawn in blocks of at most 2^16 uniforms (one word when n is
+    Trial i draws its word from the seed s_i = splitmix_outputs(seed, trials)[i],
+    so it equals generate(GeneratorSpec.bernoulli(p, s_i, n)).  The words
+    are drawn in blocks of at most 2^16 uniforms (one word when n is
     larger) and each block is scored in one adjusted_deficiencies() call
     under cfg's coder and length kind, which gives every word the
     deficiency adjusted() gives it.  Constant words count as

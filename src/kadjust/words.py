@@ -2,8 +2,8 @@
 
 A BitWord is an immutable sequence of 0/1 symbols.  Everything downstream
 (entropy baselines, coders, tests) consumes either a BitWord or one of the
-count summaries defined here: per-symbol counts, aligned-pair counts for a
-pair of words, and disjoint 2-bit block counts of a single word.
+tallies defined here: aligned-pair counts for a pair of words, and the
+disjoint 2-bit block counts of every row of a bit matrix (block_tallies).
 as_bits (and bit_bytes, its form for bitstreams) is the package's one check
 that an array holds only 0/1 values.
 """
@@ -132,32 +132,6 @@ class BitWord:
 
 
 @dataclass(frozen=True)
-class SymbolCounts:
-    """Zero/one tallies of a single word."""
-
-    n0: int
-    n1: int
-
-    def __post_init__(self):
-        if self.n0 < 0 or self.n1 < 0 or self.n0 + self.n1 < 1:
-            raise ValueError("counts must be nonnegative with positive total")
-
-    @classmethod
-    def from_word(cls, word: BitWord) -> "SymbolCounts":
-        w = word.weight
-        return cls(n0=word.n - w, n1=w)
-
-    @property
-    def n(self) -> int:
-        return self.n0 + self.n1
-
-    @property
-    def p(self) -> float:
-        """Empirical fraction of ones."""
-        return self.n1 / (self.n0 + self.n1)
-
-
-@dataclass(frozen=True)
 class PairCounts:
     """Aligned-pair tallies for equal-length words x, y.
 
@@ -185,47 +159,6 @@ class PairCounts:
     @property
     def n(self) -> int:
         return self.c00 + self.c01 + self.c10 + self.c11
-
-    @property
-    def x_counts(self) -> SymbolCounts:
-        return SymbolCounts(n0=self.c00 + self.c01, n1=self.c10 + self.c11)
-
-    @property
-    def y_counts(self) -> SymbolCounts:
-        return SymbolCounts(n0=self.c00 + self.c10, n1=self.c01 + self.c11)
-
-
-@dataclass(frozen=True)
-class BlockCounts:
-    """Disjoint 2-bit block tallies of one word, left-aligned.
-
-    An odd trailing bit is excluded from the block tallies and flagged in
-    `tail`.
-    """
-
-    b00: int
-    b01: int
-    b10: int
-    b11: int
-    tail: int
-
-    def __post_init__(self):
-        if min(self.b00, self.b01, self.b10, self.b11) < 0:
-            raise ValueError("counts must be nonnegative")
-        if self.tail not in (0, 1):
-            raise ValueError("tail must be 0 or 1")
-
-    @property
-    def num_blocks(self) -> int:
-        return self.b00 + self.b01 + self.b10 + self.b11
-
-    @property
-    def n(self) -> int:
-        """Length of the tallied word."""
-        return 2 * self.num_blocks + self.tail
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.b00, self.b01, self.b10, self.b11)
 
 
 def packed_rows(bits: np.ndarray, words: int | None = None) -> np.ndarray:
@@ -263,8 +196,3 @@ def block_tallies(bits: np.ndarray) -> np.ndarray:
     masked[2] &= masked[1]
     first, second, both = np.bitwise_count(masked).sum(axis=2, dtype=np.int64)
     return np.stack([nb - first - second + both, second - both, first - both, both], axis=1)
-
-
-def block_counts(word: BitWord) -> BlockCounts:
-    """Tally disjoint 2-bit blocks of the word, left to right."""
-    return BlockCounts(*block_tallies(word.bits[None])[0].tolist(), tail=word.n % 2)

@@ -39,3 +39,37 @@ def all_words(n: int):
 
 def random_word(rng: np.random.Generator, n: int) -> BitWord:
     return BitWord(rng.integers(0, 2, size=n, dtype=np.uint8))
+
+
+# Sequential SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the reference
+# oracle for the package's vectorized splitmix_outputs / uniform_floats.
+GAMMA = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+
+
+def mix64(z: int) -> int:
+    """SplitMix64 finalizer."""
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """Sequential SplitMix64 stream, one output per call."""
+
+    def __init__(self, seed: int):
+        self._state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + GAMMA) & MASK64
+        return mix64(self._state)
+
+    def next_float(self) -> float:
+        """Uniform in [0, 1) with 53 random bits."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+
+def derive_seed(seed: int, index: int) -> int:
+    """Output index + 1 of SplitMix64(seed): the seed of stream `index`."""
+    return mix64((seed + (index + 1) * GAMMA) & MASK64)

@@ -129,7 +129,7 @@ def test_criterion_6_pathological_block_measure():
         assert binary_entropy(word.weight / m) == pytest.approx(1.0, abs=0.01)
         rep = kj.adjusted(word, CoderId("pair_shell"))
         assert rep.R == pytest.approx(0.5 * math.log2(3), abs=0.01)
-        scan = prefix_scan(word, Config(m=10, coder=CoderId("pair_shell"), penalty=True))
+        scan = prefix_scan(word, Config(m=10, coder=CoderId("pair_shell")))
         assert scan.flagged
         last = scan.rows[-1]
         assert last.penalized / last.m_prefix == pytest.approx(

@@ -50,7 +50,7 @@ class TestBitReader:
         assert reader.read_uint(8) == 255
         writer = BitWriter()
         writer.write_uint(0xABC, 12)
-        reader = BitReader(writer.to_bytes())
+        reader = BitReader(np.packbits(writer.getvalue()).tobytes())
         assert reader.read_uint(12) == 0xABC
         assert reader.read_uint(4) == 0  # the byte padding
 

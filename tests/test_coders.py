@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -30,7 +31,6 @@ from kadjust.coders import (
     _periodic_scan,
     _tiled,
     is_concrete,
-    run_lengths,
 )
 
 from conftest import WORD35_STR, all_words
@@ -116,7 +116,7 @@ class TestLengthKernelsBruteForce:
             for p in range(1, min(p_max, n) + 1)
         )
         assert k_periodic(word, p_max).concrete_len == best
-        runs = run_lengths(word)
+        runs = [len(list(run)) for _, run in itertools.groupby(bits)]
         assert sum(runs) == n
         assert k_run_length(word).concrete_len == 1 + sum(elias_gamma_len(r) for r in runs)
 

@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kadjust import (
-    BlockCounts,
     PairCounts,
     binary_entropy,
-    block_counts,
-    block_shell_log_size,
     conditional_entropy,
     log2_multinomial,
     mutual_information_emp,
@@ -18,6 +15,7 @@ from kadjust import (
 )
 from kadjust import entropy
 from kadjust.entropy import ceil_log2, ceil_log2_comb
+from kadjust.words import block_tallies
 
 from conftest import TABLE1
 
@@ -164,22 +162,22 @@ class TestMutualInformation:
                         pc = PairCounts(c00, c01, c10, n - c00 - c01 - c10)
                         mi = mutual_information_emp(pc)
                         assert mi >= -1e-12
-                        hx = binary_entropy(pc.x_counts.p)
+                        hx = binary_entropy((pc.c10 + pc.c11) / n)
                         assert conditional_entropy(pc) <= hx + 1e-12
 
 
 class TestBlockShellLogSize:
     def test_single_block_type(self):
-        assert block_shell_log_size(BlockCounts(7, 0, 0, 0, tail=0)) == 0.0
+        assert log2_multinomial((7, 0, 0, 0)) == 0.0
 
     def test_small_multinomial(self):
-        assert block_shell_log_size(BlockCounts(1, 1, 0, 1, tail=0)) == pytest.approx(
+        assert log2_multinomial((1, 1, 0, 1)) == pytest.approx(
             math.log2(6), abs=1e-12
         )
 
     def test_three_type_rate(self):
         k = 10_000
-        value = block_shell_log_size(BlockCounts(k, k, 0, k, tail=0))
+        value = log2_multinomial((k, k, 0, k))
         assert value / (6 * k) == pytest.approx(0.5 * math.log2(3), abs=0.01)
 
     def test_multinomial_matches_exact(self):
@@ -205,7 +203,7 @@ class TestBlockShellLogSize:
         from kadjust import GeneratorSpec, generate
 
         word = generate(GeneratorSpec.block(seed=11, length=100_000))
-        assert block_counts(word).b10 == 0
+        assert block_tallies(word.bits[None])[0, 2] == 0
 
 
 # ---------------------------------------------------------------------------

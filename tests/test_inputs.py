@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from kadjust import BitWord
-from kadjust.inputs import format_word, parse_word
+from kadjust.inputs import parse_word
 
 
 class TestParseWord:
@@ -42,18 +43,23 @@ class TestParseWord:
 
 
 class TestFormatWord:
+    """Each format read back from a word serialized by hand: digits for
+    ascii01, MSB-first bytes for raw and hex."""
+
     def test_ascii01(self):
-        assert format_word(BitWord.from01("0101"), "ascii01") == b"0101"
+        assert parse_word(b"0101", "ascii01").to01() == "0101"
 
     def test_raw_pads_to_byte(self):
-        assert format_word(BitWord.from01("1"), "raw") == b"\x80"
+        assert parse_word(b"\x80", "raw") == BitWord.from01("10000000")
+        assert parse_word(b"\x80", "raw", max_bits=1) == BitWord.from01("1")
 
     def test_hex(self):
-        assert format_word(BitWord.from01("10000000"), "hex") == b"80"
+        assert parse_word(b"80", "hex") == BitWord.from01("10000000")
 
     @given(st.lists(st.integers(0, 1), min_size=8, max_size=128).filter(lambda b: len(b) % 8 == 0))
     def test_ascii_raw_ascii_round_trip(self, bits):
         word = BitWord(bits)
-        raw = format_word(word, "raw")
-        back = parse_word(format_word(parse_word(raw, "raw"), "ascii01"), "ascii01")
+        raw = np.packbits(word.bits).tobytes()
+        back = parse_word(parse_word(raw, "raw").to01().encode("ascii"), "ascii01")
         assert back == word
+        assert parse_word(raw.hex().encode("ascii"), "hex") == word

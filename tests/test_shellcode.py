@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from kadjust import (
     BitWord,
     ShellId,
-    code_len_shell_ideal,
     decode_shell,
     encode_shell,
     rank,
@@ -18,7 +17,7 @@ from kadjust import (
     unrank,
 )
 from kadjust.bitio import BitReader, DecodeError, elias_gamma_len
-from kadjust.shellcode import concrete_len_shell
+from kadjust.shellcode import concrete_len_shell, ideal_len_shell
 
 from conftest import WORD35_STR, all_words
 
@@ -77,17 +76,17 @@ class TestRankUnrank:
 
 class TestIdealLength:
     def test_zero_weight_shell(self):
-        word = BitWord([0] * 35)
-        assert code_len_shell_ideal(word) == pytest.approx(math.log2(36), abs=1e-9)
+        assert ideal_len_shell(35, 0) == pytest.approx(math.log2(36), abs=1e-9)
 
     def test_running_example(self):
-        got = code_len_shell_ideal(BitWord.from01(WORD35_STR))
+        word = BitWord.from01(WORD35_STR)
+        got = ideal_len_shell(word.n, word.weight)
         assert got == pytest.approx(26.073 + 5.170, abs=0.01)
 
     def test_balanced_thousand(self):
         word = BitWord([0, 1] * 500)
         oracle = math.log2(math.comb(1000, 500)) + math.log2(1001)
-        got = code_len_shell_ideal(word)
+        got = ideal_len_shell(word.n, word.weight)
         assert got == pytest.approx(oracle, abs=1e-9)
         assert got == pytest.approx(1004.6, abs=0.5)
 

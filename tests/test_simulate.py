@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -7,15 +8,16 @@ import pytest
 from kadjust import (
     CoderId,
     GeneratorSpec,
-    SplitMix64,
-    block_counts,
+    code_word,
     convergence_trace,
-    entropy_rate_estimate,
     generate,
     geometric_schedule,
 )
-from kadjust.simulate import derive_seed, splitmix_outputs, uniform_floats
+from kadjust.simulate import splitmix_outputs, uniform_floats
 from kadjust.stats import write_records
+from kadjust.words import block_tallies
+
+from conftest import SplitMix64, derive_seed
 
 
 class TestSplitMix64:
@@ -62,6 +64,10 @@ class TestGeneratorSpec:
             GeneratorSpec(kind="block", seed=1, length=10, p=0.5)
         with pytest.raises(ValueError):
             GeneratorSpec(kind="weird", seed=1, length=10)
+        with pytest.raises(ValueError):
+            GeneratorSpec(kind="bernoulli", seed=1, length=10, p=0.5, components=((1.0, 0.5),))
+        with pytest.raises(ValueError):
+            GeneratorSpec(kind="mixture", seed=1, length=10, p=0.5, components=((1.0, 0.5),))
 
     def test_seed_is_masked_to_64_bits(self):
         a = GeneratorSpec.bernoulli(0.5, 2**64 + 5, 16)
@@ -91,7 +97,7 @@ class TestGenerate:
         for seed in (0, 1, 7):
             for length in (1, 2, 31, 100, 4097):
                 w = generate(GeneratorSpec.block(seed, length))
-                assert block_counts(w).b10 == 0
+                assert block_tallies(w.bits[None])[0, 2] == 0
                 pairs = w.bits[: 2 * (length // 2)].reshape(-1, 2)
                 assert not np.any((pairs[:, 0] == 1) & (pairs[:, 1] == 0))
 
@@ -106,6 +112,19 @@ class TestGenerate:
         rng.next_float()  # component draw
         stream_seed = rng.next_u64()
         assert generate(spec) == generate(GeneratorSpec.bernoulli(0.25, stream_seed, 2048))
+        # Three components: the oracle's first float picks the component by
+        # cumulative weight, its second output seeds the component's stream.
+        components = [(0.2, 0.1), (0.5, 0.5), (0.3, 0.8)]
+        cums = list(itertools.accumulate(w for w, _ in components))
+        picked = set()
+        for seed in [0, 2**63, 2**64 - 1] + list(range(1000, 1097)):
+            rng = SplitMix64(seed)
+            u = rng.next_float()
+            p = next((p for (_, p), cum in zip(components, cums) if u < cum), components[-1][1])
+            picked.add(p)
+            expected = generate(GeneratorSpec.bernoulli(p, rng.next_u64(), 256))
+            assert generate(GeneratorSpec.mixture(components, seed, 256)) == expected
+        assert picked == {0.1, 0.5, 0.8}
 
     def test_mixture_component_selection(self):
         # Heavily weighted component dominates the frequency.
@@ -181,18 +200,20 @@ class TestConvergenceTrace:
 
 
 class TestEntropyRate:
+    """K_eff / m on a prefix of m = 10^5 bits approaches the entropy rate."""
+
+    @staticmethod
+    def rate(spec: GeneratorSpec, coder: str) -> float:
+        return code_word(CoderId(coder), generate(spec)).ideal_len / spec.length
+
     def test_sparse_bernoulli_rate(self):
-        rate = entropy_rate_estimate(GeneratorSpec.bernoulli(0.1, 31, 10), CoderId("shell"), 100_000)
+        rate = self.rate(GeneratorSpec.bernoulli(0.1, 31, 100_000), "shell")
         assert rate == pytest.approx(0.469, abs=0.01)
 
     def test_balanced_bernoulli_rate(self):
-        rate = entropy_rate_estimate(GeneratorSpec.bernoulli(0.5, 32, 10), CoderId("shell"), 100_000)
+        rate = self.rate(GeneratorSpec.bernoulli(0.5, 32, 100_000), "shell")
         assert rate == pytest.approx(1.0, abs=0.01)
 
     def test_block_rate_under_pair_shell(self):
-        rate = entropy_rate_estimate(GeneratorSpec.block(33, 10), CoderId("pair_shell"), 100_000)
+        rate = self.rate(GeneratorSpec.block(33, 100_000), "pair_shell")
         assert rate == pytest.approx(0.5 * math.log2(3), abs=0.01)
-
-    def test_minimum_length(self):
-        with pytest.raises(ValueError):
-            entropy_rate_estimate(GeneratorSpec.bernoulli(0.5, 1, 10), CoderId("shell"), 999)

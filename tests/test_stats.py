@@ -17,11 +17,11 @@ from kadjust import (
     adjusted_deficiencies,
     adjusted_mutual,
     binary_entropy,
-    code_len_shell_ideal,
     generate,
     mutual_information_emp,
     shell_log_size,
 )
+from kadjust.shellcode import ideal_len_shell
 from kadjust.stats import conditional_code_len, joint_pair_code_len, record, sig6, write_records
 
 from conftest import all_words
@@ -48,7 +48,7 @@ class TestAdjusted:
     def test_running_example_shell(self, word35):
         rep = adjusted(word35, CoderId("shell"))
         assert rep.R == pytest.approx(1.085, abs=0.02)
-        assert rep.k_eff == pytest.approx(code_len_shell_ideal(word35), abs=1e-12)
+        assert rep.k_eff == pytest.approx(ideal_len_shell(word35.n, word35.weight), abs=1e-12)
 
     def test_alternating_model_class(self):
         rep = adjusted(BitWord([0, 1] * 500), CoderId("model_class"))
@@ -58,7 +58,7 @@ class TestAdjusted:
         word = BitWord([0] * 12)
         rep = adjusted(word, CoderId("shell"))
         assert (rep.H, rep.baseline, rep.KA, rep.R, rep.deficiency) == (0.0, 0.0, None, None, None)
-        assert rep.k_eff == code_len_shell_ideal(word)
+        assert rep.k_eff == ideal_len_shell(word.n, word.weight)
         assert adjusted(word, CoderId("shell"), lengths="concrete").k_eff == 1.0
 
     def test_concrete_lengths_selectable(self, word35):

@@ -22,11 +22,11 @@ from kadjust import (
 from kadjust import TestConfig as Config
 from kadjust import testing
 from kadjust import test_word as run_test
-from kadjust.simulate import derive_seed, geometric_schedule
+from kadjust.simulate import geometric_schedule
 from kadjust.stats import record, write_records
 from kadjust.testing import SCAN_FACTOR, SCAN_START
 
-from conftest import all_words
+from conftest import all_words, derive_seed
 
 nonconstant_words = (
     st.lists(st.integers(0, 1), min_size=2, max_size=80)
@@ -92,7 +92,7 @@ class TestPrefixScan:
 
     def test_block_source_flagged_with_expected_slope(self):
         word = generate(GeneratorSpec.block(17, 100_000))
-        cfg = Config(m=10, coder=CoderId("pair_shell"), penalty=True)
+        cfg = Config(m=10, coder=CoderId("pair_shell"))
         res = prefix_scan(word, cfg)
         assert res.flagged
         assert res.flagged_length < 10_000
@@ -100,7 +100,7 @@ class TestPrefixScan:
         assert last.penalized / last.m_prefix == pytest.approx(1 - 0.5 * math.log2(3), abs=0.01)
 
     def test_balanced_bernoulli_never_flagged(self):
-        cfg = Config(m=10, coder=CoderId("shell"), penalty=True)
+        cfg = Config(m=10, coder=CoderId("shell"))
         for s in range(50):
             word = generate(GeneratorSpec.bernoulli(0.5, 2000 + s, 100_000))
             assert not prefix_scan(word, cfg).flagged
@@ -113,12 +113,11 @@ class TestPrefixScan:
         assert res.rows[-1].deficiency is not None
 
     def test_penalty_subtracts_log_term(self, word35):
-        on = prefix_scan(word35, Config(m=5, coder=CoderId("shell"), penalty=True))
-        off = prefix_scan(word35, Config(m=5, coder=CoderId("shell"), penalty=False))
-        for a, b in zip(on.rows, off.rows):
-            if a.deficiency is not None:
-                assert a.penalized == pytest.approx(
-                    b.penalized - 2 * math.log2(a.m_prefix + 1), abs=1e-9
+        res = prefix_scan(word35, Config(m=5, coder=CoderId("shell")))
+        for row in res.rows:
+            if row.deficiency is not None:
+                assert row.penalized == pytest.approx(
+                    row.deficiency - 2 * math.log2(row.m_prefix + 1), abs=1e-9
                 )
 
     def test_short_word_rejected(self):
