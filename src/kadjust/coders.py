@@ -35,9 +35,10 @@ each period P one gather builds P's pattern tiled over a block of at
 least _WIDE_ROW bits (a multiple of lcm(P, 64), or the whole row), packed
 alike; the row, cut into rows of blocks, is xored with the block and
 np.bitwise_count counts the mismatches, the padding of the row's last
-word masked out.  Each chunk's temporaries (rows x n; rows x periods x n
-for the gather; the xored words and the blocks for the packed scan) stay
-within _CHUNK_BYTES.  The periodic encoder and decoder tile a pattern over
+word masked out; the gathers' indexes depend on the periods and block
+widths only, and are built once (_tiling_index).  Each chunk's
+temporaries (rows x n; rows x periods x n for the gather; the xored
+words and the blocks for the packed scan) stay within _CHUNK_BYTES.  The periodic encoder and decoder tile a pattern over
 _WIDE_ROW bits too, then that row over the word (_tiled).
 
 Tie-breaks are deterministic: smallest period for periodic, listed order
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -234,13 +236,25 @@ def _period_blocks(bits: np.ndarray, periods: np.ndarray, block_words: np.ndarra
     tiled over block_words[i] words for the i-th period p, packed as the
     row is packed.  The tiling repeats every lcm(p, 8) bits, a whole number
     of bytes, so one gather builds those bits and the bytes are repeated."""
-    m = bits.shape[0]
-    unit = np.lcm(periods, 8) // 8  # bytes
-    tiled = np.take(bits, np.arange(8 * unit.max()) % periods[:, None], axis=1)
-    units = np.packbits(tiled, axis=2).reshape(m, -1)
-    index = np.arange(8 * block_words.max()) % unit[:, None]
-    index += units.shape[1] // len(periods) * np.arange(len(periods))[:, None]
+    columns, index = _tiling_index(tuple(periods.tolist()), tuple(block_words.tolist()))
+    units = np.packbits(np.take(bits, columns, axis=1), axis=2).reshape(bits.shape[0], -1)
     return np.take(units, index, axis=1).view(np.uint64)
+
+
+@lru_cache(maxsize=32)
+def _tiling_index(periods: tuple[int, ...], block_words: tuple[int, ...]):
+    """The two gathers of _period_blocks, which depend on the periods and
+    block widths only: (periods, 8 x max unit) columns of the row, each
+    period's first p bits tiled over its unit of lcm(p, 8) bits, and
+    (periods, 8 x max(block_words)) bytes of the packed units, each
+    period's unit repeated over its block.  Read-only, as they are shared."""
+    periods = np.array(periods)[:, None]
+    unit = np.lcm(periods, 8) // 8  # bytes
+    width = int(unit.max())
+    columns = np.arange(8 * width) % periods
+    index = np.arange(8 * max(block_words)) % unit + width * np.arange(len(periods))[:, None]
+    columns.flags.writeable = index.flags.writeable = False
+    return columns, index
 
 
 def _packed_mismatch_counts(
@@ -318,13 +332,19 @@ def _pair_shell_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
 _NO_CODE = np.iinfo(np.int64).max
 
 
-def _member_lengths(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _member_lengths(
+    bits: np.ndarray, concrete_only: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, members) ideal and concrete lengths of every model_class
-    member, and each row's best period under the periodic member; a member
-    without a concrete code has concrete length _NO_CODE."""
-    ideal = np.empty((bits.shape[0], len(_MEMBER_IDS)))
+    member, or of the members with a concrete code only, and each row's
+    best period under the periodic member; a member without a concrete
+    code has concrete length _NO_CODE, and ideal length inf when it is
+    left out."""
+    ideal = np.full((bits.shape[0], len(_MEMBER_IDS)), np.inf)
     concrete = np.full(ideal.shape, _NO_CODE, dtype=np.int64)
     for j, member in enumerate(_MEMBER_IDS):
+        if concrete_only and not is_concrete(member):
+            continue
         if member.name == "periodic":  # the scan's period saves the encoder a second scan
             concrete[:, j], period = _periodic_scan(bits, member.p_max)
             ideal[:, j] = concrete[:, j]
@@ -467,7 +487,7 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
 
 
 def _encode_model_class(word: BitWord, coder: CoderId) -> np.ndarray:
-    _, concrete, period = _member_lengths(word.bits[None])
+    _, concrete, period = _member_lengths(word.bits[None], concrete_only=True)
     best = int(np.argmin(concrete[0]))  # the first shortest concrete member
     member = _MEMBER_IDS[best]
     out = BitWriter()

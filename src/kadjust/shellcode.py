@@ -13,25 +13,22 @@ by the statistics charges log2(C(n,k)) for the index plus log2(n+1) real
 bits for the weight header.
 
 The rank is the sum of C(m, r) over the ones of the word, where m positions
-follow the one and r ones remain, itself included.  With w the index width
-and M(w) the cost of one w-bit product:
+follow the one and r ones remain, itself included; unrank reads the word
+back bit by bit, a 1 when the index left is at least C(m, r).  Both start
+from C(n-1, k) = C(n, k) (n-k) / n and update C(m, r) by one exact step
+per bit: a multiply and a divide by a small integer, so a word of index
+width w costs O(n w).  While C(m, r) is wide both walk the word in blocks
+instead, and update the exact pair once per block (_exact_step): for a
+block of b bits, one divide of C(m, r) by the block's product of m's, of
+about b log2(n) bits, and two products of that size replace b divides of
+w bits.  Still O(n w), at a fraction of the per-bit cost.
 
-  rank    Indices below _TREE_FROM bits: one exact update of C(m, r) per
-          bit, a multiply and a divide by a small integer, O(n w).  Wider
-          ones: binary splitting (Haible & Papanikolaou, ANTS 1998) of the
-          same sum read backwards from the last zero, where each term is
-          the previous one times a ratio of integers up to n+1.  A product
-          tree over the ratios' odd parts, reduced mod 2^w, and one Newton
-          inverse of the odd denominator give the rank in O(M(w) log n)
-          for the top of the tree plus O(n) small products below it.
-  unrank  Bit by bit, a 1 when the index left is at least C(m, r).  While
-          C(m, r) has more than _BLOCK_FROM bits, a block of up to
+  rank    While C(m, r) has more than _RANK_FROM bits, blocks of
+          width / 16 bits, at most _BLOCK_MAX, of the known bits.
+  unrank  While C(m, r) has more than _BLOCK_FROM bits, a block of up to
           _BLOCK_MAX bits is decided from bounds on the leading
-          _BLOCK_PREC bits of both, and the exact pair is updated once per
-          block: one divide of C(m, r) by the block's product of m's, which
-          replaces a divide per bit.  A comparison the bounds cannot settle
-          is taken as one exact step.  Still O(n w), at a fraction of the
-          per-bit cost; narrower shells take only the exact step.
+          _BLOCK_PREC bits of the index and of C(m, r).  A comparison the
+          bounds cannot settle is taken as one exact step.
 """
 
 from __future__ import annotations
@@ -90,17 +87,28 @@ class ShellCodeword:
 def rank(word: BitWord) -> int:
     """0-based lexicographic position of the word within its shell."""
     n, k = word.n, word.weight
-    if n >= _TREE_FROM:  # the index width is at most n
-        width = _index_width(n, k)
-        if width >= _TREE_FROM:
-            return _rank_tree(word.bits, width)
-    r = k
-    c = math.comb(n - 1, k)
-    idx = 0
-    m = n - 1  # positions after the current one, r ones from it on; c == C(m, r)
     bits = word.tolist()
     bits.pop()  # the last position adds C(0, 1) = 0 when it holds a 1
-    for bit in bits:
+    r = k
+    m = n - 1  # positions after the current one, r ones from it on; c == C(m, r)
+    c = shell_size(n, k) * (n - k) // n
+    idx = 0
+    i = 0  # the next position
+    while (width := c.bit_length()) > _RANK_FROM:
+        top, num, acc = m, 1, 0
+        for bit in bits[i : i + min(width >> 4, _BLOCK_MAX)]:
+            if bit:
+                acc = (acc + num) * m
+                num *= r
+                r -= 1
+            else:
+                acc *= m
+                num *= m - r
+            m -= 1
+        i += top - m
+        step, c = _exact_step(c, num, acc, math.perm(top, top - m))
+        idx += step
+    for bit in bits[i:]:
         if bit:
             idx += c
             c = c * r // m
@@ -111,93 +119,24 @@ def rank(word: BitWord) -> int:
     return idx
 
 
-# Words whose index has _TREE_FROM bits or more are ranked through the
-# product tree; below that its set-up costs more than the per-bit loop.
-_TREE_FROM = 3072
+# rank walks blocks of width / 16 bits, at most _BLOCK_MAX, while C(m, r)
+# has more than _RANK_FROM bits, and then one exact update per bit.  In a
+# sweep over words of 2^12 to 2^15 bits, blocks of width / 8 or width / 32,
+# caps of 128 or 512 bits and thresholds of 768 to 2048 bits were no faster.
+_RANK_FROM = 1024
 
 
-def _trailing_zeros(v: np.ndarray) -> np.ndarray:
-    """Exponent of 2 in each positive int64."""
-    return np.bitwise_count((v & -v) - 1).astype(np.int64)
-
-
-def _inverse_mod_pow2(q: int, w: int) -> int:
-    """The inverse of an odd q modulo 2^w, by Newton's iteration
-    x <- x (2 - q x), which doubles the correct low bits each step."""
-    x, bits = q, 3  # q * q == 1 mod 8 for odd q
-    while bits < w:
-        bits = min(2 * bits, w)
-        mask = (1 << bits) - 1
-        x = x * (2 - (q & mask) * x) & mask
-    return x & ((1 << w) - 1)
-
-
-def _rank_tree(bits: np.ndarray, w: int) -> int:
-    """rank of a word of w-bit index width by binary splitting mod 2^w.
-
-    Read from its last zero towards its start, the word's rank terms form
-    the chain h = C(Z+R, Z-1) over the Z zeros and R ones after a position:
-    h is 1 before the last zero, each 1 read multiplies it by (Z+R+1)/(R+2)
-    and each 0 by (Z+R+1)/Z, and every position holding a 1 adds h.  The
-    powers of two of those ratios add up to the exponent E of each term; the
-    odd parts go into a product tree of (P, Q, T), T/Q being the sum of a
-    range's terms over 2^E and P/Q the range's ratio, all reduced mod 2^w.
-    The rank is below 2^w, so it is the root's T times the inverse of its Q.
-    """
-    n = bits.size
-    last_zero = n - 1 - int(np.argmin(bits[::-1]))
-    if last_zero <= 0 or bits[last_zero]:
-        return 0  # no 1 before a 0
-    # term s is the position last_zero - 1 - s; R and Z count after it
-    b = bits[last_zero - 1 :: -1].astype(np.int64)
-    ones = np.cumsum(b)
-    ones -= b  # R - (n - 1 - last_zero)
-    p = np.arange(n - last_zero + 1, n + 1, dtype=np.int64)  # Z + R + 1
-    q = np.where(b == 1, ones + (n + 1 - last_zero), p - (n - last_zero) - ones)
-    del ones
-    p_twos, q_twos = _trailing_zeros(p), _trailing_zeros(q)
-    p >>= p_twos
-    q >>= q_twos
-    e = np.cumsum(p_twos - q_twos)
-    del p_twos, q_twos
-    t = b * q
-    t[1:] <<= e[:-1]
-    del b, e
-    mask = (1 << w) - 1
-    # A chunk of leaves at a time becomes Python integers, which bounds the
-    # memory they take.
-    chunks = [
-        _reduce_tree(*_first_level(p[i : i + _TREE_CHUNK], q[i : i + _TREE_CHUNK],
-                                   t[i : i + _TREE_CHUNK], n), mask)
-        for i in range(0, p.size, _TREE_CHUNK)
-    ]
-    _, q, t = _reduce_tree(*(np.array(column, dtype=object) for column in zip(*chunks)), mask)
-    return t * _inverse_mod_pow2(q, w) & mask
-
-
-_TREE_CHUNK = 4096
-
-
-def _first_level(p: np.ndarray, q: np.ndarray, t: np.ndarray, n: int):
-    """The leaves' (P, Q, T) as object arrays of Python integers, pairs
-    combined in int64 while the products stay below 2^63."""
-    if p.size & 1:
-        p, q, t = np.append(p, 1), np.append(q, 1), np.append(t, 0)
-    if n < 1 << 20:  # p, q <= n + 1 and t < n^2, so the new T is below 2^61
-        p, q, t = p[0::2] * p[1::2], q[0::2] * q[1::2], t[0::2] * q[1::2] + p[0::2] * t[1::2]
-    return p.astype(object), q.astype(object), t.astype(object)
-
-
-def _reduce_tree(p: np.ndarray, q: np.ndarray, t: np.ndarray, mask: int) -> tuple[int, int, int]:
-    """Combine adjacent (P, Q, T) nodes level by level into one, mod mask + 1:
-    P and Q multiply, and T = T_left Q_right + P_left T_right."""
-    while p.size > 1:
-        if p.size & 1:
-            p, q, t = np.append(p, 1), np.append(q, 1), np.append(t, 0)
-        t = (t[0::2] * q[1::2] + p[0::2] * t[1::2]) & mask
-        p = p[0::2] * p[1::2] & mask
-        q = q[0::2] * q[1::2] & mask
-    return int(p[0]), int(q[0]), int(t[0])
+def _exact_step(c: int, num: int, acc: int, den: int) -> tuple[int, int]:
+    """(c * acc / den, c * num / den), both exact, for a block of rank or
+    unrank that starts at c = C(m, r): num / den is the ratio of the
+    block's last C(m, r) to its first, and c * acc / den the sum of the
+    C(m, r) at its ones.  One divide of c by den serves both, and it is
+    exact: once num, den and acc are divided by their gcd, each prime power
+    of den divides c, since it divides c * num and c * acc while its prime
+    misses num or acc."""
+    g = math.gcd(num, den, acc)
+    quot = c // (den // g)
+    return quot * (acc // g), quot * (num // g)
 
 
 def unrank(shell: ShellId, index: int) -> BitWord:
@@ -278,13 +217,8 @@ def _unrank_block(index: int, c: int, m: int, r: int, put) -> tuple[int, int, in
             lo = lo * r // m
             r -= 1
         m -= 1
-    den = math.perm(top - 1, top - 1 - m)  # the m's of the block
-    g = math.gcd(num, den, acc)
-    num, den, acc = num // g, den // g, acc // g
-    quot, rem = divmod(c, den)
-    index -= quot * acc + rem * acc // den
-    c = quot * num + rem * num // den
-    return index, c, m, r
+    step, c = _exact_step(c, num, acc, math.perm(top - 1, top - 1 - m))  # the m's of the block
+    return index - step, c, m, r
 
 
 def ideal_len_shell(n: int, k: int) -> float:

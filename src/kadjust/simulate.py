@@ -147,14 +147,23 @@ class ConvergenceTrace:
         return self.rows[-1]
 
 
+# geometric_schedule multiplies once per step, so a factor just above 1
+# would run for about ln(length / start) / (factor - 1) steps.
+_MAX_SCHEDULE_STEPS = 10**6
+
+
 def geometric_schedule(length: int, start: int = 16, factor: float = 2.0) -> list[int]:
     """Strictly increasing prefix lengths from `start`, ending exactly at `length`."""
     if length < 1:
         raise ValueError("length must be >= 1")
     if start < 1 or factor <= 1:
         raise ValueError("start must be >= 1 and factor > 1")
-    points: list[int] = []
     m = float(min(start, length))
+    if math.log(length / m) > _MAX_SCHEDULE_STEPS * math.log(factor):
+        raise ValueError(
+            f"factor {factor} needs more than {_MAX_SCHEDULE_STEPS} steps to reach {length}"
+        )
+    points: list[int] = []
     while True:
         v = min(int(math.ceil(m)), length)
         if not points or v > points[-1]:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kadjust import BitWord, ShellId, concrete_coder_ids, decode_word, encode_word, rank, unrank
+from kadjust.shellcode import _BLOCK_FROM, _BLOCK_MAX, _RANK_FROM
 
 # sha256 over the codewords of test_long_codeword_bits_pinned; change it only
 # with an intended change of bitstream.
@@ -116,3 +117,86 @@ def test_long_codeword_bits_pinned():
             digest.update(np.packbits(bits).tobytes())
             digest.update(f":{bits.size};".encode())
     assert digest.hexdigest() == LONG_CODEWORD_DIGEST
+
+
+# Words for the block walks of rank and unrank, kept out of LONG_WORDS,
+# whose codewords the digest above pins.
+
+
+def _at_width(width: int, n0: int = 512) -> tuple[int, int]:
+    """The shortest balanced shell (n, n // 2), n >= n0, whose C(n-1, k)
+    has the given number of bits."""
+    n = n0
+    while math.comb(n - 1, n // 2).bit_length() < width:
+        n += 1
+    assert math.comb(n - 1, n // 2).bit_length() == width
+    return n, n // 2
+
+
+def _block_walk_end(word: BitWord) -> int:
+    """The position where rank's block walk hands over to its per-bit loop,
+    by the rank's rule: blocks of width // 16 bits, at most _BLOCK_MAX,
+    while C(m, r) has more than _RANK_FROM bits."""
+    n, r = word.n, word.weight
+    bits = word.tolist()
+    m = n - 1
+    c = math.comb(m, r)
+    i = 0
+    while c.bit_length() > _RANK_FROM:
+        stop = min(i + min(c.bit_length() >> 4, _BLOCK_MAX), n - 1)
+        for bit in bits[i:stop]:
+            if bit:
+                c = c * r // m
+                r -= 1
+            else:
+                c = c * (m - r) // m
+            m -= 1
+        i = stop
+    return i
+
+
+def _block_walk_words() -> dict[str, BitWord]:
+    words = {}
+    for threshold in (_RANK_FROM, _BLOCK_FROM):
+        for width in (threshold, threshold + 1):
+            n, k = _at_width(width)
+            rng = np.random.default_rng([n, k])
+            bits = np.zeros(n, dtype=np.uint8)
+            bits[rng.choice(n, k, replace=False)] = 1
+            words[f"C(n-1,k) of {width} bits"] = BitWord(bits)
+    for last in (0, 1):  # the last bit of the block walk
+        for seed in range(100):
+            word = BitWord((np.random.default_rng([4096, seed]).random(4096) < 0.5).astype(np.uint8))
+            if word[_block_walk_end(word) - 1] == last:
+                words[f"block walk ends on {last}"] = word
+                break
+    for n in (3072, 1 << 14):
+        for pos in (0, n // 2 + 1, n - 1):
+            words[f"k=1 at {pos}/{n}"] = _ones_at(n, [pos])
+            words[f"k=n-1 at {pos}/{n}"] = BitWord(1 - _ones_at(n, [pos]).bits)
+    return words
+
+
+BLOCK_WALK_WORDS = _block_walk_words()
+
+
+def test_block_walk_words_cover_both_endings():
+    assert {"block walk ends on 0", "block walk ends on 1"} <= set(BLOCK_WALK_WORDS)
+
+
+@pytest.mark.parametrize("label", list(BLOCK_WALK_WORDS))
+def test_block_walks_match_reference(label):
+    word = BLOCK_WALK_WORDS[label]
+    index = rank_reference(word)
+    assert rank(word) == index
+    assert unrank(ShellId(word.n, word.weight), index) == word
+
+
+@pytest.mark.parametrize("n", [1 << 12, 1 << 13])
+@pytest.mark.parametrize("share", [2, 10])
+def test_rank_inverts_unrank_at_the_ends(n, share):
+    shell = ShellId(n, n // share)
+    for index in (0, 1, shell.size - 1):
+        word = unrank(shell, index)
+        assert word == unrank_reference(n, shell.k, index)
+        assert rank(word) == index

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -148,6 +149,29 @@ class TestSchedules:
     def test_geometric_schedule_rejects_non_growing(self, start, factor):
         with pytest.raises(ValueError):
             geometric_schedule(100, start, factor)
+
+    def test_geometric_schedule_rejects_a_factor_too_close_to_one(self):
+        with pytest.raises(ValueError, match="steps"):
+            geometric_schedule(100, 16, 1 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "factor, expected",
+        [
+            (1.25, [16, 20, 25, 32, 40, 49, 62, 77, 96, 120, 150, 187, 233, 292, 364, 455,
+                    569, 711, 889, 1111, 1388, 1735, 2169, 2711, 3389, 4236, 5000]),
+            (1.5, [16, 24, 36, 54, 81, 122, 183, 274, 411, 616, 923, 1384, 2076, 3114, 4671, 5000]),
+            (2, [16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 5000]),
+            (3, [16, 48, 144, 432, 1296, 3888, 5000]),
+        ],
+    )
+    def test_geometric_schedule_points_pinned(self, factor, expected):
+        assert geometric_schedule(5000, 16, factor) == expected
+
+    def test_geometric_schedule_slow_factor_pinned(self):
+        sched = geometric_schedule(5000, 16, 1.001)
+        assert len(sched) == 2596 and sched[:3] == [16, 17, 18] and sched[-3:] == [4993, 4998, 5000]
+        digest = hashlib.sha256(repr(sched).encode()).hexdigest()
+        assert digest == "8dea3774e9ac3ddd19b8f98d9ce8fa6ede71db36213c69f4b1d2b7312782421e"
 
 
 class TestConvergenceTrace:
