@@ -18,13 +18,13 @@ k_* functions are its one-row case.
                of every maximal run                    with a row-end sentinel; gamma
                                                        lengths summed per row by bincount
   periodic     best period P <= p_max: pattern plus    mismatch counts per chunk of periods,
-               coded mismatch positions                from one gather bits[:, arange(n) % P]
-                                                       (short rows) or the popcount of the
-                                                       packed row xor each period's packed
-                                                       block (long rows); one argmin over
-                                                       the counts of all periods
-  pair_shell   multinomial index over disjoint 2-bit   per-distinct-block-count table
-               block counts (ideal only)               of log2_multinomial
+               coded mismatch positions                from one gather bits.T[arange(n) % P]
+                                                       summed over n (short rows) or the
+                                                       popcount of the packed row xor each
+                                                       period's packed block (long rows);
+                                                       one argmin over the counts of all periods
+  pair_shell   multinomial index over disjoint 2-bit   log2_multinomial per distinct integer
+               block counts (ideal only)               key, (c01, c10, c11) in base nb + 1
   model_class  3-bit model tag plus the best of the    tag bits plus the row minimum
                above                                   over the members
 
@@ -37,7 +37,7 @@ alike; the row, cut into rows of blocks, is xored with the block and
 np.bitwise_count counts the mismatches, the padding of the row's last
 word masked out; the gathers' indexes depend on the periods and block
 widths only, and are built once (_tiling_index).  Each chunk's
-temporaries (rows x n; rows x periods x n for the gather; the xored
+temporaries (rows x n; periods x n x rows for the gather; the xored
 words and the blocks for the packed scan) stay within _CHUNK_BYTES.  The periodic encoder and decoder tile a pattern over
 _WIDE_ROW bits too, then that row over the word (_tiled).
 
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -63,10 +63,10 @@ DEFAULT_P_MAX = 32
 MODEL_TAG_BITS = 3
 
 # Byte budget of one chunk: code_lengths() scores rows x n <= _CHUNK_BYTES
-# bits at a time (each kernel's temporaries take a few bytes per bit), and
-# the periodic gather takes rows x periods x n bytes plus an index of
-# 8 x periods x n, together at most _CHUNK_BYTES; the packed scan sizes its
-# chunks of periods the same way (see _periodic_scan).
+# bits at a time (each kernel's temporaries take a few bytes per bit); the
+# periodic gather holds one transposed n x rows copy, then rows x periods x n
+# bytes plus an index of 8 x periods x n, together at most _CHUNK_BYTES; the
+# packed scan sizes its chunks of periods the same way (see _periodic_scan).
 _CHUNK_BYTES = 1 << 20
 
 # (ideal[rows], concrete[rows] or None, model tag[rows] or None)
@@ -146,16 +146,15 @@ def _gamma_len(v):
 
 
 def _tabulate(fn, keys: np.ndarray, *dtypes) -> list[np.ndarray]:
-    """fn of each key (one entry, or one row of a 2-D keys, per word), a
-    tuple of one value per dtype, called once per distinct key; one array
-    per dtype."""
+    """fn of each integer key (one per word), a tuple of one value per
+    dtype, called once per distinct key; one array per dtype."""
     if len(keys) == 1:
-        distinct, inverse = [keys[0].tolist()], None
+        distinct, inverse = keys[:1].tolist(), None
     else:
-        distinct, inverse = np.unique(keys, return_inverse=True, axis=0 if keys.ndim == 2 else None)
+        distinct, inverse = np.unique(keys, return_inverse=True)
         distinct = distinct.tolist()
     tables = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*map(fn, distinct)), dtypes)]
-    return tables if inverse is None else [table[inverse.reshape(-1)] for table in tables]
+    return tables if inverse is None else [table[inverse] for table in tables]
 
 
 def _literal_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
@@ -279,12 +278,13 @@ def _packed_mismatch_counts(
     return np.bitwise_count(xor[:, :, :words]).sum(axis=2, dtype=np.int32).T
 
 
-def _gathered_mismatch_counts(bits: np.ndarray, periods: np.ndarray) -> np.ndarray:
-    """(rows, periods) mismatch counts from one gather of every row's
-    first p bits tiled over its length."""
-    tiled = np.take(bits, np.arange(bits.shape[1]) % periods[:, None], axis=1)
-    mask = np.not_equal(tiled, bits[:, None, :], out=tiled.view(bool))
-    return mask.sum(axis=2, dtype=np.int32)
+def _gathered_mismatch_counts(columns: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """(rows, periods) mismatch counts from the rows transposed to (n, rows)
+    and one gather of their first p bits tiled over n; the rows last, the
+    sum over n adds whole rows of counts."""
+    tiled = np.take(columns, np.arange(len(columns)) % periods[:, None], axis=0)
+    mask = np.not_equal(tiled, columns, out=tiled.view(bool))
+    return mask.sum(axis=1, dtype=np.int32).T
 
 
 def _periodic_scan(bits: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -303,15 +303,11 @@ def _periodic_scan(bits: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray
         # per period: its xor words, and its tiled bits (at most 8 x top)
         # and block bytes, each with an 8-byte gather index
         step = max(1, _CHUNK_BYTES // (8 * m * (words + block) + (m + 8) * 8 * (top + block)))
+        mismatch_counts = partial(_packed_mismatch_counts, bits, packed, last)
     else:
         step = max(1, _CHUNK_BYTES // ((m + 8) * n))
-    counts = []
-    for first in range(0, top, step):
-        chunk = periods[first : first + step]
-        if n >= _GATHER_BELOW:
-            counts.append(_packed_mismatch_counts(bits, packed, last, chunk))
-        else:
-            counts.append(_gathered_mismatch_counts(bits, chunk))
+        mismatch_counts = partial(_gathered_mismatch_counts, np.ascontiguousarray(bits.T))
+    counts = [mismatch_counts(periods[first : first + step]) for first in range(0, top, step)]
     costs = _periodic_cost(n, periods, np.concatenate(counts, axis=1))
     # argmin takes the first minimum: the smallest period
     return costs.min(axis=1), periods[costs.argmin(axis=1)]
@@ -325,7 +321,17 @@ def _periodic_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
 def _pair_shell_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
     nb, tail = divmod(bits.shape[1], 2)
     header = 4 * math.log2(nb + 1)
-    (ideal,) = _tabulate(lambda c: (log2_multinomial(c) + header,), block_tallies(bits), np.float64)
+    # Key: the tallies (c01, c10, c11) in base b = nb + 1, c00 being the rest
+    # of nb.  Rows share a chunk only if n <= _CHUNK_BYTES / 2 = 2^19, so int64
+    # keys stay below 2^55; a lone row's key is a Python int, exact at any n.
+    b = nb + 1
+    place = np.array([b * b, b, 1], dtype=object if len(bits) == 1 else np.int64)
+
+    def length(key):
+        c = [key // (b * b), key // b % b, key % b]
+        return (log2_multinomial([nb - sum(c), *c]) + header,)
+
+    (ideal,) = _tabulate(length, block_tallies(bits)[:, 1:] @ place, np.float64)
     return ideal + tail, None, None
 
 

@@ -142,6 +142,9 @@ def counting_lemma_audit(n: int, coder: CoderId) -> list[AuditRow]:
     For a prefix-free coder the count in shell (n,k) can be at most
     2^(1-t) * C(n,k); each row records count against that bound.  All 2^n
     words are built as one matrix and scored in one code_lengths() call.
+    A deficit reaches the integer t exactly when its floor does: one
+    bincount tallies words by weight and floor, clipped to 0..AUDIT_T_MAX,
+    and a cumulative sum from the top gives the count for each t.
     """
     if not 1 <= n <= 16:
         raise ValueError("exhaustive audit needs 1 <= n <= 16")
@@ -150,15 +153,16 @@ def counting_lemma_audit(n: int, coder: CoderId) -> list[AuditRow]:
     # Row v holds the n big-endian binary digits of v.
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
     words = ((np.arange(1 << n, dtype=np.uint32)[:, None] >> shifts) & 1).astype(np.uint8)
-    ks = words.sum(axis=1)
+    ks = words.sum(axis=1, dtype=np.int64)
     shell_logs = np.array([shell_log_size(n, k) for k in range(n + 1)])
     deficits = shell_logs[ks] - code_lengths(coder, words)[1]
+    floors = np.clip(np.floor(deficits), 0, AUDIT_T_MAX).astype(np.int64)
+    tally = np.bincount(ks * (AUDIT_T_MAX + 1) + floors, minlength=(n + 1) * (AUDIT_T_MAX + 1))
+    at_least = np.cumsum(tally.reshape(n + 1, -1)[:, ::-1], axis=1)[:, ::-1]  # [k, t]: deficit >= t
     rows = []
-    for k in range(n + 1):
+    for k, counts in enumerate(at_least[:, 1:].tolist()):
         size = shell_size(n, k)
-        in_shell = deficits[ks == k]
-        for t in range(1, AUDIT_T_MAX + 1):
-            count = int(np.count_nonzero(in_shell >= t))
+        for t, count in enumerate(counts, 1):
             # count <= 2^(1-t) * C(n,k), checked exactly on integers
             ok = count * (1 << t) <= 2 * size
             rows.append(AuditRow(k=k, t=t, count=count, bound=2.0 ** (1 - t) * size, ok=ok))

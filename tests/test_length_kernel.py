@@ -217,3 +217,65 @@ class TestPackedPeriodicScan:
         ideal, concrete, _ = code_lengths(CoderId("periodic", 40), matrix)
         for i, row in enumerate(matrix.tolist()):
             assert (ideal[i], concrete[i]) == ref_periodic(row, 40)
+
+
+def assert_batch_equals_rows(coder: CoderId, matrix: np.ndarray):
+    """code_lengths on the matrix scores every row as code_lengths on that row alone."""
+    batch = code_lengths(coder, matrix)
+    for i, row in enumerate(matrix):
+        for got, want in zip(batch, code_lengths(coder, row[None])):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[i] == want[0], (coder.label, i)
+
+
+class TestPairShellKey:
+    """pair_shell keys each row by its (c01, c10, c11) tallies in base nb + 1."""
+
+    @pytest.mark.parametrize("n", [11, 12])
+    @pytest.mark.parametrize("name", ["pair_shell", "periodic", "model_class"])
+    def test_batch_equals_one_row_exhaustive(self, n, name):
+        assert_batch_equals_rows(CoderId(name), all_words_matrix(n))
+
+    @pytest.mark.parametrize("n", [400, 401])
+    def test_permuted_tallies(self, n):
+        # every order of four tallies, among them tallies of 0 and nb that a
+        # key in base nb would confuse
+        nb = n // 2
+        blocks = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+        rows = []
+        for tallies in ((1, 2, 3, nb - 6), (0, 1, 2, nb - 3), (0, 0, 1, nb - 1), (0, 0, 0, nb)):
+            for order in set(itertools.permutations(tallies)):
+                row = np.repeat(blocks, order, axis=0).ravel()
+                rows.append(np.append(row, [1] * (n % 2)))
+        matrix = np.array(rows, dtype=np.uint8)
+        for name in ("pair_shell", "periodic", "model_class"):
+            assert_batch_equals_rows(CoderId(name), matrix)
+        ideal, _, _ = code_lengths(CoderId("pair_shell"), matrix)
+        assert ideal.tolist() == [ref_pair_shell(row)[0] for row in matrix.tolist()]
+
+    def test_widest_multi_row_key(self):
+        # two rows of 2^19 bits share one chunk; all 01 blocks give the
+        # largest key, nb * (nb + 1)^2 with nb = 2^18
+        n = coders._CHUNK_BYTES // 2
+        assert n == 1 << 19
+        rng = np.random.default_rng(19)
+        matrix = np.stack([np.tile(np.array([0, 1], dtype=np.uint8), n // 2), rng.random(n) < 0.3])
+        for name in ("pair_shell", "periodic", "model_class"):
+            assert_batch_equals_rows(CoderId(name), matrix.astype(np.uint8))
+
+
+class TestGatheredPeriodicScan:
+    """Rows shorter than coders._GATHER_BELOW bits are gathered rows last,
+    transposed once per scan and reused by every chunk of periods."""
+
+    @pytest.mark.parametrize("budget", [None, 1, 1 << 14])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1023])
+    def test_costs_match_reference(self, monkeypatch, n, budget):
+        assert n < coders._GATHER_BELOW
+        if budget is not None:  # one or a few periods per chunk
+            monkeypatch.setattr(coders, "_CHUNK_BYTES", budget)
+        matrix = (random_matrix(n, seed=n) if n > 2 else all_words_matrix(n)).astype(np.uint8)
+        for rows in (matrix[:1], matrix):
+            cost, _ = coders._periodic_scan(rows, 40)
+            assert cost.tolist() == [ref_periodic(row, 40)[1] for row in rows.tolist()]

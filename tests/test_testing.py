@@ -163,6 +163,21 @@ class TestCountingLemmaAudit:
                     nonzero += brute > 0
         assert nonzero > 0
 
+    def test_counts_match_masks_n16(self):
+        # periodic deficits at n=16 reach every floor from 1 to 7; the
+        # reference counts each (k, t) with its own mask
+        from kadjust import code_lengths
+
+        n, coder = 16, CoderId("periodic")
+        words = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+        ks = words.sum(axis=1)
+        deficits = np.array([shell_log_size(n, k) for k in ks.tolist()]) - code_lengths(coder, words)[1]
+        want = [
+            (k, t, int(np.count_nonzero(deficits[ks == k] >= t))) for k in range(n + 1) for t in range(1, 9)
+        ]
+        assert [(r.k, r.t, r.count) for r in counting_lemma_audit(n, coder)] == want
+        assert {t for k, t, count in want if count} == set(range(1, 8))
+
     def test_bound_column_value(self):
         rows = counting_lemma_audit(6, CoderId("literal"))
         for row in rows:
