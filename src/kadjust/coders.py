@@ -8,7 +8,10 @@ as side information.
 Every length is computed by one batched kernel per coder, which scores a
 matrix of equal-length words, one word per row, in a single pass.
 code_lengths() runs it over a matrix in row chunks; code_word() and the
-k_* functions are its one-row case.
+k_* functions are its one-row case.  No coder takes a parameter: each has
+a kernel lengths(bits), a one-row k_*(word) and, when concrete,
+encode(word) and decode(n, reader).  The periodic bound is the constant
+P_MAX = 32.
 
   coder        length                                  kernel
   literal      n bits, the word verbatim               the constant n
@@ -17,7 +20,7 @@ k_* functions are its one-row case.
   run_length   leading bit plus Elias gamma code       one flatnonzero over the break mask
                of every maximal run                    with a row-end sentinel; gamma
                                                        lengths summed per row by bincount
-  periodic     best period P <= p_max: pattern plus    mismatch counts per chunk of periods,
+  periodic     best period P <= P_MAX: pattern plus    mismatch counts per chunk of periods,
                coded mismatch positions                from one gather bits.T[arange(n) % P]
                                                        summed over n (short rows) or the
                                                        popcount of the packed row xor each
@@ -38,8 +41,9 @@ np.bitwise_count counts the mismatches, the padding of the row's last
 word masked out; the gathers' indexes depend on the periods and block
 widths only, and are built once (_tiling_index).  Each chunk's
 temporaries (rows x n; periods x n x rows for the gather; the xored
-words and the blocks for the packed scan) stay within _CHUNK_BYTES.  The periodic encoder and decoder tile a pattern over
-_WIDE_ROW bits too, then that row over the word (_tiled).
+words and the blocks for the packed scan) stay within _CHUNK_BYTES.  The
+periodic encoder and decoder tile a pattern over _WIDE_ROW bits too, then
+that row over the word (_tiled).
 
 Tie-breaks are deterministic: smallest period for periodic, listed order
 for model_class.
@@ -59,7 +63,8 @@ from .entropy import ceil_log2, log2_multinomial
 from .shellcode import concrete_len_shell, decode_shell, encode_shell, ideal_len_shell
 from .words import BitWord, as_bits, block_tallies, packed_rows
 
-DEFAULT_P_MAX = 32
+# The periodic coder takes the best period P <= P_MAX.
+P_MAX = 32
 MODEL_TAG_BITS = 3
 
 # Byte budget of one chunk: code_lengths() scores rows x n <= _CHUNK_BYTES
@@ -75,27 +80,13 @@ Lengths = tuple[np.ndarray, np.ndarray | None, np.ndarray | None]
 
 @dataclass(frozen=True)
 class CoderId:
-    """Identifies a coder; p_max applies to the periodic coder only."""
+    """Identifies a coder by its name in CODER_NAMES."""
 
     name: str
-    p_max: int | None = None
 
     def __post_init__(self):
         if self.name not in _CODERS:
             raise ValueError(f"unknown coder {self.name!r}")
-        if self.name == "periodic":
-            if self.p_max is None:
-                object.__setattr__(self, "p_max", DEFAULT_P_MAX)
-            elif self.p_max < 1:
-                raise ValueError("p_max must be >= 1")
-        elif self.p_max is not None:
-            raise ValueError(f"coder {self.name!r} takes no p_max parameter")
-
-    @property
-    def label(self) -> str:
-        if self.name == "periodic" and self.p_max != DEFAULT_P_MAX:
-            return f"periodic(p_max={self.p_max})"
-        return self.name
 
 
 def pick_length(coder: CoderId, kind: str, ideal, concrete):
@@ -104,7 +95,7 @@ def pick_length(coder: CoderId, kind: str, ideal, concrete):
         return ideal
     if kind == "concrete":
         if concrete is None:
-            raise ValueError(f"coder {coder.label} has no concrete code")
+            raise ValueError(f"coder {coder.name} has no concrete code")
         return concrete
     raise ValueError(f"unknown length kind {kind!r}")
 
@@ -157,12 +148,12 @@ def _tabulate(fn, keys: np.ndarray, *dtypes) -> list[np.ndarray]:
     return tables if inverse is None else [table[inverse] for table in tables]
 
 
-def _literal_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
+def _literal_lengths(bits: np.ndarray) -> Lengths:
     m, n = bits.shape
     return np.full(m, float(n)), np.full(m, n, dtype=np.int64), None
 
 
-def _shell_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
+def _shell_lengths(bits: np.ndarray) -> Lengths:
     n = bits.shape[1]
     # count_nonzero is fastest on one long row, an int32 sum on many rows
     weights = np.array([np.count_nonzero(bits)]) if len(bits) == 1 else bits.sum(1, np.int32)
@@ -185,7 +176,7 @@ def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return runs, (ends // n if m > 1 else None)
 
 
-def _run_length_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
+def _run_length_lengths(bits: np.ndarray) -> Lengths:
     runs, rows = _runs(bits)
     gamma = _gamma_len(runs)
     if rows is None:
@@ -313,12 +304,12 @@ def _periodic_scan(bits: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray
     return costs.min(axis=1), periods[costs.argmin(axis=1)]
 
 
-def _periodic_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
-    cost, _ = _periodic_scan(bits, coder.p_max)
+def _periodic_lengths(bits: np.ndarray) -> Lengths:
+    cost, _ = _periodic_scan(bits, P_MAX)
     return cost.astype(np.float64), cost, None
 
 
-def _pair_shell_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
+def _pair_shell_lengths(bits: np.ndarray) -> Lengths:
     nb, tail = divmod(bits.shape[1], 2)
     header = 4 * math.log2(nb + 1)
     # Key: the tallies (c01, c10, c11) in base b = nb + 1, c00 being the rest
@@ -346,22 +337,22 @@ def _member_lengths(
     best period under the periodic member; a member without a concrete
     code has concrete length _NO_CODE, and ideal length inf when it is
     left out."""
-    ideal = np.full((bits.shape[0], len(_MEMBER_IDS)), np.inf)
+    ideal = np.full((bits.shape[0], len(MODEL_MEMBERS)), np.inf)
     concrete = np.full(ideal.shape, _NO_CODE, dtype=np.int64)
-    for j, member in enumerate(_MEMBER_IDS):
-        if concrete_only and not is_concrete(member):
+    for j, name in enumerate(MODEL_MEMBERS):
+        if concrete_only and _CODERS[name].encode is None:
             continue
-        if member.name == "periodic":  # the scan's period saves the encoder a second scan
-            concrete[:, j], period = _periodic_scan(bits, member.p_max)
+        if name == "periodic":  # the scan's period saves the encoder a second scan
+            concrete[:, j], period = _periodic_scan(bits, P_MAX)
             ideal[:, j] = concrete[:, j]
             continue
-        ideal[:, j], member_concrete, _ = _CODERS[member.name].lengths(bits, member)
+        ideal[:, j], member_concrete, _ = _CODERS[name].lengths(bits)
         if member_concrete is not None:
             concrete[:, j] = member_concrete
     return ideal, concrete, period
 
 
-def _model_class_lengths(bits: np.ndarray, coder: CoderId) -> Lengths:
+def _model_class_lengths(bits: np.ndarray) -> Lengths:
     """The ideal length takes the minimum over member ideal lengths and the
     concrete length the minimum over members with a concrete code; the tag
     indexes MODEL_MEMBERS at the ideal winner (first on ties)."""
@@ -385,14 +376,14 @@ def code_lengths(coder: CoderId, bits) -> Lengths:
     kernel = _CODERS[coder.name].lengths
     m, n = bits.shape
     step = max(1, _CHUNK_BYTES // n)
-    parts = [kernel(bits[i : i + step], coder) for i in range(0, m, step)]
+    parts = [kernel(bits[i : i + step]) for i in range(0, m, step)]
     if len(parts) == 1:
         return parts[0]
     return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
 
 
 def _one_row(coder: CoderId, word: BitWord) -> CodeResult:
-    ideal, concrete, tag = _CODERS[coder.name].lengths(word.bits[None], coder)
+    ideal, concrete, tag = _CODERS[coder.name].lengths(word.bits[None])
     return CodeResult(
         coder,
         float(ideal[0]),
@@ -416,9 +407,10 @@ def k_run_length(word: BitWord) -> CodeResult:
     return _one_row(CoderId("run_length"), word)
 
 
-def k_periodic(word: BitWord, p_max: int = DEFAULT_P_MAX) -> CodeResult:
-    """Best-period pattern code with explicitly indexed mismatch positions."""
-    return _one_row(CoderId("periodic", p_max), word)
+def k_periodic(word: BitWord) -> CodeResult:
+    """Best-period pattern code, period at most P_MAX, with explicitly
+    indexed mismatch positions."""
+    return _one_row(CoderId("periodic"), word)
 
 
 def k_pair_shell(word: BitWord) -> CodeResult:
@@ -434,7 +426,7 @@ def k_model_class(word: BitWord) -> CodeResult:
 
 def code_word(coder: CoderId, word: BitWord) -> CodeResult:
     """Score a word under the chosen coder."""
-    return _CODERS[coder.name].length(word, coder)
+    return _CODERS[coder.name].length(word)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +437,7 @@ def _decode_literal(n: int, reader: BitReader) -> BitWord:
     return BitWord(reader.read_bits(n).view(np.bool_))  # the reader holds 0/1 only
 
 
-def _encode_run_length(word: BitWord, coder: CoderId) -> np.ndarray:
+def _encode_run_length(word: BitWord) -> np.ndarray:
     out = BitWriter()
     out.write_bit(word[0])
     out.write_elias_gammas(_runs(word.bits[None])[0])
@@ -461,8 +453,8 @@ def _decode_run_length(n: int, reader: BitReader) -> BitWord:
     return BitWord(np.repeat(values.astype(np.bool_), runs))
 
 
-def _encode_periodic(word: BitWord, coder: CoderId) -> np.ndarray:
-    return _periodic_codeword(word, int(_periodic_scan(word.bits[None], coder.p_max)[1][0]))
+def _encode_periodic(word: BitWord) -> np.ndarray:
+    return _periodic_codeword(word, int(_periodic_scan(word.bits[None], P_MAX)[1][0]))
 
 
 def _periodic_codeword(word: BitWord, p: int) -> np.ndarray:
@@ -492,16 +484,16 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
     return BitWord(bits.view(np.bool_))  # the reader holds 0/1 only
 
 
-def _encode_model_class(word: BitWord, coder: CoderId) -> np.ndarray:
+def _encode_model_class(word: BitWord) -> np.ndarray:
     _, concrete, period = _member_lengths(word.bits[None], concrete_only=True)
     best = int(np.argmin(concrete[0]))  # the first shortest concrete member
-    member = _MEMBER_IDS[best]
+    name = MODEL_MEMBERS[best]
     out = BitWriter()
     out.write_uint(best, MODEL_TAG_BITS)
-    if member.name == "periodic":
+    if name == "periodic":
         out.write_bits(_periodic_codeword(word, int(period[0])))
     else:
-        out.write_bits(_CODERS[member.name].encode(word, member))
+        out.write_bits(_CODERS[name].encode(word))
     return out.getvalue()
 
 
@@ -517,15 +509,15 @@ def encode_word(coder: CoderId, word: BitWord) -> np.ndarray:
     """Concrete codeword bits for the word; n is side information for decoding."""
     encode = _CODERS[coder.name].encode
     if encode is None:
-        raise ValueError(f"coder {coder.label} has no concrete code")
-    return encode(word, coder)
+        raise ValueError(f"coder {coder.name} has no concrete code")
+    return encode(word)
 
 
 def decode_word(coder: CoderId, n: int, source) -> BitWord:
     """Decode a concrete codeword back to the original word of known length n."""
     decode = _CODERS[coder.name].decode
     if decode is None:
-        raise ValueError(f"coder {coder.label} has no concrete code")
+        raise ValueError(f"coder {coder.name} has no concrete code")
     if n < 1:
         raise ValueError("length must be >= 1")
     reader = source if isinstance(source, BitReader) else BitReader(source)
@@ -539,37 +531,25 @@ def decode_word(coder: CoderId, n: int, source) -> BitWord:
 @dataclass(frozen=True)
 class _Coder:
     """One coder: its batched length kernel, its one-row length function
-    (a k_* function, so each call is named after its coder) and, for
-    concrete coders, its codec."""
+    (the exported k_* function, so each call is named after its coder)
+    and, for concrete coders, its codec."""
 
-    lengths: Callable[[np.ndarray, CoderId], Lengths]
-    length: Callable[[BitWord, CoderId], CodeResult]
-    encode: Callable[[BitWord, CoderId], np.ndarray] | None = None
+    lengths: Callable[[np.ndarray], Lengths]
+    length: Callable[[BitWord], CodeResult]
+    encode: Callable[[BitWord], np.ndarray] | None = None
     decode: Callable[[int, BitReader], BitWord] | None = None
 
 
 # Order fixes both the model tag values and the model_class tie-break.
 _CODERS = {
-    "literal": _Coder(
-        _literal_lengths, lambda w, c: k_len(w), lambda w, c: w.bits.copy(), _decode_literal
-    ),
-    "shell": _Coder(
-        _shell_lengths, lambda w, c: k_comb(w), lambda w, c: encode_shell(w).bits, decode_shell
-    ),
-    "run_length": _Coder(
-        _run_length_lengths, lambda w, c: k_run_length(w), _encode_run_length, _decode_run_length
-    ),
-    "periodic": _Coder(
-        _periodic_lengths, lambda w, c: k_periodic(w, c.p_max), _encode_periodic, _decode_periodic
-    ),
-    "pair_shell": _Coder(_pair_shell_lengths, lambda w, c: k_pair_shell(w)),
+    "literal": _Coder(_literal_lengths, k_len, lambda w: w.bits.copy(), _decode_literal),
+    "shell": _Coder(_shell_lengths, k_comb, lambda w: encode_shell(w).bits, decode_shell),
+    "run_length": _Coder(_run_length_lengths, k_run_length, _encode_run_length, _decode_run_length),
+    "periodic": _Coder(_periodic_lengths, k_periodic, _encode_periodic, _decode_periodic),
+    "pair_shell": _Coder(_pair_shell_lengths, k_pair_shell),
     "model_class": _Coder(
-        _model_class_lengths,
-        lambda w, c: k_model_class(w),
-        _encode_model_class,
-        _decode_model_class,
+        _model_class_lengths, k_model_class, _encode_model_class, _decode_model_class
     ),
 }
 CODER_NAMES = tuple(_CODERS)
 MODEL_MEMBERS = tuple(name for name in CODER_NAMES if name != "model_class")
-_MEMBER_IDS = tuple(CoderId(name) for name in MODEL_MEMBERS)

@@ -116,6 +116,7 @@ def ceil_log2(m: int) -> int:
     return (m - 1).bit_length()
 
 
+@lru_cache(maxsize=4096)
 def ceil_log2_comb(n: int, k: int) -> int:
     """ceil_log2 of the exact binomial, without materializing it when huge.
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -78,10 +77,6 @@ class ShellCodeword:
     @property
     def bits(self) -> np.ndarray:
         return np.concatenate([self.header_bits, self.index_bits])
-
-    def to_bytes(self) -> bytes:
-        """Header bits then index bits, MSB first, zero-padded to a byte boundary."""
-        return np.packbits(self.bits).tobytes()
 
 
 def rank(word: BitWord) -> int:
@@ -227,14 +222,9 @@ def ideal_len_shell(n: int, k: int) -> float:
     return shell_log_size(n, k) + math.log2(n + 1)
 
 
-@lru_cache(maxsize=4096)
-def _index_width(n: int, k: int) -> int:
-    return ceil_log2_comb(n, k)
-
-
 def concrete_len_shell(n: int, k: int) -> int:
     """Concrete shell codeword length from the shell alone."""
-    return elias_gamma_len(k + 1) + _index_width(n, k)
+    return elias_gamma_len(k + 1) + ceil_log2_comb(n, k)
 
 
 def encode_shell(word: BitWord) -> ShellCodeword:
@@ -243,7 +233,7 @@ def encode_shell(word: BitWord) -> ShellCodeword:
     header = BitWriter()
     header.write_elias_gamma(k + 1)
     index = BitWriter()
-    index.write_uint(rank(word), _index_width(n, k))
+    index.write_uint(rank(word), ceil_log2_comb(n, k))
     return ShellCodeword(
         header_bits=header.getvalue(),
         index_bits=index.getvalue(),
@@ -251,15 +241,13 @@ def encode_shell(word: BitWord) -> ShellCodeword:
     )
 
 
-def decode_shell(n: int, codeword) -> BitWord:
-    """Decode a shell codeword (ShellCodeword, bit array, bytes, or BitReader)."""
-    if isinstance(codeword, ShellCodeword):
-        codeword = codeword.bits
-    reader = codeword if isinstance(codeword, BitReader) else BitReader(codeword)
+def decode_shell(n: int, reader: BitReader) -> BitWord:
+    """Read the shell codeword of a length-n word from the reader;
+    decode_word(CoderId("shell"), n, source) takes any bit source."""
     k = reader.read_elias_gamma() - 1
     if k > n:
         raise DecodeError(f"decoded weight {k} exceeds word length {n}")
-    index = reader.read_uint(_index_width(n, k))
+    index = reader.read_uint(ceil_log2_comb(n, k))
     shell = ShellId(n, k)
     if index >= shell.size:  # computed once: unrank reuses it
         raise DecodeError(f"rank {index} out of range for shell ({n},{k})")

@@ -45,11 +45,11 @@ def sig6(value):
 
 def record(result) -> dict:
     """The fields of a result dataclass in declaration order; a CoderId
-    becomes its label."""
+    becomes its name."""
     rec = {}
     for f in fields(result):
         value = getattr(result, f.name)
-        rec[f.name] = value.label if isinstance(value, CoderId) else value
+        rec[f.name] = value.name if isinstance(value, CoderId) else value
     return rec
 
 

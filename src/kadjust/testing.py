@@ -149,7 +149,7 @@ def counting_lemma_audit(n: int, coder: CoderId) -> list[AuditRow]:
     if not 1 <= n <= 16:
         raise ValueError("exhaustive audit needs 1 <= n <= 16")
     if not is_concrete(coder):
-        raise ValueError(f"coder {coder.label} has no concrete code to audit")
+        raise ValueError(f"coder {coder.name} has no concrete code to audit")
     # Row v holds the n big-endian binary digits of v.
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
     words = ((np.arange(1 << n, dtype=np.uint32)[:, None] >> shifts) & 1).astype(np.uint8)

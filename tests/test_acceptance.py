@@ -95,7 +95,7 @@ def test_criterion_3_counting_lemma_audit():
             for n in range(1, 15):
                 rows = counting_lemma_audit(n, coder)
                 bad = [row for row in rows if not row.ok]
-                assert not bad, (coder.label, n, bad[:3])
+                assert not bad, (coder.name, n, bad[:3])
 
 
 def test_criterion_4_fpr_calibration():
@@ -185,7 +185,7 @@ def test_criterion_8_structural_properties():
                 total = Fraction(0)
                 for word in all_words(n):
                     total += Fraction(1, 2 ** code_word(coder, word).concrete_len)
-                assert total <= 1, (coder.label, n)
+                assert total <= 1, (coder.name, n)
 
         # decode(encode(.)) identity on 10^4 seeded random words
         plan = [(64, 5000), (256, 3000), (1024, 2000)]

@@ -112,8 +112,8 @@ def test_long_codeword_bits_pinned():
     for coder in concrete_coder_ids():
         for label, word in LONG_WORDS.items():
             bits = encode_word(coder, word)
-            assert decode_word(coder, word.n, bits) == word, (coder.label, label)
-            digest.update(f"{coder.label}:{label}:".encode())
+            assert decode_word(coder, word.n, bits) == word, (coder.name, label)
+            digest.update(f"{coder.name}:{label}:".encode())
             digest.update(np.packbits(bits).tobytes())
             digest.update(f":{bits.size};".encode())
     assert digest.hexdigest() == LONG_CODEWORD_DIGEST

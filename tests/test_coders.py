@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kadjust import (
+    CODER_NAMES,
     BitWord,
     CoderId,
     GeneratorSpec,
     binary_entropy,
+    code_lengths,
     code_word,
     concrete_coder_ids,
     decode_word,
@@ -27,6 +29,9 @@ from kadjust import (
 from kadjust.bitio import DecodeError, elias_gamma_len
 from kadjust.coders import (
     MODEL_TAG_BITS,
+    P_MAX,
+    _CODERS,
+    _periodic_codeword,
     _periodic_cost,
     _periodic_scan,
     _tiled,
@@ -78,7 +83,7 @@ class TestRunLength:
 
 class TestPeriodic:
     def test_alternating_1000(self):
-        res = k_periodic(BitWord([0, 1] * 500), p_max=16)
+        res = k_periodic(BitWord([0, 1] * 500))
         assert res.concrete_len <= 12
 
     def test_constant_64(self):
@@ -94,9 +99,37 @@ class TestPeriodic:
             word = generate(GeneratorSpec.bernoulli(0.5, seed=9000 + i, length=64))
             assert k_periodic(word).concrete_len >= 64
 
-    def test_p_max_validation(self):
-        with pytest.raises(ValueError):
-            k_periodic(BitWord.from01("01"), p_max=0)
+    def test_p_max_boundary(self):
+        # Words of exact period 32 and 33 over n = 64..66, and words shorter
+        # than 32: one row and a batch both score the best period
+        # p <= min(32, n), and the codeword decodes.  The bound is written
+        # out, so a change of P_MAX fails here.
+        def brute(row, bound):
+            n = len(row)
+            return min(
+                _periodic_cost(n, p, sum(row[i] != row[i % p] for i in range(n)))
+                for p in range(1, min(bound, n) + 1)
+            )
+
+        rng = np.random.default_rng(32)
+        coder = CoderId("periodic")
+        cases = {n: list(rng.integers(0, 2, (4, n), dtype=np.uint8)) for n in (1, 2, 17, 31)}
+        for period in (32, 33):
+            pattern = rng.integers(0, 2, period, dtype=np.uint8).tolist()
+            for n in (64, 65, 66):
+                row = np.resize(pattern, n).astype(np.uint8)
+                cases.setdefault(n, []).append(row)
+                if period == 32:
+                    assert brute(row, 32) == _periodic_cost(n, 32, 0)
+                    assert brute(row, 31) > brute(row, 32)
+                else:  # a larger bound would find the period
+                    assert brute(row, 33) < brute(row, 32)
+        for n, rows in cases.items():
+            _, batch, _ = code_lengths(coder, np.array(rows))
+            for row, length in zip(rows, batch.tolist()):
+                word = BitWord(row)
+                assert code_word(coder, word).concrete_len == length == brute(row, 32)
+                assert decode_word(coder, n, encode_word(coder, word)) == word
 
 
 class TestLengthKernelsBruteForce:
@@ -108,14 +141,16 @@ class TestLengthKernelsBruteForce:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force(self, bits, p_max):
-        # Covers n < p_max, n not a multiple of the period, and p_max = 1.
+        # Covers n < p_max, n not a multiple of the period, and p_max = 1;
+        # k_periodic searches p <= P_MAX.
         word = BitWord(bits)
         n = len(bits)
-        best = min(
+        costs = [
             _periodic_cost(n, p, sum(bits[i] != bits[i % p] for i in range(p, n)))
-            for p in range(1, min(p_max, n) + 1)
-        )
-        assert k_periodic(word, p_max).concrete_len == best
+            for p in range(1, min(max(p_max, P_MAX), n) + 1)
+        ]
+        assert _periodic_scan(word.bits[None], p_max)[0][0] == min(costs[:p_max])
+        assert k_periodic(word).concrete_len == min(costs[:P_MAX])
         runs = [len(list(run)) for _, run in itertools.groupby(bits)]
         assert sum(runs) == n
         assert k_run_length(word).concrete_len == 1 + sum(elias_gamma_len(r) for r in runs)
@@ -131,14 +166,19 @@ class TestLengthKernelsBruteForce:
         for p in (1, 2, 3, 24, 1000, 1023, 1024, 1025, 1100):
             assert np.array_equal(_tiled(bits[:p], n), bits[index % p]), p
         word = BitWord(bits)
-        for p_max in (1, 32):
+        coder = CoderId("periodic")
+        for p_max in (1, P_MAX):
             best = min(
                 _periodic_cost(n, p, int(np.count_nonzero(bits != bits[index % p])))
                 for p in range(1, p_max + 1)
             )
-            assert k_periodic(word, p_max).concrete_len == best
-            coder = CoderId("periodic", p_max)
-            assert decode_word(coder, n, encode_word(coder, word)) == word
+            cost, period = _periodic_scan(bits[None], p_max)
+            assert cost[0] == best
+            codeword = _periodic_codeword(word, int(period[0]))
+            assert len(codeword) == best
+            assert decode_word(coder, n, codeword) == word
+        assert k_periodic(word).concrete_len == best
+        assert np.array_equal(encode_word(coder, word), codeword)
 
     @pytest.mark.parametrize("n", [1, 35, 1023])
     def test_tiled_short_words(self, n):
@@ -287,7 +327,7 @@ class TestConcreteCodecs:
                 total = Fraction(0)
                 for word in all_words(n):
                     total += Fraction(1, 2 ** code_word(coder, word).concrete_len)
-                assert total <= 1, (coder.label, n, total)
+                assert total <= 1, (coder.name, n, total)
 
     def test_pair_shell_has_no_concrete_code(self):
         with pytest.raises(ValueError):
@@ -298,7 +338,7 @@ class TestConcreteCodecs:
     def test_concrete_at_least_ideal_minus_one(self):
         # Exact for the coders whose ideal length is the concrete length.
         for name in ("literal", "run_length", "periodic"):
-            coder = CoderId(name) if name != "periodic" else CoderId("periodic", 32)
+            coder = CoderId(name)
             for word in all_words(8):
                 res = code_word(coder, word)
                 assert res.concrete_len >= res.ideal_len - 1
@@ -307,10 +347,16 @@ class TestConcreteCodecs:
         # Round trips cannot catch a change of bitstream; this digest does.
         words = [w for n in range(1, 9) for w in all_words(n)] + [BitWord.from01(WORD35_STR)]
         digest = hashlib.sha256()
-        for coder in (*concrete_coder_ids(), CoderId("periodic", 5)):
+        for coder in concrete_coder_ids():
             for word in words:
                 bits = "".join(map(str, encode_word(coder, word).tolist()))
-                digest.update(f"{coder.label}:{word.n}:{bits};".encode())
+                digest.update(f"{coder.name}:{word.n}:{bits};".encode())
+        # Periodic codewords of the best period <= 5 too, under the label the
+        # digest was first taken with; the decoder reads any period.
+        for word in words:
+            period = int(_periodic_scan(word.bits[None], 5)[1][0])
+            bits = "".join(map(str, _periodic_codeword(word, period).tolist()))
+            digest.update(f"periodic(p_max=5):{word.n}:{bits};".encode())
         assert digest.hexdigest() == CODEWORD_DIGEST
 
     def test_model_class_encode_scans_periods_once(self, monkeypatch):
@@ -340,20 +386,20 @@ class TestConcreteCodecs:
     def test_non_binary_stream_rejected(self):
         # A 2 or a 3 is no bit: no coder may read it as one.
         stream = [0, 2, 3, 1, 1, 0, 1, 1, 0, 1, 1, 1]
-        for coder in (*concrete_coder_ids(), CoderId("periodic", 5)):
+        for coder in concrete_coder_ids():
             for bad in (stream, np.array(stream, dtype=np.uint8), [0, 1, -1, 1], [0.0, 1.0]):
                 with pytest.raises(DecodeError):
                     decode_word(coder, 4, bad)
 
     def test_length_below_one_rejected_before_reading(self):
-        for coder in (*concrete_coder_ids(), CoderId("periodic", 5)):
+        for coder in concrete_coder_ids():
             for n in (0, -3):
                 for stream in ([], [1, 0, 1, 1], [2]):
                     with pytest.raises(ValueError, match="length must be >= 1"):
                         decode_word(coder, n, stream)
 
     @given(
-        coder=st.sampled_from([*concrete_coder_ids(), CoderId("periodic", 5)]),
+        coder=st.sampled_from(concrete_coder_ids()),
         n=st.integers(1, 64),
         bits=st.lists(st.integers(0, 1), max_size=300),
     )
@@ -370,20 +416,30 @@ class TestConcreteCodecs:
 
 class TestRegistry:
     def test_names_and_params(self):
-        assert CoderId("periodic").p_max == 32
-        assert CoderId("periodic", 8).p_max == 8
+        assert [CoderId(name).name for name in CODER_NAMES] == list(CODER_NAMES)
         with pytest.raises(ValueError):
             CoderId("nope")
-        with pytest.raises(ValueError):
-            CoderId("shell", p_max=4)
-        with pytest.raises(ValueError):
-            CoderId("literal", p_max=2)
+        with pytest.raises(TypeError):  # no coder takes a parameter
+            CoderId("periodic", 8)
 
     def test_concrete_flags(self):
         assert is_concrete(CoderId("model_class"))
         assert not is_concrete(CoderId("pair_shell"))
 
-    def test_labels(self):
-        assert CoderId("periodic", 32).label == "periodic"
-        assert CoderId("periodic", 8).label == "periodic(p_max=8)"
+    def test_table_length_is_the_k_function(self, word35):
+        # A one-row code_word runs in the exported k_* frame of its coder,
+        # and model_class still names its winner.
+        exported = {
+            "literal": k_len,
+            "shell": k_comb,
+            "run_length": k_run_length,
+            "periodic": k_periodic,
+            "pair_shell": k_pair_shell,
+            "model_class": k_model_class,
+        }
+        assert tuple(exported) == CODER_NAMES
+        for name, k in exported.items():
+            assert _CODERS[name].length is k
+            assert code_word(CoderId(name), word35) == k(word35)
+        assert code_word(CoderId("model_class"), word35).model_tag == "shell"
 

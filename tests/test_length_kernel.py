@@ -12,10 +12,7 @@ from kadjust import CODER_NAMES, CoderId, code_lengths
 from kadjust import coders
 from kadjust.coders import MODEL_MEMBERS, MODEL_TAG_BITS
 
-CODERS = [CoderId(name) for name in CODER_NAMES] + [
-    CoderId("periodic", 1),
-    CoderId("periodic", 5),
-]
+CODERS = [CoderId(name) for name in CODER_NAMES]
 
 
 def all_words_matrix(n: int) -> np.ndarray:
@@ -75,7 +72,7 @@ def ref_members(bits):
         ref_literal(bits),
         ref_shell(bits),
         ref_run_length(bits),
-        ref_periodic(bits, coders.DEFAULT_P_MAX),
+        ref_periodic(bits, coders.P_MAX),
         ref_pair_shell(bits),
     ]
 
@@ -89,7 +86,7 @@ def reference(coder: CoderId, bits):
         concrete = min(c for _, c in members if c is not None)
         return MODEL_TAG_BITS + ideals[tag], MODEL_TAG_BITS + concrete, MODEL_MEMBERS[tag]
     if coder.name == "periodic":
-        return (*ref_periodic(bits, coder.p_max), None)
+        return (*ref_periodic(bits, coders.P_MAX), None)
     scalar = {
         "literal": ref_literal,
         "shell": ref_shell,
@@ -111,7 +108,13 @@ def assert_matches_reference(coder: CoderId, matrix: np.ndarray):
             None if concrete is None else int(concrete[i]),
             None if tag is None else MODEL_MEMBERS[tag[i]],
         )
-        assert got == want, (coder.label, row)
+        assert got == want, (coder.name, row)
+
+
+def assert_scan_matches_reference(matrix: np.ndarray, p_max: int):
+    """The periodic scan at any bound, not only P_MAX, against the reference."""
+    cost, _ = coders._periodic_scan(matrix.astype(np.uint8), p_max)
+    assert cost.tolist() == [ref_periodic(row, p_max)[1] for row in matrix.tolist()], p_max
 
 
 def random_matrix(n: int, seed: int) -> np.ndarray:
@@ -137,6 +140,8 @@ class TestKernelMatchesReference:
         matrix = all_words_matrix(n)
         for coder in CODERS:
             assert_matches_reference(coder, matrix)
+        for p_max in (1, 5):
+            assert_scan_matches_reference(matrix, p_max)
 
     # The small budgets split the matrices into several row chunks, and the
     # periodic scan into chunks of one to a few periods.  Rows of 1100 bits
@@ -148,6 +153,8 @@ class TestKernelMatchesReference:
         matrix = random_matrix(n, seed=n + budget)
         for coder in CODERS:
             assert_matches_reference(coder, matrix)
+        for p_max in (1, 5):
+            assert_scan_matches_reference(matrix, p_max)
         _, _, tag = code_lengths(CoderId("model_class"), matrix)
         assert {MODEL_MEMBERS[t] for t in tag} == set(MODEL_MEMBERS)
 
@@ -177,14 +184,14 @@ class TestKraft:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_kraft_sums(self, n):
         matrix = all_words_matrix(n)
-        for coder in (CoderId(name) for name in CODER_NAMES):
+        for coder in CODERS:
             ideal, concrete, _ = code_lengths(coder, matrix)
-            assert math.fsum(np.exp2(-ideal).tolist()) <= 1 + 1e-9, coder.label
+            assert math.fsum(np.exp2(-ideal).tolist()) <= 1 + 1e-9, coder.name
             if concrete is not None:
                 lengths, counts = np.unique(concrete, return_counts=True)
                 top = int(lengths.max())
                 total = sum(int(c) << (top - int(L)) for L, c in zip(lengths, counts))
-                assert total <= 1 << top, coder.label
+                assert total <= 1 << top, coder.name
 
 
 class TestPackedPeriodicScan:
@@ -196,7 +203,7 @@ class TestPackedPeriodicScan:
     def test_periodic_matches_reference(self, n, p_max):
         assert n >= coders._GATHER_BELOW
         matrix = random_matrix(n, seed=n + p_max)[::4]
-        assert_matches_reference(CoderId("periodic", p_max), matrix)
+        assert_scan_matches_reference(matrix, p_max)
 
     @pytest.mark.parametrize("n", [1024, 1087, 4159])
     def test_model_class_matches_reference(self, n):
@@ -213,10 +220,7 @@ class TestPackedPeriodicScan:
     def test_multi_row_matrix_across_period_chunks(self, monkeypatch):
         # a budget this small scans a few periods per chunk
         monkeypatch.setattr(coders, "_CHUNK_BYTES", 1 << 17)
-        matrix = random_matrix(1500, seed=9)
-        ideal, concrete, _ = code_lengths(CoderId("periodic", 40), matrix)
-        for i, row in enumerate(matrix.tolist()):
-            assert (ideal[i], concrete[i]) == ref_periodic(row, 40)
+        assert_scan_matches_reference(random_matrix(1500, seed=9), 40)
 
 
 def assert_batch_equals_rows(coder: CoderId, matrix: np.ndarray):
@@ -226,7 +230,7 @@ def assert_batch_equals_rows(coder: CoderId, matrix: np.ndarray):
         for got, want in zip(batch, code_lengths(coder, row[None])):
             assert (got is None) == (want is None)
             if got is not None:
-                assert got[i] == want[0], (coder.label, i)
+                assert got[i] == want[0], (coder.name, i)
 
 
 class TestPairShellKey:

@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 
 from kadjust import (
     BitWord,
+    CoderId,
     ShellId,
     decode_shell,
+    decode_word,
     encode_shell,
     rank,
     shell_log_size,
@@ -98,18 +100,18 @@ class TestShellCodec:
         assert cw.header_bits.tolist() == [0, 1, 1]
         assert cw.index_bits.tolist() == [0, 0, 0]
         assert cw.concrete_len == 6
-        assert decode_shell(4, cw) == BitWord.from01("0011")
+        assert decode_shell(4, BitReader(cw.bits)) == BitWord.from01("0011")
 
     def test_round_trip_exhaustive_n12(self):
         n = 12
         for word in all_words(n):
-            assert decode_shell(n, encode_shell(word)) == word
+            assert decode_shell(n, BitReader(encode_shell(word).bits)) == word
 
     def test_byte_layout_round_trip(self):
         word = BitWord.from01(WORD35_STR)
-        data = encode_shell(word).to_bytes()
-        assert isinstance(data, bytes)
-        assert decode_shell(35, data) == word
+        # header bits then index bits, MSB first, zero-padded to a byte boundary
+        data = np.packbits(encode_shell(word).bits).tobytes()
+        assert decode_word(CoderId("shell"), 35, data) == word
 
     def test_concrete_len_formula(self):
         for n in (1, 5, 12, 35):
@@ -145,11 +147,11 @@ class TestShellCodec:
 
     def test_decode_errors(self):
         with pytest.raises(DecodeError):
-            decode_shell(4, np.array([0, 0, 0, 0], dtype=np.uint8))  # truncated gamma
+            decode_shell(4, BitReader(np.array([0, 0, 0, 0], dtype=np.uint8)))  # truncated gamma
         # weight header exceeding n
         with pytest.raises(DecodeError):
             bad = encode_shell(BitWord.from01("111"))
-            decode_shell(2, bad.bits)
+            decode_shell(2, BitReader(bad.bits))
         # index out of range: k=2, n=3 -> width 2, ranks valid 0..2
         reader = BitReader(np.array([0, 1, 1, 1, 1], dtype=np.uint8))
         with pytest.raises(DecodeError):

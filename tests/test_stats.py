@@ -33,10 +33,7 @@ nonconstant_words = (
     .map(BitWord)
 )
 
-scoreable_coders = st.sampled_from(
-    [CoderId("literal"), CoderId("shell"), CoderId("run_length"),
-     CoderId("periodic", 32), CoderId("pair_shell"), CoderId("model_class")]
-)
+scoreable_coders = st.sampled_from([CoderId(name) for name in CODER_NAMES])
 
 
 class TestAdjusted:

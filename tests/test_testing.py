@@ -142,7 +142,7 @@ class TestCountingLemmaAudit:
 
         for coder in concrete_coder_ids():
             rows = counting_lemma_audit(8, coder)
-            assert all(row.ok for row in rows), coder.label
+            assert all(row.ok for row in rows), coder.name
 
     def test_counts_match_brute_force(self):
         from kadjust import concrete_coder_ids
@@ -159,7 +159,7 @@ class TestCountingLemmaAudit:
             for k in range(n + 1):
                 for t in range(1, 9):
                     brute = sum(1 for wk, d in deficits if wk == k and d >= t)
-                    assert rows[(k, t)] == brute, (n, coder.label, k, t)
+                    assert rows[(k, t)] == brute, (n, coder.name, k, t)
                     nonzero += brute > 0
         assert nonzero > 0
 
@@ -231,7 +231,7 @@ class TestMonteCarloFpr:
         # the periodic coder.
         n, p, seed = 16, 0.5, 21
         trials = testing._DRAW_BLOCK // n + 904  # two draw blocks
-        coder = CoderId("periodic", p_max=8)
+        coder = CoderId("periodic")
         res = monte_carlo_fpr(p, n, Config(m=1, coder=coder, lengths="concrete"), trials, seed)
         words = [generate(GeneratorSpec.bernoulli(p, derive_seed(seed, i), n)) for i in range(trials)]
         # A word accepted at m=1 is accepted at every larger m.
