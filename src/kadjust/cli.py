@@ -59,34 +59,43 @@ def parse_schedule(text: str | None, length: int) -> list[int]:
     return points
 
 
-def _read_inputs(args: argparse.Namespace, expected: int | None = None) -> list[BitWord]:
+def _input_paths(args: argparse.Namespace, expected: int | None = None) -> list[str | None]:
     paths = args.inputs or [None]
     if expected is not None and len(paths) != expected:
         raise ValueError(f"this command requires exactly {expected} input words")
-    return [read_word(p, args.input_format, args.max_bits) for p in paths]
+    return paths
+
+
+def _read_input(args: argparse.Namespace, path: str | None) -> BitWord:
+    return read_word(path, args.input_format, args.max_bits)
+
+
+# analyze and test read and score their inputs one at a time: a word is
+# dropped once its record is made, so several large inputs cost the largest
+# word, not their sum.  The records are written once all are made.
 
 
 def cmd_analyze(args: argparse.Namespace, out) -> int:
-    reports = [adjusted(word, args.coder, args.lengths) for word in _read_inputs(args)]
+    reports = [adjusted(_read_input(args, p), args.coder, args.lengths) for p in _input_paths(args)]
     write_records(reports, args.fmt, out)
     return 0
 
 
 def cmd_test(args: argparse.Namespace, out) -> int:
     tc = TestConfig(m=args.m, coder=args.coder, lengths=args.lengths)
-    verdicts = [test_word(word, tc) for word in _read_inputs(args)]
+    verdicts = [test_word(_read_input(args, p), tc) for p in _input_paths(args)]
     write_records(verdicts, args.fmt, out)
     return 1 if any(v.rejected for v in verdicts) else 0
 
 
 def cmd_cond(args: argparse.Namespace, out) -> int:
-    x, y = _read_inputs(args, expected=2)
+    x, y = (_read_input(args, p) for p in _input_paths(args, expected=2))
     write_records([adjusted_conditional(x, y, args.coder, args.lengths)], args.fmt, out)
     return 0
 
 
 def cmd_mutual(args: argparse.Namespace, out) -> int:
-    x, y = _read_inputs(args, expected=2)
+    x, y = (_read_input(args, p) for p in _input_paths(args, expected=2))
     write_records([adjusted_mutual(x, y, args.coder, args.lengths)], args.fmt, out)
     return 0
 

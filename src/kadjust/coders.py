@@ -6,44 +6,58 @@ encoder/decoder pair that is prefix-free once the word length n is known
 as side information.
 
 Every length is computed by one batched kernel per coder, which scores a
-matrix of equal-length words, one word per row, in a single pass.
-code_lengths() runs it over a matrix in row chunks; code_word() and the
-k_* functions are its one-row case.  No coder takes a parameter: each has
-a kernel lengths(bits), a one-row k_*(word) and, when concrete,
-encode(word) and decode(n, reader).  The periodic bound is the constant
-P_MAX = 32.
+matrix of equal-length words, one word per row.  code_lengths() feeds it
+the matrix in chunks of rows and columns, through one loop (_scored) that
+also serves code_word() and the k_* functions, a short word being a
+single chunk.  A kernel keeps per-row totals that add up over the column
+chunks, and its last step turns them into lengths with the same scalar
+functions for every chunking, so a word scores the same however it is cut.
+No coder takes a parameter: each has a kernel, a one-row k_*(word) and,
+when concrete, encode(word) and decode(n, reader).  The periodic bound is
+the constant P_MAX = 32.
 
-  coder        length                                  kernel
-  literal      n bits, the word verbatim               the constant n
-  shell        weight header plus in-shell             per-weight table of ideal_len_shell
-               lexicographic rank                      and concrete_len_shell
-  run_length   leading bit plus Elias gamma code       one flatnonzero over the break mask
-               of every maximal run                    with a row-end sentinel; gamma
-                                                       lengths summed per row by bincount
-  periodic     best period P <= P_MAX: pattern plus    mismatch counts per chunk of periods,
-               coded mismatch positions                from one gather bits.T[arange(n) % P]
-                                                       summed over n (short rows) or the
-                                                       popcount of the packed row xor each
-                                                       period's packed block (long rows);
-                                                       one argmin over the counts of all periods
-  pair_shell   multinomial index over disjoint 2-bit   log2_multinomial per distinct integer
-               block counts (ideal only)               key, (c01, c10, c11) in base nb + 1
-  model_class  3-bit model tag plus the best of the    tag bits plus the row minimum
-               above                                   over the members
+  coder        length                                  per-chunk totals; last step
+  literal      n bits, the word verbatim               none; the constant n
+  shell        weight header plus in-shell             the weight; ideal_len_shell and
+               lexicographic rank                      concrete_len_shell per distinct weight
+  run_length   leading bit plus Elias gamma code       gamma lengths of the runs that end in
+               of every maximal run                    the chunk, from one flatnonzero over
+                                                       the break mask; the run still open at
+                                                       the chunk's end carries its bit and
+                                                       length into the next chunk
+  periodic     best period P <= P_MAX: pattern plus    mismatch counts against the first P
+               coded mismatch positions                bits rotated by the chunk's first
+                                                       column mod P, gathered or packed;
+                                                       _periodic_cost and one argmin over
+                                                       all periods
+  pair_shell   multinomial index over disjoint 2-bit   the 2-bit block tallies over chunks
+               block counts (ideal only)               of even width; log2_multinomial per
+                                                       distinct key (c01, c10, c11) in base
+                                                       nb + 1
+  model_class  3-bit model tag plus the best of the    every member's totals; tag bits plus
+               above                                   the row minimum over the members
 
-The tables are filled by the scalar functions of shellcode and entropy, so
-a word scores the same in a batch as on its own.  Words of 2^10 bits or
-more are packed once, 64 bits to a uint64 word, instead of gathered.  For
-each period P one gather builds P's pattern tiled over a block of at
-least _WIDE_ROW bits (a multiple of lcm(P, 64), or the whole row), packed
-alike; the row, cut into rows of blocks, is xored with the block and
-np.bitwise_count counts the mismatches, the padding of the row's last
-word masked out; the gathers' indexes depend on the periods and block
-widths only, and are built once (_tiling_index).  Each chunk's
-temporaries (rows x n; periods x n x rows for the gather; the xored
-words and the blocks for the packed scan) stay within _CHUNK_BYTES.  The
-periodic encoder and decoder tile a pattern over _WIDE_ROW bits too, then
-that row over the word (_tiled).
+A chunk holds at most _CHUNK_BYTES // 8 cells: whole rows while a row
+fits, else one row in chunks of a multiple of 64 columns.  That bounds
+each kernel's temporaries near _CHUNK_BYTES for any word length; the
+run-length kernel, the largest, takes about 8.5 bytes a cell.
+
+The periodic kernel gathers a chunk narrower than 2^10 columns,
+transposed, against its rows' first bits tiled over it.  Wider chunks are
+packed, 64 bits to a uint64 word, and scanned in segments of up to
+_CHUNK_BYTES consecutive columns, since each period costs a few numpy
+calls per scan.  For each period P one gather builds P's pattern tiled
+over a block of at least _WIDE_ROW bits (a multiple of lcm(P, 64)), packed
+alike, once per block of rows; a segment starting at column c, a multiple
+of 64, reads each block rotated by c / 64 words.  The segment, cut into
+rows of blocks, is xored with the blocks, the periods whose blocks have
+one width in one call, and np.bitwise_count counts the mismatches, the
+padding of the segment's last word masked out.  The gathers' indexes and
+the layout of the rows of blocks depend on the periods and widths only,
+and are built once (_tiling_index, _packed_layout).  The periods are taken
+a few at a time, so that the gathered copies, or the xored words, stay
+within _CHUNK_BYTES.  The periodic encoder and decoder tile a pattern
+over _WIDE_ROW bits too, then that row over the word (_tiled).
 
 Tie-breaks are deterministic: smallest period for periodic, listed order
 for model_class.
@@ -67,11 +81,13 @@ from .words import BitWord, as_bits, block_tallies, packed_rows
 P_MAX = 32
 MODEL_TAG_BITS = 3
 
-# Byte budget of one chunk: code_lengths() scores rows x n <= _CHUNK_BYTES
-# bits at a time (each kernel's temporaries take a few bytes per bit); the
-# periodic gather holds one transposed n x rows copy, then rows x periods x n
-# bytes plus an index of 8 x periods x n, together at most _CHUNK_BYTES; the
-# packed scan sizes its chunks of periods the same way (see _periodic_scan).
+# Byte budget of the kernels' temporaries: a chunk holds at most
+# _CHUNK_BYTES // 8 cells, as the run-length kernel takes about 8.5 bytes a
+# cell (see _scored).  The periodic gather holds one transposed copy of the
+# chunk, then rows x periods x width bytes plus an index of 8 x periods x
+# width, together at most _CHUNK_BYTES; the packed scan takes segments of
+# up to _CHUNK_BYTES columns and sizes its sets of periods the same way
+# (see _mismatch_counts).
 _CHUNK_BYTES = 1 << 20
 
 # (ideal[rows], concrete[rows] or None, model tag[rows] or None)
@@ -128,6 +144,11 @@ def concrete_coder_ids() -> tuple[CoderId, ...]:
 
 # ---------------------------------------------------------------------------
 # batched length kernels: bits[rows, n] (uint8) -> (ideal, concrete, tag)
+#
+# A kernel is built on one block of rows, kernel(block); add(chunk, c) adds
+# the per-row totals of the block's columns c, c + 1, ... that chunk holds,
+# the chunks coming left to right, and finish() turns the totals into the
+# block's Lengths.
 
 
 def _gamma_len(v):
@@ -148,26 +169,45 @@ def _tabulate(fn, keys: np.ndarray, *dtypes) -> list[np.ndarray]:
     return tables if inverse is None else [table[inverse] for table in tables]
 
 
-def _literal_lengths(bits: np.ndarray) -> Lengths:
-    m, n = bits.shape
-    return np.full(m, float(n)), np.full(m, n, dtype=np.int64), None
+class _Literal:
+    """The constant n."""
+
+    def __init__(self, block: np.ndarray):
+        self.rows, self.n = block.shape
+
+    def add(self, chunk: np.ndarray, c: int) -> None:
+        pass
+
+    def finish(self) -> Lengths:
+        return np.full(self.rows, float(self.n)), np.full(self.rows, self.n, dtype=np.int64), None
 
 
-def _shell_lengths(bits: np.ndarray) -> Lengths:
-    n = bits.shape[1]
-    # count_nonzero is fastest on one long row, an int32 sum on many rows
-    weights = np.array([np.count_nonzero(bits)]) if len(bits) == 1 else bits.sum(1, np.int32)
-    ideal, concrete = _tabulate(
-        lambda k: (ideal_len_shell(n, k), concrete_len_shell(n, k)), weights, np.float64, np.int64
-    )
-    return ideal, concrete, None
+class _Shell:
+    """Each row's weight."""
+
+    def __init__(self, block: np.ndarray):
+        self.n = block.shape[1]
+        self.weights = 0  # a Python int while there is one row
+
+    def add(self, chunk: np.ndarray, c: int) -> None:
+        # count_nonzero is fastest on one long row, an int32 sum on many rows
+        self.weights += np.count_nonzero(chunk) if len(chunk) == 1 else chunk.sum(1, np.int32)
+
+    def finish(self) -> Lengths:
+        n = self.n
+        ideal, concrete = _tabulate(
+            lambda k: (ideal_len_shell(n, k), concrete_len_shell(n, k)),
+            np.array(self.weights, ndmin=1), np.float64, np.int64,
+        )
+        return ideal, concrete, None
 
 
 def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Lengths of the maximal constant runs of every row, row by row and
-    left to right, and the row of each run (None for a single row)."""
+    left to right, the last column ending each row's last run, and the row
+    of each run (None for a single row)."""
     m, n = bits.shape
-    ends = np.ones((m, n), dtype=bool)  # the last column ends each row's last run
+    ends = np.ones((m, n), dtype=bool)
     np.not_equal(bits[:, 1:], bits[:, :-1], out=ends[:, :-1])
     ends = np.flatnonzero(ends)
     runs = np.empty_like(ends)
@@ -176,15 +216,39 @@ def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return runs, (ends // n if m > 1 else None)
 
 
-def _run_length_lengths(bits: np.ndarray) -> Lengths:
-    runs, rows = _runs(bits)
-    gamma = _gamma_len(runs)
-    if rows is None:
-        totals = np.array([gamma.sum()])
-    else:
-        totals = np.bincount(rows, weights=gamma, minlength=bits.shape[0]).astype(np.int64)
-    totals += 1  # the leading bit
-    return totals.astype(np.float64), totals, None
+class _RunLength:
+    """Each row's leading bit and the Elias gamma lengths of its runs.  The
+    run still open at a chunk's last column carries its bit and length into
+    the next chunk, whose first run it extends or, on the other bit, ends."""
+
+    def __init__(self, block: np.ndarray):
+        self.n = block.shape[1]
+        self.totals = 1  # the leading bit; a Python int or scalar while there is one row
+        self.open_bit = self.open_len = None
+
+    def add(self, chunk: np.ndarray, c: int) -> None:
+        m, w = chunk.shape
+        runs, rows = _runs(chunk)
+        carried, closes = self.open_len is not None, c + w == self.n
+        if carried or not closes:
+            per_row = np.array([runs.size]) if rows is None else np.bincount(rows, minlength=m)
+            last = np.cumsum(per_row) - 1
+        if carried:
+            same = chunk[:, 0] == self.open_bit
+            runs[(last - per_row + 1)[same]] += self.open_len[same]
+            self.totals = self.totals + np.where(same, 0, _gamma_len(self.open_len))
+        gamma = _gamma_len(runs)
+        if not closes:
+            self.open_bit, self.open_len = chunk[:, -1].copy(), runs[last]
+            gamma[last] = 0
+        if rows is None:
+            self.totals = self.totals + gamma.sum()
+        else:
+            self.totals = self.totals + np.bincount(rows, weights=gamma, minlength=m).astype(np.int64)
+
+    def finish(self) -> Lengths:
+        totals = np.array(self.totals, dtype=np.int64, ndmin=1)
+        return totals.astype(np.float64), totals, None
 
 
 def _periodic_cost(n: int, p, mismatches):
@@ -207,27 +271,29 @@ def _tiled(pattern: np.ndarray, n: int) -> np.ndarray:
     return np.tile(row, -(-n // row.size))[:n]
 
 
-# Rows of _GATHER_BELOW bits or more are scanned packed, 64 bits to a word:
-# there gathering rows x periods x n bytes costs more than building each
-# period's packed block and comparing words.
+# Chunks of _GATHER_BELOW columns or more are scanned packed, 64 bits to a
+# word: there gathering rows x periods x width bytes costs more than building
+# each period's packed block and comparing words.
 _GATHER_BELOW = 1 << 10
 
 
-def _block_words(periods: np.ndarray, words: int) -> np.ndarray:
+def _block_words(periods: np.ndarray) -> np.ndarray:
     """Words in each period's packed block: a multiple of lcm(p, 64) bits
-    of at least _WIDE_ROW bits (so one row of blocks makes a long inner
-    loop), or the whole packed row when that is shorter."""
+    of at least _WIDE_ROW bits, so one row of blocks makes a long inner
+    loop, and the tiled bits repeat from block to block and, as words,
+    every lcm(p, 64) / 64 words within one."""
     span = np.lcm(periods, 64)
-    return np.minimum(span * -(-_WIDE_ROW // span), 64 * words) // 64
+    return span * -(-_WIDE_ROW // span) // 64
 
 
-def _period_blocks(bits: np.ndarray, periods: np.ndarray, block_words: np.ndarray) -> np.ndarray:
+def _period_blocks(head: np.ndarray, periods: np.ndarray, block_words: np.ndarray) -> np.ndarray:
     """(rows, periods, max(block_words)) uint64: each row's first p bits
-    tiled over block_words[i] words for the i-th period p, packed as the
-    row is packed.  The tiling repeats every lcm(p, 8) bits, a whole number
-    of bytes, so one gather builds those bits and the bytes are repeated."""
+    (head) tiled over block_words[i] words for the i-th period p, packed as
+    a chunk is packed.  The tiling repeats every lcm(p, 8) bits, a whole
+    number of bytes, so one gather builds those bits and the bytes are
+    repeated."""
     columns, index = _tiling_index(tuple(periods.tolist()), tuple(block_words.tolist()))
-    units = np.packbits(np.take(bits, columns, axis=1), axis=2).reshape(bits.shape[0], -1)
+    units = np.packbits(np.take(head, columns, axis=1), axis=2).reshape(len(head), -1)
     return np.take(units, index, axis=1).view(np.uint64)
 
 
@@ -247,118 +313,249 @@ def _tiling_index(periods: tuple[int, ...], block_words: tuple[int, ...]):
     return columns, index
 
 
-def _packed_mismatch_counts(
-    bits: np.ndarray, packed: np.ndarray, last: np.uint64, periods: np.ndarray
-) -> np.ndarray:
-    """(rows, periods) mismatch counts from the rows packed into uint64
-    words, with room for one block past the row: a period's count is the
-    popcount of the packed row xor its block, tiled over the row.  last
-    masks the row's bits in its last word."""
-    m, n = bits.shape
+@lru_cache(maxsize=32)
+def _packed_layout(periods: tuple[int, ...], n: int):
+    """How the packed scan lays out a chunk of n columns for the given
+    periods, which depends on these only: the periods ordered by the
+    width of their blocks, and those widths; each run of equal widths b
+    as (first, end, r, b), the chunk being cut into r rows of b words; the
+    inverse of the order; the mask of the chunk's bits in its last word."""
     words = -(-n // 64)
-    block_words = _block_words(periods, words)
-    rows = -(-words // block_words)
-    ext = (rows * block_words).tolist()  # words the tiled blocks cover, >= words
-    blocks = _period_blocks(bits, periods, block_words)
-    xor = np.empty((len(periods), m, max(ext)), dtype=np.uint64)
-    for i, (e, r, b) in enumerate(zip(ext, rows.tolist(), block_words.tolist())):
+    block_words = _block_words(np.array(periods))
+    order = np.argsort(block_words, kind="stable")
+    widths = block_words[order].tolist()
+    runs = []
+    for b in sorted(set(widths)):
+        first = widths.index(b)
+        runs.append((first, first + widths.count(b), -(-words // b), b))
+    last = packed_rows((np.arange(64) < n - 64 * (words - 1))[None])[0, 0]
+    return np.array(periods)[order], block_words[order], runs, np.argsort(order), last
+
+
+def _packed_mismatch_counts(
+    blocks: np.ndarray, offset: int, packed: np.ndarray, n: int, periods: np.ndarray
+) -> np.ndarray:
+    """(rows, periods) mismatch counts of a chunk of n columns packed into
+    uint64 words, with room for one block past its end: a period's count is
+    the popcount of the packed chunk xor its block, tiled over the chunk.
+    blocks are the periods' blocks at column 0, in _packed_layout's order;
+    the chunk starts at a column offset that is a multiple of 64, where
+    the tiled bits are the block's words rotated by offset / 64.  The
+    periods whose blocks have one width are xored in one call."""
+    m = len(packed)
+    words = -(-n // 64)
+    _, block_words, runs, inverse, last = _packed_layout(tuple(periods.tolist()), n)
+    if offset:
+        rotation = (offset // 64 + np.arange(blocks.shape[2])) % block_words[:, None]
+        blocks = np.take_along_axis(blocks, rotation[None], axis=2)
+    xor = np.empty((len(periods), m, max(r * b for _, _, r, b in runs)), dtype=np.uint64)
+    for first, end, r, b in runs:
         np.bitwise_xor(
-            packed[:, :e].reshape(m, r, b), blocks[:, i, None, :b], out=xor[i, :, :e].reshape(m, r, b)
+            packed[None, :, : r * b].reshape(1, m, r, b),
+            blocks[:, first:end, None, :b].transpose(1, 0, 2, 3),
+            out=xor[first:end, :, : r * b].reshape(end - first, m, r, b),
         )
-    xor[:, :, words - 1] &= last  # the row's padding is zero, the blocks' is pattern
-    return np.bitwise_count(xor[:, :, :words]).sum(axis=2, dtype=np.int32).T
+    xor[:, :, words - 1] &= last  # the chunk's padding is zero, the blocks' is pattern
+    return np.bitwise_count(xor[:, :, :words]).sum(axis=2, dtype=np.int32).T[:, inverse]
 
 
-def _gathered_mismatch_counts(columns: np.ndarray, periods: np.ndarray) -> np.ndarray:
-    """(rows, periods) mismatch counts from the rows transposed to (n, rows)
-    and one gather of their first p bits tiled over n; the rows last, the
-    sum over n adds whole rows of counts."""
-    tiled = np.take(columns, np.arange(len(columns)) % periods[:, None], axis=0)
+def _gathered_mismatch_counts(
+    head: np.ndarray, offset: int, columns: np.ndarray, periods: np.ndarray
+) -> np.ndarray:
+    """(rows, periods) mismatch counts of a chunk transposed to (width,
+    rows), from one gather of the transposed head, (p, rows), tiled over
+    the chunk's columns from column offset on; the rows last, the sum over
+    the width adds whole rows of counts."""
+    tiled = np.take(head, (offset + np.arange(len(columns))) % periods[:, None], axis=0)
     mask = np.not_equal(tiled, columns, out=tiled.view(bool))
     return mask.sum(axis=1, dtype=np.int32).T
 
 
-def _periodic_scan(bits: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cost, period) of every row minimizing the periodic cost over
-    p <= min(p_max, n); the smallest period wins ties.  The cost counts
-    the positions where a row differs from its first p bits tiled over
-    its length."""
-    m, n = bits.shape
-    top = min(p_max, n)
-    periods = np.arange(1, top + 1)
-    if n >= _GATHER_BELOW:
-        words = -(-n // 64)
-        block = int(_block_words(periods, words).max())
-        packed = packed_rows(bits, words + block)
-        last = packed_rows((np.arange(64) < n - 64 * (words - 1))[None])[0, 0]
+def _mismatch_counts(
+    head: np.ndarray, chunk: np.ndarray, offset: int, periods: np.ndarray, blocks: dict
+) -> np.ndarray:
+    """(rows, periods) counts of the columns of chunk, which start at column
+    offset of its rows, that differ from each row's first p bits (head)
+    tiled over the row, for every period p in periods = 1, 2, ...  The
+    periods are taken a few at a time to keep the temporaries within
+    _CHUNK_BYTES; blocks keeps the packed blocks of each set of periods,
+    built for the first packed chunk that takes it and rotated for the
+    next."""
+    m, w = chunk.shape
+    top = len(periods)
+    if w >= _GATHER_BELOW:
+        words = -(-w // 64)
+        block = int(_block_words(periods).max())
+        packed = packed_rows(chunk, words + block)
         # per period: its xor words, and its tiled bits (at most 8 x top)
         # and block bytes, each with an 8-byte gather index
         step = max(1, _CHUNK_BYTES // (8 * m * (words + block) + (m + 8) * 8 * (top + block)))
-        mismatch_counts = partial(_packed_mismatch_counts, bits, packed, last)
+
+        def count(periods):
+            key = tuple(periods.tolist())
+            if key not in blocks:
+                blocks[key] = _period_blocks(head, *_packed_layout(key, w)[:2])
+            return _packed_mismatch_counts(blocks[key], offset, packed, w, periods)
+
     else:
-        step = max(1, _CHUNK_BYTES // ((m + 8) * n))
-        mismatch_counts = partial(_gathered_mismatch_counts, np.ascontiguousarray(bits.T))
-    counts = [mismatch_counts(periods[first : first + step]) for first in range(0, top, step)]
-    costs = _periodic_cost(n, periods, np.concatenate(counts, axis=1))
-    # argmin takes the first minimum: the smallest period
-    return costs.min(axis=1), periods[costs.argmin(axis=1)]
+        step = max(1, _CHUNK_BYTES // ((m + 8) * w))
+        count = partial(
+            _gathered_mismatch_counts,
+            np.ascontiguousarray(head.T), offset, np.ascontiguousarray(chunk.T),
+        )
+    return np.concatenate([count(periods[first : first + step]) for first in range(0, top, step)], axis=1)
 
 
-def _periodic_lengths(bits: np.ndarray) -> Lengths:
-    cost, _ = _periodic_scan(bits, P_MAX)
-    return cost.astype(np.float64), cost, None
+class _Periodic:
+    """Each row's mismatch counts against its first p bits tiled over the
+    row, for every period p <= min(p_max, n): each chunk is compared with
+    the first p bits rotated by its first column mod p.  A chunk of
+    _GATHER_BELOW columns or more is scanned packed, where each period
+    costs a few numpy calls: consecutive such chunks are scanned together,
+    a segment of up to _CHUNK_BYTES columns (_CHUNK_BYTES / 8 bytes packed)
+    at a time."""
+
+    def __init__(self, block: np.ndarray, p_max: int = P_MAX):
+        m, self.n = block.shape
+        self.block = block
+        self.periods = np.arange(1, min(p_max, self.n) + 1)
+        self.head = block[:, : len(self.periods)]
+        self.counts = None
+        self.blocks = {}
+        self.segment = None  # (first, end) columns of the chunks to scan packed
+
+    def add(self, chunk: np.ndarray, c: int) -> None:
+        w = chunk.shape[1]
+        if w < _GATHER_BELOW:
+            self._add(_mismatch_counts(self.head, chunk, c, self.periods, self.blocks))
+            return
+        if self.segment is not None and c + w - self.segment[0] > _CHUNK_BYTES:
+            self._scan_segment()
+        self.segment = (c if self.segment is None else self.segment[0], c + w)
+
+    def _scan_segment(self) -> None:
+        first, end = self.segment
+        segment = self.block[:, first:end]
+        self._add(_mismatch_counts(self.head, segment, first, self.periods, self.blocks))
+        self.segment = None
+
+    def _add(self, counts: np.ndarray) -> None:
+        # a scan's int32 counts, summed in int64 over several scans
+        self.counts = counts if self.counts is None else np.add(self.counts, counts, dtype=np.int64)
+
+    def scan(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cost, period) of every row at its cheapest period; the
+        smallest period wins ties."""
+        if self.segment is not None:
+            self._scan_segment()
+        costs = _periodic_cost(self.n, self.periods, self.counts)
+        # argmin takes the first minimum: the smallest period
+        return costs.min(axis=1), self.periods[costs.argmin(axis=1)]
+
+    def finish(self) -> Lengths:
+        cost, self.period = self.scan()
+        return cost.astype(np.float64), cost, None
 
 
-def _pair_shell_lengths(bits: np.ndarray) -> Lengths:
-    nb, tail = divmod(bits.shape[1], 2)
-    header = 4 * math.log2(nb + 1)
-    # Key: the tallies (c01, c10, c11) in base b = nb + 1, c00 being the rest
-    # of nb.  Rows share a chunk only if n <= _CHUNK_BYTES / 2 = 2^19, so int64
-    # keys stay below 2^55; a lone row's key is a Python int, exact at any n.
-    b = nb + 1
-    place = np.array([b * b, b, 1], dtype=object if len(bits) == 1 else np.int64)
+class _PairShell:
+    """Each row's tallies of the disjoint 2-bit blocks 00, 01, 10, 11; a
+    chunk that is not the row's last has even width, so no block straddles
+    two chunks, and an odd trailing bit is left out."""
 
-    def length(key):
-        c = [key // (b * b), key // b % b, key % b]
-        return (log2_multinomial([nb - sum(c), *c]) + header,)
+    def __init__(self, block: np.ndarray):
+        self.n = block.shape[1]
+        self.tallies = 0
 
-    (ideal,) = _tabulate(length, block_tallies(bits)[:, 1:] @ place, np.float64)
-    return ideal + tail, None, None
+    def add(self, chunk: np.ndarray, c: int) -> None:
+        self.tallies = self.tallies + block_tallies(chunk)
+
+    def finish(self) -> Lengths:
+        nb, tail = divmod(self.n, 2)
+        header = 4 * math.log2(nb + 1)
+        # Key: the tallies (c01, c10, c11) in base b = nb + 1, c00 being the
+        # rest of nb.  Every key is below b^3: int64 while b^3 < 2^63, that
+        # is for n below about 2^22, and Python ints above.
+        b = nb + 1
+        place = np.array([b * b, b, 1], dtype=np.int64 if b**3 < 1 << 63 else object)
+
+        def length(key):
+            c = [key // (b * b), key // b % b, key % b]
+            return (log2_multinomial([nb - sum(c), *c]) + header,)
+
+        (ideal,) = _tabulate(length, self.tallies[:, 1:] @ place, np.float64)
+        return ideal + tail, None, None
 
 
 _NO_CODE = np.iinfo(np.int64).max
 
 
-def _member_lengths(
-    bits: np.ndarray, concrete_only: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, members) ideal and concrete lengths of every model_class
-    member, or of the members with a concrete code only, and each row's
-    best period under the periodic member; a member without a concrete
-    code has concrete length _NO_CODE, and ideal length inf when it is
-    left out."""
-    ideal = np.full((bits.shape[0], len(MODEL_MEMBERS)), np.inf)
-    concrete = np.full(ideal.shape, _NO_CODE, dtype=np.int64)
-    for j, name in enumerate(MODEL_MEMBERS):
-        if concrete_only and _CODERS[name].encode is None:
-            continue
-        if name == "periodic":  # the scan's period saves the encoder a second scan
-            concrete[:, j], period = _periodic_scan(bits, P_MAX)
-            ideal[:, j] = concrete[:, j]
-            continue
-        ideal[:, j], member_concrete, _ = _CODERS[name].lengths(bits)
-        if member_concrete is not None:
-            concrete[:, j] = member_concrete
-    return ideal, concrete, period
+class _ModelClass:
+    """Every model_class member's kernel, or those of the members with a
+    concrete code only, fed the same chunks."""
+
+    def __init__(self, block: np.ndarray, concrete_only: bool = False):
+        self.rows = len(block)
+        self.members = {
+            j: _CODERS[name].kernel(block)
+            for j, name in enumerate(MODEL_MEMBERS)
+            if not concrete_only or _CODERS[name].encode is not None
+        }
+
+    def add(self, chunk: np.ndarray, c: int) -> None:
+        for member in self.members.values():
+            member.add(chunk, c)
+
+    def member_lengths(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, members) ideal and concrete lengths of every member; a
+        member without a concrete code has concrete length _NO_CODE, and
+        ideal length inf when it is left out."""
+        ideal = np.full((self.rows, len(MODEL_MEMBERS)), np.inf)
+        concrete = np.full(ideal.shape, _NO_CODE, dtype=np.int64)
+        for j, member in self.members.items():
+            ideal[:, j], member_concrete, _ = member.finish()
+            if member_concrete is not None:
+                concrete[:, j] = member_concrete
+        return ideal, concrete
+
+    def finish(self) -> Lengths:
+        """The ideal length takes the minimum over member ideal lengths and
+        the concrete length the minimum over members with a concrete code;
+        the tag indexes MODEL_MEMBERS at the ideal winner (first on ties)."""
+        ideal, concrete = self.member_lengths()
+        tag = np.argmin(ideal, axis=1)
+        return MODEL_TAG_BITS + ideal.min(axis=1), MODEL_TAG_BITS + concrete.min(axis=1), tag
 
 
-def _model_class_lengths(bits: np.ndarray) -> Lengths:
-    """The ideal length takes the minimum over member ideal lengths and the
-    concrete length the minimum over members with a concrete code; the tag
-    indexes MODEL_MEMBERS at the ideal winner (first on ties)."""
-    ideal, concrete, _ = _member_lengths(bits)
-    tag = np.argmin(ideal, axis=1)
-    return MODEL_TAG_BITS + ideal.min(axis=1), MODEL_TAG_BITS + concrete.min(axis=1), tag
+def _scored(kernel, bits: np.ndarray):
+    """kernel(block) for every block of rows of bits, fed the block's
+    column chunks in order.  A chunk holds at most _CHUNK_BYTES // 8 cells:
+    whole rows while a row fits, else one row in chunks of a multiple of 64
+    columns (64 at least), so that no 2-bit block straddles two chunks and
+    a packed chunk starts on a whole word of the row."""
+    m, n = bits.shape
+    cells = _CHUNK_BYTES // 8
+    rows = max(1, cells // n)
+    width = n if n <= cells else max(64, cells - cells % 64)
+    for first in range(0, m, rows):
+        block = bits[first : first + rows]
+        scorer = kernel(block)
+        for c in range(0, n, width):
+            scorer.add(block[:, c : c + width], c)
+        yield scorer
+
+
+def _lengths(kernel, bits: np.ndarray) -> Lengths:
+    parts = [scorer.finish() for scorer in _scored(kernel, bits)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
+
+
+def _periodic_scan(bits: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cost, period) of every row minimizing the periodic cost over
+    p <= min(p_max, n); the smallest period wins ties."""
+    scans = [scorer.scan() for scorer in _scored(partial(_Periodic, p_max=p_max), bits)]
+    return tuple(np.concatenate(part) for part in zip(*scans))
 
 
 def code_lengths(coder: CoderId, bits) -> Lengths:
@@ -372,18 +569,11 @@ def code_lengths(coder: CoderId, bits) -> Lengths:
     bits = np.asarray(bits)
     if bits.ndim != 2 or 0 in bits.shape:
         raise ValueError("bits must be a matrix of at least one row and one column")
-    bits = as_bits(bits)
-    kernel = _CODERS[coder.name].lengths
-    m, n = bits.shape
-    step = max(1, _CHUNK_BYTES // n)
-    parts = [kernel(bits[i : i + step]) for i in range(0, m, step)]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
+    return _lengths(_CODERS[coder.name].kernel, as_bits(bits))
 
 
 def _one_row(coder: CoderId, word: BitWord) -> CodeResult:
-    ideal, concrete, tag = _CODERS[coder.name].lengths(word.bits[None])
+    ideal, concrete, tag = _lengths(_CODERS[coder.name].kernel, word.bits[None])
     return CodeResult(
         coder,
         float(ideal[0]),
@@ -434,7 +624,7 @@ def code_word(coder: CoderId, word: BitWord) -> CodeResult:
 
 
 def _decode_literal(n: int, reader: BitReader) -> BitWord:
-    return BitWord(reader.read_bits(n).view(np.bool_))  # the reader holds 0/1 only
+    return BitWord._owning(reader.read_bits(n).view(np.bool_))  # the reader holds 0/1 only
 
 
 def _encode_run_length(word: BitWord) -> np.ndarray:
@@ -450,7 +640,7 @@ def _decode_run_length(n: int, reader: BitReader) -> BitWord:
     if sum(runs) > n:
         raise DecodeError("run overruns the declared word length")
     values = (bit + np.arange(len(runs))) & 1  # the runs alternate from bit
-    return BitWord(np.repeat(values.astype(np.bool_), runs))
+    return BitWord._owning(np.repeat(values.astype(np.bool_), runs))
 
 
 def _encode_periodic(word: BitWord) -> np.ndarray:
@@ -481,17 +671,18 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
         raise DecodeError(f"mismatch position {pos} out of range")
     bits = _tiled(pattern, n)
     np.bitwise_xor.at(bits, positions, 1)  # a position listed twice flips back
-    return BitWord(bits.view(np.bool_))  # the reader holds 0/1 only
+    return BitWord._owning(bits.view(np.bool_))  # the reader holds 0/1 only
 
 
 def _encode_model_class(word: BitWord) -> np.ndarray:
-    _, concrete, period = _member_lengths(word.bits[None], concrete_only=True)
+    (scored,) = _scored(partial(_ModelClass, concrete_only=True), word.bits[None])
+    _, concrete = scored.member_lengths()
     best = int(np.argmin(concrete[0]))  # the first shortest concrete member
     name = MODEL_MEMBERS[best]
     out = BitWriter()
     out.write_uint(best, MODEL_TAG_BITS)
-    if name == "periodic":
-        out.write_bits(_periodic_codeword(word, int(period[0])))
+    if name == "periodic":  # the scan's period saves the encoder a second scan
+        out.write_bits(_periodic_codeword(word, int(scored.members[best].period[0])))
     else:
         out.write_bits(_CODERS[name].encode(word))
     return out.getvalue()
@@ -530,11 +721,11 @@ def decode_word(coder: CoderId, n: int, source) -> BitWord:
 
 @dataclass(frozen=True)
 class _Coder:
-    """One coder: its batched length kernel, its one-row length function
-    (the exported k_* function, so each call is named after its coder)
-    and, for concrete coders, its codec."""
+    """One coder: its length kernel, its one-row length function (the
+    exported k_* function, so each call is named after its coder) and, for
+    concrete coders, its codec."""
 
-    lengths: Callable[[np.ndarray], Lengths]
+    kernel: type
     length: Callable[[BitWord], CodeResult]
     encode: Callable[[BitWord], np.ndarray] | None = None
     decode: Callable[[int, BitReader], BitWord] | None = None
@@ -542,14 +733,12 @@ class _Coder:
 
 # Order fixes both the model tag values and the model_class tie-break.
 _CODERS = {
-    "literal": _Coder(_literal_lengths, k_len, lambda w: w.bits.copy(), _decode_literal),
-    "shell": _Coder(_shell_lengths, k_comb, lambda w: encode_shell(w).bits, decode_shell),
-    "run_length": _Coder(_run_length_lengths, k_run_length, _encode_run_length, _decode_run_length),
-    "periodic": _Coder(_periodic_lengths, k_periodic, _encode_periodic, _decode_periodic),
-    "pair_shell": _Coder(_pair_shell_lengths, k_pair_shell),
-    "model_class": _Coder(
-        _model_class_lengths, k_model_class, _encode_model_class, _decode_model_class
-    ),
+    "literal": _Coder(_Literal, k_len, lambda w: w.bits.copy(), _decode_literal),
+    "shell": _Coder(_Shell, k_comb, lambda w: encode_shell(w).bits, decode_shell),
+    "run_length": _Coder(_RunLength, k_run_length, _encode_run_length, _decode_run_length),
+    "periodic": _Coder(_Periodic, k_periodic, _encode_periodic, _decode_periodic),
+    "pair_shell": _Coder(_PairShell, k_pair_shell),
+    "model_class": _Coder(_ModelClass, k_model_class, _encode_model_class, _decode_model_class),
 }
 CODER_NAMES = tuple(_CODERS)
 MODEL_MEMBERS = tuple(name for name in CODER_NAMES if name != "model_class")

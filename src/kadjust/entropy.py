@@ -9,7 +9,8 @@ Above _BIG_N the factorization of a factorial m! comes from Legendre's
 formula: one division m // p over the primes up to m, then the higher
 powers m // p^i over the primes up to sqrt(m) only, the few whose square
 divides into m.  log2_multinomial and shell_size take one such pass per
-factorial.
+factorial, each over the primes up to its own m, and subtract the
+exponents of the denominator's factorials from those of the numerator's.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ def shell_size(n: int, k: int) -> int:
     # CPython; multiplying out the prime powers of C(n, k) costs products
     # only (C(2^15, 2^14): 2 ms against 25 ms).
     exps = _factorial_prime_exponents(n)
-    exps -= _factorial_prime_exponents(k, upto=n)
-    exps -= _factorial_prime_exponents(n - k, upto=n)
+    for c in (k, n - k):
+        _subtract_exponents(exps, c)
     primes = _primes_upto(n)
     nz = exps > 0
     powers = [p**e for p, e in zip(primes[nz].tolist(), exps[nz].tolist())]
@@ -79,8 +80,20 @@ def log2_multinomial(counts) -> float:
         return math.log2(value) if value > 1 else 0.0
     exps = _factorial_prime_exponents(total)
     for c in counts:
-        exps -= _factorial_prime_exponents(c, upto=total)
-    return _log2_from_exponents(_primes_upto(total), exps)
+        _subtract_exponents(exps, c)
+    if np.any(exps < 0):
+        raise ValueError("invalid factorization")
+    # The dot runs over the nonzero exponents, as float64; the full-length
+    # exponents go first and log2 works in place, which keeps the
+    # temporaries near 18 bytes a prime.
+    nz = exps != 0
+    weights = exps[nz]
+    del exps
+    weights = weights.astype(np.float64)
+    logs = _primes_upto(total)[nz].astype(np.float64)
+    del nz
+    np.log2(logs, out=logs)
+    return float(np.dot(weights, logs))
 
 
 def conditional_entropy(pc: PairCounts) -> float:
@@ -131,23 +144,37 @@ def ceil_log2_comb(n: int, k: int) -> int:
 
 
 # One sieve, grown to the largest n asked for so far; smaller n take a
-# prefix of it.
-_primes = np.zeros(0, dtype=np.int64)
+# prefix of it.  The primes are int32, which bounds n below 2^31.
+_primes = np.zeros(0, dtype=np.int32)
+_primes.setflags(write=False)
 _primes_limit = 1
 
 
 def _primes_upto(n: int) -> np.ndarray:
+    """The primes <= n, ascending, as a read-only int32 array."""
     global _primes, _primes_limit
+    if n >= 1 << 31:
+        raise ValueError(f"primes are sieved below 2^31 only, not up to {n}")
     if n > _primes_limit:
-        sieve = np.ones(n + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, int(n**0.5) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        _primes = np.flatnonzero(sieve).astype(np.int64)
-        _primes.setflags(write=False)
-        _primes_limit = n
-    return _primes[: np.searchsorted(_primes, n, side="right")]
+        odd = np.ones((n + 1) // 2, dtype=bool)  # odd[i]: is 2i + 1 prime
+        odd[0] = False
+        for p in range(3, math.isqrt(n) + 1, 2):
+            if odd[p // 2]:
+                odd[p * p // 2 :: p] = False
+        index = np.flatnonzero(odd)
+        primes = np.empty(index.size + 1, dtype=np.int32)
+        primes[0] = 2
+        np.multiply(index, 2, out=primes[1:], casting="unsafe")
+        primes[1:] += 1
+        primes.setflags(write=False)
+        _primes, _primes_limit = primes, n
+    return _primes[: _prime_count(_primes, n)]
+
+
+def _prime_count(primes: np.ndarray, m: int) -> int:
+    """The number of ascending int32 primes <= m, for m < 2^31; m is made
+    an int32 so that numpy does not cast the primes to int64."""
+    return int(np.searchsorted(primes, np.int32(m), side="right"))
 
 
 def _factorial_prime_exponents(m: int, upto: int | None = None) -> np.ndarray:
@@ -155,10 +182,10 @@ def _factorial_prime_exponents(m: int, upto: int | None = None) -> np.ndarray:
     by Legendre's formula: the sum over i >= 1 of m // p^i."""
     primes = _primes_upto(upto if upto is not None else m)
     exps = np.zeros(primes.size, dtype=np.int64)
-    below = np.searchsorted(primes, m, side="right")  # primes > m divide m! zero times
-    exps[:below] = m // primes[:below]
+    below = _prime_count(primes, m)  # primes > m divide m! zero times
+    np.floor_divide(np.int64(m), primes[:below], out=exps[:below])
     # only the primes <= sqrt(m) have p^2 <= m: add m // p^i for i >= 2
-    small = np.searchsorted(primes, math.isqrt(m), side="right")
+    small = _prime_count(primes, math.isqrt(m))
     q = exps[:small].copy()
     while small:
         q //= primes[:small]
@@ -168,8 +195,8 @@ def _factorial_prime_exponents(m: int, upto: int | None = None) -> np.ndarray:
     return exps
 
 
-def _log2_from_exponents(primes: np.ndarray, exps: np.ndarray) -> float:
-    if np.any(exps < 0):
-        raise ValueError("invalid factorization")
-    nz = exps != 0
-    return float(np.dot(exps[nz].astype(np.float64), np.log2(primes[nz].astype(np.float64))))
+def _subtract_exponents(exps: np.ndarray, c: int) -> None:
+    """Subtract the prime exponents of c! from exps, in place, over the
+    primes <= c only."""
+    own = _factorial_prime_exponents(c)
+    exps[: own.size] -= own

@@ -49,9 +49,9 @@ def parse_word(payload: bytes, fmt: str, max_bits: int | None = None) -> BitWord
         bits = np.unpackbits(np.frombuffer(bytes.fromhex(text), dtype=np.uint8))
     else:
         raise ValueError(f"unknown input format {fmt!r}")
-    if max_bits is not None:
-        bits = bits[:max_bits]
-    return BitWord(bits)
+    if max_bits is not None and max_bits < bits.size:
+        bits = bits[:max_bits].copy()  # a short word does not pin the whole buffer
+    return BitWord._owning(bits)
 
 
 def read_word(path: str | None, fmt: str = "ascii01", max_bits: int | None = None) -> BitWord:

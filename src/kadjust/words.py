@@ -56,19 +56,32 @@ def bit_bytes(values, error: type[Exception] = ValueError) -> bytes:
     return bits.tobytes() if raw is None else raw
 
 
+def _word_bits(arr: np.ndarray) -> np.ndarray:
+    """arr, a uint8 array of 0/1 values, checked to hold a word and made
+    read-only."""
+    if arr.ndim != 1:
+        raise ValueError("bits must be one-dimensional")
+    if arr.size == 0:
+        raise ValueError("a word must contain at least one bit")
+    arr.setflags(write=False)
+    return arr
+
+
 class BitWord:
     """Immutable finite binary word of length >= 1."""
 
     __slots__ = ("_bits",)
 
     def __init__(self, bits: Iterable[int] | np.ndarray):
-        arr = np.array(as_bits(bits))  # a copy the caller cannot write to
-        if arr.ndim != 1:
-            raise ValueError("bits must be one-dimensional")
-        if arr.size == 0:
-            raise ValueError("a word must contain at least one bit")
-        arr.setflags(write=False)
-        self._bits = arr
+        self._bits = _word_bits(np.array(as_bits(bits)))  # a copy the caller cannot write to
+
+    @classmethod
+    def _owning(cls, bits: np.ndarray) -> "BitWord":
+        """The word of a 0/1 array the package has just built and holds no
+        other reference to: checked and made read-only, but not copied."""
+        word = cls.__new__(cls)
+        word._bits = _word_bits(as_bits(bits))
+        return word
 
     @classmethod
     def from01(cls, text: str) -> "BitWord":
@@ -164,10 +177,15 @@ class PairCounts:
 def packed_rows(bits: np.ndarray, words: int | None = None) -> np.ndarray:
     """(rows, words) uint64: every row of a 0/1 uint8 matrix packed as
     np.packbits packs it, 64 bits to a word and zero-padded to `words`
-    words (by default the fewest that hold a row).  One packbits call over
-    the padded matrix, as fast for many short rows as for one long row."""
+    words (by default the fewest that hold a row).  One row is packed as
+    it is; many rows, which np.packbits(axis=1) takes one at a time, are
+    padded first and packed in one call."""
     m, n = bits.shape
     words = words or -(-n // 64)
+    if m == 1:
+        packed = np.zeros(8 * words, dtype=np.uint8)
+        packed[: -(-n // 8)] = np.packbits(bits)
+        return packed.view(np.uint64)[None]
     padded = np.zeros((m, 64 * words), dtype=np.uint8)
     padded[:, :n] = bits
     return np.packbits(padded).view(np.uint64).reshape(m, words)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,47 @@ class TestTestCommand:
         code, out, _ = run_cli(capsys, "test", str(path), "--format", "json")
         assert code == 0
         assert json.loads(out.strip())["decision"] == "constant-word"
+
+
+class TestOneInputAtATime:
+    """analyze and test read and score their inputs one at a time; the
+    records come out as when the words were read all at once."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, word_file):
+        paths = [word_file]
+        for name, text in (("const", "1111111111"), ("sparse", "0100000000001000000000001")):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text)
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("command", ["analyze", "test"])
+    def test_each_word_is_dropped_before_the_next_is_read(
+        self, capsys, monkeypatch, inputs, command
+    ):
+        singles = [run_cli(capsys, command, path, "--format", "json") for path in inputs]
+        read = kadjust.cli.read_word
+        words = []
+
+        def tracked(*args):
+            assert all(ref() is None for ref in words)  # every earlier word is gone
+            word = read(*args)
+            words.append(weakref.ref(word.bits))
+            return word
+
+        monkeypatch.setattr(kadjust.cli, "read_word", tracked)
+        code, out, _ = run_cli(capsys, command, *inputs, "--format", "json")
+        assert len(words) == len(inputs)
+        assert out == "".join(single_out for _, single_out, _ in singles)
+        assert code == max(single_code for single_code, _, _ in singles)
+
+    @pytest.mark.parametrize("command", ["analyze", "test"])
+    def test_missing_later_input_prints_nothing(self, capsys, inputs, tmp_path, command):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(capsys, command, *inputs[:2], missing)
+        assert (code, out) == (2, "")
+        assert "missing.txt" in err
 
 
 class TestPairCommands:

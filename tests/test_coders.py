@@ -368,8 +368,8 @@ class TestConcreteCodecs:
         word = BitWord(bits)
         coder = CoderId("model_class")
         scans = []
-        scan = coders._periodic_scan
-        monkeypatch.setattr(coders, "_periodic_scan", lambda *a: scans.append(1) or scan(*a))
+        scan = coders._mismatch_counts  # one call per chunk: the word is one chunk
+        monkeypatch.setattr(coders, "_mismatch_counts", lambda *a: scans.append(1) or scan(*a))
         codeword = encode_word(coder, word)
         assert len(scans) == 1
         assert codeword[:3].tolist() == [0, 1, 1]  # tag 3: periodic won

@@ -224,7 +224,7 @@ def _frozen_factorial_prime_exponents(m, upto=None):
     exps = np.zeros(primes.size, dtype=np.int64)
     if m < 2:
         return exps
-    pk = primes.copy()
+    pk = primes.astype(np.int64)  # p^i overflows int32
     alive = np.arange(primes.size)
     while alive.size:
         exps[alive] += m // pk[alive]
@@ -248,6 +248,33 @@ def _frozen_log2_multinomial(counts) -> float:
     primes = entropy._primes_upto(total)
     nz = exps != 0
     return float(np.dot(exps[nz].astype(np.float64), np.log2(primes[nz].astype(np.float64))))
+
+
+def _plain_primes(n: int) -> list[int]:
+    sieve = [True] * (n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, n + 1, p))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
+class TestPrimeSieve:
+    SIZES = [1, 2, 3, 4, 97, 4096, 4097, 10**5]
+
+    @pytest.mark.parametrize("order", ["decreasing", "increasing"])
+    def test_matches_plain_sieve(self, monkeypatch, order):
+        # from an empty cache: decreasing sizes grow it once and then take
+        # prefixes; increasing sizes grow it every time
+        monkeypatch.setattr(entropy, "_primes", entropy._primes[:0])
+        monkeypatch.setattr(entropy, "_primes_limit", 1)
+        for n in sorted(self.SIZES, reverse=order == "decreasing"):
+            primes = entropy._primes_upto(n)
+            assert primes.dtype == np.int32 and not primes.flags.writeable
+            assert primes.tolist() == _plain_primes(n), n
+
+    def test_refuses_int32_overflow_before_sieving(self):
+        with pytest.raises(ValueError, match="2\\^31"):
+            entropy._primes_upto(1 << 31)
 
 
 class TestFactorizedPath:

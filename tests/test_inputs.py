@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -40,6 +42,31 @@ class TestParseWord:
         for max_bits in (0, -1):
             with pytest.raises(ValueError, match="max_bits must be >= 1"):
                 parse_word(b"0101", "ascii01", max_bits=max_bits)
+
+    def test_raw_word_is_held_once(self):
+        # the unpacked bits become the word without a second copy: about
+        # one byte a bit, where a copy made it two
+        payload = np.random.default_rng(20).integers(0, 256, 1 << 17, dtype=np.uint8).tobytes()
+        parse_word(payload, "raw")
+        tracemalloc.start()
+        try:
+            word = parse_word(payload, "raw")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert word.n == 1 << 20
+        assert peak < 1.2 * word.n
+        assert not word.bits.flags.writeable
+        with pytest.raises(ValueError):
+            word.bits[0] = 1
+
+    def test_capped_word_does_not_pin_the_payload(self):
+        payload = bytes(range(256)) * 64
+        for fmt, data in (("raw", payload), ("hex", payload.hex().encode("ascii"))):
+            word = parse_word(data, fmt, max_bits=12)
+            assert word.bits.base is None and word.bits.nbytes == 12
+            assert word == BitWord.from01("000000000000")
+            assert not word.bits.flags.writeable
 
 
 class TestFormatWord:

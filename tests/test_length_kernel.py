@@ -3,12 +3,13 @@ and the Kraft inequality of every coder's lengths."""
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from kadjust import CODER_NAMES, CoderId, code_lengths
+from kadjust import CODER_NAMES, BitWord, CoderId, adjusted, code_lengths, code_word
 from kadjust import coders
 from kadjust.coders import MODEL_MEMBERS, MODEL_TAG_BITS
 
@@ -259,10 +260,11 @@ class TestPairShellKey:
         assert ideal.tolist() == [ref_pair_shell(row)[0] for row in matrix.tolist()]
 
     def test_widest_multi_row_key(self):
-        # two rows of 2^19 bits share one chunk; all 01 blocks give the
-        # largest key, nb * (nb + 1)^2 with nb = 2^18
-        n = coders._CHUNK_BYTES // 2
-        assert n == 1 << 19
+        # two rows of 2^16 bits, the longest that share a chunk of
+        # _CHUNK_BYTES // 8 cells; all 01 blocks give the largest key,
+        # nb * (nb + 1)^2 with nb = 2^15
+        n = coders._CHUNK_BYTES // 16
+        assert n == 1 << 16
         rng = np.random.default_rng(19)
         matrix = np.stack([np.tile(np.array([0, 1], dtype=np.uint8), n // 2), rng.random(n) < 0.3])
         for name in ("pair_shell", "periodic", "model_class"):
@@ -283,3 +285,85 @@ class TestGatheredPeriodicScan:
         for rows in (matrix[:1], matrix):
             cost, _ = coders._periodic_scan(rows, 40)
             assert cost.tolist() == [ref_periodic(row, 40)[1] for row in rows.tolist()]
+
+
+def assert_same_lengths(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+class TestColumnChunks:
+    """A row longer than a chunk of _CHUNK_BYTES // 8 cells is scored in
+    column chunks of a multiple of 64 columns, with the run-length kernel
+    carrying its open run and the periodic kernel comparing each chunk with
+    the row's first bits rotated by the chunk's offset.  Each width below
+    is 64 times an odd number, so the chunk edges fall mid-run and at
+    offsets that no odd period divides, and odd n ends the last chunk
+    mid-2-bit-block; 192 columns take the gathered periodic scan, the
+    wider ones the packed scan, in segments of up to _CHUNK_BYTES columns:
+    rows of 3 * 2^12 + 5 bits take two or more segments, the later ones
+    compared with rotated blocks."""
+
+    WIDTHS = [192, 1088, 1856]
+
+    @staticmethod
+    def matrix(n: int) -> np.ndarray:
+        # random_matrix has constant rows, one run across every chunk
+        alternating = np.arange(n, dtype=np.uint8) % 2
+        return np.vstack([random_matrix(n, seed=n), alternating]).astype(np.uint8)
+
+    @pytest.mark.parametrize("n", [(1 << 12) - 1, (1 << 12) + 1, 3 * (1 << 10) + 5, 3 * (1 << 12) + 5])
+    def test_chunked_rows_score_as_one_chunk(self, monkeypatch, n):
+        assert n <= coders._CHUNK_BYTES // 8  # one chunk per row by default
+        matrix = self.matrix(n)
+        whole = {coder: code_lengths(coder, matrix) for coder in CODERS}
+        words = [BitWord(matrix[i]) for i in (0, 2, len(matrix) - 1)]
+        singles = {coder: [code_word(coder, word) for word in words] for coder in CODERS}
+        for width in self.WIDTHS:
+            monkeypatch.setattr(coders, "_CHUNK_BYTES", 8 * width)
+            for coder in CODERS:
+                assert_same_lengths(code_lengths(coder, matrix), whole[coder])
+                assert [code_word(coder, word) for word in words] == singles[coder]
+        _, _, tag = whole[CoderId("model_class")]
+        assert {MODEL_MEMBERS[t] for t in tag} == set(MODEL_MEMBERS)
+
+    @pytest.mark.parametrize("n", [(1 << 12) - 1, 3 * (1 << 10) + 5])
+    def test_chunked_rows_match_reference(self, monkeypatch, n):
+        monkeypatch.setattr(coders, "_CHUNK_BYTES", 8 * 1088)
+        matrix = self.matrix(n)[::2]
+        for coder in CODERS:
+            assert_matches_reference(coder, matrix)
+
+    @pytest.mark.parametrize("cells", [1, 128])
+    def test_matrices_in_row_blocks_and_column_chunks(self, monkeypatch, cells):
+        # rows of 40 bits share a chunk three at a time, or take one each;
+        # rows of 101 and 200 bits take two to four column chunks of 64
+        monkeypatch.setattr(coders, "_CHUNK_BYTES", 8 * cells)
+        for n in (40, 101, 200):
+            matrix = random_matrix(n, seed=n + cells)
+            for coder in CODERS:
+                assert_matches_reference(coder, matrix)
+
+
+class TestMemory:
+    """Scoring a word adds temporaries of about _CHUNK_BYTES, not a few
+    bytes per input bit: a 2^21-bit word keeps every peak below 1 byte a
+    bit (the run-length kernel alone once took 8.5)."""
+
+    def test_peak_below_one_byte_per_bit(self):
+        n = 1 << 21
+        bits = (np.random.default_rng(21).random(n) < 0.3).astype(np.uint8)
+        word = BitWord(bits)
+        adjusted(word, CoderId("model_class"))  # grows the sieve, fills the caches
+        calls = {coder.name: (lambda c=coder: code_lengths(c, bits[None])) for coder in CODERS}
+        calls["adjusted"] = lambda: adjusted(word, CoderId("model_class"))
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n, (name, peak / n)
