@@ -8,10 +8,14 @@ as side information.
 Every length is computed by one batched kernel per coder, which scores a
 matrix of equal-length words, one word per row.  code_lengths() feeds it
 the matrix in chunks of rows and columns, through one loop (_scored) that
-also serves code_word() and the k_* functions, a short word being a
-single chunk.  A kernel keeps per-row totals that add up over the column
-chunks, and its last step turns them into lengths with the same scalar
-functions for every chunking, so a word scores the same however it is cut.
+also serves code_word(), the k_* functions and prefix_lengths(), a short
+word being a single chunk.  A kernel keeps per-row totals that add up over
+the column chunks, and its last step, finish(m), turns the totals of the
+first m columns into lengths with the same scalar functions for every
+chunking, so a word scores the same however it is cut.  As finish leaves
+the kernel able to take further chunks, prefix_lengths() scores every
+prefix of a word on a schedule in one left-to-right pass, plus one finish
+per prefix.
 No coder takes a parameter: each has a kernel, a one-row k_*(word) and,
 when concrete, encode(word) and decode(n, reader).  The periodic bound is
 the constant P_MAX = 32.
@@ -24,14 +28,16 @@ the constant P_MAX = 32.
                of every maximal run                    the chunk, from one flatnonzero over
                                                        the break mask; the run still open at
                                                        the chunk's end carries its bit and
-                                                       length into the next chunk
+                                                       length into the next chunk, and
+                                                       finish adds its gamma length
   periodic     best period P <= P_MAX: pattern plus    mismatch counts against the first P
                coded mismatch positions                bits rotated by the chunk's first
                                                        column mod P, gathered or packed;
                                                        _periodic_cost and one argmin over
-                                                       all periods
-  pair_shell   multinomial index over disjoint 2-bit   the 2-bit block tallies over chunks
-               block counts (ideal only)               of even width; log2_multinomial per
+                                                       the periods P <= m
+  pair_shell   multinomial index over disjoint 2-bit   the 2-bit block tallies; a chunk's
+               block counts (ideal only)               unpaired last bit pairs with the next
+                                                       chunk's first; log2_multinomial per
                                                        distinct key (c01, c10, c11) in base
                                                        nb + 1
   model_class  3-bit model tag plus the best of the    every member's totals; tag bits plus
@@ -40,7 +46,11 @@ the constant P_MAX = 32.
 A chunk holds at most _CHUNK_BYTES // 8 cells: whole rows while a row
 fits, else one row in chunks of a multiple of 64 columns.  That bounds
 each kernel's temporaries near _CHUNK_BYTES for any word length; the
-run-length kernel, the largest, takes about 8.5 bytes a cell.
+run-length kernel, the largest, takes about 8.5 bytes a cell.  A prefix
+schedule cuts a chunk at every prefix length; after a cut off the
+multiples of 64, a chunk of less than 64 columns up to the next one comes
+before any chunk wide enough to be scanned packed, so those still start
+on whole packed words.
 
 The periodic kernel gathers a chunk narrower than 2^10 columns,
 transposed, against its rows' first bits tiled over it.  Wider chunks are
@@ -68,7 +78,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -147,8 +157,16 @@ def concrete_coder_ids() -> tuple[CoderId, ...]:
 #
 # A kernel is built on one block of rows, kernel(block); add(chunk, c) adds
 # the per-row totals of the block's columns c, c + 1, ... that chunk holds,
-# the chunks coming left to right, and finish() turns the totals into the
-# block's Lengths.
+# the chunks coming left to right, and finish(m), once columns 0 .. m - 1
+# are in, turns the totals into the Lengths of the block's prefixes of m
+# columns, those the prefixes get when scored on their own.  finish leaves
+# the kernel able to take further chunks, so one pass scores every prefix
+# of a word (prefix_lengths), at one finish a prefix.  What the last chunk
+# left open stays open: the run-length kernel's last run, whose gamma
+# length finish adds to its result only, and the pair kernel's unpaired
+# bit, which finish leaves out as the prefix's odd trailing bit and the
+# next chunk pairs.  The periodic kernel scans its pending packed segment
+# in finish, and scores the periods p <= m only.
 
 
 def _gamma_len(v):
@@ -173,30 +191,28 @@ class _Literal:
     """The constant n."""
 
     def __init__(self, block: np.ndarray):
-        self.rows, self.n = block.shape
+        self.rows = len(block)
 
     def add(self, chunk: np.ndarray, c: int) -> None:
         pass
 
-    def finish(self) -> Lengths:
-        return np.full(self.rows, float(self.n)), np.full(self.rows, self.n, dtype=np.int64), None
+    def finish(self, m: int) -> Lengths:
+        return np.full(self.rows, float(m)), np.full(self.rows, m, dtype=np.int64), None
 
 
 class _Shell:
     """Each row's weight."""
 
     def __init__(self, block: np.ndarray):
-        self.n = block.shape[1]
         self.weights = 0  # a Python int while there is one row
 
     def add(self, chunk: np.ndarray, c: int) -> None:
         # count_nonzero is fastest on one long row, an int32 sum on many rows
         self.weights += np.count_nonzero(chunk) if len(chunk) == 1 else chunk.sum(1, np.int32)
 
-    def finish(self) -> Lengths:
-        n = self.n
+    def finish(self, m: int) -> Lengths:
         ideal, concrete = _tabulate(
-            lambda k: (ideal_len_shell(n, k), concrete_len_shell(n, k)),
+            lambda k: (ideal_len_shell(m, k), concrete_len_shell(m, k)),
             np.array(self.weights, ndmin=1), np.float64, np.int64,
         )
         return ideal, concrete, None
@@ -217,37 +233,36 @@ def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 class _RunLength:
-    """Each row's leading bit and the Elias gamma lengths of its runs.  The
-    run still open at a chunk's last column carries its bit and length into
-    the next chunk, whose first run it extends or, on the other bit, ends."""
+    """Each row's leading bit and the Elias gamma lengths of its closed
+    runs.  Several rows come in one chunk of whole rows (see _scored), where
+    every run closes.  One row may come in many chunks: the run still open
+    at a chunk's last column carries its bit and length into the next
+    chunk, whose first run it extends or, on the other bit, ends, and
+    finish closes it."""
 
     def __init__(self, block: np.ndarray):
-        self.n = block.shape[1]
-        self.totals = 1  # the leading bit; a Python int or scalar while there is one row
+        self.totals = 1  # the leading bit; a Python int while there is one row
         self.open_bit = self.open_len = None
 
     def add(self, chunk: np.ndarray, c: int) -> None:
-        m, w = chunk.shape
         runs, rows = _runs(chunk)
-        carried, closes = self.open_len is not None, c + w == self.n
-        if carried or not closes:
-            per_row = np.array([runs.size]) if rows is None else np.bincount(rows, minlength=m)
-            last = np.cumsum(per_row) - 1
-        if carried:
-            same = chunk[:, 0] == self.open_bit
-            runs[(last - per_row + 1)[same]] += self.open_len[same]
-            self.totals = self.totals + np.where(same, 0, _gamma_len(self.open_len))
-        gamma = _gamma_len(runs)
-        if not closes:
-            self.open_bit, self.open_len = chunk[:, -1].copy(), runs[last]
-            gamma[last] = 0
-        if rows is None:
-            self.totals = self.totals + gamma.sum()
-        else:
-            self.totals = self.totals + np.bincount(rows, weights=gamma, minlength=m).astype(np.int64)
+        if rows is not None:
+            gamma = np.bincount(rows, weights=_gamma_len(runs), minlength=len(chunk))
+            self.totals = self.totals + gamma.astype(np.int64)
+            return
+        if self.open_len is not None:
+            if chunk[0, 0] == self.open_bit:
+                runs[0] += self.open_len
+            else:
+                self.totals += 2 * self.open_len.bit_length() - 1
+        self.open_bit, self.open_len = chunk[0, -1], int(runs[-1])
+        self.totals += int(_gamma_len(runs[:-1]).sum())
 
-    def finish(self) -> Lengths:
-        totals = np.array(self.totals, dtype=np.int64, ndmin=1)
+    def finish(self, m: int) -> Lengths:
+        totals = self.totals
+        if self.open_len is not None:
+            totals += 2 * self.open_len.bit_length() - 1
+        totals = np.array(totals, dtype=np.int64, ndmin=1)
         return totals.astype(np.float64), totals, None
 
 
@@ -413,12 +428,12 @@ class _Periodic:
     _GATHER_BELOW columns or more is scanned packed, where each period
     costs a few numpy calls: consecutive such chunks are scanned together,
     a segment of up to _CHUNK_BYTES columns (_CHUNK_BYTES / 8 bytes packed)
-    at a time."""
+    at a time, or up to a finish.  The first m columns score the periods
+    p <= min(p_max, m) only."""
 
     def __init__(self, block: np.ndarray, p_max: int = P_MAX):
-        m, self.n = block.shape
         self.block = block
-        self.periods = np.arange(1, min(p_max, self.n) + 1)
+        self.periods = np.arange(1, min(p_max, block.shape[1]) + 1)
         self.head = block[:, : len(self.periods)]
         self.counts = None
         self.blocks = {}
@@ -443,34 +458,41 @@ class _Periodic:
         # a scan's int32 counts, summed in int64 over several scans
         self.counts = counts if self.counts is None else np.add(self.counts, counts, dtype=np.int64)
 
-    def scan(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cost, period) of every row at its cheapest period; the
-        smallest period wins ties."""
+    def scan(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(cost, period) of every row's first m columns at its cheapest
+        period; the smallest period wins ties."""
         if self.segment is not None:
             self._scan_segment()
-        costs = _periodic_cost(self.n, self.periods, self.counts)
+        top = min(len(self.periods), m)
+        costs = _periodic_cost(m, self.periods[:top], self.counts[:, :top])
         # argmin takes the first minimum: the smallest period
         return costs.min(axis=1), self.periods[costs.argmin(axis=1)]
 
-    def finish(self) -> Lengths:
-        cost, self.period = self.scan()
+    def finish(self, m: int) -> Lengths:
+        cost, self.period = self.scan(m)
         return cost.astype(np.float64), cost, None
 
 
 class _PairShell:
-    """Each row's tallies of the disjoint 2-bit blocks 00, 01, 10, 11; a
-    chunk that is not the row's last has even width, so no block straddles
-    two chunks, and an odd trailing bit is left out."""
+    """Each row's tallies of the disjoint 2-bit blocks 00, 01, 10, 11.  A
+    chunk that ends on a block's first bit leaves it unpaired, and the next
+    chunk's first bit completes the block; finish leaves it out, as the odd
+    trailing bit of the prefix."""
 
     def __init__(self, block: np.ndarray):
-        self.n = block.shape[1]
         self.tallies = 0
+        self.unpaired = None  # each row's bit at the last column in, on a block's first bit
 
     def add(self, chunk: np.ndarray, c: int) -> None:
+        if self.unpaired is not None:
+            pair = 2 * self.unpaired + chunk[:, 0]
+            self.tallies = self.tallies + (pair[:, None] == np.arange(4))
+            chunk = chunk[:, 1:]
         self.tallies = self.tallies + block_tallies(chunk)
+        self.unpaired = chunk[:, -1] if chunk.shape[1] % 2 else None
 
-    def finish(self) -> Lengths:
-        nb, tail = divmod(self.n, 2)
+    def finish(self, m: int) -> Lengths:
+        nb, tail = divmod(m, 2)
         header = 4 * math.log2(nb + 1)
         # Key: the tallies (c01, c10, c11) in base b = nb + 1, c00 being the
         # rest of nb.  Every key is below b^3: int64 while b^3 < 2^63, that
@@ -505,33 +527,39 @@ class _ModelClass:
         for member in self.members.values():
             member.add(chunk, c)
 
-    def member_lengths(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, members) ideal and concrete lengths of every member; a
-        member without a concrete code has concrete length _NO_CODE, and
-        ideal length inf when it is left out."""
+    def member_lengths(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, members) ideal and concrete lengths of every member on
+        the first m columns; a member without a concrete code has concrete
+        length _NO_CODE, and ideal length inf when it is left out."""
         ideal = np.full((self.rows, len(MODEL_MEMBERS)), np.inf)
         concrete = np.full(ideal.shape, _NO_CODE, dtype=np.int64)
         for j, member in self.members.items():
-            ideal[:, j], member_concrete, _ = member.finish()
+            ideal[:, j], member_concrete, _ = member.finish(m)
             if member_concrete is not None:
                 concrete[:, j] = member_concrete
         return ideal, concrete
 
-    def finish(self) -> Lengths:
+    def finish(self, m: int) -> Lengths:
         """The ideal length takes the minimum over member ideal lengths and
         the concrete length the minimum over members with a concrete code;
         the tag indexes MODEL_MEMBERS at the ideal winner (first on ties)."""
-        ideal, concrete = self.member_lengths()
+        ideal, concrete = self.member_lengths(m)
         tag = np.argmin(ideal, axis=1)
         return MODEL_TAG_BITS + ideal.min(axis=1), MODEL_TAG_BITS + concrete.min(axis=1), tag
 
 
-def _scored(kernel, bits: np.ndarray):
+def _scored(kernel, bits: np.ndarray, cuts: Sequence[int] | None = None):
     """kernel(block) for every block of rows of bits, fed the block's
-    column chunks in order.  A chunk holds at most _CHUNK_BYTES // 8 cells:
-    whole rows while a row fits, else one row in chunks of a multiple of 64
-    columns (64 at least), so that no 2-bit block straddles two chunks and
-    a packed chunk starts on a whole word of the row."""
+    columns once, in chunks from left to right, and yielded after the
+    columns 0 .. m - 1 of every cut m in the strictly increasing cuts:
+    after the block's last column by default, so finish(n) scores it.
+    Cuts are for one row only.  A chunk holds at most _CHUNK_BYTES // 8
+    cells: whole rows while a row fits, else one row in chunks of a
+    multiple of 64 columns (64 at least).  A chunk ends at each cut.  One
+    of _GATHER_BELOW columns or more, which the periodic kernel scans
+    packed, starts on a multiple of 64, a whole word of the row: after a
+    cut off those multiples, a chunk of less than 64 columns runs up to the
+    next one first."""
     m, n = bits.shape
     cells = _CHUNK_BYTES // 8
     rows = max(1, cells // n)
@@ -539,23 +567,51 @@ def _scored(kernel, bits: np.ndarray):
     for first in range(0, m, rows):
         block = bits[first : first + rows]
         scorer = kernel(block)
-        for c in range(0, n, width):
-            scorer.add(block[:, c : c + width], c)
-        yield scorer
+        c = 0
+        for cut in cuts or (n,):
+            while c < cut:
+                end = min(cut, c + width)
+                if c % 64 and end - c >= _GATHER_BELOW:
+                    end = c - c % 64 + 64
+                scorer.add(block[:, c:end], c)
+                c = end
+            yield scorer
 
 
-def _lengths(kernel, bits: np.ndarray) -> Lengths:
-    parts = [scorer.finish() for scorer in _scored(kernel, bits)]
+def _joined(parts: list[Lengths]) -> Lengths:
+    """Lengths of consecutive rows, joined."""
     if len(parts) == 1:
         return parts[0]
     return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
 
 
+def _lengths(kernel, bits: np.ndarray) -> Lengths:
+    n = bits.shape[1]
+    return _joined([scorer.finish(n) for scorer in _scored(kernel, bits)])
+
+
 def _periodic_scan(bits: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(cost, period) of every row minimizing the periodic cost over
     p <= min(p_max, n); the smallest period wins ties."""
-    scans = [scorer.scan() for scorer in _scored(partial(_Periodic, p_max=p_max), bits)]
+    n = bits.shape[1]
+    scans = [scorer.scan(n) for scorer in _scored(partial(_Periodic, p_max=p_max), bits)]
     return tuple(np.concatenate(part) for part in zip(*scans))
+
+
+def prefix_lengths(coder: CoderId, word: BitWord, points: Sequence[int]) -> Lengths:
+    """Lengths of the word's prefixes of every length m in points, one
+    entry per point, each the code_lengths() of that prefix alone.  The
+    points must increase strictly from 1 to at most the word's length.
+    The kernel takes the word's columns once, left to right, up to the last
+    point, and one finish(m) per point, against scoring every prefix from
+    its first column."""
+    points = list(points)
+    if not points or points[0] < 1 or points[-1] > word.n:
+        raise ValueError(f"prefix lengths must lie in 1..{word.n}")
+    if any(b <= a for a, b in zip(points, points[1:])):
+        raise ValueError("prefix lengths must be strictly increasing")
+    scored = _scored(_CODERS[coder.name].kernel, word.bits[None], points)
+    return _joined([scorer.finish(m) for scorer, m in zip(scored, points)])
 
 
 def code_lengths(coder: CoderId, bits) -> Lengths:
@@ -676,7 +732,7 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
 
 def _encode_model_class(word: BitWord) -> np.ndarray:
     (scored,) = _scored(partial(_ModelClass, concrete_only=True), word.bits[None])
-    _, concrete = scored.member_lengths()
+    _, concrete = scored.member_lengths(word.n)
     best = int(np.argmin(concrete[0]))  # the first shortest concrete member
     name = MODEL_MEMBERS[best]
     out = BitWriter()

@@ -1,16 +1,19 @@
 """Entropy and shell-size arithmetic on exact integer combinatorics.
 
 Binomial and multinomial coefficients are evaluated as exact arbitrary
-precision integers (directly for moderate sizes, via their exact prime
-factorization for very large ones) and the logarithm is taken last, so no
-Stirling-style drift enters the downstream baselines.
+precision integers (products of math.comb while all counts but the
+largest sum to at most _COMB_UPTO, of the prime powers of their exact
+factorization otherwise) and the logarithm is taken last, so no
+Stirling-style drift enters the downstream baselines.  Above a total of
+_BIG_N, log2_multinomial takes the logarithm from the factorization
+itself, without building the integer.
 
-Above _BIG_N the factorization of a factorial m! comes from Legendre's
-formula: one division m // p over the primes up to m, then the higher
-powers m // p^i over the primes up to sqrt(m) only, the few whose square
-divides into m.  log2_multinomial and shell_size take one such pass per
-factorial, each over the primes up to its own m, and subtract the
-exponents of the denominator's factorials from those of the numerator's.
+The factorization of a factorial m! comes from Legendre's formula: one
+division m // p over the primes up to m, then the higher powers m // p^i
+over the primes up to sqrt(m) only, the few whose square divides into m.
+A multinomial takes one such pass per factorial, each over the primes up
+to its own m, and subtracts the exponents of the denominator's factorials
+from those of the numerator's.
 """
 
 from __future__ import annotations
@@ -25,6 +28,14 @@ from .words import PairCounts
 # Above this total the log of a binomial/multinomial is evaluated from the
 # exact prime factorization instead of materializing the integer.
 _BIG_N = 4096
+# An exact multinomial is a product of math.comb calls while all its
+# counts but the largest sum to at most this, else a product of the prime
+# powers of its factorization.  math.comb's cost grows with that sum, as it
+# divides a huge product by a huge factorial, schoolbook in CPython; the
+# prime powers cost products only, about 0.06-0.3 ms up to a total of 2^16.
+# C(n, 64) takes 0.003 ms against 0.06-0.12, C(4096, 2048) 0.48 against
+# 0.12 and C(2^15, 2^14) 25 against 2 ms; they cross near 1024 at any n.
+_COMB_UPTO = 1024
 
 
 def binary_entropy(p: float) -> float:
@@ -41,20 +52,7 @@ def shell_size(n: int, k: int) -> int:
     """Exact number of length-n words of weight k."""
     if n < 1 or k < 0 or k > n:
         raise ValueError(f"invalid shell ({n},{k})")
-    if n <= _BIG_N:
-        return math.comb(n, k)
-    # math.comb divides a huge product by a huge factorial, schoolbook in
-    # CPython; multiplying out the prime powers of C(n, k) costs products
-    # only (C(2^15, 2^14): 2 ms against 25 ms).
-    exps = _factorial_prime_exponents(n)
-    for c in (k, n - k):
-        _subtract_exponents(exps, c)
-    primes = _primes_upto(n)
-    nz = exps > 0
-    powers = [p**e for p, e in zip(primes[nz].tolist(), exps[nz].tolist())]
-    while len(powers) > 1:  # pairwise, so the big products come last
-        powers = [a * b for a, b in zip(powers[0::2], powers[1::2])] + powers[len(powers) & ~1 :]
-    return powers[0] if powers else 1
+    return _multinomial([k, n - k])
 
 
 @lru_cache(maxsize=65536)
@@ -72,15 +70,9 @@ def log2_multinomial(counts) -> float:
         raise ValueError("counts must be nonnegative")
     total = sum(counts)
     if total <= _BIG_N:
-        value = 1
-        remaining = total
-        for c in counts:
-            value *= math.comb(remaining, c)
-            remaining -= c
+        value = _multinomial(counts)
         return math.log2(value) if value > 1 else 0.0
-    exps = _factorial_prime_exponents(total)
-    for c in counts:
-        _subtract_exponents(exps, c)
+    exps = _multinomial_exponents(counts)
     if np.any(exps < 0):
         raise ValueError("invalid factorization")
     # The dot runs over the nonzero exponents, as float64; the full-length
@@ -94,6 +86,34 @@ def log2_multinomial(counts) -> float:
     del nz
     np.log2(logs, out=logs)
     return float(np.dot(weights, logs))
+
+
+def _multinomial(counts: list[int]) -> int:
+    """The exact multinomial coefficient (sum counts)! / prod(counts!) of
+    nonnegative counts."""
+    total = sum(counts)
+    if total <= _COMB_UPTO or total - max(counts) <= _COMB_UPTO:
+        value = 1
+        for c in counts:
+            value *= math.comb(total, c)
+            total -= c
+        return value
+    exps = _multinomial_exponents(counts)
+    nz = exps > 0
+    primes = _primes_upto(total)[nz].tolist()
+    powers = [p**e for p, e in zip(primes, exps[nz].tolist())]
+    while len(powers) > 1:  # pairwise, so the big products come last
+        powers = [a * b for a, b in zip(powers[0::2], powers[1::2])] + powers[len(powers) & ~1 :]
+    return powers[0] if powers else 1
+
+
+def _multinomial_exponents(counts: list[int]) -> np.ndarray:
+    """The exponent of each prime <= sum(counts) in the multinomial
+    coefficient of the counts."""
+    exps = _factorial_prime_exponents(sum(counts))
+    for c in counts:
+        _subtract_exponents(exps, c)
+    return exps
 
 
 def conditional_entropy(pc: PairCounts) -> float:
@@ -181,17 +201,22 @@ def _factorial_prime_exponents(m: int, upto: int | None = None) -> np.ndarray:
     """Exponent of each prime <= (upto or m) in the factorization of m!,
     by Legendre's formula: the sum over i >= 1 of m // p^i."""
     primes = _primes_upto(upto if upto is not None else m)
-    exps = np.zeros(primes.size, dtype=np.int64)
+    # int32 like the primes, so numpy divides without casting them: every
+    # exponent is below m < 2^31
+    exps = np.zeros(primes.size, dtype=np.int32)
     below = _prime_count(primes, m)  # primes > m divide m! zero times
-    np.floor_divide(np.int64(m), primes[:below], out=exps[:below])
-    # only the primes <= sqrt(m) have p^2 <= m: add m // p^i for i >= 2
+    np.floor_divide(np.int32(m), primes[:below], out=exps[:below])
+    # only the primes <= sqrt(m) have p^2 <= m: add m // p^i for i >= 2, in
+    # Python, as numpy would take log2(m) calls of a few small primes each
     small = _prime_count(primes, math.isqrt(m))
-    q = exps[:small].copy()
-    while small:
-        q //= primes[:small]
-        small = np.count_nonzero(q)  # q falls with p, so the nonzero ones lead
-        exps[:small] += q[:small]
-        q = q[:small]
+    higher = []
+    for p, q in zip(primes[:small].tolist(), exps[:small].tolist()):
+        e = 0
+        while q >= p:
+            q //= p
+            e += q
+        higher.append(e)
+    exps[:small] += np.array(higher, dtype=np.int32)
     return exps
 
 

@@ -4,7 +4,15 @@ All randomness flows through SplitMix64 with the fixed constants below, so
 output is bit-identical across runs and platforms for a given seed.  The
 generator is counter-based (output i is the finalizer applied to
 seed + i*GAMMA), so splitmix_outputs computes any prefix of the stream at
-once, without stepping through it.
+once, without stepping through it.  A draw is defined on the uniform
+(output >> 11) * 2^-53, but the Bernoulli and block sources compare the
+outputs with integer thresholds instead, which give the same bits.
+
+convergence_trace scores every prefix on its schedule in one pass over
+the word (stats.adjusted_prefixes): the coder's kernel takes the columns
+once, up to the last point, plus one finish per point, where scoring each
+prefix from scratch would take the sum of the points (2n for a doubling
+schedule).  Each row equals adjusted() of its prefix.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .coders import CoderId
-from .stats import adjusted
+from .stats import adjusted_prefixes
 from .words import BitWord
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -41,6 +49,14 @@ def splitmix_outputs(seed: int | np.ndarray, count: int) -> np.ndarray:
 def uniform_floats(seed: int | np.ndarray, count: int) -> np.ndarray:
     """Uniforms in [0, 1) from splitmix_outputs, one row per seed of an array."""
     return (splitmix_outputs(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def bernoulli_threshold(p: float) -> np.uint64:
+    """The integer t with uniform < p exactly when output < t, for an output
+    of splitmix_outputs and its uniform (output >> 11) * 2^-53, 0 < p < 1:
+    t = ceil(p * 2^53) * 2^11, which fits in 64 bits, as p <= 1 - 2^-53.
+    Comparing outputs with t draws the same bits without building floats."""
+    return np.uint64(math.ceil(p * 2.0**53) << 11)
 
 
 GENERATOR_KINDS = ("bernoulli", "mixture", "block")
@@ -97,14 +113,50 @@ class GeneratorSpec:
         return cls(kind="block", seed=seed, length=length)
 
 
+def _block_thresholds() -> tuple[np.uint64, np.uint64]:
+    """(t1, t2): the block index min(floor(3u), 2) of a uniform u, taken in
+    float64 as (u * 3).astype(int64), is at least j exactly when the output
+    behind u is at least t_j.  3u rounds (3u = 2 - 2^-53 becomes 2), so each
+    t_j is found by evaluating that expression next to j * 2^53 / 3."""
+    thresholds = []
+    for j in (1, 2):
+        k = np.arange(j * 2**53 // 3 - 4, j * 2**53 // 3 + 5, dtype=np.uint64)
+        index = (k.astype(np.float64) * 2.0**-53 * 3).astype(np.int64)
+        thresholds.append(np.uint64(int(k[np.argmax(index >= j)]) << 11))
+    return tuple(thresholds)
+
+
+# from _BLOCK_01 on an output draws the block 01 or 11, from _BLOCK_11 on 11
+_BLOCK_01, _BLOCK_11 = _block_thresholds()
+
+
+# The sources draw their outputs in blocks of this many, which keeps the
+# temporaries of each block at 512 KiB: 2^19 outputs drawn at once took 3x
+# longer, as the allocator maps and faults in every 4 MiB temporary afresh.
+_DRAW_BLOCK = 1 << 16
+
+
+def _output_blocks(seed: int, count: int):
+    """(start, outputs start + 1 ..) of splitmix_outputs(seed, count), a
+    block of at most _DRAW_BLOCK at a time: output i of seed is output
+    i - start of seed + start * GAMMA."""
+    for start in range(0, count, _DRAW_BLOCK):
+        size = min(_DRAW_BLOCK, count - start)
+        yield start, splitmix_outputs((seed + start * GAMMA) & _MASK, size)
+
+
 def _bernoulli_bits(p: float, seed: int, length: int) -> np.ndarray:
-    return (uniform_floats(seed, length) < p).astype(np.uint8)
+    threshold = bernoulli_threshold(p)
+    bits = np.empty(length, dtype=bool)
+    for start, z in _output_blocks(seed, length):
+        np.less(z, threshold, out=bits[start : start + z.size])
+    return bits
 
 
 def generate(spec: GeneratorSpec) -> BitWord:
     """Emit the word determined by the spec; identical seeds give identical bits."""
     if spec.kind == "bernoulli":
-        return BitWord(_bernoulli_bits(spec.p, spec.seed, spec.length))
+        return BitWord._owning(_bernoulli_bits(spec.p, spec.seed, spec.length))
     if spec.kind == "mixture":
         # output 1 of the stream picks the component, output 2 seeds its bits
         u = uniform_floats(spec.seed, 1)[0]
@@ -116,15 +168,15 @@ def generate(spec: GeneratorSpec) -> BitWord:
                 chosen = p
                 break
         stream_seed = int(splitmix_outputs(spec.seed, 2)[1])
-        return BitWord(_bernoulli_bits(chosen, stream_seed, spec.length))
-    # block: uniform over {00, 01, 11}; block 10 never occurs.
+        return BitWord._owning(_bernoulli_bits(chosen, stream_seed, spec.length))
+    # block: uniform over {00, 01, 11}, index min(floor(3u), 2) of output
+    # i's uniform u; block 10 never occurs.
     nblocks = (spec.length + 1) // 2
-    u = uniform_floats(spec.seed, nblocks)
-    idx = np.minimum((u * 3).astype(np.int64), 2)
-    bits = np.empty(2 * nblocks, dtype=np.uint8)
-    bits[0::2] = idx == 2
-    bits[1::2] = idx >= 1
-    return BitWord(bits[: spec.length])
+    pairs = np.empty((nblocks, 2), dtype=bool)
+    for start, z in _output_blocks(spec.seed, nblocks):
+        np.greater_equal(z, _BLOCK_11, out=pairs[start : start + z.size, 0])
+        np.greater_equal(z, _BLOCK_01, out=pairs[start : start + z.size, 1])
+    return BitWord._owning(pairs.reshape(-1)[: spec.length])
 
 
 @dataclass(frozen=True)
@@ -184,9 +236,10 @@ def convergence_trace(
         raise ValueError("schedule must be strictly increasing")
     if schedule[0] < 1 or schedule[-1] > spec.length:
         raise ValueError("schedule out of range for the generated length")
-    word = generate(spec)
-    rows = []
-    for m in schedule:
-        rep = adjusted(word.prefix(m), coder)
-        rows.append(TraceRow(m=m, p_hat=rep.w / m, H=rep.H, K_eff=rep.k_eff, R=rep.R, coder=coder))
-    return ConvergenceTrace(rows=tuple(rows))
+    reports = adjusted_prefixes(generate(spec), coder, schedule)
+    return ConvergenceTrace(
+        rows=tuple(
+            TraceRow(m=rep.n, p_hat=rep.w / rep.n, H=rep.H, K_eff=rep.k_eff, R=rep.R, coder=coder)
+            for rep in reports
+        )
+    )

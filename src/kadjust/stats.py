@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .coders import CoderId, code_lengths, code_word, pick_length
+from .coders import CoderId, code_lengths, code_word, pick_length, prefix_lengths
 from .entropy import (
     binary_entropy,
     conditional_entropy,
@@ -148,12 +148,33 @@ def adjusted(word: BitWord, coder: CoderId, lengths: str = "ideal") -> AdjustedR
     A constant word gets H = 0, baseline = 0 and its k_eff under the
     requested length kind, with KA, R and deficiency None.
     """
-    n, w = word.n, word.weight
+    return _report(word.n, word.weight, code_word(coder, word).length(lengths), coder)
+
+
+def _report(n: int, w: int, k_eff: float, coder: CoderId) -> AdjustedReport:
+    """The report of a word of n bits and weight w that codes in k_eff bits."""
     h = binary_entropy(w / n)
-    result = code_word(coder, word)
-    k_eff = result.length(lengths)
     baseline = n * h
-    return AdjustedReport(n, w, h, baseline, k_eff, *_ratios(k_eff, h, baseline), result.coder)
+    return AdjustedReport(n, w, h, baseline, k_eff, *_ratios(k_eff, h, baseline), coder)
+
+
+def adjusted_prefixes(
+    word: BitWord, coder: CoderId, points, lengths: str = "ideal"
+) -> list[AdjustedReport]:
+    """adjusted(word.prefix(m), coder, lengths) for every m in points,
+    which increase strictly from 1 to at most word.n, from one pass over
+    the word: prefix_lengths() scores every prefix, and the weights are
+    summed from one point to the next."""
+    points = list(points)
+    ideal, concrete, _ = prefix_lengths(coder, word, points)
+    k_effs = pick_length(coder, lengths, ideal, concrete).tolist()
+    bits = word.bits
+    reports, w, start = [], 0, 0
+    for m, k_eff in zip(points, k_effs):
+        w += int(np.count_nonzero(bits[start:m]))
+        start = m
+        reports.append(_report(m, w, float(k_eff), coder))
+    return reports
 
 
 def adjusted_deficiencies(bits, coder: CoderId, lengths: str = "ideal") -> np.ndarray:

@@ -305,3 +305,30 @@ class TestFactorizedPath:
         assert sum(1 for t in tuples if sum(t) > 4096) >= 200
         for counts in tuples:
             assert log2_multinomial(counts) == _frozen_log2_multinomial(counts), counts
+
+
+class TestExactMultinomial:
+    """Exact coefficients are math.comb products while the counts but the
+    largest sum to at most _COMB_UPTO, prime power products otherwise; both
+    give the same integers."""
+
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 3000, 4096, 4097, 1 << 14])
+    def test_shell_size_equals_math_comb(self, n):
+        for k in sorted({0, 1, 1024, 1025, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+            assert entropy.shell_size(n, k) == math.comb(n, k), (n, k)
+
+    def test_log2_multinomial_is_log2_of_the_exact_integer(self):
+        rng = np.random.default_rng(22)
+        for total in (1024, 1500, 2047, 2048, 2049, 3001, 4095, 4096):
+            for p in ([1 / 3, 1 / 3, 0, 1 / 3], [0.1, 0.2, 0.3, 0.4]):
+                counts = rng.multinomial(total, p).tolist()
+                exact, remaining = 1, total
+                for c in counts:
+                    exact *= math.comb(remaining, c)
+                    remaining -= c
+                assert log2_multinomial(counts) == math.log2(exact), counts
+
+    def test_exponents_stay_int32(self):
+        exps = entropy._factorial_prime_exponents((1 << 31) - 1, upto=1000)
+        assert exps.dtype == np.int32
+        assert exps[0] == sum((((1 << 31) - 1) >> i) for i in range(1, 31))

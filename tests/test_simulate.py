@@ -14,7 +14,9 @@ from kadjust import (
     generate,
     geometric_schedule,
 )
-from kadjust.simulate import splitmix_outputs, uniform_floats
+from kadjust import adjusted_deficiencies, monte_carlo_fpr, simulate
+from kadjust.simulate import bernoulli_threshold, splitmix_outputs, uniform_floats
+from kadjust.testing import TestConfig as Config
 from kadjust.stats import write_records
 from kadjust.words import block_tallies
 
@@ -241,3 +243,58 @@ class TestEntropyRate:
     def test_block_rate_under_pair_shell(self):
         rate = self.rate(GeneratorSpec.block(33, 100_000), "pair_shell")
         assert rate == pytest.approx(0.5 * math.log2(3), abs=0.01)
+
+
+class TestIntegerDraws:
+    """The generators compare raw SplitMix64 outputs with integer thresholds;
+    the words equal those of the float uniforms (z >> 11) * 2^-53."""
+
+    PS = [0.5, 0.3, 0.1, 1e-9, 1 - 2.0**-53, 0.25]  # p * 2^53 is an integer at 0.25
+
+    @staticmethod
+    def float_uniforms(z: np.ndarray) -> np.ndarray:
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    @pytest.mark.parametrize("p", PS)
+    def test_bernoulli_words_equal_float_draws(self, p):
+        for seed in (0, 5, 2**64 - 1):
+            for length in (1, 63, 4097, (1 << 17) + 5):  # the last in three draw blocks
+                word = generate(GeneratorSpec.bernoulli(p, seed, length))
+                assert word.bits.tolist() == (uniform_floats(seed, length) < p).tolist()
+
+    @pytest.mark.parametrize("p", PS)
+    def test_bernoulli_threshold_at_its_boundary(self, p):
+        # the outputs around the threshold: the last 53-bit value below p
+        # with its lowest and highest low bits, and the first one at p
+        k = math.ceil(p * 2.0**53)
+        z = np.array([(k - 1) << 11, ((k - 1) << 11) | 0x7FF, k << 11, (k << 11) | 0x7FF],
+                     dtype=np.uint64)
+        assert (z < bernoulli_threshold(p)).tolist() == (self.float_uniforms(z) < p).tolist()
+        assert (z < bernoulli_threshold(p)).tolist() == [True, True, False, False]
+
+    def test_monte_carlo_words_equal_float_draws(self):
+        cfg = Config(m=1, coder=CoderId("shell"))
+        trials, n, seed = 50, 64, 3
+        result = monte_carlo_fpr(0.3, n, cfg, trials, seed)
+        seeds = splitmix_outputs(seed, trials)
+        deficiencies = adjusted_deficiencies(uniform_floats(seeds, n) < 0.3, CoderId("shell"))
+        assert [row.rejections for row in result.rows] == [
+            int(np.count_nonzero(deficiencies >= m)) for m in range(1, 9)
+        ]
+
+    def test_block_words_equal_float_draws(self):
+        for seed in (0, 21, 2**64 - 1):
+            for length in (1, 2, 31, 4097, (1 << 18) + 5):  # the last in five draw blocks
+                nblocks = (length + 1) // 2
+                index = np.minimum((uniform_floats(seed, nblocks) * 3).astype(np.int64), 2)
+                bits = np.stack([index == 2, index >= 1], axis=1).ravel()[:length]
+                assert generate(GeneratorSpec.block(seed, length)).bits.tolist() == bits.tolist()
+
+    def test_block_thresholds_at_their_boundaries(self):
+        # 3u rounds up to 2 at u = (2^54 - 1) / 3 * 2^-53, short of 2 / 3
+        for j, t in ((1, simulate._BLOCK_01), (2, simulate._BLOCK_11)):
+            k = int(t) >> 11
+            z = np.array([(k - 1) << 11 | 0x7FF, k << 11], dtype=np.uint64)
+            index = np.minimum((self.float_uniforms(z) * 3).astype(np.int64), 2)
+            assert (index >= j).tolist() == (z >= t).tolist() == [False, True]
+        assert int(simulate._BLOCK_11) >> 11 == (2**54 - 1) // 3
