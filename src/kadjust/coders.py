@@ -31,10 +31,10 @@ the constant P_MAX = 32.
                                                        length into the next chunk, and
                                                        finish adds its gamma length
   periodic     best period P <= P_MAX: pattern plus    mismatch counts against the first P
-               coded mismatch positions                bits rotated by the chunk's first
-                                                       column mod P, gathered or packed;
-                                                       _periodic_cost and one argmin over
-                                                       the periods P <= m
+               coded mismatch positions                bits tiled from the chunk's first
+                                                       column, by one multiply-and-popcount
+                                                       formula; _periodic_cost and one
+                                                       argmin over the periods P <= m
   pair_shell   multinomial index over disjoint 2-bit   the 2-bit block tallies; a chunk's
                block counts (ideal only)               unpaired last bit pairs with the next
                                                        chunk's first; log2_multinomial per
@@ -47,27 +47,15 @@ A chunk holds at most _CHUNK_BYTES // 8 cells: whole rows while a row
 fits, else one row in chunks of a multiple of 64 columns.  That bounds
 each kernel's temporaries near _CHUNK_BYTES for any word length; the
 run-length kernel, the largest, takes about 8.5 bytes a cell.  A prefix
-schedule cuts a chunk at every prefix length; after a cut off the
-multiples of 64, a chunk of less than 64 columns up to the next one comes
-before any chunk wide enough to be scanned packed, so those still start
-on whole packed words.
+schedule cuts a chunk at every prefix length.
 
-The periodic kernel gathers a chunk narrower than 2^10 columns,
-transposed, against its rows' first bits tiled over it.  Wider chunks are
-packed, 64 bits to a uint64 word, and scanned in segments of up to
-_CHUNK_BYTES consecutive columns, since each period costs a few numpy
-calls per scan.  For each period P one gather builds P's pattern tiled
-over a block of at least _WIDE_ROW bits (a multiple of lcm(P, 64)), packed
-alike, once per block of rows; a segment starting at column c, a multiple
-of 64, reads each block rotated by c / 64 words.  The segment, cut into
-rows of blocks, is xored with the blocks, the periods whose blocks have
-one width in one call, and np.bitwise_count counts the mismatches, the
-padding of the segment's last word masked out.  The gathers' indexes and
-the layout of the rows of blocks depend on the periods and widths only,
-and are built once (_tiling_index, _packed_layout).  The periods are taken
-a few at a time, so that the gathered copies, or the xored words, stay
-within _CHUNK_BYTES.  The periodic encoder and decoder tile a pattern
-over _WIDE_ROW bits too, then that row over the word (_tiled).
+The periodic kernel has one formula (_mismatch_counts): each row's first
+P <= 64 bits are one uint64 pattern, tiled over a word by one multiply
+and rotated to each packed word's phase, and np.bitwise_count of the xor
+with the chunk's words counts the mismatches (Warren, Hacker's Delight,
+2nd ed., ch. 2 and 5).  The phase is right at any column, so every chunk
+is scanned alike.  The periodic encoder and decoder tile a pattern over
+_WIDE_ROW bits, then that row over the word (_tiled).
 
 Tie-breaks are deterministic: smallest period for periodic, listed order
 for model_class.
@@ -77,10 +65,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .bitio import BitReader, BitWriter, DecodeError
 from .entropy import ceil_log2, log2_multinomial
@@ -93,11 +82,10 @@ MODEL_TAG_BITS = 3
 
 # Byte budget of the kernels' temporaries: a chunk holds at most
 # _CHUNK_BYTES // 8 cells, as the run-length kernel takes about 8.5 bytes a
-# cell (see _scored).  The periodic gather holds one transposed copy of the
-# chunk, then rows x periods x width bytes plus an index of 8 x periods x
-# width, together at most _CHUNK_BYTES; the packed scan takes segments of
-# up to _CHUNK_BYTES columns and sizes its sets of periods the same way
-# (see _mismatch_counts).
+# cell (see _scored).  The periodic kernel's words, one uint64 per row,
+# period and packed word, take 4 bytes a cell on rows of 64 bits or more
+# and up to 8 on shorter ones, twice over while they are rotated (see
+# _mismatch_counts).
 _CHUNK_BYTES = 1 << 20
 
 # (ideal[rows], concrete[rows] or None, model tag[rows] or None)
@@ -165,8 +153,7 @@ def concrete_coder_ids() -> tuple[CoderId, ...]:
 # left open stays open: the run-length kernel's last run, whose gamma
 # length finish adds to its result only, and the pair kernel's unpaired
 # bit, which finish leaves out as the prefix's odd trailing bit and the
-# next chunk pairs.  The periodic kernel scans its pending packed segment
-# in finish, and scores the periods p <= m only.
+# next chunk pairs.  The periodic kernel scores the periods p <= m only.
 
 
 def _gamma_len(v):
@@ -274,7 +261,7 @@ def _periodic_cost(n: int, p, mismatches):
 
 # A row one period wide costs numpy one inner loop per row, which dominates
 # for small periods on long words: a pattern is tiled over at least
-# _WIDE_ROW bits before the row is compared or repeated.
+# _WIDE_ROW bits before the row is repeated.
 _WIDE_ROW = 1024
 
 
@@ -286,183 +273,89 @@ def _tiled(pattern: np.ndarray, n: int) -> np.ndarray:
     return np.tile(row, -(-n // row.size))[:n]
 
 
-# Chunks of _GATHER_BELOW columns or more are scanned packed, 64 bits to a
-# word: there gathering rows x periods x width bytes costs more than building
-# each period's packed block and comparing words.
-_GATHER_BELOW = 1 << 10
+# For p = 1 .. 64: p as a uint64, the mask of a pattern's p bits, the
+# repunit sum of 2^(jp) over jp < 64, which tiles p bits over a word by one
+# multiply, the p * (64 // p) bits of the whole copies, and the number
+# p / gcd(p, 64) of words after which a row of period p repeats, with the
+# largest such number over the periods up to p.
+_PERIODS = np.arange(1, 65, dtype=np.uint64)
+_MASKS = np.array([(1 << p) - 1 for p in range(1, 65)], dtype=np.uint64)
+_REPUNITS = np.array([sum(1 << j for j in range(0, 64, p)) for p in range(1, 65)], dtype=np.uint64)
+_SPANS = np.array([p * (64 // p) for p in range(1, 65)], dtype=np.uint64)
+_CYCLES = np.array([p // math.gcd(p, 64) for p in range(1, 65)])
+_MOST_CYCLES = np.maximum.accumulate(_CYCLES).tolist()
 
 
-def _block_words(periods: np.ndarray) -> np.ndarray:
-    """Words in each period's packed block: a multiple of lcm(p, 64) bits
-    of at least _WIDE_ROW bits, so one row of blocks makes a long inner
-    loop, and the tiled bits repeat from block to block and, as words,
-    every lcm(p, 64) / 64 words within one."""
-    span = np.lcm(periods, 64)
-    return span * -(-_WIDE_ROW // span) // 64
-
-
-def _period_blocks(head: np.ndarray, periods: np.ndarray, block_words: np.ndarray) -> np.ndarray:
-    """(rows, periods, max(block_words)) uint64: each row's first p bits
-    (head) tiled over block_words[i] words for the i-th period p, packed as
-    a chunk is packed.  The tiling repeats every lcm(p, 8) bits, a whole
-    number of bytes, so one gather builds those bits and the bytes are
-    repeated."""
-    columns, index = _tiling_index(tuple(periods.tolist()), tuple(block_words.tolist()))
-    units = np.packbits(np.take(head, columns, axis=1), axis=2).reshape(len(head), -1)
-    return np.take(units, index, axis=1).view(np.uint64)
-
-
-@lru_cache(maxsize=32)
-def _tiling_index(periods: tuple[int, ...], block_words: tuple[int, ...]):
-    """The two gathers of _period_blocks, which depend on the periods and
-    block widths only: (periods, 8 x max unit) columns of the row, each
-    period's first p bits tiled over its unit of lcm(p, 8) bits, and
-    (periods, 8 x max(block_words)) bytes of the packed units, each
-    period's unit repeated over its block.  Read-only, as they are shared."""
-    periods = np.array(periods)[:, None]
-    unit = np.lcm(periods, 8) // 8  # bytes
-    width = int(unit.max())
-    columns = np.arange(8 * width) % periods
-    index = np.arange(8 * max(block_words)) % unit + width * np.arange(len(periods))[:, None]
-    columns.flags.writeable = index.flags.writeable = False
-    return columns, index
-
-
-@lru_cache(maxsize=32)
-def _packed_layout(periods: tuple[int, ...], n: int):
-    """How the packed scan lays out a chunk of n columns for the given
-    periods, which depends on these only: the periods ordered by the
-    width of their blocks, and those widths; each run of equal widths b
-    as (first, end, r, b), the chunk being cut into r rows of b words; the
-    inverse of the order; the mask of the chunk's bits in its last word."""
-    words = -(-n // 64)
-    block_words = _block_words(np.array(periods))
-    order = np.argsort(block_words, kind="stable")
-    widths = block_words[order].tolist()
-    runs = []
-    for b in sorted(set(widths)):
-        first = widths.index(b)
-        runs.append((first, first + widths.count(b), -(-words // b), b))
-    last = packed_rows((np.arange(64) < n - 64 * (words - 1))[None])[0, 0]
-    return np.array(periods)[order], block_words[order], runs, np.argsort(order), last
-
-
-def _packed_mismatch_counts(
-    blocks: np.ndarray, offset: int, packed: np.ndarray, n: int, periods: np.ndarray
-) -> np.ndarray:
-    """(rows, periods) mismatch counts of a chunk of n columns packed into
-    uint64 words, with room for one block past its end: a period's count is
-    the popcount of the packed chunk xor its block, tiled over the chunk.
-    blocks are the periods' blocks at column 0, in _packed_layout's order;
-    the chunk starts at a column offset that is a multiple of 64, where
-    the tiled bits are the block's words rotated by offset / 64.  The
-    periods whose blocks have one width are xored in one call."""
-    m = len(packed)
-    words = -(-n // 64)
-    _, block_words, runs, inverse, last = _packed_layout(tuple(periods.tolist()), n)
-    if offset:
-        rotation = (offset // 64 + np.arange(blocks.shape[2])) % block_words[:, None]
-        blocks = np.take_along_axis(blocks, rotation[None], axis=2)
-    xor = np.empty((len(periods), m, max(r * b for _, _, r, b in runs)), dtype=np.uint64)
-    for first, end, r, b in runs:
-        np.bitwise_xor(
-            packed[None, :, : r * b].reshape(1, m, r, b),
-            blocks[:, first:end, None, :b].transpose(1, 0, 2, 3),
-            out=xor[first:end, :, : r * b].reshape(end - first, m, r, b),
-        )
-    xor[:, :, words - 1] &= last  # the chunk's padding is zero, the blocks' is pattern
-    return np.bitwise_count(xor[:, :, :words]).sum(axis=2, dtype=np.int32).T[:, inverse]
-
-
-def _gathered_mismatch_counts(
-    head: np.ndarray, offset: int, columns: np.ndarray, periods: np.ndarray
-) -> np.ndarray:
-    """(rows, periods) mismatch counts of a chunk transposed to (width,
-    rows), from one gather of the transposed head, (p, rows), tiled over
-    the chunk's columns from column offset on; the rows last, the sum over
-    the width adds whole rows of counts."""
-    tiled = np.take(head, (offset + np.arange(len(columns))) % periods[:, None], axis=0)
-    mask = np.not_equal(tiled, columns, out=tiled.view(bool))
-    return mask.sum(axis=1, dtype=np.int32).T
-
-
-def _mismatch_counts(
-    head: np.ndarray, chunk: np.ndarray, offset: int, periods: np.ndarray, blocks: dict
-) -> np.ndarray:
+def _mismatch_counts(head: np.ndarray, chunk: np.ndarray, c: int) -> np.ndarray:
     """(rows, periods) counts of the columns of chunk, which start at column
-    offset of its rows, that differ from each row's first p bits (head)
-    tiled over the row, for every period p in periods = 1, 2, ...  The
-    periods are taken a few at a time to keep the temporaries within
-    _CHUNK_BYTES; blocks keeps the packed blocks of each set of periods,
-    built for the first packed chunk that takes it and rotated for the
-    next."""
+    c of its rows, that differ from each row's first p bits tiled over the
+    row, for every period p = 1 .. top, head being the rows' first top <= 64
+    bits.
+
+    The chunk is packed least-significant bit first, and each row's first
+    p bits are one uint64 pattern.  The pattern times the repunit of p is
+    the row's tiled bits from column 0, a word t whose bit j is pattern bit
+    j mod p: the copies do not overlap, so the product carries nothing.
+    Word k of the chunk starts at the phase f = (c + 64k) mod p, so its
+    tiled bits are t rotated by f within its s = p * (64 // p) bits of
+    whole copies, (t >> f) | (t << (s - f)).  The count is the popcount of
+    the chunk's words xor the tiled words, the padding of the chunk masked
+    out.
+
+    The tiled words repeat every p / gcd(p, 64) words.  On a wider chunk
+    the formula builds that many words and run - 1 more, run = 64 // rows
+    (at least 1), and one gather lays them over the chunk run by run: the
+    run from word k on equals the built words from k mod (p / gcd(p, 64))
+    on.  The rows come last, so that the arrays of many short rows have
+    long inner loops, and the counts are returned as a transposed (periods,
+    rows) array, whose minimum over the periods is one elementwise pass."""
     m, w = chunk.shape
-    top = len(periods)
-    if w >= _GATHER_BELOW:
-        words = -(-w // 64)
-        block = int(_block_words(periods).max())
-        packed = packed_rows(chunk, words + block)
-        # per period: its xor words, and its tiled bits (at most 8 x top)
-        # and block bytes, each with an 8-byte gather index
-        step = max(1, _CHUNK_BYTES // (8 * m * (words + block) + (m + 8) * 8 * (top + block)))
-
-        def count(periods):
-            key = tuple(periods.tolist())
-            if key not in blocks:
-                blocks[key] = _period_blocks(head, *_packed_layout(key, w)[:2])
-            return _packed_mismatch_counts(blocks[key], offset, packed, w, periods)
-
-    else:
-        step = max(1, _CHUNK_BYTES // ((m + 8) * w))
-        count = partial(
-            _gathered_mismatch_counts,
-            np.ascontiguousarray(head.T), offset, np.ascontiguousarray(chunk.T),
-        )
-    return np.concatenate([count(periods[first : first + step]) for first in range(0, top, step)], axis=1)
+    top = head.shape[1]
+    words = -(-w // 64)
+    run = max(1, 64 // m)
+    built = min(words, _MOST_CYCLES[top - 1] + run - 1)
+    padded = run * -(-words // run) if built < words else words  # whole runs
+    packed = packed_rows(chunk, padded)
+    # the chunk's first word holds the rows' first bits if the chunk starts the rows
+    first = packed[:, 0] if c == 0 and w >= top else packed_rows(head)[:, 0]
+    tiled = np.empty((top, built, m), dtype=np.uint64)
+    np.bitwise_and(first, _MASKS[:top, None, None], out=tiled)
+    tiled *= _REPUNITS[:top, None, None]
+    phase = np.arange(c, c + 64 * built, 64, dtype=np.uint64)[:, None] % _PERIODS[:top, None, None]
+    rotated = tiled >> phase
+    tiled <<= _SPANS[:top, None, None] - phase  # a shift by 64 gives 0 in numpy
+    rotated |= tiled  # (periods, built words, rows)
+    if built < words:
+        starts = np.arange(0, padded, run) % _CYCLES[:top, None]
+        strides = rotated.strides
+        runs = as_strided(rotated, (top, built - run + 1, run, m), strides[:2] + strides[1:])
+        rotated = runs[np.arange(top)[:, None], starts].reshape(top, -1, m)
+        if padded > words:
+            rotated[:, words:] = 0
+    rotated ^= packed.T
+    if w % 64:  # the chunk's padding is zero, the pattern's is not
+        rotated[:, words - 1] &= _MASKS[w % 64 - 1]
+    return np.bitwise_count(rotated).sum(axis=1, dtype=np.int32).T
 
 
 class _Periodic:
     """Each row's mismatch counts against its first p bits tiled over the
-    row, for every period p <= min(p_max, n): each chunk is compared with
-    the first p bits rotated by its first column mod p.  A chunk of
-    _GATHER_BELOW columns or more is scanned packed, where each period
-    costs a few numpy calls: consecutive such chunks are scanned together,
-    a segment of up to _CHUNK_BYTES columns (_CHUNK_BYTES / 8 bytes packed)
-    at a time, or up to a finish.  The first m columns score the periods
-    p <= min(p_max, m) only."""
+    row, for every period p <= min(p_max, n), summed over the chunks; the
+    first m columns score the periods p <= min(p_max, m) only."""
 
     def __init__(self, block: np.ndarray, p_max: int = P_MAX):
-        self.block = block
         self.periods = np.arange(1, min(p_max, block.shape[1]) + 1)
         self.head = block[:, : len(self.periods)]
         self.counts = None
-        self.blocks = {}
-        self.segment = None  # (first, end) columns of the chunks to scan packed
 
     def add(self, chunk: np.ndarray, c: int) -> None:
-        w = chunk.shape[1]
-        if w < _GATHER_BELOW:
-            self._add(_mismatch_counts(self.head, chunk, c, self.periods, self.blocks))
-            return
-        if self.segment is not None and c + w - self.segment[0] > _CHUNK_BYTES:
-            self._scan_segment()
-        self.segment = (c if self.segment is None else self.segment[0], c + w)
-
-    def _scan_segment(self) -> None:
-        first, end = self.segment
-        segment = self.block[:, first:end]
-        self._add(_mismatch_counts(self.head, segment, first, self.periods, self.blocks))
-        self.segment = None
-
-    def _add(self, counts: np.ndarray) -> None:
-        # a scan's int32 counts, summed in int64 over several scans
+        counts = _mismatch_counts(self.head, chunk, c)
+        # a chunk's int32 counts, summed in int64 over several chunks
         self.counts = counts if self.counts is None else np.add(self.counts, counts, dtype=np.int64)
 
     def scan(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """(cost, period) of every row's first m columns at its cheapest
         period; the smallest period wins ties."""
-        if self.segment is not None:
-            self._scan_segment()
         top = min(len(self.periods), m)
         costs = _periodic_cost(m, self.periods[:top], self.counts[:, :top])
         # argmin takes the first minimum: the smallest period
@@ -555,11 +448,8 @@ def _scored(kernel, bits: np.ndarray, cuts: Sequence[int] | None = None):
     after the block's last column by default, so finish(n) scores it.
     Cuts are for one row only.  A chunk holds at most _CHUNK_BYTES // 8
     cells: whole rows while a row fits, else one row in chunks of a
-    multiple of 64 columns (64 at least).  A chunk ends at each cut.  One
-    of _GATHER_BELOW columns or more, which the periodic kernel scans
-    packed, starts on a multiple of 64, a whole word of the row: after a
-    cut off those multiples, a chunk of less than 64 columns runs up to the
-    next one first."""
+    multiple of 64 columns (64 at least).  A chunk ends at each cut, at
+    any column."""
     m, n = bits.shape
     cells = _CHUNK_BYTES // 8
     rows = max(1, cells // n)
@@ -571,8 +461,6 @@ def _scored(kernel, bits: np.ndarray, cuts: Sequence[int] | None = None):
         for cut in cuts or (n,):
             while c < cut:
                 end = min(cut, c + width)
-                if c % 64 and end - c >= _GATHER_BELOW:
-                    end = c - c % 64 + 64
                 scorer.add(block[:, c:end], c)
                 c = end
             yield scorer
@@ -592,7 +480,10 @@ def _lengths(kernel, bits: np.ndarray) -> Lengths:
 
 def _periodic_scan(bits: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(cost, period) of every row minimizing the periodic cost over
-    p <= min(p_max, n); the smallest period wins ties."""
+    p <= min(p_max, n); the smallest period wins ties.  A pattern is one
+    uint64 word, so p_max is at most 64."""
+    if not 1 <= p_max <= 64:
+        raise ValueError(f"the periodic scan takes 1 <= p_max <= 64, not {p_max}")
     n = bits.shape[1]
     scans = [scorer.scan(n) for scorer in _scored(partial(_Periodic, p_max=p_max), bits)]
     return tuple(np.concatenate(part) for part in zip(*scans))

@@ -168,6 +168,8 @@ def ceil_log2_comb(n: int, k: int) -> int:
 _primes = np.zeros(0, dtype=np.int32)
 _primes.setflags(write=False)
 _primes_limit = 1
+# Entries of the sieve indexed at a time: an int64 index of 128 KiB at most.
+_SIEVE_BLOCK = 1 << 14
 
 
 def _primes_upto(n: int) -> np.ndarray:
@@ -181,11 +183,15 @@ def _primes_upto(n: int) -> np.ndarray:
         for p in range(3, math.isqrt(n) + 1, 2):
             if odd[p // 2]:
                 odd[p * p // 2 :: p] = False
-        index = np.flatnonzero(odd)
-        primes = np.empty(index.size + 1, dtype=np.int32)
+        primes = np.empty(np.count_nonzero(odd) + 1, dtype=np.int32)
         primes[0] = 2
-        np.multiply(index, 2, out=primes[1:], casting="unsafe")
-        primes[1:] += 1
+        # the int64 index of the whole sieve would take 8 bytes a prime:
+        # index one block of the sieve at a time into the int32 primes
+        filled = 1
+        for first in range(0, odd.size, _SIEVE_BLOCK):
+            index = np.flatnonzero(odd[first : first + _SIEVE_BLOCK])
+            primes[filled : filled + index.size] = 2 * (index + first) + 1
+            filled += index.size
         primes.setflags(write=False)
         _primes, _primes_limit = primes, n
     return _primes[: _prime_count(_primes, n)]

@@ -175,26 +175,27 @@ class PairCounts:
 
 
 def packed_rows(bits: np.ndarray, words: int | None = None) -> np.ndarray:
-    """(rows, words) uint64: every row of a 0/1 uint8 matrix packed as
-    np.packbits packs it, 64 bits to a word and zero-padded to `words`
-    words (by default the fewest that hold a row).  One row is packed as
-    it is; many rows, which np.packbits(axis=1) takes one at a time, are
-    padded first and packed in one call."""
+    """(rows, words) uint64: every row of a 0/1 uint8 matrix packed 64 bits
+    to a word, least-significant bit first, so that column i of a row is
+    bit i % 64 of its word i // 64, and zero-padded to `words` words (by
+    default the fewest that hold a row).  One row is packed as it is; many
+    rows, which np.packbits(axis=1) takes one at a time, are padded first
+    and packed in one call."""
     m, n = bits.shape
     words = words or -(-n // 64)
     if m == 1:
         packed = np.zeros(8 * words, dtype=np.uint8)
-        packed[: -(-n // 8)] = np.packbits(bits)
-        return packed.view(np.uint64)[None]
+        packed[: -(-n // 8)] = np.packbits(bits, bitorder="little")
+        return packed.view("<u8")[None]
     padded = np.zeros((m, 64 * words), dtype=np.uint8)
     padded[:, :n] = bits
-    return np.packbits(padded).view(np.uint64).reshape(m, words)
+    return np.packbits(padded, bitorder="little").view("<u8").reshape(m, words)
 
 
 # In a packed word the bits at even positions of the row take the mask
-# 0xAA of every byte, those at odd positions 0x55.
-_EVEN = np.frombuffer(b"\xaa" * 8, dtype=np.uint64)[0]
-_ODD = np.frombuffer(b"\x55" * 8, dtype=np.uint64)[0]
+# 0x55 of every byte, those at odd positions 0xAA.
+_EVEN = np.uint64(0x5555555555555555)
+_ODD = np.uint64(0xAAAAAAAAAAAAAAAA)
 
 
 def block_tallies(bits: np.ndarray) -> np.ndarray:
@@ -210,7 +211,7 @@ def block_tallies(bits: np.ndarray) -> np.ndarray:
     masked = np.empty((3,) + w.shape, dtype=np.uint64)
     np.bitwise_and(w, _EVEN, out=masked[0])
     np.bitwise_and(w, _ODD, out=masked[1])
-    np.right_shift(w, 1, out=masked[2])  # each block's first bit onto its second
+    np.left_shift(w, 1, out=masked[2])  # each block's first bit onto its second
     masked[2] &= masked[1]
     first, second, both = np.bitwise_count(masked).sum(axis=2, dtype=np.int64)
     return np.stack([nb - first - second + both, second - both, first - both, both], axis=1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,21 @@ class TestPrimeSieve:
             primes = entropy._primes_upto(n)
             assert primes.dtype == np.int32 and not primes.flags.writeable
             assert primes.tolist() == _plain_primes(n), n
+
+    def test_cold_sieve_peaks_below_one_byte_a_bit(self, monkeypatch):
+        # the sieve takes half a byte per integer and the int32 primes about
+        # 0.28; an int64 index of every prime at once would add 0.56
+        monkeypatch.setattr(entropy, "_primes", entropy._primes[:0])
+        monkeypatch.setattr(entropy, "_primes_limit", 1)
+        n = 1 << 22
+        tracemalloc.start()
+        try:
+            primes = entropy._primes_upto(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert primes.size == 295947  # pi(2^22)
+        assert peak < n, peak / n
 
     def test_refuses_int32_overflow_before_sieving(self):
         with pytest.raises(ValueError, match="2\\^31"):

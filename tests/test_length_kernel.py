@@ -196,13 +196,13 @@ class TestKraft:
 
 
 class TestPackedPeriodicScan:
-    """Rows of coders._GATHER_BELOW bits or more take the packed scan;
-    these lengths cover a row ending inside, and exactly at, a 64-bit word."""
+    """Rows of 1024 bits or more, wider than the 31 tiled words the periodic
+    scan builds; these lengths cover a row ending inside, and exactly at, a
+    64-bit word."""
 
     @pytest.mark.parametrize("n", [1024, 1087, 4159])
-    @pytest.mark.parametrize("p_max", [1, 5, 32, 100])
+    @pytest.mark.parametrize("p_max", [1, 5, 32, 64])
     def test_periodic_matches_reference(self, n, p_max):
-        assert n >= coders._GATHER_BELOW
         matrix = random_matrix(n, seed=n + p_max)[::4]
         assert_scan_matches_reference(matrix, p_max)
 
@@ -272,19 +272,60 @@ class TestPairShellKey:
 
 
 class TestGatheredPeriodicScan:
-    """Rows shorter than coders._GATHER_BELOW bits are gathered rows last,
-    transposed once per scan and reused by every chunk of periods."""
+    """Rows shorter than 1024 bits, one row or many, in one chunk or in
+    chunks of 64 columns."""
 
     @pytest.mark.parametrize("budget", [None, 1, 1 << 14])
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1023])
     def test_costs_match_reference(self, monkeypatch, n, budget):
-        assert n < coders._GATHER_BELOW
         if budget is not None:  # one or a few periods per chunk
             monkeypatch.setattr(coders, "_CHUNK_BYTES", budget)
         matrix = (random_matrix(n, seed=n) if n > 2 else all_words_matrix(n)).astype(np.uint8)
         for rows in (matrix[:1], matrix):
             cost, _ = coders._periodic_scan(rows, 40)
             assert cost.tolist() == [ref_periodic(row, 40)[1] for row in rows.tolist()]
+
+
+class TestPeriodicFormula:
+    """The periodic kernel fed chunks that start off the multiples of 64 and
+    end mid-word, and rows of every length up to 200 bits, against the
+    reference at bounds up to a whole 64-bit pattern: period 64 takes the
+    full-width mask and, at phase 0, a shift by 64."""
+
+    @staticmethod
+    def planted(rng, n: int, p: int) -> np.ndarray:
+        """A random row of period p, with a few bits flipped past the first p."""
+        row = np.resize(rng.integers(0, 2, p, dtype=np.uint8), n)
+        row[p:] ^= (rng.random(n - p) < 0.01).astype(np.uint8)
+        return row
+
+    @pytest.mark.parametrize("p_max", [1, 5, 32, 64])
+    def test_one_row_in_chunks(self, p_max):
+        # a chunk of 6500 columns holds more words than the formula builds
+        # for one row, so the gather lays them out, at column 0 and 6500
+        rng = np.random.default_rng(p_max)
+        for n, widths in ((2100, (1, 13, 63, 65, 1000)), (13000, (1000, 6500))):
+            for row in (rng.integers(0, 2, n, dtype=np.uint8), self.planted(rng, n, p_max)):
+                want = [ref_periodic(row.tolist(), p_max)[1]]
+                for width in widths:
+                    kernel = coders._Periodic(row[None], p_max)
+                    for c in range(0, n, width):
+                        kernel.add(row[None, c : c + width], c)
+                    assert kernel.scan(n)[0].tolist() == want, (n, width)
+
+    @pytest.mark.parametrize("p_max", [1, 5, 32, 64])
+    def test_rows_of_every_length(self, p_max):
+        rng = np.random.default_rng(200 + p_max)
+        for n in range(1, 201):
+            matrix = np.stack([
+                rng.integers(0, 2, n, dtype=np.uint8), self.planted(rng, n, min(n, p_max))
+            ])
+            assert_scan_matches_reference(matrix, p_max)
+
+    @pytest.mark.parametrize("p_max", [0, 65])
+    def test_bound_is_one_word(self, p_max):
+        with pytest.raises(ValueError, match="p_max"):
+            coders._periodic_scan(np.zeros((1, 100), dtype=np.uint8), p_max)
 
 
 def assert_same_lengths(got, want):

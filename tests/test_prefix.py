@@ -201,11 +201,9 @@ def _feed_log(monkeypatch, name: str) -> list[tuple[int, int]]:
 
 
 def assert_fed_once(fed: list[tuple[int, int]], end: int):
-    """The chunks cover columns 0 .. end - 1 once, left to right, and every
-    chunk the periodic kernel scans packed starts on a whole word."""
+    """The chunks cover columns 0 .. end - 1 once, left to right."""
     assert [c for c, _ in fed] == [0] + list(np.cumsum([w for _, w in fed[:-1]]))
     assert sum(w for _, w in fed) == end
-    assert all(c % 64 == 0 for c, w in fed if w >= coders._GATHER_BELOW)
 
 
 @pytest.mark.parametrize("name", CODER_NAMES)
