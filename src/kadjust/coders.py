@@ -71,7 +71,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bitio import BitReader, BitWriter, DecodeError
+from .bitio import BitReader, BitWriter, DecodeError, elias_gamma_len
 from .entropy import ceil_log2, log2_multinomial
 from .shellcode import concrete_len_shell, decode_shell, encode_shell, ideal_len_shell
 from .words import BitWord, as_bits, block_tallies, packed_rows
@@ -241,14 +241,14 @@ class _RunLength:
             if chunk[0, 0] == self.open_bit:
                 runs[0] += self.open_len
             else:
-                self.totals += 2 * self.open_len.bit_length() - 1
+                self.totals += elias_gamma_len(self.open_len)
         self.open_bit, self.open_len = chunk[0, -1], int(runs[-1])
         self.totals += int(_gamma_len(runs[:-1]).sum())
 
     def finish(self, m: int) -> Lengths:
         totals = self.totals
         if self.open_len is not None:
-            totals += 2 * self.open_len.bit_length() - 1
+            totals += elias_gamma_len(self.open_len)
         totals = np.array(totals, dtype=np.int64, ndmin=1)
         return totals.astype(np.float64), totals, None
 

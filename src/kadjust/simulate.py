@@ -7,6 +7,9 @@ seed + i*GAMMA), so splitmix_outputs computes any prefix of the stream at
 once, without stepping through it.  A draw is defined on the uniform
 (output >> 11) * 2^-53, but the Bernoulli and block sources compare the
 outputs with integer thresholds instead, which give the same bits.
+generate and the Monte Carlo (testing.monte_carlo_fpr) draw through one
+loop, _output_blocks, in blocks of at most 2^16 outputs, so a trial word
+equals the generated word of its seed and memory stays linear in the bits.
 
 convergence_trace scores every prefix on its schedule in one pass over
 the word (stats.adjusted_prefixes): the coder's kernel takes the columns
@@ -130,26 +133,30 @@ def _block_thresholds() -> tuple[np.uint64, np.uint64]:
 _BLOCK_01, _BLOCK_11 = _block_thresholds()
 
 
-# The sources draw their outputs in blocks of this many, which keeps the
-# temporaries of each block at 512 KiB: 2^19 outputs drawn at once took 3x
-# longer, as the allocator maps and faults in every 4 MiB temporary afresh.
+# The sources and the Monte Carlo trials (testing.monte_carlo_fpr) draw
+# their outputs in blocks of this many, which keeps the temporaries of each
+# block at 512 KiB: 2^19 outputs drawn at once took 3x longer, as the
+# allocator maps and faults in every 4 MiB temporary afresh.
 _DRAW_BLOCK = 1 << 16
 
 
-def _output_blocks(seed: int, count: int):
-    """(start, outputs start + 1 ..) of splitmix_outputs(seed, count), a
-    block of at most _DRAW_BLOCK at a time: output i of seed is output
-    i - start of seed + start * GAMMA."""
-    for start in range(0, count, _DRAW_BLOCK):
-        size = min(_DRAW_BLOCK, count - start)
-        yield start, splitmix_outputs((seed + start * GAMMA) & _MASK, size)
+def _output_blocks(seed: int | np.ndarray, count: int):
+    """(start, outputs start + 1 ..) of splitmix_outputs(seed, count), a block
+    of columns at a time, of at most _DRAW_BLOCK outputs over the rows of
+    an array of seeds: output i of seed is output i - start of seed +
+    start * GAMMA."""
+    width = max(1, _DRAW_BLOCK // np.size(seed))
+    for start in range(0, count, width):
+        size = min(width, count - start)
+        yield start, splitmix_outputs(seed + (start * GAMMA & _MASK), size)
 
 
-def _bernoulli_bits(p: float, seed: int, length: int) -> np.ndarray:
+def _bernoulli_bits(p: float, seed: int | np.ndarray, length: int) -> np.ndarray:
+    """Bernoulli(p) bits from the outputs of seed, one row per seed of an array."""
     threshold = bernoulli_threshold(p)
-    bits = np.empty(length, dtype=bool)
+    bits = np.empty(np.shape(seed) + (length,), dtype=bool)
     for start, z in _output_blocks(seed, length):
-        np.less(z, threshold, out=bits[start : start + z.size])
+        np.less(z, threshold, out=bits[..., start : start + z.shape[-1]])
     return bits
 
 

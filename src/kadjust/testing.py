@@ -19,7 +19,7 @@ import numpy as np
 
 from .coders import CoderId, code_lengths, is_concrete
 from .entropy import shell_log_size, shell_size
-from .simulate import bernoulli_threshold, geometric_schedule, splitmix_outputs
+from .simulate import _DRAW_BLOCK, _bernoulli_bits, geometric_schedule, splitmix_outputs
 from .stats import adjusted, adjusted_deficiencies, adjusted_prefixes
 from .words import BitWord
 
@@ -199,8 +199,6 @@ class FprResult:
 
 
 FPR_M_RANGE = range(1, 9)
-# Uniform draws per block of trial words, which bounds the Monte Carlo memory.
-_DRAW_BLOCK = 1 << 16
 
 
 def monte_carlo_fpr(
@@ -209,12 +207,13 @@ def monte_carlo_fpr(
     """Empirical rejection rate under Bernoulli(p) for thresholds m = 1..8.
 
     Trial i draws its word from the seed s_i = splitmix_outputs(seed, trials)[i],
-    so it equals generate(GeneratorSpec.bernoulli(p, s_i, n)).  The words
-    are drawn in blocks of at most 2^16 uniforms (one word when n is
-    larger) and each block is scored in one adjusted_deficiencies() call
-    under cfg's coder and length kind, which gives every word the
-    deficiency adjusted() gives it.  Constant words count as
-    non-rejections.
+    through _bernoulli_bits, the draw generate() makes, so it equals
+    generate(GeneratorSpec.bernoulli(p, s_i, n)).  The words come in blocks
+    of at most 2^16 outputs (one word when n is larger, itself drawn in
+    column blocks of 2^16) and each block is scored in one
+    adjusted_deficiencies() call under cfg's coder and length kind, which
+    gives every word the deficiency adjusted() gives it.  Constant words
+    count as non-rejections.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0,1)")
@@ -223,11 +222,10 @@ def monte_carlo_fpr(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     seeds = splitmix_outputs(seed, trials)
-    threshold = bernoulli_threshold(p)
     block = max(1, _DRAW_BLOCK // n)
     deficiencies = np.empty(trials, dtype=np.float64)
     for start in range(0, trials, block):
-        words = splitmix_outputs(seeds[start : start + block], n) < threshold
+        words = _bernoulli_bits(p, seeds[start : start + block], n)
         deficiencies[start : start + len(words)] = adjusted_deficiencies(
             words, cfg.coder, cfg.lengths
         )

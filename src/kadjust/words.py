@@ -16,44 +16,35 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
-def _checked_bits(values, error: type[Exception]) -> tuple[np.ndarray, bytes | None]:
-    """as_bits(values, error), and the bytes of a uint8 array short enough
-    to be checked through them (None otherwise)."""
-    bits = values if isinstance(values, np.ndarray) else np.asarray(values)
-    char = bits.dtype.char  # "?" for bool, "B" for uint8; cheaper than comparing dtypes
-    if char == "?":
-        return bits.view(np.uint8), None
-    raw = None
-    if char == "B":
-        # translate costs about 1 ns a byte, max a flat 2 us
-        if bits.size > 2048:
-            bad = bits.max() > 1
-        else:
-            raw = bits.tobytes()
-            bad = raw.translate(None, b"\x00\x01")
-    else:
-        bad = bits.size and (bits.dtype.kind not in "iu" or bits.min() < 0 or bits.max() > 1)
-    if bad:
-        raise error("bits must be integers 0 or 1")
-    return (bits if char == "B" else bits.astype(np.uint8)), raw
-
-
 def as_bits(values, error: type[Exception] = ValueError) -> np.ndarray:
     """values as a uint8 array, or error raised if an entry is not the
     integer 0 or 1.  uint8 and bool arrays are not copied; anything else is
     checked before the uint8 cast, which would truncate floats and wrap
     negative or large integers."""
-    return _checked_bits(values, error)[0]
+    bits = values if isinstance(values, np.ndarray) else np.asarray(values)
+    char = bits.dtype.char  # "?" for bool, "B" for uint8; cheaper than comparing dtypes
+    if char == "?":
+        return bits.view(np.uint8)
+    if char == "B":
+        # translate costs about 1 ns a byte, max a flat 2 us
+        if bits.size > 2048:
+            bad = bits.max() > 1
+        else:
+            bad = bits.tobytes().translate(None, b"\x00\x01")
+    else:
+        bad = bits.size and (bits.dtype.kind not in "iu" or bits.min() < 0 or bits.max() > 1)
+    if bad:
+        raise error("bits must be integers 0 or 1")
+    return bits if char == "B" else bits.astype(np.uint8)
 
 
 def bit_bytes(values, error: type[Exception] = ValueError) -> bytes:
     """The bits of a one-dimensional values, one byte each, checked as
-    as_bits checks them; a short uint8 array is turned into bytes once,
-    for the check and the result alike."""
-    bits, raw = _checked_bits(values, error)
+    as_bits checks them."""
+    bits = as_bits(values, error)
     if bits.ndim != 1:
         raise error("a bitstream must be one-dimensional")
-    return bits.tobytes() if raw is None else raw
+    return bits.tobytes()
 
 
 def _word_bits(arr: np.ndarray) -> np.ndarray:

@@ -108,6 +108,18 @@ def test_criterion_4_fpr_calibration():
                     assert row.rate <= row.bound, (p, row)
 
 
+def test_criterion_4_fpr_every_coder_and_length_kind():
+    with criterion(4, "false-positive rate <= 2^(2-m) on every coder and length kind", 60.0):
+        concrete = concrete_coder_ids()
+        for coder in map(CoderId, kj.CODER_NAMES):
+            for lengths in ("ideal", "concrete") if coder in concrete else ("ideal",):
+                cfg = Config(m=1, coder=coder, lengths=lengths)
+                for p in (0.1, 0.5):
+                    result = monte_carlo_fpr(p, 256, cfg, trials=10_000, seed=42)
+                    bad = [row for row in result.rows if not row.ok]
+                    assert not bad, (coder.name, lengths, p, bad)
+
+
 def test_criterion_5_main_convergence_analogue():
     with criterion(5, "Bernoulli traces reach R -> 1 and K_eff/m -> H(p)", 300.0):
         m = 2**17

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,8 +212,9 @@ class TestMonteCarloFpr:
         res = monte_carlo_fpr(0.3, 128, Config(m=1, coder=CoderId("shell")), 1000, seed=3)
         assert all(row.rejections == 0 for row in res.rows)
 
-    def test_trial_words_match_generate_across_draw_blocks(self, monkeypatch):
-        n, p, seed = 3000, 0.3, 21
+    @pytest.mark.parametrize("n", [3000, (1 << 16) + 1031])  # the second: two column blocks
+    def test_trial_words_match_generate_across_draw_blocks(self, monkeypatch, n):
+        p, seed = 0.3, 21
         trials = 2 * (testing._DRAW_BLOCK // n) + 3  # three draw blocks
         scored = []
 
@@ -225,6 +227,19 @@ class TestMonteCarloFpr:
         assert scored == [
             generate(GeneratorSpec.bernoulli(p, derive_seed(seed, i), n)) for i in range(trials)
         ]
+
+    def test_peak_below_four_bytes_per_bit(self):
+        # A trial word longer than the draw block is drawn in column blocks;
+        # drawing all its 8-byte outputs at once peaks at 17 bytes a bit.
+        n, cfg = 1 << 21, Config(m=1, coder=CoderId("shell"))
+        monte_carlo_fpr(0.5, n, cfg, 1, seed=3)  # grows the sieve, fills the caches
+        tracemalloc.start()
+        try:
+            monte_carlo_fpr(0.5, n, cfg, 2, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n, peak / n
 
     def test_rates_match_per_trial_reference(self):
         # Words of 16 bits reject at every m = 1..8 under Bernoulli(0.5) and
