@@ -25,11 +25,13 @@ the constant P_MAX = 32.
   shell        weight header plus in-shell             the weight; ideal_len_shell and
                lexicographic rank                      concrete_len_shell per distinct weight
   run_length   leading bit plus Elias gamma code       gamma lengths of the runs that end in
-               of every maximal run                    the chunk, from one flatnonzero over
-                                                       the break mask; the run still open at
-                                                       the chunk's end carries its bit and
-                                                       length into the next chunk, and
-                                                       finish adds its gamma length
+               of every maximal run                    the chunk, from the end mask: by
+                                                       popcounts of the packed mask on a
+                                                       dense chunk, else one flatnonzero;
+                                                       the run still open at the chunk's end
+                                                       carries its bit and length into the
+                                                       next chunk, and finish adds its
+                                                       gamma length
   periodic     best period P <= P_MAX: pattern plus    mismatch counts against the first P
                coded mismatch positions                bits tiled from the chunk's first
                                                        column, by one multiply-and-popcount
@@ -45,9 +47,13 @@ the constant P_MAX = 32.
 
 A chunk holds at most _CHUNK_BYTES // 8 cells: whole rows while a row
 fits, else one row in chunks of a multiple of 64 columns.  That bounds
-each kernel's temporaries near _CHUNK_BYTES for any word length; the
-run-length kernel, the largest, takes about 8.5 bytes a cell.  A prefix
-schedule cuts a chunk at every prefix length.
+each kernel's temporaries by a few _CHUNK_BYTES for any word length.  The
+periodic kernel takes up to 8 bytes a cell on short rows.  The
+run-length kernel's end mask takes 1 byte a cell, and its packed copy
+1/8 more on a dense chunk; a sparse chunk's run list takes about 24
+bytes a run: 4 bytes a cell at p = 0.1, and up to 20 on a chunk that is
+dense only past its first _DENSE_SAMPLE cells.  A prefix schedule cuts a
+chunk at every prefix length.
 
 The periodic kernel has one formula (_mismatch_counts): each row's first
 P <= 64 bits are one uint64 pattern, tiled over a word by one multiply
@@ -81,11 +87,12 @@ P_MAX = 32
 MODEL_TAG_BITS = 3
 
 # Byte budget of the kernels' temporaries: a chunk holds at most
-# _CHUNK_BYTES // 8 cells, as the run-length kernel takes about 8.5 bytes a
-# cell (see _scored).  The periodic kernel's words, one uint64 per row,
-# period and packed word, take 4 bytes a cell on rows of 64 bits or more
-# and up to 8 on shorter ones, twice over while they are rotated (see
-# _mismatch_counts).
+# _CHUNK_BYTES // 8 cells (see _scored), as the periodic kernel's words, one
+# uint64 per row, period and packed word, take 4 bytes a cell on rows of 64
+# bits or more and up to 8 on shorter ones, twice over while they are
+# rotated (see _mismatch_counts).  The run-length kernel's end mask takes 1
+# byte a cell, its packed copy 1/8, and a sparse chunk's run list about 24
+# bytes a run.
 _CHUNK_BYTES = 1 << 20
 
 # (ideal[rows], concrete[rows] or None, model tag[rows] or None)
@@ -205,13 +212,20 @@ class _Shell:
         return ideal, concrete, None
 
 
-def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Lengths of the maximal constant runs of every row, row by row and
-    left to right, the last column ending each row's last run, and the row
-    of each run (None for a single row)."""
+def _ends(bits: np.ndarray) -> np.ndarray:
+    """The bool mask of the columns of every row that end a maximal
+    constant run: those whose bit differs from the next, and the last."""
     m, n = bits.shape
     ends = np.ones((m, n), dtype=bool)
     np.not_equal(bits[:, 1:], bits[:, :-1], out=ends[:, :-1])
+    return ends
+
+
+def _runs(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Lengths of the maximal constant runs of every row of an end mask,
+    row by row and left to right, and the row of each run (None for a
+    single row)."""
+    m, n = ends.shape
     ends = np.flatnonzero(ends)
     runs = np.empty_like(ends)
     runs[0] = ends[0] + 1
@@ -219,9 +233,74 @@ def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return runs, (ends // n if m > 1 else None)
 
 
+# A chunk of at least _DENSE_CELLS cells with at least one run end per
+# _DENSE_SPACING cells sums its gamma lengths from popcounts of its packed
+# end mask (_gamma_sums), in a few rounds while its runs are short; any
+# other chunk lists its run lengths (_runs).  The popcounts win on rows at
+# p = 0.5 or 0.3 and lose on short chunks, whose fixed cost they raise, and
+# on sparse ones (p = 0.1 and below), whose long runs take many rounds.
+_DENSE_CELLS = 1 << 16
+_DENSE_SPACING = 3
+# The density is judged from a chunk's first _DENSE_SAMPLE cells: a count
+# of all its ends would cost about a tenth of a sparse chunk's time.
+_DENSE_SAMPLE = 1 << 12
+
+
+def _dense(ends: np.ndarray) -> bool:
+    """Whether a chunk's end mask takes the popcounts: at least
+    _DENSE_CELLS cells, and one end per _DENSE_SPACING of its first
+    _DENSE_SAMPLE cells."""
+    if ends.size < _DENSE_CELLS:
+        return False
+    sample = ends.reshape(-1)[:_DENSE_SAMPLE]
+    return _DENSE_SPACING * np.count_nonzero(sample) >= sample.size
+
+
+def _gamma_sums(ends: np.ndarray) -> np.ndarray:
+    """Each row's sum of the Elias gamma lengths 2 * floor(log2 L) + 1 of
+    its runs, the rows' end masks packed (rows, words): the number of runs
+    plus twice the number of runs of at least 2^j bits for every j >= 1
+    (Knuth, TAOCP 4A, 7.1.3).
+
+    Round j moves the marks of the runs of at least 2^(j - 1) bits down
+    2^(j - 1) columns and keeps those that land on 2^(j - 1) columns
+    without an end: a run of at least 2^j bits, marked from its end e at
+    column e - 2^j + 1.  The second mask holds the columns that start
+    2^(j - 1) columns without an end, and doubles its reach each round as
+    it is moved down by the same distance and ANDed with itself.  A column
+    past a row's end has no end in the packed mask, but no window from a
+    mark reaches it, as each ends at the mark's own run end."""
+    pair = np.stack([ends, ~ends])  # the marks, the columns without an end
+    moved = np.empty_like(pair)
+    words = ends.shape[-1]
+    total = np.bitwise_count(ends).sum(axis=-1, dtype=np.int64)
+    shift = 1
+    while True:
+        q, r = divmod(shift, 64)
+        if q >= words:
+            break
+        # moved = pair shifted down within each row; no bit crosses a row
+        if r:
+            np.right_shift(pair[..., q:], r, out=moved[..., : words - q])
+            moved[..., : words - q - 1] |= pair[..., q + 1 :] << (64 - r)
+        else:
+            moved[..., : words - q] = pair[..., q:]
+        moved[..., words - q :] = 0
+        np.bitwise_and(moved[0], pair[1], out=pair[0])
+        longer = np.bitwise_count(pair[0]).sum(axis=-1, dtype=np.int64)
+        if not longer.any():
+            break
+        total += 2 * longer
+        pair[1] &= moved[1]
+        shift *= 2
+    return total
+
+
 class _RunLength:
     """Each row's leading bit and the Elias gamma lengths of its closed
-    runs.  Several rows come in one chunk of whole rows (see _scored), where
+    runs, from the chunk's end mask: by popcounts of the packed mask on a
+    dense chunk (_gamma_sums), from its run list (_runs) on any other.
+    Several rows come in one chunk of whole rows (see _scored), where
     every run closes.  One row may come in many chunks: the run still open
     at a chunk's last column carries its bit and length into the next
     chunk, whose first run it extends or, on the other bit, ends, and
@@ -232,18 +311,41 @@ class _RunLength:
         self.open_bit = self.open_len = None
 
     def add(self, chunk: np.ndarray, c: int) -> None:
-        runs, rows = _runs(chunk)
-        if rows is not None:
-            gamma = np.bincount(rows, weights=_gamma_len(runs), minlength=len(chunk))
-            self.totals = self.totals + gamma.astype(np.int64)
-            return
+        ends = _ends(chunk)
+        m, n = ends.shape
+        if _dense(ends):
+            packed = packed_rows(ends)
+            gamma = _gamma_sums(packed)
+            if m > 1:
+                self.totals = self.totals + gamma
+                return
+            gamma = int(gamma[0])
+            first = int(ends[0].argmax()) + 1
+            # the last run follows the end before the last column's, if any
+            row = packed[0]
+            row[-1] ^= np.uint64(1 << ((n - 1) % 64))
+            nonzero = np.flatnonzero(row)
+            k = int(nonzero[-1]) if nonzero.size else 0
+            last = n - 64 * k - int(row[k]).bit_length()
+        else:
+            runs, rows = _runs(ends)
+            del ends  # before the gamma lengths, which take about 24 bytes a run
+            if rows is not None:
+                gamma = np.bincount(rows, weights=_gamma_len(runs), minlength=m)
+                self.totals = self.totals + gamma.astype(np.int64)
+                return
+            gamma = 2 * int(np.frexp(runs)[1].sum()) - runs.size  # the sum of _gamma_len(runs)
+            first, last = int(runs[0]), int(runs[-1])
+        closed = gamma - elias_gamma_len(last)  # the runs but the last, as they stand
         if self.open_len is not None:
-            if chunk[0, 0] == self.open_bit:
-                runs[0] += self.open_len
-            else:
-                self.totals += elias_gamma_len(self.open_len)
-        self.open_bit, self.open_len = chunk[0, -1], int(runs[-1])
-        self.totals += int(_gamma_len(runs[:-1]).sum())
+            if chunk[0, 0] != self.open_bit:  # the chunk's first run ends it
+                closed += elias_gamma_len(self.open_len)
+            elif first < n:  # it extends the chunk's first run, which ends
+                closed += elias_gamma_len(first + self.open_len) - elias_gamma_len(first)
+            else:  # it extends the chunk's one run, still open
+                last += self.open_len
+        self.totals += closed
+        self.open_bit, self.open_len = chunk[0, -1], last
 
     def finish(self, m: int) -> Lengths:
         totals = self.totals
@@ -577,7 +679,7 @@ def _decode_literal(n: int, reader: BitReader) -> BitWord:
 def _encode_run_length(word: BitWord) -> np.ndarray:
     out = BitWriter()
     out.write_bit(word[0])
-    out.write_elias_gammas(_runs(word.bits[None])[0])
+    out.write_elias_gammas(_runs(_ends(word.bits[None]))[0])
     return out.getvalue()
 
 

@@ -28,6 +28,11 @@ from .words import PairCounts
 # Above this total the log of a binomial/multinomial is evaluated from the
 # exact prime factorization instead of materializing the integer.
 _BIG_N = 4096
+# np.dot hands a vector of more than 10,000 entries to OpenBLAS's threaded
+# ddot, whose rounding depends on the thread count; log2_multinomial sums
+# the dots of blocks of at most this many entries in order, so that its
+# value does not, and a shorter vector's is its one dot.
+_DOT_BLOCK = 10_000
 # An exact multinomial is a product of math.comb calls while all its
 # counts but the largest sum to at most this, else a product of the prime
 # powers of its factorization.  math.comb's cost grows with that sum, as it
@@ -76,16 +81,17 @@ def log2_multinomial(counts) -> float:
     if np.any(exps < 0):
         raise ValueError("invalid factorization")
     # The dot runs over the nonzero exponents, as float64; the full-length
-    # exponents go first and log2 works in place, which keeps the
-    # temporaries near 18 bytes a prime.
+    # exponents go first, which keeps the temporaries near 12 bytes a prime.
     nz = exps != 0
     weights = exps[nz]
     del exps
     weights = weights.astype(np.float64)
-    logs = _primes_upto(total)[nz].astype(np.float64)
+    logs = _log2_primes_upto(total)[nz]
     del nz
-    np.log2(logs, out=logs)
-    return float(np.dot(weights, logs))
+    value = 0.0
+    for first in range(0, weights.size, _DOT_BLOCK):
+        value += float(np.dot(weights[first : first + _DOT_BLOCK], logs[first : first + _DOT_BLOCK]))
+    return value
 
 
 def _multinomial(counts: list[int]) -> int:
@@ -195,6 +201,25 @@ def _primes_upto(n: int) -> np.ndarray:
         primes.setflags(write=False)
         _primes, _primes_limit = primes, n
     return _primes[: _prime_count(_primes, n)]
+
+
+# log2 of the primes of the sieve, as float64, entry by entry: a table at
+# least as long as the sieve's primes serves every prefix of them.
+_log2_primes = np.zeros(0)
+_log2_primes.setflags(write=False)
+
+
+def _log2_primes_upto(n: int) -> np.ndarray:
+    """log2 of the primes <= n, ascending, as a read-only float64 array,
+    made once for all the sieve's primes when the sieve has grown."""
+    global _log2_primes
+    primes = _primes_upto(n)
+    if _log2_primes.size < _primes.size:
+        logs = _primes.astype(np.float64)
+        np.log2(logs, out=logs)
+        logs.setflags(write=False)
+        _log2_primes = logs
+    return _log2_primes[: primes.size]
 
 
 def _prime_count(primes: np.ndarray, m: int) -> int:

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,7 +252,11 @@ def _frozen_log2_multinomial(counts) -> float:
         exps = exps - _frozen_factorial_prime_exponents(c, upto=total)
     primes = entropy._primes_upto(total)
     nz = exps != 0
-    return float(np.dot(exps[nz].astype(np.float64), np.log2(primes[nz].astype(np.float64))))
+    weights, logs = exps[nz].astype(np.float64), np.log2(primes[nz].astype(np.float64))
+    value = 0.0  # dots of blocks of 10,000 entries, summed in order
+    for first in range(0, weights.size, 10_000):
+        value += float(np.dot(weights[first : first + 10_000], logs[first : first + 10_000]))
+    return value
 
 
 def _plain_primes(n: int) -> list[int]:
@@ -321,6 +329,25 @@ class TestFactorizedPath:
         assert sum(1 for t in tuples if sum(t) > 4096) >= 200
         for counts in tuples:
             assert log2_multinomial(counts) == _frozen_log2_multinomial(counts), counts
+
+    def test_log2_multinomial_ignores_the_blas_thread_count(self):
+        # from 2^18 on, more than 10,000 primes: np.dot alone would hand
+        # them to a threaded ddot, whose rounding varies with the threads
+        code = (
+            "from kadjust.entropy import log2_multinomial\n"
+            "for counts in [(1 << 17, 1 << 17), (100003, 200001, 3), (1 << 19, 1 << 19),\n"
+            "               (300000, 300000, 224288, 1 << 18)]:\n"
+            "    print(repr(log2_multinomial(counts)))\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(entropy.__file__).parent.parent),
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.split())
+        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
 
 class TestExactMultinomial:

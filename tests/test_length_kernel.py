@@ -11,7 +11,8 @@ import pytest
 
 from kadjust import CODER_NAMES, BitWord, CoderId, adjusted, code_lengths, code_word
 from kadjust import coders
-from kadjust.coders import MODEL_MEMBERS, MODEL_TAG_BITS
+from kadjust.bitio import elias_gamma_len
+from kadjust.coders import MODEL_MEMBERS, MODEL_TAG_BITS, encode_word, prefix_lengths
 
 CODERS = [CoderId(name) for name in CODER_NAMES]
 
@@ -386,6 +387,101 @@ class TestColumnChunks:
             matrix = random_matrix(n, seed=n + cells)
             for coder in CODERS:
                 assert_matches_reference(coder, matrix)
+
+
+RUN_LENGTH = CoderId("run_length")
+
+
+def run_length_totals(matrix: np.ndarray) -> list[int]:
+    """Each row's leading bit plus elias_gamma_len of every run the
+    run-length encoder writes."""
+    totals = []
+    for row in matrix:
+        lengths, counts = np.unique(coders._runs(coders._ends(row[None]))[0], return_counts=True)
+        totals.append(1 + sum(c * elias_gamma_len(v) for v, c in zip(lengths.tolist(), counts.tolist())))
+    return totals
+
+
+def dense_inputs() -> dict[str, np.ndarray]:
+    """Rows longer than a chunk and batches of whole rows, whose chunks take
+    the popcounts, the run lengths or both; rows of 2^17 bits fill a chunk."""
+    rng = np.random.default_rng(19)
+    n = (1 << 19) + 77
+    long_run = (rng.random(n) < 0.5).astype(np.uint8)
+    start = (1 << 17) - 3  # 2^17 + 5 ones, across the chunk edges at 2^17 and 2^18
+    long_run[start - 1], long_run[start + (1 << 17) + 5] = 0, 0
+    long_run[start : start + (1 << 17) + 5] = 1
+    rows = {f"p={p}": (rng.random((1, (1 << 18) + 77)) < p).astype(np.uint8) for p in (0.5, 0.1, 0.001)}
+    return {
+        "long run": long_run[None],
+        "constant": np.zeros((1, (1 << 18) + 1), dtype=np.uint8),
+        "alternating": (np.arange((1 << 18) + 3) % 2).astype(np.uint8)[None],
+        **rows,
+        "1000x256": (rng.random((1000, 256)) < 0.5).astype(np.uint8),
+        "4096x12": (rng.random((4096, 12)) < 0.5).astype(np.uint8),
+    }
+
+
+class TestDenseRunLengths:
+    """A chunk of at least _DENSE_CELLS cells with many run ends sums its
+    gamma lengths by popcounts on its packed end mask; every other chunk
+    lists its runs.  Both give the lengths of the runs the encoder writes,
+    and a row's open run carries across chunks of either kind."""
+
+    # which of the two each input's chunks take: the popcounts (True) or the run list
+    PATHS = {
+        "long run": {True, False}, "constant": {False}, "alternating": {True, False},
+        "p=0.5": {True, False}, "p=0.1": {False}, "p=0.001": {False},
+        "1000x256": {True}, "4096x12": {False},
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return dense_inputs()
+
+    @staticmethod
+    def paths_taken(monkeypatch) -> list[bool]:
+        taken = []
+        dense = coders._dense
+
+        def logged(ends):
+            taken.append(dense(ends))
+            return taken[-1]
+
+        monkeypatch.setattr(coders, "_dense", logged)
+        return taken
+
+    @pytest.mark.parametrize("name", list(PATHS))
+    def test_totals_are_the_encoded_runs(self, monkeypatch, inputs, name):
+        matrix = inputs[name]
+        taken = self.paths_taken(monkeypatch)
+        ideal, concrete, _ = code_lengths(RUN_LENGTH, matrix)
+        assert set(taken) == self.PATHS[name]
+        want = run_length_totals(matrix)
+        assert concrete.tolist() == want and ideal.tolist() == want
+        if len(matrix) == 1:
+            assert len(encode_word(RUN_LENGTH, BitWord(matrix[0]))) == want[0]
+
+    def test_prefix_schedule_with_odd_cuts(self, inputs):
+        row = inputs["long run"][0]
+        start = (1 << 17) - 3
+        points = [1, 63, 65537, start + 1, (1 << 17) + 1, (1 << 18) + 1, start + (1 << 17) + 5,
+                  3 * (1 << 17) + 4097, row.size]
+        _, concrete, _ = prefix_lengths(RUN_LENGTH, BitWord(row), points)
+        assert concrete.tolist() == [run_length_totals(row[None, :m])[0] for m in points]
+
+    @pytest.mark.parametrize("cells", [1, 64, 1088])
+    def test_every_chunk_through_the_popcounts(self, monkeypatch, cells):
+        # any chunk, down to a column of one row, with one run or many
+        monkeypatch.setattr(coders, "_DENSE_CELLS", 1)
+        monkeypatch.setattr(coders, "_DENSE_SPACING", 1 << 40)
+        monkeypatch.setattr(coders, "_CHUNK_BYTES", 8 * cells)
+        taken = self.paths_taken(monkeypatch)
+        for n in (1, 40, 101, 200, 1000, 3 * (1 << 10) + 5):
+            matrix = TestColumnChunks.matrix(n) if n > 1 else all_words_matrix(1)
+            for coder in (RUN_LENGTH, CoderId("model_class")):
+                assert_matches_reference(coder, matrix)
+        assert set(taken) == {True}
 
 
 class TestMemory:
