@@ -27,7 +27,8 @@ the constant P_MAX = 32.
   run_length   leading bit plus Elias gamma code       gamma lengths of the runs that end in
                of every maximal run                    the chunk, from the end mask: by
                                                        popcounts of the packed mask on a
-                                                       dense chunk, else one flatnonzero;
+                                                       chunk with one end per 3 cells or
+                                                       more, else one flatnonzero;
                                                        the run still open at the chunk's end
                                                        carries its bit and length into the
                                                        next chunk, and finish adds its
@@ -51,9 +52,8 @@ each kernel's temporaries by a few _CHUNK_BYTES for any word length.  The
 periodic kernel takes up to 8 bytes a cell on short rows.  The
 run-length kernel's end mask takes 1 byte a cell, and its packed copy
 1/8 more on a dense chunk; a sparse chunk's run list takes about 24
-bytes a run: 4 bytes a cell at p = 0.1, and up to 20 on a chunk that is
-dense only past its first _DENSE_SAMPLE cells.  A prefix schedule cuts a
-chunk at every prefix length.
+bytes a run: 4 bytes a cell at p = 0.1, and at most about 8 bytes a
+cell on a chunk of 2^16 cells or more.  A prefix schedule cuts a chunk at every prefix length.
 
 The periodic kernel has one formula (_mismatch_counts): each row's first
 P <= 64 bits are one uint64 pattern, tiled over a word by one multiply
@@ -92,7 +92,7 @@ MODEL_TAG_BITS = 3
 # bits or more and up to 8 on shorter ones, twice over while they are
 # rotated (see _mismatch_counts).  The run-length kernel's end mask takes 1
 # byte a cell, its packed copy 1/8, and a sparse chunk's run list about 24
-# bytes a run.
+# bytes a run, under one run in 3 cells (see _dense).
 _CHUNK_BYTES = 1 << 20
 
 # (ideal[rows], concrete[rows] or None, model tag[rows] or None)
@@ -236,24 +236,20 @@ def _runs(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 # A chunk of at least _DENSE_CELLS cells with at least one run end per
 # _DENSE_SPACING cells sums its gamma lengths from popcounts of its packed
 # end mask (_gamma_sums), in a few rounds while its runs are short; any
-# other chunk lists its run lengths (_runs).  The popcounts win on rows at
-# p = 0.5 or 0.3 and lose on short chunks, whose fixed cost they raise, and
-# on sparse ones (p = 0.1 and below), whose long runs take many rounds.
+# other chunk lists its run lengths (_runs), at about 24 bytes a run: at
+# most about 8 bytes a cell from _DENSE_CELLS cells up, 1.5 MiB below.  The
+# popcounts win on rows at p = 0.5 or 0.3 and lose on short chunks, whose
+# fixed cost they raise, and on sparse ones (p = 0.1 and below), whose long
+# runs take many rounds.  The ends are counted over the whole chunk, about
+# 7 us at 2^17 cells.
 _DENSE_CELLS = 1 << 16
 _DENSE_SPACING = 3
-# The density is judged from a chunk's first _DENSE_SAMPLE cells: a count
-# of all its ends would cost about a tenth of a sparse chunk's time.
-_DENSE_SAMPLE = 1 << 12
 
 
 def _dense(ends: np.ndarray) -> bool:
     """Whether a chunk's end mask takes the popcounts: at least
-    _DENSE_CELLS cells, and one end per _DENSE_SPACING of its first
-    _DENSE_SAMPLE cells."""
-    if ends.size < _DENSE_CELLS:
-        return False
-    sample = ends.reshape(-1)[:_DENSE_SAMPLE]
-    return _DENSE_SPACING * np.count_nonzero(sample) >= sample.size
+    _DENSE_CELLS cells, and one end per _DENSE_SPACING cells."""
+    return ends.size >= _DENSE_CELLS and _DENSE_SPACING * np.count_nonzero(ends) >= ends.size
 
 
 def _gamma_sums(ends: np.ndarray) -> np.ndarray:
@@ -406,9 +402,9 @@ def _mismatch_counts(head: np.ndarray, chunk: np.ndarray, c: int) -> np.ndarray:
 
     The tiled words repeat every p / gcd(p, 64) words.  On a wider chunk
     the formula builds that many words and run - 1 more, run = 64 // rows
-    (at least 1), and one gather lays them over the chunk run by run: the
-    run from word k on equals the built words from k mod (p / gcd(p, 64))
-    on.  The rows come last, so that the arrays of many short rows have
+    (at least 1), and one gather lays them over the chunk run by run, cut
+    at the chunk's last word: the run from word k on equals the built words
+    from k mod (p / gcd(p, 64)) on.  The rows come last, so that the arrays of many short rows have
     long inner loops, and the counts are returned as a transposed (periods,
     rows) array, whose minimum over the periods is one elementwise pass."""
     m, w = chunk.shape
@@ -416,8 +412,7 @@ def _mismatch_counts(head: np.ndarray, chunk: np.ndarray, c: int) -> np.ndarray:
     words = -(-w // 64)
     run = max(1, 64 // m)
     built = min(words, _MOST_CYCLES[top - 1] + run - 1)
-    padded = run * -(-words // run) if built < words else words  # whole runs
-    packed = packed_rows(chunk, padded)
+    packed = packed_rows(chunk)
     # the chunk's first word holds the rows' first bits if the chunk starts the rows
     first = packed[:, 0] if c == 0 and w >= top else packed_rows(head)[:, 0]
     tiled = np.empty((top, built, m), dtype=np.uint64)
@@ -428,12 +423,10 @@ def _mismatch_counts(head: np.ndarray, chunk: np.ndarray, c: int) -> np.ndarray:
     tiled <<= _SPANS[:top, None, None] - phase  # a shift by 64 gives 0 in numpy
     rotated |= tiled  # (periods, built words, rows)
     if built < words:
-        starts = np.arange(0, padded, run) % _CYCLES[:top, None]
+        starts = np.arange(0, words, run) % _CYCLES[:top, None]
         strides = rotated.strides
         runs = as_strided(rotated, (top, built - run + 1, run, m), strides[:2] + strides[1:])
-        rotated = runs[np.arange(top)[:, None], starts].reshape(top, -1, m)
-        if padded > words:
-            rotated[:, words:] = 0
+        rotated = runs[np.arange(top)[:, None], starts].reshape(top, -1, m)[:, :words]
     rotated ^= packed.T
     if w % 64:  # the chunk's padding is zero, the pattern's is not
         rotated[:, words - 1] &= _MASKS[w % 64 - 1]
@@ -464,7 +457,7 @@ class _Periodic:
         return costs.min(axis=1), self.periods[costs.argmin(axis=1)]
 
     def finish(self, m: int) -> Lengths:
-        cost, self.period = self.scan(m)
+        cost, _ = self.scan(m)
         return cost.astype(np.float64), cost, None
 
 
@@ -544,14 +537,13 @@ class _ModelClass:
 
 
 def _scored(kernel, bits: np.ndarray, cuts: Sequence[int] | None = None):
-    """kernel(block) for every block of rows of bits, fed the block's
-    columns once, in chunks from left to right, and yielded after the
-    columns 0 .. m - 1 of every cut m in the strictly increasing cuts:
-    after the block's last column by default, so finish(n) scores it.
-    Cuts are for one row only.  A chunk holds at most _CHUNK_BYTES // 8
-    cells: whole rows while a row fits, else one row in chunks of a
-    multiple of 64 columns (64 at least).  A chunk ends at each cut, at
-    any column."""
+    """(kernel(block), m) for every block of rows of bits, the kernel fed
+    the block's columns once, in chunks from left to right, and yielded
+    after the columns 0 .. m - 1 of every cut m in the strictly increasing
+    cuts: after the block's last column, m = n, by default.  Cuts are for
+    one row only.  A chunk holds at most _CHUNK_BYTES // 8 cells: whole
+    rows while a row fits, else one row in chunks of a multiple of 64
+    columns (64 at least).  A chunk ends at each cut, at any column."""
     m, n = bits.shape
     cells = _CHUNK_BYTES // 8
     rows = max(1, cells // n)
@@ -565,7 +557,7 @@ def _scored(kernel, bits: np.ndarray, cuts: Sequence[int] | None = None):
                 end = min(cut, c + width)
                 scorer.add(block[:, c:end], c)
                 c = end
-            yield scorer
+            yield scorer, cut
 
 
 def _joined(parts: list[Lengths]) -> Lengths:
@@ -575,9 +567,9 @@ def _joined(parts: list[Lengths]) -> Lengths:
     return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
 
 
-def _lengths(kernel, bits: np.ndarray) -> Lengths:
-    n = bits.shape[1]
-    return _joined([scorer.finish(n) for scorer in _scored(kernel, bits)])
+def _lengths(kernel, bits: np.ndarray, cuts: Sequence[int] | None = None) -> Lengths:
+    """The Lengths of every row of bits, or of one row's prefix at every cut."""
+    return _joined([scorer.finish(m) for scorer, m in _scored(kernel, bits, cuts)])
 
 
 def _periodic_scan(bits: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -586,8 +578,7 @@ def _periodic_scan(bits: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray
     uint64 word, so p_max is at most 64."""
     if not 1 <= p_max <= 64:
         raise ValueError(f"the periodic scan takes 1 <= p_max <= 64, not {p_max}")
-    n = bits.shape[1]
-    scans = [scorer.scan(n) for scorer in _scored(partial(_Periodic, p_max=p_max), bits)]
+    scans = [scorer.scan(n) for scorer, n in _scored(partial(_Periodic, p_max=p_max), bits)]
     return tuple(np.concatenate(part) for part in zip(*scans))
 
 
@@ -603,8 +594,7 @@ def prefix_lengths(coder: CoderId, word: BitWord, points: Sequence[int]) -> Leng
         raise ValueError(f"prefix lengths must lie in 1..{word.n}")
     if any(b <= a for a, b in zip(points, points[1:])):
         raise ValueError("prefix lengths must be strictly increasing")
-    scored = _scored(_CODERS[coder.name].kernel, word.bits[None], points)
-    return _joined([scorer.finish(m) for scorer, m in zip(scored, points)])
+    return _lengths(_CODERS[coder.name].kernel, word.bits[None], points)
 
 
 def code_lengths(coder: CoderId, bits) -> Lengths:
@@ -724,14 +714,14 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
 
 
 def _encode_model_class(word: BitWord) -> np.ndarray:
-    (scored,) = _scored(partial(_ModelClass, concrete_only=True), word.bits[None])
-    _, concrete = scored.member_lengths(word.n)
+    ((scored, n),) = _scored(partial(_ModelClass, concrete_only=True), word.bits[None])
+    _, concrete = scored.member_lengths(n)
     best = int(np.argmin(concrete[0]))  # the first shortest concrete member
     name = MODEL_MEMBERS[best]
     out = BitWriter()
     out.write_uint(best, MODEL_TAG_BITS)
-    if name == "periodic":  # the scan's period saves the encoder a second scan
-        out.write_bits(_periodic_codeword(word, int(scored.members[best].period[0])))
+    if name == "periodic":  # the member's counts save the encoder a second scan
+        out.write_bits(_periodic_codeword(word, int(scored.members[best].scan(n)[1][0])))
     else:
         out.write_bits(_CODERS[name].encode(word))
     return out.getvalue()

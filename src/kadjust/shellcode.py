@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,13 +55,10 @@ class ShellId:
         if self.n < 1 or not 0 <= self.k <= self.n:
             raise ValueError(f"invalid shell ({self.n},{self.k})")
 
-    @property
+    @cached_property
     def size(self) -> int:
         """C(n, k), computed on first use and kept."""
-        size = self.__dict__.get("_size")
-        if size is None:
-            size = self.__dict__["_size"] = shell_size(self.n, self.k)
-        return size
+        return shell_size(self.n, self.k)
 
 
 @dataclass(frozen=True)

@@ -165,15 +165,15 @@ class PairCounts:
         return self.c00 + self.c01 + self.c10 + self.c11
 
 
-def packed_rows(bits: np.ndarray, words: int | None = None) -> np.ndarray:
+def packed_rows(bits: np.ndarray) -> np.ndarray:
     """(rows, words) uint64: every row of a 0/1 uint8 matrix packed 64 bits
     to a word, least-significant bit first, so that column i of a row is
-    bit i % 64 of its word i // 64, and zero-padded to `words` words (by
-    default the fewest that hold a row).  One row is packed as it is; many
-    rows, which np.packbits(axis=1) takes one at a time, are padded first
-    and packed in one call."""
+    bit i % 64 of its word i // 64, in the fewest words that hold a row,
+    the last word's unused bits zero.  One row is packed as it is; many
+    rows, which np.packbits(axis=1) takes one at a time, are padded to
+    whole words first and packed in one call."""
     m, n = bits.shape
-    words = words or -(-n // 64)
+    words = -(-n // 64)
     if m == 1:
         packed = np.zeros(8 * words, dtype=np.uint8)
         packed[: -(-n // 8)] = np.packbits(bits, bitorder="little")

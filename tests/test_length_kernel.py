@@ -404,7 +404,8 @@ def run_length_totals(matrix: np.ndarray) -> list[int]:
 
 def dense_inputs() -> dict[str, np.ndarray]:
     """Rows longer than a chunk and batches of whole rows, whose chunks take
-    the popcounts, the run lengths or both; rows of 2^17 bits fill a chunk."""
+    the popcounts, the run lengths or both; rows of 2^17 bits fill a chunk,
+    and the last two are sparse, or dense, past their first 8192 cells."""
     rng = np.random.default_rng(19)
     n = (1 << 19) + 77
     long_run = (rng.random(n) < 0.5).astype(np.uint8)
@@ -419,6 +420,8 @@ def dense_inputs() -> dict[str, np.ndarray]:
         **rows,
         "1000x256": (rng.random((1000, 256)) < 0.5).astype(np.uint8),
         "4096x12": (rng.random((4096, 12)) < 0.5).astype(np.uint8),
+        "random then constant": np.concatenate([rng.random(1 << 16) < 0.5, np.zeros(1 << 16, bool)])[None],
+        "constant then random": np.concatenate([np.zeros(8192, bool), rng.random((1 << 17) - 8192) < 0.5])[None],
     }
 
 
@@ -433,6 +436,7 @@ class TestDenseRunLengths:
         "long run": {True, False}, "constant": {False}, "alternating": {True, False},
         "p=0.5": {True, False}, "p=0.1": {False}, "p=0.001": {False},
         "1000x256": {True}, "4096x12": {False},
+        "random then constant": {False}, "constant then random": {True},
     }
 
     @pytest.fixture(scope="class")
@@ -461,6 +465,20 @@ class TestDenseRunLengths:
         assert concrete.tolist() == want and ideal.tolist() == want
         if len(matrix) == 1:
             assert len(encode_word(RUN_LENGTH, BitWord(matrix[0]))) == want[0]
+
+    def test_chunk_dense_past_its_start_stays_in_budget(self):
+        # a chunk that alternates past its first 8192 cells: its run list
+        # would take about 24 bytes a run, here about 20 a cell
+        row = np.zeros((1, 1 << 17), dtype=np.uint8)
+        row[0, 8193::2] = 1
+        code_lengths(RUN_LENGTH, row)
+        tracemalloc.start()
+        try:
+            code_lengths(RUN_LENGTH, row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * row.size, peak / row.size
 
     def test_prefix_schedule_with_odd_cuts(self, inputs):
         row = inputs["long run"][0]
