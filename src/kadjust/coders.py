@@ -55,13 +55,12 @@ run-length kernel's end mask takes 1 byte a cell, and its packed copy
 bytes a run: 4 bytes a cell at p = 0.1, and at most about 8 bytes a
 cell on a chunk of 2^16 cells or more.  A prefix schedule cuts a chunk at every prefix length.
 
-The periodic kernel has one formula (_mismatch_counts): each row's first
-P <= 64 bits are one uint64 pattern, tiled over a word by one multiply
-and rotated to each packed word's phase, and np.bitwise_count of the xor
-with the chunk's words counts the mismatches (Warren, Hacker's Delight,
-2nd ed., ch. 2 and 5).  The phase is right at any column, so every chunk
-is scanned alike.  The periodic encoder and decoder tile a pattern over
-_WIDE_ROW bits, then that row over the word (_tiled).
+The periodic coder tiles a pattern one way (_tiled_words): a row's first
+P <= 64 bits are one uint64, tiled over a word by one multiply and rotated
+to each packed word's phase, right at any column.  The kernel
+(_mismatch_counts) popcounts the xor with a chunk's packed words; the
+encoder and decoder unpack the tiled words of their one period, so the
+decoder takes the periods the encoder writes only, 1 <= P <= min(P_MAX, n).
 
 Tie-breaks are deterministic: smallest period for periodic, listed order
 for model_class.
@@ -240,23 +239,23 @@ def _runs(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 # most about 8 bytes a cell from _DENSE_CELLS cells up, 1.5 MiB below.  The
 # popcounts win on rows at p = 0.5 or 0.3 and lose on short chunks, whose
 # fixed cost they raise, and on sparse ones (p = 0.1 and below), whose long
-# runs take many rounds.  The ends are counted over the whole chunk, about
-# 7 us at 2^17 cells.
+# runs take many rounds.  The ends are counted once, over the whole chunk
+# (7 us at 2^17 cells), for the path and for a row's gamma sums.
 _DENSE_CELLS = 1 << 16
 _DENSE_SPACING = 3
 
 
-def _dense(ends: np.ndarray) -> bool:
-    """Whether a chunk's end mask takes the popcounts: at least
-    _DENSE_CELLS cells, and one end per _DENSE_SPACING cells."""
-    return ends.size >= _DENSE_CELLS and _DENSE_SPACING * np.count_nonzero(ends) >= ends.size
+def _dense(ends: np.ndarray, count: int) -> bool:
+    """Whether a chunk's end mask, with count ends, takes the popcounts: at
+    least _DENSE_CELLS cells, and one end per _DENSE_SPACING cells."""
+    return ends.size >= _DENSE_CELLS and _DENSE_SPACING * count >= ends.size
 
 
-def _gamma_sums(ends: np.ndarray) -> np.ndarray:
+def _gamma_sums(ends: np.ndarray, count: int) -> np.ndarray:
     """Each row's sum of the Elias gamma lengths 2 * floor(log2 L) + 1 of
-    its runs, the rows' end masks packed (rows, words): the number of runs
-    plus twice the number of runs of at least 2^j bits for every j >= 1
-    (Knuth, TAOCP 4A, 7.1.3).
+    its runs, the rows' end masks packed (rows, words) with count ends in
+    all: the number of runs plus twice the number of runs of at least 2^j
+    bits for every j >= 1 (Knuth, TAOCP 4A, 7.1.3).
 
     Round j moves the marks of the runs of at least 2^(j - 1) bits down
     2^(j - 1) columns and keeps those that land on 2^(j - 1) columns
@@ -269,7 +268,7 @@ def _gamma_sums(ends: np.ndarray) -> np.ndarray:
     pair = np.stack([ends, ~ends])  # the marks, the columns without an end
     moved = np.empty_like(pair)
     words = ends.shape[-1]
-    total = np.bitwise_count(ends).sum(axis=-1, dtype=np.int64)
+    total = np.bitwise_count(ends).sum(axis=-1, dtype=np.int64) if len(ends) > 1 else np.array([count])
     shift = 1
     while True:
         q, r = divmod(shift, 64)
@@ -309,9 +308,10 @@ class _RunLength:
     def add(self, chunk: np.ndarray, c: int) -> None:
         ends = _ends(chunk)
         m, n = ends.shape
-        if _dense(ends):
+        count = np.count_nonzero(ends)
+        if _dense(ends, count):
             packed = packed_rows(ends)
-            gamma = _gamma_sums(packed)
+            gamma = _gamma_sums(packed, count)
             if m > 1:
                 self.totals = self.totals + gamma
                 return
@@ -357,80 +357,69 @@ def _periodic_cost(n: int, p, mismatches):
     return _gamma_len(p) + p + _gamma_len(mismatches + 1) + mismatches * ceil_log2(n + 1)
 
 
-# A row one period wide costs numpy one inner loop per row, which dominates
-# for small periods on long words: a pattern is tiled over at least
-# _WIDE_ROW bits before the row is repeated.
-_WIDE_ROW = 1024
-
-
-def _tiled(pattern: np.ndarray, n: int) -> np.ndarray:
-    """A fresh array of the pattern repeated over n entries, the last copy
-    cut short: the pattern tiled over _WIDE_ROW entries, then that row over
-    n."""
-    row = np.tile(pattern, -(-_WIDE_ROW // pattern.size))
-    return np.tile(row, -(-n // row.size))[:n]
-
-
 # For p = 1 .. 64: p as a uint64, the mask of a pattern's p bits, the
 # repunit sum of 2^(jp) over jp < 64, which tiles p bits over a word by one
 # multiply, the p * (64 // p) bits of the whole copies, and the number
-# p / gcd(p, 64) of words after which a row of period p repeats, with the
-# largest such number over the periods up to p.
+# p / gcd(p, 64) of words after which a row of period p repeats.
 _PERIODS = np.arange(1, 65, dtype=np.uint64)
 _MASKS = np.array([(1 << p) - 1 for p in range(1, 65)], dtype=np.uint64)
 _REPUNITS = np.array([sum(1 << j for j in range(0, 64, p)) for p in range(1, 65)], dtype=np.uint64)
 _SPANS = np.array([p * (64 // p) for p in range(1, 65)], dtype=np.uint64)
-_CYCLES = np.array([p // math.gcd(p, 64) for p in range(1, 65)])
-_MOST_CYCLES = np.maximum.accumulate(_CYCLES).tolist()
+_CYCLES = [p // math.gcd(p, 64) for p in range(1, 65)]
 
 
-def _mismatch_counts(head: np.ndarray, chunk: np.ndarray, c: int) -> np.ndarray:
+def _tiled_words(pattern: np.ndarray, periods: range, c: int, words: int) -> np.ndarray:
+    """(periods, words, rows) uint64: each row's first p bits, for every
+    period p in periods (1 <= p <= 64), tiled over the packed words from
+    column c on, least-significant bit first, pattern being the rows' first
+    bits packed in one uint64 each.
+
+    The p bits times the repunit of p are the tiled bits from column 0, a
+    word t whose bit j is pattern bit j mod p: the copies do not overlap,
+    so the product carries nothing.  Word k starts at the phase
+    f = (c + 64k) mod p, so its tiled bits are t rotated by f within its
+    s = p * (64 // p) bits of whole copies, (t >> f) | (t << (s - f))
+    (Warren, Hacker's Delight, 2nd ed., ch. 2).  The words repeat every
+    p / gcd(p, 64); for more words the formula builds that many and
+    run - 1 more, run = 64 // rows (at least 1), and one gather lays them
+    out run by run: the run from word k on equals the built words from
+    k mod (p / gcd(p, 64)) on.  The rows come last, so that many short
+    rows make long inner loops."""
+    m = len(pattern)
+    top = len(periods)
+    at = slice(periods.start - 1, periods.stop - 1)
+    run = max(1, 64 // m)
+    built = min(words, max(_CYCLES[at]) + run - 1)
+    tiled = np.empty((top, built, m), dtype=np.uint64)
+    np.bitwise_and(pattern, _MASKS[at, None, None], out=tiled)
+    tiled *= _REPUNITS[at, None, None]
+    phase = np.arange(c, c + 64 * built, 64, dtype=np.uint64)[:, None] % _PERIODS[at, None, None]
+    rotated = tiled >> phase
+    tiled <<= _SPANS[at, None, None] - phase  # a shift by 64 gives 0 in numpy
+    rotated |= tiled
+    if built == words:
+        return rotated
+    starts = np.arange(0, words, run) % np.array(_CYCLES[at])[:, None]
+    strides = rotated.strides
+    runs = as_strided(rotated, (top, built - run + 1, run, m), strides[:2] + strides[1:])
+    return runs[np.arange(top)[:, None], starts].reshape(top, -1, m)[:, :words]
+
+
+def _mismatch_counts(pattern: np.ndarray, top: int, chunk: np.ndarray, c: int) -> np.ndarray:
     """(rows, periods) counts of the columns of chunk, which start at column
     c of its rows, that differ from each row's first p bits tiled over the
-    row, for every period p = 1 .. top, head being the rows' first top <= 64
-    bits.
-
-    The chunk is packed least-significant bit first, and each row's first
-    p bits are one uint64 pattern.  The pattern times the repunit of p is
-    the row's tiled bits from column 0, a word t whose bit j is pattern bit
-    j mod p: the copies do not overlap, so the product carries nothing.
-    Word k of the chunk starts at the phase f = (c + 64k) mod p, so its
-    tiled bits are t rotated by f within its s = p * (64 // p) bits of
-    whole copies, (t >> f) | (t << (s - f)).  The count is the popcount of
-    the chunk's words xor the tiled words, the padding of the chunk masked
-    out.
-
-    The tiled words repeat every p / gcd(p, 64) words.  On a wider chunk
-    the formula builds that many words and run - 1 more, run = 64 // rows
-    (at least 1), and one gather lays them over the chunk run by run, cut
-    at the chunk's last word: the run from word k on equals the built words
-    from k mod (p / gcd(p, 64)) on.  The rows come last, so that the arrays of many short rows have
-    long inner loops, and the counts are returned as a transposed (periods,
-    rows) array, whose minimum over the periods is one elementwise pass."""
-    m, w = chunk.shape
-    top = head.shape[1]
+    row, for every period p = 1 .. top <= 64, pattern being the rows' first
+    top bits packed in one uint64 each: the popcounts of the chunk's packed
+    words xor _tiled_words, the chunk's padding masked out (Warren, ch. 5).
+    The counts are a transposed (periods, rows) array, whose minimum over
+    the periods is one elementwise pass."""
+    w = chunk.shape[1]
     words = -(-w // 64)
-    run = max(1, 64 // m)
-    built = min(words, _MOST_CYCLES[top - 1] + run - 1)
-    packed = packed_rows(chunk)
-    # the chunk's first word holds the rows' first bits if the chunk starts the rows
-    first = packed[:, 0] if c == 0 and w >= top else packed_rows(head)[:, 0]
-    tiled = np.empty((top, built, m), dtype=np.uint64)
-    np.bitwise_and(first, _MASKS[:top, None, None], out=tiled)
-    tiled *= _REPUNITS[:top, None, None]
-    phase = np.arange(c, c + 64 * built, 64, dtype=np.uint64)[:, None] % _PERIODS[:top, None, None]
-    rotated = tiled >> phase
-    tiled <<= _SPANS[:top, None, None] - phase  # a shift by 64 gives 0 in numpy
-    rotated |= tiled  # (periods, built words, rows)
-    if built < words:
-        starts = np.arange(0, words, run) % _CYCLES[:top, None]
-        strides = rotated.strides
-        runs = as_strided(rotated, (top, built - run + 1, run, m), strides[:2] + strides[1:])
-        rotated = runs[np.arange(top)[:, None], starts].reshape(top, -1, m)[:, :words]
-    rotated ^= packed.T
+    tiled = _tiled_words(pattern, range(1, top + 1), c, words)
+    tiled ^= packed_rows(chunk).T
     if w % 64:  # the chunk's padding is zero, the pattern's is not
-        rotated[:, words - 1] &= _MASKS[w % 64 - 1]
-    return np.bitwise_count(rotated).sum(axis=1, dtype=np.int32).T
+        tiled[:, words - 1] &= _MASKS[w % 64 - 1]
+    return np.bitwise_count(tiled).sum(axis=1, dtype=np.int32).T
 
 
 class _Periodic:
@@ -440,11 +429,11 @@ class _Periodic:
 
     def __init__(self, block: np.ndarray, p_max: int = P_MAX):
         self.periods = np.arange(1, min(p_max, block.shape[1]) + 1)
-        self.head = block[:, : len(self.periods)]
+        self.pattern = packed_rows(block[:, : len(self.periods)])[:, 0]
         self.counts = None
 
     def add(self, chunk: np.ndarray, c: int) -> None:
-        counts = _mismatch_counts(self.head, chunk, c)
+        counts = _mismatch_counts(self.pattern, len(self.periods), chunk, c)
         # a chunk's int32 counts, summed in int64 over several chunks
         self.counts = counts if self.counts is None else np.add(self.counts, counts, dtype=np.int64)
 
@@ -686,10 +675,16 @@ def _encode_periodic(word: BitWord) -> np.ndarray:
     return _periodic_codeword(word, int(_periodic_scan(word.bits[None], P_MAX)[1][0]))
 
 
+def _unpacked(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of packed words, least-significant bit first."""
+    return np.unpackbits(words.astype("<u8", copy=False).reshape(-1).view(np.uint8), count=n, bitorder="little")
+
+
 def _periodic_codeword(word: BitWord, p: int) -> np.ndarray:
     """The periodic codeword of the word with period p."""
     n = word.n
-    positions = np.flatnonzero(word.bits != _tiled(word.bits[:p], n))
+    tiled = _tiled_words(packed_rows(word.bits[None, :p])[:, 0], range(p, p + 1), 0, -(-n // 64))
+    positions = np.flatnonzero(word.bits != _unpacked(tiled, n))
     out = BitWriter()
     out.write_elias_gamma(p)
     out.write_bits(word.bits[:p])
@@ -700,15 +695,15 @@ def _periodic_codeword(word: BitWord, p: int) -> np.ndarray:
 
 def _decode_periodic(n: int, reader: BitReader) -> BitWord:
     p = reader.read_elias_gamma()
-    if p > n:
-        raise DecodeError(f"period {p} exceeds word length {n}")
-    pattern = reader.read_bits(p)
+    if p > min(P_MAX, n):  # the encoder writes p <= min(P_MAX, n) only
+        raise DecodeError(f"period {p} exceeds min(P_MAX, n) = {min(P_MAX, n)}")
+    pattern = packed_rows(reader.read_bits(p)[None])[:, 0]
     r = reader.read_elias_gamma() - 1
     positions = reader.read_uints(r, ceil_log2(n + 1))
     if r and positions.max() >= n:
         pos = positions[np.argmax(positions >= n)]
         raise DecodeError(f"mismatch position {pos} out of range")
-    bits = _tiled(pattern, n)
+    bits = _unpacked(_tiled_words(pattern, range(p, p + 1), 0, -(-n // 64)), n)
     np.bitwise_xor.at(bits, positions, 1)  # a position listed twice flips back
     return BitWord._owning(bits.view(np.bool_))  # the reader holds 0/1 only
 

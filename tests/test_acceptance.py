@@ -134,6 +134,23 @@ def test_criterion_5_main_convergence_analogue():
             assert float(np.median(rate_devs)) <= 0.01, p
 
 
+def test_criterion_5_exchangeable_mixture_convergence():
+    # The paper's R -> 1 holds under constructive exchangeable measures; a
+    # finite Bernoulli mixture is one.  Each word draws one component.
+    with criterion(5, "Bernoulli-mixture traces reach R -> 1", 60.0):
+        m = 2**17
+        components = [(0.5, 0.2), (0.3, 0.5), (0.2, 0.9)]
+        chosen = set()
+        for seed in range(1, 9):
+            spec = GeneratorSpec.mixture(components, seed, m)
+            for coder in (CoderId("shell"), CoderId("model_class")):
+                last = kj.convergence_trace(spec, coder, kj.geometric_schedule(m)).rows[-1]
+                assert last.m == m
+                assert abs(last.R - 1.0) <= 0.02, (seed, coder.name, last.R)
+            chosen.add(min((p for _, p in components), key=lambda p: abs(p - last.p_hat)))
+        assert len(chosen) >= 2, chosen
+
+
 def test_criterion_6_pathological_block_measure():
     with criterion(6, "block measure: H -> 1 but pair-shell R -> log2(3)/2", 300.0):
         m = 2**17

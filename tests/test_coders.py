@@ -26,17 +26,20 @@ from kadjust import (
     k_periodic,
     k_run_length,
 )
-from kadjust.bitio import DecodeError, elias_gamma_len
+from kadjust.bitio import BitWriter, DecodeError, elias_gamma_len
 from kadjust.coders import (
+    MODEL_MEMBERS,
     MODEL_TAG_BITS,
     P_MAX,
     _CODERS,
     _periodic_codeword,
     _periodic_cost,
     _periodic_scan,
-    _tiled,
+    _tiled_words,
+    _unpacked,
     is_concrete,
 )
+from kadjust.words import packed_rows
 
 from conftest import WORD35_STR, all_words
 
@@ -157,14 +160,16 @@ class TestLengthKernelsBruteForce:
 
     @pytest.mark.parametrize("n", [1 << 14, (1 << 16) + 1031])
     def test_long_words_match_index_reference(self, n):
-        # The codec tiles a pattern over a wide row first; check the tiling
-        # against bits[i % p], also for periods wider than a row.
+        # The codec unpacks the kernel's tiled words; check the tiling
+        # against bits[i % p] for every period the codec writes, on a word
+        # that ends inside a 64-bit word and on one that does not.
         rng = np.random.default_rng(n)
         bits = np.tile(rng.integers(0, 2, 24, dtype=np.uint8), n // 24 + 1)[:n]
         bits[24:] ^= (rng.random(n - 24) < 0.01).astype(np.uint8)
         index = np.arange(n)
-        for p in (1, 2, 3, 24, 1000, 1023, 1024, 1025, 1100):
-            assert np.array_equal(_tiled(bits[:p], n), bits[index % p]), p
+        tiled = _tiled_words(packed_rows(bits[None, :P_MAX])[:, 0], range(1, P_MAX + 1), 0, -(-n // 64))
+        for p in range(1, P_MAX + 1):
+            assert np.array_equal(_unpacked(tiled[p - 1], n), bits[index % p]), p
         word = BitWord(bits)
         coder = CoderId("periodic")
         for p_max in (1, P_MAX):
@@ -182,11 +187,15 @@ class TestLengthKernelsBruteForce:
 
     @pytest.mark.parametrize("n", [1, 35, 1023])
     def test_tiled_short_words(self, n):
+        # from column 0, a 35- or 1023-bit word ending inside its last
+        # 64-bit word, and for the one word at column 64
         bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
-        for p in (1, n):
-            tiled = _tiled(bits[:p], n)
+        for p in (1, min(n, P_MAX)):
+            pattern = packed_rows(bits[None, :p])[:, 0]
+            tiled = _unpacked(_tiled_words(pattern, range(p, p + 1), 0, -(-n // 64)), n)
             assert np.array_equal(tiled, bits[np.arange(n) % p]), p
-            assert not np.shares_memory(tiled, bits)  # the decoder writes into it
+            later = _unpacked(_tiled_words(pattern, range(p, p + 1), 64, 1), 64)
+            assert np.array_equal(later, bits[:p][np.arange(64, 128) % p]), p
 
     @pytest.mark.parametrize("p_max", [1, 3, 32])
     def test_scan_argmin_across_one_period_chunks(self, monkeypatch, p_max):
@@ -352,7 +361,7 @@ class TestConcreteCodecs:
                 bits = "".join(map(str, encode_word(coder, word).tolist()))
                 digest.update(f"{coder.name}:{word.n}:{bits};".encode())
         # Periodic codewords of the best period <= 5 too, under the label the
-        # digest was first taken with; the decoder reads any period.
+        # digest was first taken with; the decoder reads any period up to P_MAX.
         for word in words:
             period = int(_periodic_scan(word.bits[None], 5)[1][0])
             bits = "".join(map(str, _periodic_codeword(word, period).tolist()))
@@ -382,6 +391,30 @@ class TestConcreteCodecs:
         with pytest.raises(DecodeError):
             # model tag 7 is undefined
             decode_word(CoderId("model_class"), 4, np.array([1, 1, 1, 0, 0], dtype=np.uint8))
+
+    @pytest.mark.parametrize("n", [1, 5, P_MAX - 1, P_MAX, P_MAX + 1, 100])
+    def test_periodic_decoder_period_bound(self, n):
+        # The decoder takes the periods the encoder writes only, 1 <= p <=
+        # min(P_MAX, n).  Hand-built codewords with no mismatch, alone and
+        # behind model tag 3 (periodic).
+        pattern = np.random.default_rng(n).integers(0, 2, P_MAX + 1, dtype=np.uint8)
+
+        def codeword(p, tag):
+            out = BitWriter()
+            if tag:
+                out.write_uint(MODEL_MEMBERS.index("periodic"), MODEL_TAG_BITS)
+            out.write_elias_gamma(p)
+            out.write_bits(pattern[:p])
+            out.write_elias_gamma(1)  # no mismatch
+            return out.getvalue()
+
+        top = min(P_MAX, n)
+        for coder, tag in ((CoderId("periodic"), False), (CoderId("model_class"), True)):
+            word = decode_word(coder, n, codeword(top, tag))
+            assert word.bits.tolist() == pattern[np.arange(n) % top].tolist()
+            for p in {P_MAX + 1, n + 1} if n < P_MAX else {P_MAX + 1}:
+                with pytest.raises(DecodeError, match="period"):
+                    decode_word(coder, n, codeword(p, tag))
 
     def test_non_binary_stream_rejected(self):
         # A 2 or a 3 is no bit: no coder may read it as one.

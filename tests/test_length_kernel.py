@@ -448,8 +448,8 @@ class TestDenseRunLengths:
         taken = []
         dense = coders._dense
 
-        def logged(ends):
-            taken.append(dense(ends))
+        def logged(*args):
+            taken.append(dense(*args))
             return taken[-1]
 
         monkeypatch.setattr(coders, "_dense", logged)
