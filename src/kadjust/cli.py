@@ -13,7 +13,7 @@ import functools
 import logging
 import sys
 
-from .coders import CODER_NAMES, CoderId
+from .coders import CODER_NAMES, LENGTH_KINDS, CoderId
 from .inputs import INPUT_FORMATS, read_word
 from .simulate import GeneratorSpec, convergence_trace, geometric_schedule
 from .stats import (
@@ -118,7 +118,9 @@ def cmd_calibrate(args: argparse.Namespace, out) -> int:
 
 
 def cmd_audit(args: argparse.Namespace, out) -> int:
-    rows = counting_lemma_audit(args.length, args.coder)
+    # concrete, the default kind, is left to the audit's own default
+    kind = {} if args.lengths == "concrete" else {"lengths": args.lengths}
+    rows = counting_lemma_audit(args.length, args.coder, **kind)
     write_records(rows, args.fmt, out)
     violations = sum(not row.ok for row in rows)
     print(f"# violations: {violations}", file=sys.stderr)
@@ -154,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("inputs", nargs="*", help="input files (default: stdin)")
             p.add_argument("--input-format", default="ascii01", choices=INPUT_FORMATS)
             p.add_argument("--max-bits", type=int, default=None)
-            p.add_argument("--lengths", default="ideal", choices=("ideal", "concrete"))
+            p.add_argument("--lengths", default="ideal", choices=LENGTH_KINDS)
 
     p = sub.add_parser("analyze", help="adjusted-complexity report for words")
     add_common(p)
@@ -186,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="exhaustive counting-lemma audit")
     add_common(p, with_inputs=False, coder_default="model_class")
     p.add_argument("--length", type=int, required=True, help="word length n <= 16")
+    p.add_argument("--lengths", default="concrete", choices=LENGTH_KINDS)
 
     return parser
 

@@ -62,6 +62,13 @@ to each packed word's phase, right at any column.  The kernel
 encoder and decoder unpack the tiled words of their one period, so the
 decoder takes the periods the encoder writes only, 1 <= P <= min(P_MAX, n).
 
+The length kind picks the members that run.  length_kernel(coder, kind)
+is the one place that decides it: under concrete, model_class runs only
+its members with a concrete code, as pair_shell has none and so cannot
+change a concrete length, and the model_class encoder takes that kernel
+too.  kind_lengths() scores one kind through it; code_lengths(),
+code_word() and prefix_lengths() score both kinds with every member.
+
 Tie-breaks are deterministic: smallest period for periodic, listed order
 for model_class.
 """
@@ -109,15 +116,29 @@ class CoderId:
             raise ValueError(f"unknown coder {self.name!r}")
 
 
+LENGTH_KINDS = ("ideal", "concrete")
+
+
+def length_kernel(coder: CoderId, kind: str):
+    """The kernel that scores the coder's lengths of one kind: under
+    concrete, model_class runs its members with a concrete code only, the
+    only ones its concrete length reads; every other coder and kind takes
+    the coder's own kernel.  Raises ValueError, before any kernel is built,
+    on an unknown kind and on concrete for a coder without a concrete code."""
+    if kind not in LENGTH_KINDS:
+        raise ValueError(f"unknown length kind {kind!r}")
+    if kind == "concrete":
+        if not is_concrete(coder):
+            raise ValueError(f"coder {coder.name} has no concrete code")
+        if coder.name == "model_class":
+            return partial(_ModelClass, concrete_only=True)
+    return _CODERS[coder.name].kernel
+
+
 def pick_length(coder: CoderId, kind: str, ideal, concrete):
     """The ideal or the concrete length(s), by length kind."""
-    if kind == "ideal":
-        return ideal
-    if kind == "concrete":
-        if concrete is None:
-            raise ValueError(f"coder {coder.name} has no concrete code")
-        return concrete
-    raise ValueError(f"unknown length kind {kind!r}")
+    length_kernel(coder, kind)  # raises on an unknown kind or a missing code
+    return ideal if kind == "ideal" else concrete
 
 
 @dataclass(frozen=True)
@@ -571,6 +592,25 @@ def _periodic_scan(bits: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray
     return tuple(np.concatenate(part) for part in zip(*scans))
 
 
+def _prefix_points(points: Sequence[int], n: int) -> list[int]:
+    """The prefix lengths points, checked to increase strictly from 1 to at
+    most n."""
+    points = list(points)
+    if not points or points[0] < 1 or points[-1] > n:
+        raise ValueError(f"prefix lengths must lie in 1..{n}")
+    if any(b <= a for a, b in zip(points, points[1:])):
+        raise ValueError("prefix lengths must be strictly increasing")
+    return points
+
+
+def _matrix(bits) -> np.ndarray:
+    """A 0/1 matrix of at least one row and one column, checked."""
+    bits = np.asarray(bits)
+    if bits.ndim != 2 or 0 in bits.shape:
+        raise ValueError("bits must be a matrix of at least one row and one column")
+    return as_bits(bits)
+
+
 def prefix_lengths(coder: CoderId, word: BitWord, points: Sequence[int]) -> Lengths:
     """Lengths of the word's prefixes of every length m in points, one
     entry per point, each the code_lengths() of that prefix alone.  The
@@ -578,12 +618,7 @@ def prefix_lengths(coder: CoderId, word: BitWord, points: Sequence[int]) -> Leng
     The kernel takes the word's columns once, left to right, up to the last
     point, and one finish(m) per point, against scoring every prefix from
     its first column."""
-    points = list(points)
-    if not points or points[0] < 1 or points[-1] > word.n:
-        raise ValueError(f"prefix lengths must lie in 1..{word.n}")
-    if any(b <= a for a, b in zip(points, points[1:])):
-        raise ValueError("prefix lengths must be strictly increasing")
-    return _lengths(_CODERS[coder.name].kernel, word.bits[None], points)
+    return _lengths(_CODERS[coder.name].kernel, word.bits[None], _prefix_points(points, word.n))
 
 
 def code_lengths(coder: CoderId, bits) -> Lengths:
@@ -594,10 +629,23 @@ def code_lengths(coder: CoderId, bits) -> Lengths:
     ideal winner (None otherwise).  Row i scores exactly like
     code_word(coder, BitWord(bits[i])).
     """
-    bits = np.asarray(bits)
-    if bits.ndim != 2 or 0 in bits.shape:
-        raise ValueError("bits must be a matrix of at least one row and one column")
-    return _lengths(_CODERS[coder.name].kernel, as_bits(bits))
+    return _lengths(_CODERS[coder.name].kernel, _matrix(bits))
+
+
+def kind_lengths(coder: CoderId, bits, kind: str, cuts: Sequence[int] | None = None) -> np.ndarray:
+    """The lengths of one kind, ideal or concrete: pick_length() of
+    code_lengths() of a 0/1 matrix or of a BitWord as one row, or, given
+    cuts, of prefix_lengths() of the word.  The kernel is length_kernel()'s,
+    which runs only the members the kind reads; a BitWord, already checked,
+    reaches it as its one row."""
+    kernel = length_kernel(coder, kind)
+    rows = bits.bits[None] if isinstance(bits, BitWord) else _matrix(bits)
+    if cuts is not None:
+        if len(rows) != 1:
+            raise ValueError("prefix cuts take a single word")
+        cuts = _prefix_points(cuts, rows.shape[1])
+    ideal, concrete, _ = _lengths(kernel, rows, cuts)
+    return ideal if kind == "ideal" else concrete
 
 
 def _one_row(coder: CoderId, word: BitWord) -> CodeResult:
@@ -709,7 +757,7 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
 
 
 def _encode_model_class(word: BitWord) -> np.ndarray:
-    ((scored, n),) = _scored(partial(_ModelClass, concrete_only=True), word.bits[None])
+    ((scored, n),) = _scored(length_kernel(CoderId("model_class"), "concrete"), word.bits[None])
     _, concrete = scored.member_lengths(n)
     best = int(np.argmin(concrete[0]))  # the first shortest concrete member
     name = MODEL_MEMBERS[best]

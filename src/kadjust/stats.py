@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .coders import CoderId, code_lengths, code_word, pick_length, prefix_lengths
+from .coders import CoderId, kind_lengths
 from .entropy import (
     binary_entropy,
     conditional_entropy,
@@ -148,7 +148,12 @@ def adjusted(word: BitWord, coder: CoderId, lengths: str = "ideal") -> AdjustedR
     A constant word gets H = 0, baseline = 0 and its k_eff under the
     requested length kind, with KA, R and deficiency None.
     """
-    return _report(word.n, word.weight, code_word(coder, word).length(lengths), coder)
+    return _report(word.n, word.weight, _k_eff(word, coder, lengths), coder)
+
+
+def _k_eff(word: BitWord, coder: CoderId, lengths: str) -> float:
+    """The word's length of the kind lengths under the coder."""
+    return float(kind_lengths(coder, word, lengths)[0])
 
 
 def _report(n: int, w: int, k_eff: float, coder: CoderId) -> AdjustedReport:
@@ -163,11 +168,10 @@ def adjusted_prefixes(
 ) -> list[AdjustedReport]:
     """adjusted(word.prefix(m), coder, lengths) for every m in points,
     which increase strictly from 1 to at most word.n, from one pass over
-    the word: prefix_lengths() scores every prefix, and the weights are
+    the word: kind_lengths() scores every prefix, and the weights are
     summed from one point to the next."""
     points = list(points)
-    ideal, concrete, _ = prefix_lengths(coder, word, points)
-    k_effs = pick_length(coder, lengths, ideal, concrete).tolist()
+    k_effs = kind_lengths(coder, word, lengths, points).tolist()
     bits = word.bits
     reports, w, start = [], 0, 0
     for m, k_eff in zip(points, k_effs):
@@ -182,12 +186,11 @@ def adjusted_deficiencies(bits, coder: CoderId, lengths: str = "ideal") -> np.nd
     row, equal to adjusted(BitWord(row), coder, lengths).deficiency; -inf
     for a constant row.
 
-    The rows are scored in one code_lengths() call and H comes from one
+    The rows are scored in one kind_lengths() call and H comes from one
     binary_entropy() call per distinct weight.
     """
     bits = np.asarray(bits)
-    ideal, concrete, _ = code_lengths(coder, bits)
-    k_eff = np.asarray(pick_length(coder, lengths, ideal, concrete), dtype=np.float64)
+    k_eff = np.asarray(kind_lengths(coder, bits, lengths), dtype=np.float64)
     n = bits.shape[1]
     weights, inverse = np.unique(bits.sum(axis=1), return_inverse=True)
     h = np.array([binary_entropy(w / n) for w in weights.tolist()])[inverse]
@@ -212,7 +215,7 @@ def conditional_code_len(
     for b in (0, 1):
         idx = np.flatnonzero(ybits == b)
         if idx.size:
-            total += code_word(coder, BitWord(x.bits[idx])).length(lengths)
+            total += _k_eff(BitWord(x.bits[idx]), coder, lengths)
     return total
 
 
@@ -260,11 +263,7 @@ def adjusted_mutual(
         raise ZeroMutualBaselineError(
             f"empirical mutual information {i_emp:.3g} is below {ZERO_MUTUAL_EPS}"
         )
-    i_eff = (
-        code_word(coder, x).length(lengths)
-        + code_word(coder, y).length(lengths)
-        - joint_pair_code_len(pc)
-    )
+    i_eff = _k_eff(x, coder, lengths) + _k_eff(y, coder, lengths) - joint_pair_code_len(pc)
     if i_eff < 0:
         logger.warning(
             "effective mutual information is negative (%.4g bits); "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coders import CoderId, code_lengths, is_concrete
+from .coders import CoderId, is_concrete, kind_lengths
 from .entropy import shell_log_size, shell_size
 from .simulate import _DRAW_BLOCK, _bernoulli_bits, geometric_schedule, splitmix_outputs
 from .stats import adjusted, adjusted_deficiencies, adjusted_prefixes
@@ -139,27 +139,30 @@ class AuditRow:
 AUDIT_T_MAX = 8
 
 
-def counting_lemma_audit(n: int, coder: CoderId) -> list[AuditRow]:
-    """Exhaustively count in-shell words whose concrete code undershoots
-    the shell baseline by at least t bits, for t = 1..8.
+def counting_lemma_audit(n: int, coder: CoderId, lengths: str = "concrete") -> list[AuditRow]:
+    """Exhaustively count in-shell words whose length of the kind lengths,
+    concrete or ideal, undershoots the shell baseline by at least t bits,
+    for t = 1..8.
 
-    For a prefix-free coder the count in shell (n,k) can be at most
-    2^(1-t) * C(n,k); each row records count against that bound.  All 2^n
-    words are built as one matrix and scored in one code_lengths() call.
+    For lengths that satisfy Kraft's inequality, as a prefix-free code's
+    concrete lengths and every coder's ideal lengths do, the count in shell
+    (n,k) can be at most 2^(1-t) * C(n,k); each row records count against
+    that bound.  All 2^n words are built as one matrix and scored in one
+    kind_lengths() call.
     A deficit reaches the integer t exactly when its floor does: one
     bincount tallies words by weight and floor, clipped to 0..AUDIT_T_MAX,
     and a cumulative sum from the top gives the count for each t.
     """
     if not 1 <= n <= 16:
         raise ValueError("exhaustive audit needs 1 <= n <= 16")
-    if not is_concrete(coder):
+    if lengths == "concrete" and not is_concrete(coder):
         raise ValueError(f"coder {coder.name} has no concrete code to audit")
     # Row v holds the n big-endian binary digits of v.
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
     words = ((np.arange(1 << n, dtype=np.uint32)[:, None] >> shifts) & 1).astype(np.uint8)
     ks = words.sum(axis=1, dtype=np.int64)
     shell_logs = np.array([shell_log_size(n, k) for k in range(n + 1)])
-    deficits = shell_logs[ks] - code_lengths(coder, words)[1]
+    deficits = shell_logs[ks] - kind_lengths(coder, words, lengths)
     floors = np.clip(np.floor(deficits), 0, AUDIT_T_MAX).astype(np.int64)
     tally = np.bincount(ks * (AUDIT_T_MAX + 1) + floors, minlength=(n + 1) * (AUDIT_T_MAX + 1))
     at_least = np.cumsum(tally.reshape(n + 1, -1)[:, ::-1], axis=1)[:, ::-1]  # [k, t]: deficit >= t

@@ -1,0 +1,258 @@
+"""One length kind at a time: kind_lengths() and the kernel length_kernel()
+picks for it.
+
+kind_lengths() must equal pick_length() of code_lengths() and of
+prefix_lengths() for every coder and kind.  Under concrete, model_class
+must build no pair_shell kernel on any one-kind path, as pair_shell has no
+concrete code; under ideal it still needs one.  The counting-lemma audit
+takes either kind.
+"""
+
+import numpy as np
+import pytest
+
+from kadjust import coders
+from kadjust.cli import main
+from kadjust.coders import (
+    CODER_NAMES,
+    MODEL_MEMBERS,
+    CoderId,
+    code_lengths,
+    kind_lengths,
+    length_kernel,
+    pick_length,
+    prefix_lengths,
+)
+from kadjust.shellcode import shell_log_size
+from kadjust.simulate import GeneratorSpec, generate, geometric_schedule
+from kadjust.stats import (
+    adjusted,
+    adjusted_deficiencies,
+    adjusted_mutual,
+    adjusted_prefixes,
+    conditional_code_len,
+)
+from kadjust.testing import TestConfig as Config
+from kadjust.testing import counting_lemma_audit, monte_carlo_fpr
+from kadjust.testing import test_word as verdict
+from kadjust.words import BitWord
+
+CODERS = [CoderId(name) for name in CODER_NAMES]
+KINDS = ("ideal", "concrete")
+MODEL_CLASS = CoderId("model_class")
+CELLS = coders._CHUNK_BYTES // 8  # the cells of one chunk
+# every (coder, kind) pair that has lengths
+SCORED = [
+    pytest.param(coder, kind, id=f"{coder.name}-{kind}")
+    for coder in CODERS
+    for kind in KINDS
+    if kind == "ideal" or coders.is_concrete(coder)
+]
+
+
+def matrix(n: int) -> np.ndarray:
+    """Every word of n bits, one per row, in integer order."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def seeded_rows(rows: int, n: int, seed: int) -> np.ndarray:
+    """Rows mixing Bernoulli(0.5), Bernoulli(0.1) and period-5 words."""
+    rng = np.random.default_rng(seed)
+    bits = (rng.random((rows, n)) < np.array([0.5, 0.1, 0.5])[np.arange(rows) % 3, None]).astype(np.uint8)
+    bits[2::3] = np.resize([1, 1, 0, 1, 0], n)
+    return bits
+
+
+def assert_kind_matches(coder: CoderId, kind: str, got, ideal, concrete):
+    """got equals pick_length(coder, kind, ideal, concrete), dtype included."""
+    want = pick_length(coder, kind, ideal, concrete)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("coder", CODERS, ids=CODER_NAMES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_kind_lengths_equal_code_lengths_exhaustive(coder, kind):
+    for n in range(1, 13):
+        bits = matrix(n)
+        ideal, concrete, _ = code_lengths(coder, bits)
+        if kind == "concrete" and concrete is None:
+            with pytest.raises(ValueError, match="^coder pair_shell has no concrete code$"):
+                kind_lengths(coder, bits, kind)
+            continue
+        assert_kind_matches(coder, kind, kind_lengths(coder, bits, kind), ideal, concrete)
+
+
+def test_model_class_concrete_where_pair_shell_wins():
+    # pair_shell wins no word of 12 bits or fewer; it wins the block
+    # source's words from about 128 bits on, where leaving it out could show
+    pair = MODEL_MEMBERS.index("pair_shell")
+    for n in (128, 1000, CELLS + 1):
+        bits = np.array([generate(GeneratorSpec.block(seed, n)).bits for seed in range(8)], dtype=np.uint8)
+        _, concrete, tag = code_lengths(MODEL_CLASS, bits)
+        assert np.count_nonzero(tag == pair) >= 2, n
+        np.testing.assert_array_equal(kind_lengths(MODEL_CLASS, bits, "concrete"), concrete)
+        word = BitWord(bits[np.argmax(tag == pair)])
+        assert kind_lengths(MODEL_CLASS, word, "concrete")[0] == concrete[np.argmax(tag == pair)]
+
+
+@pytest.mark.parametrize("coder, kind", SCORED)
+def test_kind_lengths_straddle_the_chunk_width(coder, kind):
+    # one row cut into chunks, and a matrix of several row blocks
+    shapes = [(1, CELLS - 1), (1, CELLS), (1, CELLS + 1), (1, 2 * CELLS + 65), (300, 1000)]
+    for seed, (rows, n) in enumerate(shapes):
+        bits = seeded_rows(rows, n, seed)
+        ideal, concrete, _ = code_lengths(coder, bits)
+        assert_kind_matches(coder, kind, kind_lengths(coder, bits, kind), ideal, concrete)
+        if rows == 1:
+            word = BitWord(bits[0])
+            assert_kind_matches(coder, kind, kind_lengths(coder, word, kind), ideal, concrete)
+
+
+@pytest.mark.parametrize("coder, kind", SCORED)
+def test_kind_lengths_at_prefix_cuts(coder, kind):
+    for seed, n in enumerate((35, 4097, CELLS + 100)):
+        word = BitWord(seeded_rows(3, n, seed)[seed % 3])
+        points = sorted(set(geometric_schedule(n, 4, 1.25)) | {min(n, 64), min(n, CELLS)})
+        ideal, concrete, _ = prefix_lengths(coder, word, points)
+        assert_kind_matches(coder, kind, kind_lengths(coder, word, kind, points), ideal, concrete)
+
+
+def test_kind_lengths_refuses_bad_input():
+    word = BitWord.from01("0110")
+    with pytest.raises(ValueError, match="strictly increasing"):
+        kind_lengths(CoderId("shell"), word, "ideal", [2, 2])
+    with pytest.raises(ValueError, match=r"must lie in 1\.\.4"):
+        kind_lengths(CoderId("shell"), word, "ideal", [5])
+    with pytest.raises(ValueError, match="single word"):
+        kind_lengths(CoderId("shell"), matrix(3), "ideal", [1, 3])
+    with pytest.raises(ValueError, match="matrix"):
+        kind_lengths(CoderId("shell"), np.zeros(4, dtype=np.uint8), "ideal")
+    with pytest.raises(ValueError, match="^unknown length kind 'both'$"):
+        kind_lengths(CoderId("shell"), word, "both")
+
+
+def test_length_kernel_picks_the_concrete_members():
+    assert length_kernel(MODEL_CLASS, "ideal") is coders._ModelClass
+    scorer = length_kernel(MODEL_CLASS, "concrete")(matrix(4))
+    assert [MODEL_MEMBERS[j] for j in scorer.members] == [
+        name for name in MODEL_MEMBERS if coders.is_concrete(CoderId(name))
+    ]
+    for name in MODEL_MEMBERS:
+        for kind in KINDS if coders.is_concrete(CoderId(name)) else ("ideal",):
+            assert length_kernel(CoderId(name), kind) is coders._CODERS[name].kernel
+
+
+@pytest.fixture
+def pair_shells(monkeypatch) -> list[int]:
+    """A list that gains one entry for every pair_shell kernel built."""
+    built = []
+    init = coders._PairShell.__init__
+
+    def spy(self, block):
+        built.append(len(block))
+        init(self, block)
+
+    monkeypatch.setattr(coders._PairShell, "__init__", spy)
+    return built
+
+
+def one_kind_calls(kind: str):
+    """Every one-kind entry point of stats and testing under model_class."""
+    x = generate(GeneratorSpec.bernoulli(0.3, 11, 512))
+    y = BitWord(np.where(np.arange(512) % 7 == 0, 1 - x.bits, x.bits))  # x with every 7th bit flipped
+    cfg = Config(m=5, coder=MODEL_CLASS, lengths=kind)
+    return {
+        "adjusted": lambda: adjusted(x, MODEL_CLASS, kind),
+        "test_word": lambda: verdict(x, cfg),
+        "adjusted_prefixes": lambda: adjusted_prefixes(x, MODEL_CLASS, [16, 100, 512], kind),
+        "adjusted_deficiencies": lambda: adjusted_deficiencies(matrix(6), MODEL_CLASS, kind),
+        "monte_carlo_fpr": lambda: monte_carlo_fpr(0.5, 64, cfg, 20, 3),
+        "counting_lemma_audit": lambda: counting_lemma_audit(8, MODEL_CLASS, kind),
+        "conditional_code_len": lambda: conditional_code_len(x, y, MODEL_CLASS, kind),
+        "adjusted_mutual": lambda: adjusted_mutual(x, y, MODEL_CLASS, kind),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(one_kind_calls("ideal")))
+def test_concrete_model_class_builds_no_pair_shell(pair_shells, name):
+    one_kind_calls("concrete")[name]()
+    assert pair_shells == []
+    one_kind_calls("ideal")[name]()
+    assert pair_shells
+
+
+def test_model_class_encoder_builds_no_pair_shell(pair_shells):
+    coders.encode_word(MODEL_CLASS, generate(GeneratorSpec.block(2, 300)))
+    assert pair_shells == []
+
+
+def test_pair_shell_concrete_raises_before_any_kernel(pair_shells):
+    pair_shell = CoderId("pair_shell")
+    word = BitWord.from01("0110100111")
+    calls = [
+        lambda: length_kernel(pair_shell, "concrete"),
+        lambda: kind_lengths(pair_shell, word, "concrete"),
+        lambda: kind_lengths(pair_shell, word, "concrete", [2, 10]),
+        lambda: adjusted(word, pair_shell, "concrete"),
+        lambda: adjusted_prefixes(word, pair_shell, [2, 10], "concrete"),
+        lambda: adjusted_deficiencies(matrix(5), pair_shell, "concrete"),
+        lambda: pick_length(pair_shell, "concrete", 1.0, None),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^coder pair_shell has no concrete code$"):
+            call()
+    assert pair_shells == []
+
+
+@pytest.mark.parametrize("coder", CODERS, ids=CODER_NAMES)
+def test_audit_ideal_lengths_within_bounds(coder):
+    for n in range(1, 13):
+        rows = counting_lemma_audit(n, coder, "ideal")
+        assert all(row.ok for row in rows), (coder.name, n)
+        assert len(rows) == (n + 1) * 8
+
+
+@pytest.mark.parametrize("name", ["periodic", "pair_shell", "model_class"])
+def test_audit_ideal_counts_match_masks(name):
+    coder, n = CoderId(name), 12
+    words = matrix(n)
+    ks = words.sum(axis=1)
+    deficits = np.array([shell_log_size(n, k) for k in ks.tolist()]) - code_lengths(coder, words)[0]
+    want = [(k, t, int(np.count_nonzero(deficits[ks == k] >= t))) for k in range(n + 1) for t in range(1, 9)]
+    assert [(r.k, r.t, r.count) for r in counting_lemma_audit(n, coder, "ideal")] == want
+
+
+def test_audit_concrete_is_the_default():
+    for coder in (CoderId("run_length"), MODEL_CLASS):
+        assert counting_lemma_audit(10, coder) == counting_lemma_audit(10, coder, "concrete")
+    with pytest.raises(ValueError, match="^coder pair_shell has no concrete code to audit$"):
+        counting_lemma_audit(8, CoderId("pair_shell"), "concrete")
+    with pytest.raises(ValueError, match="^unknown length kind 'both'$"):
+        counting_lemma_audit(8, CoderId("shell"), "both")
+
+
+class TestAuditLengthsOption:
+    def run(self, capsys, *argv):
+        code = main(["audit", "--length", "8", *argv])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_pair_shell_audits_ideal_lengths(self, capsys):
+        code, out, err = self.run(capsys, "--coder", "pair_shell", "--lengths", "ideal")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 9 * 8
+        assert err.strip().splitlines()[-1] == "# violations: 0"
+
+    @pytest.mark.parametrize("argv", [[], ["--lengths", "concrete"]])
+    def test_pair_shell_has_no_concrete_audit(self, capsys, argv):
+        code, out, err = self.run(capsys, "--coder", "pair_shell", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "kadjust: error: coder pair_shell has no concrete code to audit\n"
+
+    def test_concrete_is_the_default(self, capsys):
+        for coder in ("run_length", "model_class"):
+            default = self.run(capsys, "--coder", coder)
+            assert default == self.run(capsys, "--coder", coder, "--lengths", "concrete")
+            assert default[0] == 0
