@@ -118,9 +118,7 @@ def cmd_calibrate(args: argparse.Namespace, out) -> int:
 
 
 def cmd_audit(args: argparse.Namespace, out) -> int:
-    # concrete, the default kind, is left to the audit's own default
-    kind = {} if args.lengths == "concrete" else {"lengths": args.lengths}
-    rows = counting_lemma_audit(args.length, args.coder, **kind)
+    rows = counting_lemma_audit(args.length, args.coder, args.lengths)
     write_records(rows, args.fmt, out)
     violations = sum(not row.ok for row in rows)
     print(f"# violations: {violations}", file=sys.stderr)

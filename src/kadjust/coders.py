@@ -8,14 +8,14 @@ as side information.
 Every length is computed by one batched kernel per coder, which scores a
 matrix of equal-length words, one word per row.  code_lengths() feeds it
 the matrix in chunks of rows and columns, through one loop (_scored) that
-also serves code_word(), the k_* functions and prefix_lengths(), a short
+also serves code_word(), the k_* functions and kind_lengths(), a short
 word being a single chunk.  A kernel keeps per-row totals that add up over
 the column chunks, and its last step, finish(m), turns the totals of the
 first m columns into lengths with the same scalar functions for every
 chunking, so a word scores the same however it is cut.  As finish leaves
-the kernel able to take further chunks, prefix_lengths() scores every
-prefix of a word on a schedule in one left-to-right pass, plus one finish
-per prefix.
+the kernel able to take further chunks, kind_lengths() given cuts scores
+every prefix of a word on a schedule in one left-to-right pass, plus one
+finish per prefix.
 No coder takes a parameter: each has a kernel, a one-row k_*(word) and,
 when concrete, encode(word) and decode(n, reader).  The periodic bound is
 the constant P_MAX = 32.
@@ -63,11 +63,11 @@ encoder and decoder unpack the tiled words of their one period, so the
 decoder takes the periods the encoder writes only, 1 <= P <= min(P_MAX, n).
 
 The length kind picks the members that run.  length_kernel(coder, kind)
-is the one place that decides it: under concrete, model_class runs only
-its members with a concrete code, as pair_shell has none and so cannot
-change a concrete length, and the model_class encoder takes that kernel
-too.  kind_lengths() scores one kind through it; code_lengths(),
-code_word() and prefix_lengths() score both kinds with every member.
+decides it, and alone checks that the coder has the kind: under concrete,
+model_class runs only its members with a concrete code, as pair_shell has
+none and cannot change a concrete length; its encoder takes that kernel
+too.  kind_lengths() scores one kind through it; code_lengths() and
+code_word() score both kinds with every member.
 
 Tie-breaks are deterministic: smallest period for periodic, listed order
 for model_class.
@@ -135,12 +135,6 @@ def length_kernel(coder: CoderId, kind: str):
     return _CODERS[coder.name].kernel
 
 
-def pick_length(coder: CoderId, kind: str, ideal, concrete):
-    """The ideal or the concrete length(s), by length kind."""
-    length_kernel(coder, kind)  # raises on an unknown kind or a missing code
-    return ideal if kind == "ideal" else concrete
-
-
 @dataclass(frozen=True)
 class CodeResult:
     """Description length of one word under one coder.
@@ -153,9 +147,6 @@ class CodeResult:
     ideal_len: float
     concrete_len: int | None
     model_tag: str | None = None
-
-    def length(self, kind: str = "ideal") -> float:
-        return float(pick_length(self.coder, kind, self.ideal_len, self.concrete_len))
 
 
 def is_concrete(coder: CoderId) -> bool:
@@ -176,7 +167,7 @@ def concrete_coder_ids() -> tuple[CoderId, ...]:
 # are in, turns the totals into the Lengths of the block's prefixes of m
 # columns, those the prefixes get when scored on their own.  finish leaves
 # the kernel able to take further chunks, so one pass scores every prefix
-# of a word (prefix_lengths), at one finish a prefix.  What the last chunk
+# of a word (kind_lengths' cuts), at one finish a prefix.  What the last chunk
 # left open stays open: the run-length kernel's last run, whose gamma
 # length finish adds to its result only, and the pair kernel's unpaired
 # bit, which finish leaves out as the prefix's odd trailing bit and the
@@ -611,16 +602,6 @@ def _matrix(bits) -> np.ndarray:
     return as_bits(bits)
 
 
-def prefix_lengths(coder: CoderId, word: BitWord, points: Sequence[int]) -> Lengths:
-    """Lengths of the word's prefixes of every length m in points, one
-    entry per point, each the code_lengths() of that prefix alone.  The
-    points must increase strictly from 1 to at most the word's length.
-    The kernel takes the word's columns once, left to right, up to the last
-    point, and one finish(m) per point, against scoring every prefix from
-    its first column."""
-    return _lengths(_CODERS[coder.name].kernel, word.bits[None], _prefix_points(points, word.n))
-
-
 def code_lengths(coder: CoderId, bits) -> Lengths:
     """Lengths of every row of a 0/1 matrix, one word per row.
 
@@ -633,10 +614,12 @@ def code_lengths(coder: CoderId, bits) -> Lengths:
 
 
 def kind_lengths(coder: CoderId, bits, kind: str, cuts: Sequence[int] | None = None) -> np.ndarray:
-    """The lengths of one kind, ideal or concrete: pick_length() of
-    code_lengths() of a 0/1 matrix or of a BitWord as one row, or, given
-    cuts, of prefix_lengths() of the word.  The kernel is length_kernel()'s,
-    which runs only the members the kind reads; a BitWord, already checked,
+    """The lengths of one kind, ideal or concrete, of every row of a 0/1
+    matrix or of a BitWord as one row, as code_lengths() gives them; or,
+    given cuts, of the word's prefixes of every length m in cuts, each as
+    scored alone.  The cuts increase strictly from 1 to at most the word's
+    length; the kernel, length_kernel()'s, takes the columns once up to the
+    last cut, plus one finish(m) per cut.  A BitWord, already checked,
     reaches it as its one row."""
     kernel = length_kernel(coder, kind)
     rows = bits.bits[None] if isinstance(bits, BitWord) else _matrix(bits)
@@ -780,21 +763,17 @@ def _decode_model_class(n: int, reader: BitReader) -> BitWord:
 
 def encode_word(coder: CoderId, word: BitWord) -> np.ndarray:
     """Concrete codeword bits for the word; n is side information for decoding."""
-    encode = _CODERS[coder.name].encode
-    if encode is None:
-        raise ValueError(f"coder {coder.name} has no concrete code")
-    return encode(word)
+    length_kernel(coder, "concrete")  # raises for a coder without a concrete code
+    return _CODERS[coder.name].encode(word)
 
 
 def decode_word(coder: CoderId, n: int, source) -> BitWord:
     """Decode a concrete codeword back to the original word of known length n."""
-    decode = _CODERS[coder.name].decode
-    if decode is None:
-        raise ValueError(f"coder {coder.name} has no concrete code")
+    length_kernel(coder, "concrete")  # raises for a coder without a concrete code
     if n < 1:
         raise ValueError("length must be >= 1")
     reader = source if isinstance(source, BitReader) else BitReader(source)
-    return decode(n, reader)
+    return _CODERS[coder.name].decode(n, reader)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ loop, _output_blocks, in blocks of at most 2^16 outputs, so a trial word
 equals the generated word of its seed and memory stays linear in the bits.
 
 convergence_trace scores every prefix on its schedule in one pass over
-the word (stats.adjusted_prefixes): the coder's kernel takes the columns
-once, up to the last point, plus one finish per point, where scoring each
-prefix from scratch would take the sum of the points (2n for a doubling
-schedule).  Each row equals adjusted() of its prefix.
+the word (stats.adjusted_prefixes, coders.kind_lengths): the kernel takes
+the columns once, up to the last point, plus one finish per point, where
+scoring each prefix from scratch would take the sum of the points (2n for
+a doubling schedule).  Each row equals adjusted() of its prefix.
 """
 
 from __future__ import annotations
@@ -235,14 +235,8 @@ def geometric_schedule(length: int, start: int = 16, factor: float = 2.0) -> lis
 def convergence_trace(
     spec: GeneratorSpec, coder: CoderId, schedule: Sequence[int]
 ) -> ConvergenceTrace:
-    """Adjusted statistics along prefixes of one generated word."""
-    schedule = list(schedule)
-    if not schedule:
-        raise ValueError("schedule must be nonempty")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    if schedule[0] < 1 or schedule[-1] > spec.length:
-        raise ValueError("schedule out of range for the generated length")
+    """Adjusted statistics along prefixes of one generated word; kind_lengths()
+    rejects a schedule not strictly increasing from 1 to spec.length at most."""
     reports = adjusted_prefixes(generate(spec), coder, schedule)
     return ConvergenceTrace(
         rows=tuple(

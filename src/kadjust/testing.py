@@ -5,9 +5,9 @@ n*H - K_eff reaches m bits, equivalently when R <= c(m) = 1 - m/(n*H).
 The prefix scan applies the same rule along a geometric schedule of
 prefixes with a 2*log2(len+1) penalty that keeps the union over prefix
 lengths conservative.  It scores all its prefixes in one pass over the
-word (stats.adjusted_prefixes), one finish per prefix, where scoring each
-from scratch would take about 5n for the factor 1.25; each deficiency
-equals adjusted() of its prefix.
+word (stats.adjusted_prefixes through coders.kind_lengths), one finish
+per prefix, where scoring each from scratch would take about 5n for the
+factor 1.25; each deficiency equals adjusted() of its prefix.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coders import CoderId, is_concrete, kind_lengths
+from .coders import CoderId, is_concrete, kind_lengths, length_kernel
 from .entropy import shell_log_size, shell_size
 from .simulate import _DRAW_BLOCK, _bernoulli_bits, geometric_schedule, splitmix_outputs
 from .stats import adjusted, adjusted_deficiencies, adjusted_prefixes
@@ -35,8 +35,7 @@ class TestConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("threshold m must be >= 1")
-        if self.lengths not in ("ideal", "concrete"):
-            raise ValueError("lengths must be 'ideal' or 'concrete'")
+        length_kernel(self.coder, self.lengths)  # raises on a kind the coder cannot give
 
 
 @dataclass(frozen=True)

@@ -355,7 +355,7 @@ class TestAuditCommand:
 
     def test_audit_violation_exits_one(self, capsys, monkeypatch):
         row = AuditRow(k=4, t=1, count=71, bound=35.0, ok=False)
-        monkeypatch.setattr("kadjust.cli.counting_lemma_audit", lambda n, coder: [row])
+        monkeypatch.setattr("kadjust.cli.counting_lemma_audit", lambda n, coder, lengths="concrete": [row])
         code, _, err = run_cli(capsys, "audit", "--length", "8")
         assert code == 1
         assert err.strip().splitlines()[-1] == "# violations: 1"

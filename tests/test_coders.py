@@ -342,7 +342,7 @@ class TestConcreteCodecs:
         with pytest.raises(ValueError):
             encode_word(CoderId("pair_shell"), BitWord.from01("01"))
         with pytest.raises(ValueError):
-            code_word(CoderId("pair_shell"), BitWord.from01("01")).length("concrete")
+            decode_word(CoderId("pair_shell"), 2, np.zeros(2, dtype=np.uint8))
 
     def test_concrete_at_least_ideal_minus_one(self):
         # Exact for the coders whose ideal length is the concrete length.

@@ -12,7 +12,7 @@ import pytest
 from kadjust import CODER_NAMES, BitWord, CoderId, adjusted, code_lengths, code_word
 from kadjust import coders
 from kadjust.bitio import elias_gamma_len
-from kadjust.coders import MODEL_MEMBERS, MODEL_TAG_BITS, encode_word, prefix_lengths
+from kadjust.coders import MODEL_MEMBERS, MODEL_TAG_BITS, encode_word, kind_lengths
 
 CODERS = [CoderId(name) for name in CODER_NAMES]
 
@@ -485,7 +485,7 @@ class TestDenseRunLengths:
         start = (1 << 17) - 3
         points = [1, 63, 65537, start + 1, (1 << 17) + 1, (1 << 18) + 1, start + (1 << 17) + 5,
                   3 * (1 << 17) + 4097, row.size]
-        _, concrete, _ = prefix_lengths(RUN_LENGTH, BitWord(row), points)
+        concrete = kind_lengths(RUN_LENGTH, BitWord(row), "concrete", points)
         assert concrete.tolist() == [run_length_totals(row[None, :m])[0] for m in points]
 
     @pytest.mark.parametrize("cells", [1, 64, 1088])

@@ -1,11 +1,11 @@
 """One length kind at a time: kind_lengths() and the kernel length_kernel()
 picks for it.
 
-kind_lengths() must equal pick_length() of code_lengths() and of
-prefix_lengths() for every coder and kind.  Under concrete, model_class
-must build no pair_shell kernel on any one-kind path, as pair_shell has no
-concrete code; under ideal it still needs one.  The counting-lemma audit
-takes either kind.
+kind_lengths() must equal the ideal or concrete entry of code_lengths(),
+of every row or of each prefix scored alone, for every coder and kind.
+Under concrete, model_class must build no pair_shell kernel on any
+one-kind path, as pair_shell has no concrete code; under ideal it still
+needs one.  The counting-lemma audit takes either kind.
 """
 
 import numpy as np
@@ -20,8 +20,6 @@ from kadjust.coders import (
     code_lengths,
     kind_lengths,
     length_kernel,
-    pick_length,
-    prefix_lengths,
 )
 from kadjust.shellcode import shell_log_size
 from kadjust.simulate import GeneratorSpec, generate, geometric_schedule
@@ -63,9 +61,9 @@ def seeded_rows(rows: int, n: int, seed: int) -> np.ndarray:
     return bits
 
 
-def assert_kind_matches(coder: CoderId, kind: str, got, ideal, concrete):
-    """got equals pick_length(coder, kind, ideal, concrete), dtype included."""
-    want = pick_length(coder, kind, ideal, concrete)
+def assert_kind_matches(kind: str, got, ideal, concrete):
+    """got equals ideal or concrete, by kind, dtype included."""
+    want = ideal if kind == "ideal" else concrete
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
 
@@ -80,7 +78,7 @@ def test_kind_lengths_equal_code_lengths_exhaustive(coder, kind):
             with pytest.raises(ValueError, match="^coder pair_shell has no concrete code$"):
                 kind_lengths(coder, bits, kind)
             continue
-        assert_kind_matches(coder, kind, kind_lengths(coder, bits, kind), ideal, concrete)
+        assert_kind_matches(kind, kind_lengths(coder, bits, kind), ideal, concrete)
 
 
 def test_model_class_concrete_where_pair_shell_wins():
@@ -103,10 +101,10 @@ def test_kind_lengths_straddle_the_chunk_width(coder, kind):
     for seed, (rows, n) in enumerate(shapes):
         bits = seeded_rows(rows, n, seed)
         ideal, concrete, _ = code_lengths(coder, bits)
-        assert_kind_matches(coder, kind, kind_lengths(coder, bits, kind), ideal, concrete)
+        assert_kind_matches(kind, kind_lengths(coder, bits, kind), ideal, concrete)
         if rows == 1:
             word = BitWord(bits[0])
-            assert_kind_matches(coder, kind, kind_lengths(coder, word, kind), ideal, concrete)
+            assert_kind_matches(kind, kind_lengths(coder, word, kind), ideal, concrete)
 
 
 @pytest.mark.parametrize("coder, kind", SCORED)
@@ -114,8 +112,10 @@ def test_kind_lengths_at_prefix_cuts(coder, kind):
     for seed, n in enumerate((35, 4097, CELLS + 100)):
         word = BitWord(seeded_rows(3, n, seed)[seed % 3])
         points = sorted(set(geometric_schedule(n, 4, 1.25)) | {min(n, 64), min(n, CELLS)})
-        ideal, concrete, _ = prefix_lengths(coder, word, points)
-        assert_kind_matches(coder, kind, kind_lengths(coder, word, kind, points), ideal, concrete)
+        # each prefix scored alone
+        ideal, concrete, _ = zip(*(code_lengths(coder, word.bits[None, :m]) for m in points))
+        ideal, concrete = np.concatenate(ideal), None if concrete[0] is None else np.concatenate(concrete)
+        assert_kind_matches(kind, kind_lengths(coder, word, kind, points), ideal, concrete)
 
 
 def test_kind_lengths_refuses_bad_input():
@@ -197,7 +197,9 @@ def test_pair_shell_concrete_raises_before_any_kernel(pair_shells):
         lambda: adjusted(word, pair_shell, "concrete"),
         lambda: adjusted_prefixes(word, pair_shell, [2, 10], "concrete"),
         lambda: adjusted_deficiencies(matrix(5), pair_shell, "concrete"),
-        lambda: pick_length(pair_shell, "concrete", 1.0, None),
+        lambda: coders.encode_word(pair_shell, word),
+        lambda: coders.decode_word(pair_shell, word.n, np.zeros(4, dtype=np.uint8)),
+        lambda: Config(m=1, coder=pair_shell, lengths="concrete"),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="^coder pair_shell has no concrete code$"):

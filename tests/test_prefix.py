@@ -25,7 +25,7 @@ from kadjust import (
     prefix_scan,
 )
 from kadjust import coders
-from kadjust.coders import P_MAX, is_concrete, prefix_lengths
+from kadjust.coders import P_MAX, is_concrete, kind_lengths
 from kadjust.simulate import TraceRow
 from kadjust.testing import SCAN_FACTOR, SCAN_START, PrefixScanRow
 from kadjust.testing import TestConfig as Config
@@ -167,23 +167,23 @@ def test_rows_match_pinned_digests(length):
 @pytest.mark.parametrize("length", [3001, LONG])
 @pytest.mark.parametrize("name", CODER_NAMES)
 def test_prefix_lengths_equal_code_lengths_of_each_prefix(name, length):
-    word = generate(specs(length)[2])
+    coder, word = CoderId(name), generate(specs(length)[2])
     points = schedules(length)[1]
-    ideal, concrete, tag = prefix_lengths(CoderId(name), word, points)
+    ideal = kind_lengths(coder, word, "ideal", points)
+    concrete = kind_lengths(coder, word, "concrete", points) if is_concrete(coder) else None
     for i, m in enumerate(points):
-        one_ideal, one_concrete, one_tag = code_lengths(CoderId(name), word.bits[None, :m])
+        one_ideal, one_concrete, _ = code_lengths(coder, word.bits[None, :m])
         assert ideal[i] == one_ideal[0], m
         assert (concrete is None) == (one_concrete is None)
         if concrete is not None:
             assert concrete[i] == one_concrete[0], m
-        if tag is not None:
-            assert tag[i] == one_tag[0], m
 
 
 @pytest.mark.parametrize("points", [[], [0], [5, 5], [9, 4], [4, 3002]])
 def test_prefix_lengths_refuses_bad_points(points):
-    with pytest.raises(ValueError):
-        prefix_lengths(CoderId("shell"), generate(specs(3001)[0]), points)
+    for kind in KINDS:
+        with pytest.raises(ValueError):
+            kind_lengths(CoderId("shell"), generate(specs(3001)[0]), kind, points)
 
 
 def _feed_log(monkeypatch, name: str) -> list[tuple[int, int]]:
