@@ -6,14 +6,17 @@ encoder/decoder pair that is prefix-free once the word length n is known
 as side information.
 
 Every length is computed by one batched kernel per coder, which scores a
-matrix of equal-length words, one word per row.  code_lengths() feeds it
-the matrix in chunks of rows and columns, through one loop (_scored) that
-also serves code_word(), the k_* functions and kind_lengths(), a short
-word being a single chunk.  A kernel keeps per-row totals that add up over
-the column chunks, and its last step, finish(m), turns the totals of the
-first m columns into lengths with the same scalar functions for every
-chunking, so a word scores the same however it is cut.  As finish leaves
-the kernel able to take further chunks, kind_lengths() given cuts scores
+matrix of equal-length words, one word per row.  Every kernel reads the
+same packed chunk, a PackedRows of 64 columns to a uint64 word,
+most-significant bit first (see kadjust.words).  One loop (_scored) feeds
+the chunks to code_lengths(), code_word(), the k_* functions and
+kind_lengths(): a BitWord's packed words are sliced into chunks, and a
+0/1 matrix is packed once a block of rows; a short word is a single
+chunk.  A kernel keeps per-row totals that add up over the column
+chunks, and its last step, finish(m), turns the totals of the first m
+columns into lengths with the same scalar functions for every chunking,
+so a word scores the same however it is cut.  As finish leaves the
+kernel able to take further chunks, kind_lengths() given cuts scores
 every prefix of a word on a schedule in one left-to-right pass, plus one
 finish per prefix.
 No coder takes a parameter: each has a kernel, a one-row k_*(word) and,
@@ -22,45 +25,52 @@ the constant P_MAX = 32.
 
   coder        length                                  per-chunk totals; last step
   literal      n bits, the word verbatim               none; the constant n
-  shell        weight header plus in-shell             the weight; ideal_len_shell and
-               lexicographic rank                      concrete_len_shell per distinct weight
+  shell        weight header plus in-shell             the weight, a popcount of the words;
+               lexicographic rank                      ideal_len_shell and concrete_len_shell
+                                                       per distinct weight
   run_length   leading bit plus Elias gamma code       gamma lengths of the runs that end in
-               of every maximal run                    the chunk, from the end mask: by
-                                                       popcounts of the packed mask on a
-                                                       chunk with one end per 3 cells or
-                                                       more, else one flatnonzero;
-                                                       the run still open at the chunk's end
-                                                       carries its bit and length into the
-                                                       next chunk, and finish adds its
-                                                       gamma length
+               of every maximal run                    the chunk, from the packed end mask
+                                                       x ^ (x shifted one column): by its
+                                                       popcounts on a chunk with one end per
+                                                       3 cells or more, else from the list of
+                                                       its set bits; the run still open at
+                                                       the chunk's end carries its bit and
+                                                       length into the next chunk, and
+                                                       finish adds its gamma length
   periodic     best period P <= P_MAX: pattern plus    mismatch counts against the first P
-               coded mismatch positions                bits tiled from the chunk's first
-                                                       column, by one multiply-and-popcount
-                                                       formula; _periodic_cost and one
-                                                       argmin over the periods P <= m
-  pair_shell   multinomial index over disjoint 2-bit   the 2-bit block tallies; a chunk's
-               block counts (ideal only)               unpaired last bit pairs with the next
-                                                       chunk's first; log2_multinomial per
-                                                       distinct key (c01, c10, c11) in base
-                                                       nb + 1
-  model_class  3-bit model tag plus the best of the    every member's totals; tag bits plus
-               above                                   the row minimum over the members
+               coded mismatch positions                columns, from the block's first word,
+                                                       tiled from the chunk's first column:
+                                                       popcounts of the xor with the chunk's
+                                                       words; _periodic_cost and one argmin
+                                                       over the periods P <= m
+  pair_shell   multinomial index over disjoint 2-bit   the 2-bit block tallies, masked
+               block counts (ideal only)               popcounts; a chunk's unpaired last bit
+                                                       pairs with the next chunk's first;
+                                                       log2_multinomial per distinct key
+                                                       (c01, c10, c11) in base nb + 1
+  model_class  3-bit model tag plus the best of the    every member's totals from the same
+               above                                   chunk; tag bits plus the row minimum
+                                                       over the members
 
 A chunk holds at most _CHUNK_BYTES // 8 cells: whole rows while a row
 fits, else one row in chunks of a multiple of 64 columns.  That bounds
 each kernel's temporaries by a few _CHUNK_BYTES for any word length.  The
 periodic kernel takes up to 8 bytes a cell on short rows.  The
-run-length kernel's end mask takes 1 byte a cell, and its packed copy
-1/8 more on a dense chunk; a sparse chunk's run list takes about 24
-bytes a run: 4 bytes a cell at p = 0.1, and at most about 8 bytes a
-cell on a chunk of 2^16 cells or more.  A prefix schedule cuts a chunk at every prefix length.
+run-length kernel's end mask takes 1/8 byte a cell, twice over on a
+dense chunk; a sparse chunk unpacks it, 1 byte a cell, and its run list
+takes about 24 bytes a run: 4 bytes a cell at p = 0.1, and at most about
+8 bytes a cell on a chunk of 2^16 cells or more.  A prefix schedule cuts
+a chunk at every prefix length, shifting the words of a chunk that
+starts inside one.
 
 The periodic coder tiles a pattern one way (_tiled_words): a row's first
-P <= 64 bits are one uint64, tiled over a word by one multiply and rotated
+P <= 64 columns, the top bits of its first word, are tiled over a word
+by one multiply, the copies moved to the top of the word, and rotated
 to each packed word's phase, right at any column.  The kernel
 (_mismatch_counts) popcounts the xor with a chunk's packed words; the
-encoder and decoder unpack the tiled words of their one period, so the
-decoder takes the periods the encoder writes only, 1 <= P <= min(P_MAX, n).
+encoder unpacks the xor of the word with the tiled words of its one
+period to list the mismatches, and the decoder unpacks the tiled words,
+so it takes the periods the encoder writes only, 1 <= P <= min(P_MAX, n).
 
 The length kind picks the members that run.  length_kernel(coder, kind)
 decides it, and alone checks that the coder has the kind: under concrete,
@@ -78,7 +88,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -86,7 +96,7 @@ from numpy.lib.stride_tricks import as_strided
 from .bitio import BitReader, BitWriter, DecodeError, elias_gamma_len
 from .entropy import ceil_log2, log2_multinomial
 from .shellcode import concrete_len_shell, decode_shell, encode_shell, ideal_len_shell
-from .words import BitWord, as_bits, block_tallies, packed_rows
+from .words import _LEADING, BitWord, PackedRows, as_bits, block_tallies, packed_rows, unpacked
 
 # The periodic coder takes the best period P <= P_MAX.
 P_MAX = 32
@@ -159,10 +169,11 @@ def concrete_coder_ids() -> tuple[CoderId, ...]:
 
 
 # ---------------------------------------------------------------------------
-# batched length kernels: bits[rows, n] (uint8) -> (ideal, concrete, tag)
+# batched length kernels: packed rows -> (ideal, concrete, tag)
 #
-# A kernel is built on one block of rows, kernel(block); add(chunk, c) adds
-# the per-row totals of the block's columns c, c + 1, ... that chunk holds,
+# A kernel is built on one block of rows, kernel(block), a PackedRows (of
+# which it reads the shape only); add(chunk, c) adds the per-row totals of
+# the block's columns c, c + 1, ... that chunk, a PackedRows too, holds,
 # the chunks coming left to right, and finish(m), once columns 0 .. m - 1
 # are in, turns the totals into the Lengths of the block's prefixes of m
 # columns, those the prefixes get when scored on their own.  finish leaves
@@ -195,10 +206,10 @@ def _tabulate(fn, keys: np.ndarray, *dtypes) -> list[np.ndarray]:
 class _Literal:
     """The constant n."""
 
-    def __init__(self, block: np.ndarray):
+    def __init__(self, block: PackedRows):
         self.rows = len(block)
 
-    def add(self, chunk: np.ndarray, c: int) -> None:
+    def add(self, chunk: PackedRows, c: int) -> None:
         pass
 
     def finish(self, m: int) -> Lengths:
@@ -206,14 +217,14 @@ class _Literal:
 
 
 class _Shell:
-    """Each row's weight."""
+    """Each row's weight, a popcount of its packed words."""
 
-    def __init__(self, block: np.ndarray):
+    def __init__(self, block: PackedRows):
         self.weights = 0  # a Python int while there is one row
 
-    def add(self, chunk: np.ndarray, c: int) -> None:
-        # count_nonzero is fastest on one long row, an int32 sum on many rows
-        self.weights += np.count_nonzero(chunk) if len(chunk) == 1 else chunk.sum(1, np.int32)
+    def add(self, chunk: PackedRows, c: int) -> None:
+        counts = np.bitwise_count(chunk.words)
+        self.weights += int(counts.sum()) if len(chunk) == 1 else counts.sum(axis=1, dtype=np.int64)
 
     def finish(self, m: int) -> Lengths:
         ideal, concrete = _tabulate(
@@ -223,25 +234,38 @@ class _Shell:
         return ideal, concrete, None
 
 
-def _ends(bits: np.ndarray) -> np.ndarray:
-    """The bool mask of the columns of every row that end a maximal
-    constant run: those whose bit differs from the next, and the last."""
-    m, n = bits.shape
-    ends = np.ones((m, n), dtype=bool)
-    np.not_equal(bits[:, 1:], bits[:, :-1], out=ends[:, :-1])
+def _ends(chunk: PackedRows) -> np.ndarray:
+    """The packed mask of the columns of every row that end a maximal
+    constant run, those whose bit differs from the next, and the last: each
+    word xor itself shifted up one column, the next word's first bit
+    carried in, with the last column set."""
+    x = chunk.words
+    ends = x << 1
+    if x.shape[1] > 1:
+        ends[:, :-1] |= x[:, 1:] >> 63
+    ends ^= x
+    ends[:, -1] |= np.uint64(1 << (63 - (chunk.n - 1) % 64))
     return ends
 
 
-def _runs(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Lengths of the maximal constant runs of every row of an end mask,
-    row by row and left to right, and the row of each run (None for a
-    single row)."""
-    m, n = ends.shape
-    ends = np.flatnonzero(ends)
-    runs = np.empty_like(ends)
-    runs[0] = ends[0] + 1
-    np.subtract(ends[1:], ends[:-1], out=runs[1:])
-    return runs, (ends // n if m > 1 else None)
+def _runs(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Lengths of the maximal constant runs of every row of a packed end
+    mask of n columns, row by row and left to right, and the row of each
+    run (None for a single row).  The mask is unpacked in whole bytes a
+    row, whose columns past n hold no end."""
+    m = len(ends)
+    width = 8 * -(-n // 8)
+    cells = np.unpackbits(ends.astype(">u8").view(np.uint8)[:, : width // 8])
+    at = np.flatnonzero(cells.view(np.bool_))  # flatnonzero is twice as fast on bool
+    rows = None
+    if m > 1:
+        rows = at // width
+        if width != n:
+            at -= rows * (width - n)  # the ends' columns in rows of n
+    runs = np.empty_like(at)
+    runs[0] = at[0] + 1
+    np.subtract(at[1:], at[:-1], out=runs[1:])
+    return runs, rows
 
 
 # A chunk of at least _DENSE_CELLS cells with at least one run end per
@@ -251,22 +275,24 @@ def _runs(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 # most about 8 bytes a cell from _DENSE_CELLS cells up, 1.5 MiB below.  The
 # popcounts win on rows at p = 0.5 or 0.3 and lose on short chunks, whose
 # fixed cost they raise, and on sparse ones (p = 0.1 and below), whose long
-# runs take many rounds.  The ends are counted once, over the whole chunk
-# (7 us at 2^17 cells), for the path and for a row's gamma sums.
+# runs take many rounds.  Each row's ends are counted once, a popcount of
+# its packed mask, for the path and for the gamma sums, and only on a
+# chunk of _DENSE_CELLS cells or more.
 _DENSE_CELLS = 1 << 16
 _DENSE_SPACING = 3
 
 
-def _dense(ends: np.ndarray, count: int) -> bool:
-    """Whether a chunk's end mask, with count ends, takes the popcounts: at
-    least _DENSE_CELLS cells, and one end per _DENSE_SPACING cells."""
-    return ends.size >= _DENSE_CELLS and _DENSE_SPACING * count >= ends.size
+def _dense(cells: int, counts: np.ndarray | None) -> bool:
+    """Whether a chunk of cells cells with counts run ends a row (None
+    below _DENSE_CELLS cells) takes the popcounts: at least _DENSE_CELLS
+    cells, and one end per _DENSE_SPACING cells."""
+    return cells >= _DENSE_CELLS and _DENSE_SPACING * int(counts.sum()) >= cells
 
 
-def _gamma_sums(ends: np.ndarray, count: int) -> np.ndarray:
+def _gamma_sums(ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Each row's sum of the Elias gamma lengths 2 * floor(log2 L) + 1 of
-    its runs, the rows' end masks packed (rows, words) with count ends in
-    all: the number of runs plus twice the number of runs of at least 2^j
+    its runs, the rows' end masks packed (rows, words) with counts ends a
+    row: the number of runs plus twice the number of runs of at least 2^j
     bits for every j >= 1 (Knuth, TAOCP 4A, 7.1.3).
 
     Round j moves the marks of the runs of at least 2^(j - 1) bits down
@@ -280,16 +306,17 @@ def _gamma_sums(ends: np.ndarray, count: int) -> np.ndarray:
     pair = np.stack([ends, ~ends])  # the marks, the columns without an end
     moved = np.empty_like(pair)
     words = ends.shape[-1]
-    total = np.bitwise_count(ends).sum(axis=-1, dtype=np.int64) if len(ends) > 1 else np.array([count])
+    total = counts
     shift = 1
     while True:
         q, r = divmod(shift, 64)
         if q >= words:
             break
-        # moved = pair shifted down within each row; no bit crosses a row
+        # moved = pair shifted down within each row: column i takes column
+        # i + shift, which sits r bits lower, q words on; no bit crosses a row
         if r:
-            np.right_shift(pair[..., q:], r, out=moved[..., : words - q])
-            moved[..., : words - q - 1] |= pair[..., q + 1 :] << (64 - r)
+            np.left_shift(pair[..., q:], r, out=moved[..., : words - q])
+            moved[..., : words - q - 1] |= pair[..., q + 1 :] >> (64 - r)
         else:
             moved[..., : words - q] = pair[..., q:]
         moved[..., words - q :] = 0
@@ -297,46 +324,54 @@ def _gamma_sums(ends: np.ndarray, count: int) -> np.ndarray:
         longer = np.bitwise_count(pair[0]).sum(axis=-1, dtype=np.int64)
         if not longer.any():
             break
-        total += 2 * longer
+        total = total + 2 * longer
         pair[1] &= moved[1]
         shift *= 2
     return total
 
 
+def _outer_runs(row: np.ndarray, n: int) -> tuple[int, int]:
+    """The lengths of the first and the last maximal run of one row of n
+    columns, from its packed end mask."""
+    nonzero = np.flatnonzero(row)
+    k = int(nonzero[0])
+    first = 64 * k + 65 - int(row[k]).bit_length()
+    # the last run follows the end before the last column's, if any
+    ends = int(row[-1]) & ~(1 << (63 - (n - 1) % 64))
+    k = len(row) - 1
+    if not ends and len(nonzero) > 1:
+        k = int(nonzero[-2])
+        ends = int(row[k])
+    before = 64 * k + 64 - (ends & -ends).bit_length() if ends else -1
+    return first, n - 1 - before
+
+
 class _RunLength:
     """Each row's leading bit and the Elias gamma lengths of its closed
-    runs, from the chunk's end mask: by popcounts of the packed mask on a
-    dense chunk (_gamma_sums), from its run list (_runs) on any other.
-    Several rows come in one chunk of whole rows (see _scored), where
-    every run closes.  One row may come in many chunks: the run still open
-    at a chunk's last column carries its bit and length into the next
-    chunk, whose first run it extends or, on the other bit, ends, and
-    finish closes it."""
+    runs, from the chunk's packed end mask: by popcounts on a dense chunk
+    (_gamma_sums), from its run list (_runs) on any other.  Several rows
+    come in one chunk of whole rows (see _scored), where every run closes.
+    One row may come in many chunks: the run still open at a chunk's last
+    column carries its bit and length into the next chunk, whose first run
+    it extends or, on the other bit, ends, and finish closes it."""
 
-    def __init__(self, block: np.ndarray):
+    def __init__(self, block: PackedRows):
         self.totals = 1  # the leading bit; a Python int while there is one row
         self.open_bit = self.open_len = None
 
-    def add(self, chunk: np.ndarray, c: int) -> None:
+    def add(self, chunk: PackedRows, c: int) -> None:
         ends = _ends(chunk)
-        m, n = ends.shape
-        count = np.count_nonzero(ends)
-        if _dense(ends, count):
-            packed = packed_rows(ends)
-            gamma = _gamma_sums(packed, count)
+        m, n = chunk.shape
+        counts = np.bitwise_count(ends).sum(axis=1, dtype=np.int64) if m * n >= _DENSE_CELLS else None
+        if _dense(m * n, counts):
+            gamma = _gamma_sums(ends, counts)
             if m > 1:
                 self.totals = self.totals + gamma
                 return
             gamma = int(gamma[0])
-            first = int(ends[0].argmax()) + 1
-            # the last run follows the end before the last column's, if any
-            row = packed[0]
-            row[-1] ^= np.uint64(1 << ((n - 1) % 64))
-            nonzero = np.flatnonzero(row)
-            k = int(nonzero[-1]) if nonzero.size else 0
-            last = n - 64 * k - int(row[k]).bit_length()
+            first, last = _outer_runs(ends[0], n)
         else:
-            runs, rows = _runs(ends)
+            runs, rows = _runs(ends, n)
             del ends  # before the gamma lengths, which take about 24 bytes a run
             if rows is not None:
                 gamma = np.bincount(rows, weights=_gamma_len(runs), minlength=m)
@@ -345,15 +380,16 @@ class _RunLength:
             gamma = 2 * int(np.frexp(runs)[1].sum()) - runs.size  # the sum of _gamma_len(runs)
             first, last = int(runs[0]), int(runs[-1])
         closed = gamma - elias_gamma_len(last)  # the runs but the last, as they stand
+        row = chunk.words[0]
         if self.open_len is not None:
-            if chunk[0, 0] != self.open_bit:  # the chunk's first run ends it
+            if int(row[0]) >> 63 != self.open_bit:  # the chunk's first run ends it
                 closed += elias_gamma_len(self.open_len)
             elif first < n:  # it extends the chunk's first run, which ends
                 closed += elias_gamma_len(first + self.open_len) - elias_gamma_len(first)
             else:  # it extends the chunk's one run, still open
                 last += self.open_len
         self.totals += closed
-        self.open_bit, self.open_len = chunk[0, -1], last
+        self.open_bit, self.open_len = int(row[-1]) >> (63 - (n - 1) % 64) & 1, last
 
     def finish(self, m: int) -> Lengths:
         totals = self.totals
@@ -369,46 +405,49 @@ def _periodic_cost(n: int, p, mismatches):
     return _gamma_len(p) + p + _gamma_len(mismatches + 1) + mismatches * ceil_log2(n + 1)
 
 
-# For p = 1 .. 64: p as a uint64, the mask of a pattern's p bits, the
-# repunit sum of 2^(jp) over jp < 64, which tiles p bits over a word by one
-# multiply, the p * (64 // p) bits of the whole copies, and the number
-# p / gcd(p, 64) of words after which a row of period p repeats.
-_PERIODS = np.arange(1, 65, dtype=np.uint64)
-_MASKS = np.array([(1 << p) - 1 for p in range(1, 65)], dtype=np.uint64)
-_REPUNITS = np.array([sum(1 << j for j in range(0, 64, p)) for p in range(1, 65)], dtype=np.uint64)
-_SPANS = np.array([p * (64 // p) for p in range(1, 65)], dtype=np.uint64)
+# For p = 1 .. 64, as uint64 of shape (64, 1, 1): p; the repunit sum of
+# 2^(jp) over jp < 64, which tiles p bits over a word by one multiply; the
+# p * (64 // p) bits s of the whole copies; and the shifts 64 - p, 64 - s
+# and p + s - 64 of _tiled_words.  Then the number p / gcd(p, 64) of words
+# after which a row of period p repeats.
+_PERIODS = np.arange(1, 65, dtype=np.uint64)[:, None, None]
+_REPUNITS = np.array([sum(1 << j for j in range(0, 64, p)) for p in range(1, 65)], dtype=np.uint64)[:, None, None]
+_SPANS = 64 // _PERIODS * _PERIODS
+_HEADS, _COPIES, _RESTS = 64 - _PERIODS, 64 - _SPANS, _PERIODS + _SPANS - 64
 _CYCLES = [p // math.gcd(p, 64) for p in range(1, 65)]
 
 
 def _tiled_words(pattern: np.ndarray, periods: range, c: int, words: int) -> np.ndarray:
-    """(periods, words, rows) uint64: each row's first p bits, for every
+    """(periods, words, rows) uint64: each row's first p columns, for every
     period p in periods (1 <= p <= 64), tiled over the packed words from
-    column c on, least-significant bit first, pattern being the rows' first
-    bits packed in one uint64 each.
+    column c on, pattern being each row's first packed word (at least its
+    first p columns; any columns after them are ignored).
 
-    The p bits times the repunit of p are the tiled bits from column 0, a
-    word t whose bit j is pattern bit j mod p: the copies do not overlap,
-    so the product carries nothing.  Word k starts at the phase
-    f = (c + 64k) mod p, so its tiled bits are t rotated by f within its
-    s = p * (64 // p) bits of whole copies, (t >> f) | (t << (s - f))
-    (Warren, Hacker's Delight, 2nd ed., ch. 2).  The words repeat every
-    p / gcd(p, 64); for more words the formula builds that many and
-    run - 1 more, run = 64 // rows (at least 1), and one gather lays them
-    out run by run: the run from word k on equals the built words from
-    k mod (p / gcd(p, 64)) on.  The rows come last, so that many short
-    rows make long inner loops."""
+    The first p columns are the p-bit number v = pattern >> (64 - p), and
+    v times the repunit of p has its copies at bits 0, p, 2p, ...: the
+    copies do not overlap, so the product carries nothing.  Its s = p *
+    (64 // p) low bits of whole copies, moved to the top, are columns
+    0 .. s - 1 of the tiling, and the first 64 - s columns of v fill the
+    rest: u = (v * repunit << (64 - s)) | (v >> (p + s - 64)), the word
+    at column 0.  Word k starts at the phase f = (c + 64k) mod p, so it is
+    u rotated by f within its s columns of whole copies,
+    (u << f) | (u >> (s - f)) (Warren, Hacker's Delight, 2nd ed., ch. 2).
+    The words repeat every p / gcd(p, 64); for more words the formula
+    builds that many and run - 1 more, run = 64 // rows (at least 1), and
+    one gather lays them out run by run: the run from word k on equals the
+    built words from k mod (p / gcd(p, 64)) on.  The rows come last, so
+    that many short rows make long inner loops."""
     m = len(pattern)
     top = len(periods)
     at = slice(periods.start - 1, periods.stop - 1)
+    first = pattern >> _HEADS[at]
+    tiled = first * _REPUNITS[at] << _COPIES[at]  # a shift by 64 gives 0 in numpy
+    tiled |= first >> _RESTS[at]
     run = max(1, 64 // m)
     built = min(words, max(_CYCLES[at]) + run - 1)
-    tiled = np.empty((top, built, m), dtype=np.uint64)
-    np.bitwise_and(pattern, _MASKS[at, None, None], out=tiled)
-    tiled *= _REPUNITS[at, None, None]
-    phase = np.arange(c, c + 64 * built, 64, dtype=np.uint64)[:, None] % _PERIODS[at, None, None]
-    rotated = tiled >> phase
-    tiled <<= _SPANS[at, None, None] - phase  # a shift by 64 gives 0 in numpy
-    rotated |= tiled
+    phase = np.arange(c, c + 64 * built, 64, dtype=np.uint64)[:, None] % _PERIODS[at]
+    rotated = tiled << phase
+    rotated |= tiled >> (_SPANS[at] - phase)
     if built == words:
         return rotated
     starts = np.arange(0, words, run) % np.array(_CYCLES[at])[:, None]
@@ -417,34 +456,38 @@ def _tiled_words(pattern: np.ndarray, periods: range, c: int, words: int) -> np.
     return runs[np.arange(top)[:, None], starts].reshape(top, -1, m)[:, :words]
 
 
-def _mismatch_counts(pattern: np.ndarray, top: int, chunk: np.ndarray, c: int) -> np.ndarray:
+def _mismatch_counts(pattern: np.ndarray, top: int, chunk: PackedRows, c: int) -> np.ndarray:
     """(rows, periods) counts of the columns of chunk, which start at column
-    c of its rows, that differ from each row's first p bits tiled over the
-    row, for every period p = 1 .. top <= 64, pattern being the rows' first
-    top bits packed in one uint64 each: the popcounts of the chunk's packed
-    words xor _tiled_words, the chunk's padding masked out (Warren, ch. 5).
-    The counts are a transposed (periods, rows) array, whose minimum over
-    the periods is one elementwise pass."""
-    w = chunk.shape[1]
-    words = -(-w // 64)
+    c of its rows, that differ from each row's first p columns tiled over
+    the row, for every period p = 1 .. top <= 64, pattern being each row's
+    first packed word: the popcounts of the chunk's words xor
+    _tiled_words, the chunk's padding masked out (Warren, ch. 5).  The
+    counts are a transposed (periods, rows) array, whose minimum over the
+    periods is one elementwise pass."""
+    words = chunk.words.shape[1]
     tiled = _tiled_words(pattern, range(1, top + 1), c, words)
-    tiled ^= packed_rows(chunk).T
-    if w % 64:  # the chunk's padding is zero, the pattern's is not
-        tiled[:, words - 1] &= _MASKS[w % 64 - 1]
+    tiled ^= chunk.words.T
+    if chunk.n % 64:  # the chunk's padding is zero, the pattern's is not
+        tiled[:, words - 1] &= _LEADING[chunk.n % 64]
     return np.bitwise_count(tiled).sum(axis=1, dtype=np.int32).T
 
 
 class _Periodic:
-    """Each row's mismatch counts against its first p bits tiled over the
-    row, for every period p <= min(p_max, n), summed over the chunks; the
-    first m columns score the periods p <= min(p_max, m) only."""
+    """Each row's mismatch counts against its first p columns tiled over
+    the row, for every period p <= min(p_max, n), summed over the chunks;
+    the first m columns score the periods p <= min(p_max, m) only.  The
+    pattern is the rows' first packed word, which the chunks that start
+    before column 64 fill in: a chunk's columns are tiled from columns
+    before its end only."""
 
-    def __init__(self, block: np.ndarray, p_max: int = P_MAX):
+    def __init__(self, block: PackedRows, p_max: int = P_MAX):
         self.periods = np.arange(1, min(p_max, block.shape[1]) + 1)
-        self.pattern = packed_rows(block[:, : len(self.periods)])[:, 0]
-        self.counts = None
+        self.pattern = self.counts = None
 
-    def add(self, chunk: np.ndarray, c: int) -> None:
+    def add(self, chunk: PackedRows, c: int) -> None:
+        if c < 64:
+            head = chunk.words[:, 0] >> c
+            self.pattern = head if c == 0 else self.pattern | head
         counts = _mismatch_counts(self.pattern, len(self.periods), chunk, c)
         # a chunk's int32 counts, summed in int64 over several chunks
         self.counts = counts if self.counts is None else np.add(self.counts, counts, dtype=np.int64)
@@ -468,17 +511,21 @@ class _PairShell:
     chunk's first bit completes the block; finish leaves it out, as the odd
     trailing bit of the prefix."""
 
-    def __init__(self, block: np.ndarray):
+    def __init__(self, block: PackedRows):
         self.tallies = 0
         self.unpaired = None  # each row's bit at the last column in, on a block's first bit
 
-    def add(self, chunk: np.ndarray, c: int) -> None:
+    def add(self, chunk: PackedRows, c: int) -> None:
         if self.unpaired is not None:
-            pair = 2 * self.unpaired + chunk[:, 0]
+            pair = 2 * self.unpaired + chunk.column(0)
             self.tallies = self.tallies + (pair[:, None] == np.arange(4))
-            chunk = chunk[:, 1:]
+            self.unpaired = None
+            if chunk.n == 1:
+                return
+            chunk = chunk.columns(1, chunk.n)
         self.tallies = self.tallies + block_tallies(chunk)
-        self.unpaired = chunk[:, -1] if chunk.shape[1] % 2 else None
+        if chunk.n % 2:
+            self.unpaired = chunk.column(chunk.n - 1)
 
     def finish(self, m: int) -> Lengths:
         nb, tail = divmod(m, 2)
@@ -504,7 +551,7 @@ class _ModelClass:
     """Every model_class member's kernel, or those of the members with a
     concrete code only, fed the same chunks."""
 
-    def __init__(self, block: np.ndarray, concrete_only: bool = False):
+    def __init__(self, block: PackedRows, concrete_only: bool = False):
         self.rows = len(block)
         self.members = {
             j: _CODERS[name].kernel(block)
@@ -512,7 +559,7 @@ class _ModelClass:
             if not concrete_only or _CODERS[name].encode is not None
         }
 
-    def add(self, chunk: np.ndarray, c: int) -> None:
+    def add(self, chunk: PackedRows, c: int) -> None:
         for member in self.members.values():
             member.add(chunk, c)
 
@@ -537,26 +584,38 @@ class _ModelClass:
         return MODEL_TAG_BITS + ideal.min(axis=1), MODEL_TAG_BITS + concrete.min(axis=1), tag
 
 
-def _scored(kernel, bits: np.ndarray, cuts: Sequence[int] | None = None):
-    """(kernel(block), m) for every block of rows of bits, the kernel fed
-    the block's columns once, in chunks from left to right, and yielded
-    after the columns 0 .. m - 1 of every cut m in the strictly increasing
-    cuts: after the block's last column, m = n, by default.  Cuts are for
-    one row only.  A chunk holds at most _CHUNK_BYTES // 8 cells: whole
-    rows while a row fits, else one row in chunks of a multiple of 64
-    columns (64 at least).  A chunk ends at each cut, at any column."""
-    m, n = bits.shape
-    cells = _CHUNK_BYTES // 8
-    rows = max(1, cells // n)
-    width = n if n <= cells else max(64, cells - cells % 64)
+def _blocks(source) -> Iterator[PackedRows]:
+    """The rows of source in blocks, packed: a BitWord's packed words as
+    its one row, or a 0/1 matrix's rows, at most _CHUNK_BYTES // 8 cells a
+    block while a row fits (one row at least), each block packed once."""
+    if isinstance(source, BitWord):
+        yield PackedRows(source.packed[None], source.n)
+        return
+    m, n = source.shape
+    rows = max(1, _CHUNK_BYTES // 8 // n)
     for first in range(0, m, rows):
-        block = bits[first : first + rows]
+        yield PackedRows.of(source[first : first + rows])
+
+
+def _scored(kernel, source, cuts: Sequence[int] | None = None):
+    """(kernel(block), m) for every block of rows of source, a BitWord or a
+    0/1 matrix (see _blocks), the kernel fed the block's columns once, in
+    packed chunks from left to right, and yielded after the columns
+    0 .. m - 1 of every cut m in the strictly increasing cuts: after the
+    block's last column, m = n, by default.  Cuts are for one row only.  A
+    chunk holds at most _CHUNK_BYTES // 8 cells: whole rows while a row
+    fits, else one row in chunks of a multiple of 64 columns (64 at least),
+    slices of the row's words.  A chunk ends at each cut, at any column."""
+    cells = _CHUNK_BYTES // 8
+    for block in _blocks(source):
+        n = block.n
+        width = n if n <= cells else max(64, cells - cells % 64)
         scorer = kernel(block)
         c = 0
         for cut in cuts or (n,):
             while c < cut:
                 end = min(cut, c + width)
-                scorer.add(block[:, c:end], c)
+                scorer.add(block.columns(c, end), c)
                 c = end
             yield scorer, cut
 
@@ -568,18 +627,19 @@ def _joined(parts: list[Lengths]) -> Lengths:
     return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
 
 
-def _lengths(kernel, bits: np.ndarray, cuts: Sequence[int] | None = None) -> Lengths:
-    """The Lengths of every row of bits, or of one row's prefix at every cut."""
-    return _joined([scorer.finish(m) for scorer, m in _scored(kernel, bits, cuts)])
+def _lengths(kernel, source, cuts: Sequence[int] | None = None) -> Lengths:
+    """The Lengths of every row of source, or of one row's prefix at every cut."""
+    return _joined([scorer.finish(m) for scorer, m in _scored(kernel, source, cuts)])
 
 
-def _periodic_scan(bits: np.ndarray, p_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cost, period) of every row minimizing the periodic cost over
-    p <= min(p_max, n); the smallest period wins ties.  A pattern is one
-    uint64 word, so p_max is at most 64."""
+def _periodic_scan(source, p_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cost, period) of every row of source, a BitWord or a 0/1 matrix,
+    minimizing the periodic cost over p <= min(p_max, n); the smallest
+    period wins ties.  A pattern is one uint64 word, so p_max is at most
+    64."""
     if not 1 <= p_max <= 64:
         raise ValueError(f"the periodic scan takes 1 <= p_max <= 64, not {p_max}")
-    scans = [scorer.scan(n) for scorer, n in _scored(partial(_Periodic, p_max=p_max), bits)]
+    scans = [scorer.scan(n) for scorer, n in _scored(partial(_Periodic, p_max=p_max), source)]
     return tuple(np.concatenate(part) for part in zip(*scans))
 
 
@@ -622,17 +682,18 @@ def kind_lengths(coder: CoderId, bits, kind: str, cuts: Sequence[int] | None = N
     last cut, plus one finish(m) per cut.  A BitWord, already checked,
     reaches it as its one row."""
     kernel = length_kernel(coder, kind)
-    rows = bits.bits[None] if isinstance(bits, BitWord) else _matrix(bits)
+    source = bits if isinstance(bits, BitWord) else _matrix(bits)
     if cuts is not None:
-        if len(rows) != 1:
+        rows, n = (1, source.n) if isinstance(source, BitWord) else source.shape
+        if rows != 1:
             raise ValueError("prefix cuts take a single word")
-        cuts = _prefix_points(cuts, rows.shape[1])
-    ideal, concrete, _ = _lengths(kernel, rows, cuts)
+        cuts = _prefix_points(cuts, n)
+    ideal, concrete, _ = _lengths(kernel, source, cuts)
     return ideal if kind == "ideal" else concrete
 
 
 def _one_row(coder: CoderId, word: BitWord) -> CodeResult:
-    ideal, concrete, tag = _lengths(_CODERS[coder.name].kernel, word.bits[None])
+    ideal, concrete, tag = _lengths(_CODERS[coder.name].kernel, word)
     return CodeResult(
         coder,
         float(ideal[0]),
@@ -688,8 +749,8 @@ def _decode_literal(n: int, reader: BitReader) -> BitWord:
 
 def _encode_run_length(word: BitWord) -> np.ndarray:
     out = BitWriter()
-    out.write_bit(word[0])
-    out.write_elias_gammas(_runs(_ends(word.bits[None]))[0])
+    out.write_bit(int(word.packed[0]) >> 63)
+    out.write_elias_gammas(_runs(_ends(PackedRows(word.packed[None], word.n)), word.n)[0])
     return out.getvalue()
 
 
@@ -703,22 +764,17 @@ def _decode_run_length(n: int, reader: BitReader) -> BitWord:
 
 
 def _encode_periodic(word: BitWord) -> np.ndarray:
-    return _periodic_codeword(word, int(_periodic_scan(word.bits[None], P_MAX)[1][0]))
-
-
-def _unpacked(words: np.ndarray, n: int) -> np.ndarray:
-    """The first n bits of packed words, least-significant bit first."""
-    return np.unpackbits(words.astype("<u8", copy=False).reshape(-1).view(np.uint8), count=n, bitorder="little")
+    return _periodic_codeword(word, int(_periodic_scan(word, P_MAX)[1][0]))
 
 
 def _periodic_codeword(word: BitWord, p: int) -> np.ndarray:
     """The periodic codeword of the word with period p."""
-    n = word.n
-    tiled = _tiled_words(packed_rows(word.bits[None, :p])[:, 0], range(p, p + 1), 0, -(-n // 64))
-    positions = np.flatnonzero(word.bits != _unpacked(tiled, n))
+    n, packed = word.n, word.packed
+    tiled = _tiled_words(packed[:1], range(p, p + 1), 0, len(packed))
+    positions = np.flatnonzero(unpacked(tiled.reshape(-1) ^ packed, n).view(np.bool_))  # flatnonzero is faster on bool
     out = BitWriter()
     out.write_elias_gamma(p)
-    out.write_bits(word.bits[:p])
+    out.write_bits(unpacked(packed[:1], p))
     out.write_elias_gamma(positions.size + 1)
     out.write_uints(positions, ceil_log2(n + 1))
     return out.getvalue()
@@ -734,13 +790,13 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
     if r and positions.max() >= n:
         pos = positions[np.argmax(positions >= n)]
         raise DecodeError(f"mismatch position {pos} out of range")
-    bits = _unpacked(_tiled_words(pattern, range(p, p + 1), 0, -(-n // 64)), n)
+    bits = unpacked(_tiled_words(pattern, range(p, p + 1), 0, -(-n // 64)), n)
     np.bitwise_xor.at(bits, positions, 1)  # a position listed twice flips back
     return BitWord._owning(bits.view(np.bool_))  # the reader holds 0/1 only
 
 
 def _encode_model_class(word: BitWord) -> np.ndarray:
-    ((scored, n),) = _scored(length_kernel(CoderId("model_class"), "concrete"), word.bits[None])
+    ((scored, n),) = _scored(length_kernel(CoderId("model_class"), "concrete"), word)
     _, concrete = scored.member_lengths(n)
     best = int(np.argmin(concrete[0]))  # the first shortest concrete member
     name = MODEL_MEMBERS[best]

@@ -5,7 +5,9 @@ raw       every byte expands to 8 bits, most-significant-bit first
 hex       hexadecimal text for the same byte expansion
 
 read_word reads a word from a path (None or "-" for standard input) and
-parse_word decodes it; an optional bit cap truncates after expansion.
+parse_word decodes it; an optional bit cap truncates after expansion.  A
+raw or hex payload becomes the word's packed words (BitWord.from_bytes),
+1/8 byte a bit, and is never unpacked to one byte a bit.
 """
 
 from __future__ import annotations
@@ -38,20 +40,19 @@ def parse_word(payload: bytes, fmt: str, max_bits: int | None = None) -> BitWord
         if not cleaned:
             raise ValueError("empty input")
         bits = np.frombuffer(cleaned, dtype=np.uint8) - ord("0")
-    elif fmt == "raw":
-        if not payload:
-            raise ValueError("empty input")
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+        if max_bits is not None and max_bits < bits.size:
+            bits = bits[:max_bits].copy()  # a short word does not pin the whole buffer
+        return BitWord._owning(bits)
+    if fmt == "raw":
+        data = payload
     elif fmt == "hex":
-        text = "".join(payload.decode("ascii", errors="strict").split())
-        if not text:
-            raise ValueError("empty input")
-        bits = np.unpackbits(np.frombuffer(bytes.fromhex(text), dtype=np.uint8))
+        data = bytes.fromhex("".join(payload.decode("ascii", errors="strict").split()))
     else:
         raise ValueError(f"unknown input format {fmt!r}")
-    if max_bits is not None and max_bits < bits.size:
-        bits = bits[:max_bits].copy()  # a short word does not pin the whole buffer
-    return BitWord._owning(bits)
+    if not data:
+        raise ValueError("empty input")
+    n = 8 * len(data)
+    return BitWord.from_bytes(data, n if max_bits is None else min(n, max_bits))
 
 
 def read_word(path: str | None, fmt: str = "ascii01", max_bits: int | None = None) -> BitWord:

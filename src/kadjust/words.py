@@ -1,15 +1,29 @@
 """Binary words and the empirical tallies derived from them.
 
-A BitWord is an immutable sequence of 0/1 symbols.  Everything downstream
-(entropy baselines, coders, tests) consumes either a BitWord or one of the
-tallies defined here: aligned-pair counts for a pair of words, and the
-disjoint 2-bit block counts of every row of a bit matrix (block_tallies).
-as_bits (and bit_bytes, its form for bitstreams) is the package's one check
-that an array holds only 0/1 values.
+A BitWord is an immutable sequence of 0/1 symbols held as packed words:
+64 columns to a uint64, most-significant bit first, the order in which
+np.packbits fills a byte, so that column i is bit 63 - i % 64 of word
+i // 64 and the bits past the last column are zero.  A raw or hex payload
+is in that order already, so BitWord.from_bytes makes its words with one
+byte swap, at 1/8 byte a bit; a word built from a 0/1 array is packed
+when it is built.  n, the weight (a popcount), equality, hashing and
+prefixes read the packed words.  The 0/1 view (bits, tolist(), one byte a
+bit) is the array a word was built from, if it was; else it is unpacked
+on first use and kept.
+
+packed_rows packs every row of a 0/1 matrix in that layout, one row of
+words per row.  PackedRows is such a matrix with its column count: the
+blocks and chunks the length kernels (coders) read, cut at any column by
+PackedRows.columns.  Everything downstream consumes a BitWord, a
+PackedRows or one of the tallies defined here: aligned-pair counts for a
+pair of words, and the disjoint 2-bit block counts of every packed row
+(block_tallies).  as_bits (and bit_bytes, its form for bitstreams) is the
+package's one check that an array holds only 0/1 values.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -58,20 +72,123 @@ def _word_bits(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class BitWord:
-    """Immutable finite binary word of length >= 1."""
+def _native(packed: np.ndarray) -> np.ndarray:
+    """uint8 packed bytes, a multiple of 8 of them, as native uint64 words
+    whose most-significant bit is the first: one byte swap, in place."""
+    words = packed.view(np.uint64)
+    return words.byteswap(inplace=True) if sys.byteorder == "little" else words
 
-    __slots__ = ("_bits",)
+
+# _LEADING[j]: the mask of a packed word's first j columns, j = 0 .. 64.
+_LEADING = np.array([((1 << j) - 1) << (64 - j) for j in range(65)], dtype=np.uint64)
+
+
+def packed_rows(bits: np.ndarray) -> np.ndarray:
+    """(rows, words) uint64: every row of a 0/1 uint8 matrix packed 64 bits
+    to a word, most-significant bit first, so that column i of a row is
+    bit 63 - i % 64 of its word i // 64, in the fewest words that hold a
+    row, the last word's unused bits zero.  A single row is packed as it
+    is; many rows, which np.packbits(axis=1) takes one at a time, are
+    padded to whole words first and packed in one call."""
+    m, n = bits.shape
+    words = -(-n // 64)
+    if m == 1:
+        packed = np.zeros(8 * words, dtype=np.uint8)
+        packed[: -(-n // 8)] = np.packbits(bits)
+    else:
+        padded = np.zeros((m, 64 * words), dtype=np.uint8)
+        padded[:, :n] = bits
+        packed = np.packbits(padded)
+    return _native(packed).reshape(m, words)
+
+
+def unpacked(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n columns of packed words, of any shape read in order, as
+    a uint8 0/1 array."""
+    return np.unpackbits(words.astype(">u8").reshape(-1).view(np.uint8), count=n)
+
+
+class PackedRows:
+    """Rows of n columns packed as packed_rows packs them: words[rows,
+    ceil(n / 64)], the bits past column n zero.  The words may be a
+    read-only view, and nothing writes them."""
+
+    __slots__ = ("words", "n")
+
+    def __init__(self, words: np.ndarray, n: int):
+        self.words = words
+        self.n = n
+
+    @classmethod
+    def of(cls, bits: np.ndarray) -> "PackedRows":
+        """The rows of a 0/1 uint8 matrix, packed."""
+        return cls(packed_rows(bits), bits.shape[1])
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.words), self.n
+
+    def column(self, i: int) -> np.ndarray:
+        """Every row's bit at column i, as int64."""
+        return ((self.words[:, i // 64] >> (63 - i % 64)) & 1).view(np.int64)
+
+    def columns(self, start: int, stop: int) -> "PackedRows":
+        """The columns start .. stop - 1 of every row, packed from column 0
+        on: a slice of the words when start is a multiple of 64, else every
+        word shifted up by start % 64 columns with the next word's first
+        columns carried in; the last word is masked where stop falls inside
+        it before the rows end."""
+        if start == 0 and stop == self.n:
+            return self
+        q, r = divmod(start, 64)
+        width = stop - start
+        count = -(-width // 64)
+        words = self.words[:, q : q + count]
+        if r:
+            words = words << r
+            carry = self.words[:, q + 1 : q + count + 1]
+            words[:, : carry.shape[1]] |= carry >> (64 - r)
+        if width % 64 and stop < self.n:  # the columns past stop may be set
+            if not r:
+                words = words.copy()
+            words[:, -1] &= _LEADING[width % 64]
+        return PackedRows(words, width)
+
+
+class BitWord:
+    """Immutable finite binary word of length >= 1: its packed words and,
+    once built from it or asked for, its 0/1 view (see the module
+    docstring)."""
+
+    __slots__ = ("_n", "_packed", "_bits")
 
     def __init__(self, bits: Iterable[int] | np.ndarray):
-        self._bits = _word_bits(np.array(as_bits(bits)))  # a copy the caller cannot write to
+        self._hold(np.array(as_bits(bits)))  # a copy the caller cannot write to
 
     @classmethod
     def _owning(cls, bits: np.ndarray) -> "BitWord":
         """The word of a 0/1 array the package has just built and holds no
         other reference to: checked and made read-only, but not copied."""
         word = cls.__new__(cls)
-        word._bits = _word_bits(as_bits(bits))
+        word._hold(as_bits(bits))
+        return word
+
+    def _hold(self, bits: np.ndarray) -> None:
+        self._bits = _word_bits(bits)
+        self._n = bits.size
+        self._packed = packed_rows(bits[None])[0]
+        self._packed.setflags(write=False)
+
+    @classmethod
+    def _from_packed(cls, packed: np.ndarray, n: int) -> "BitWord":
+        """The word of the first n >= 1 columns of one row of packed words,
+        whose bits past n are zero: made read-only, but not copied."""
+        word = cls.__new__(cls)
+        packed.setflags(write=False)
+        word._n, word._packed, word._bits = n, packed, None
         return word
 
     @classmethod
@@ -88,49 +205,73 @@ class BitWord:
             raise ValueError("value out of range for word length")
         return cls(np.array([(value >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8))
 
+    @classmethod
+    def from_bytes(cls, data: bytes, n: int) -> "BitWord":
+        """The word of the first n bits of data, each byte most-significant
+        bit first, packed without unpacking."""
+        if not 1 <= n <= 8 * len(data):
+            raise ValueError(f"a word of {n} bits does not fit {len(data)} bytes")
+        data = data[: -(-n // 8)]  # a short word does not copy the whole payload
+        packed = np.zeros(8 * -(-len(data) // 8), dtype=np.uint8)
+        packed[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+        words = _native(packed)
+        words[-1] &= _LEADING[n % 64 or 64]
+        return cls._from_packed(words, n)
+
+    @property
+    def packed(self) -> np.ndarray:
+        """The packed words, read-only."""
+        return self._packed
+
     @property
     def bits(self) -> np.ndarray:
+        """The 0/1 view, one uint8 a bit, read-only."""
+        if self._bits is None:
+            bits = unpacked(self._packed, self._n)
+            bits.setflags(write=False)
+            self._bits = bits
         return self._bits
 
     @property
     def n(self) -> int:
-        return self._bits.size
+        return self._n
 
     @property
     def weight(self) -> int:
-        return int(np.count_nonzero(self._bits))
+        return int(np.bitwise_count(self._packed).sum())
 
     def prefix(self, m: int) -> "BitWord":
-        if not 1 <= m <= self.n:
+        if not 1 <= m <= self._n:
             raise ValueError("prefix length out of range")
-        return BitWord(self._bits[:m])
+        words = PackedRows(self._packed[None], self._n).columns(0, m).words[0]
+        return BitWord._from_packed(words.copy(), m)  # a short prefix does not pin the word
 
     def to01(self) -> str:
-        return self._bits.tobytes().translate(bytes.maketrans(b"\x00\x01", b"01")).decode("ascii")
+        return self.bits.tobytes().translate(bytes.maketrans(b"\x00\x01", b"01")).decode("ascii")
 
     def tolist(self) -> list[int]:
-        return self._bits.tolist()
+        return self.bits.tolist()
 
     def __len__(self) -> int:
-        return self._bits.size
+        return self._n
 
     def __getitem__(self, i: int) -> int:
-        return int(self._bits[i])
+        return int(self.bits[i])
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._bits.tolist())
+        return iter(self.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitWord):
             return NotImplemented
-        return self._bits.size == other._bits.size and bool(np.all(self._bits == other._bits))
+        return self._n == other._n and np.array_equal(self._packed, other._packed)
 
     def __hash__(self) -> int:
-        return hash((self._bits.size, self._bits.tobytes()))
+        return hash((self._n, self._packed.tobytes()))
 
     def __repr__(self) -> str:
-        s = self.to01()
-        if len(s) > 64:
+        s = self.prefix(min(self._n, 64)).to01()
+        if self._n > 64:
             s = s[:61] + "..."
         return f"BitWord({s!r}, n={self.n})"
 
@@ -157,52 +298,38 @@ class PairCounts:
     def from_words(cls, x: BitWord, y: BitWord) -> "PairCounts":
         if x.n != y.n:
             raise ValueError(f"length mismatch: {x.n} vs {y.n}")
-        cells = np.bincount(2 * x.bits.astype(np.intp) + y.bits, minlength=4)
-        return cls(*(int(c) for c in cells))
+        c11 = int(np.bitwise_count(x.packed & y.packed).sum())
+        wx, wy = x.weight, y.weight
+        return cls(x.n - wx - wy + c11, wy - c11, wx - c11, c11)
 
     @property
     def n(self) -> int:
         return self.c00 + self.c01 + self.c10 + self.c11
 
 
-def packed_rows(bits: np.ndarray) -> np.ndarray:
-    """(rows, words) uint64: every row of a 0/1 uint8 matrix packed 64 bits
-    to a word, least-significant bit first, so that column i of a row is
-    bit i % 64 of its word i // 64, in the fewest words that hold a row,
-    the last word's unused bits zero.  One row is packed as it is; many
-    rows, which np.packbits(axis=1) takes one at a time, are padded to
-    whole words first and packed in one call."""
-    m, n = bits.shape
-    words = -(-n // 64)
-    if m == 1:
-        packed = np.zeros(8 * words, dtype=np.uint8)
-        packed[: -(-n // 8)] = np.packbits(bits, bitorder="little")
-        return packed.view("<u8")[None]
-    padded = np.zeros((m, 64 * words), dtype=np.uint8)
-    padded[:, :n] = bits
-    return np.packbits(padded, bitorder="little").view("<u8").reshape(m, words)
+# In a packed word the columns at even positions of the row, the first
+# bits of 2-bit blocks, take the mask 0xAA of every byte, those at odd
+# positions 0x55.
+_FIRST = np.uint64(0xAAAAAAAAAAAAAAAA)
+_SECOND = np.uint64(0x5555555555555555)
 
 
-# In a packed word the bits at even positions of the row take the mask
-# 0x55 of every byte, those at odd positions 0xAA.
-_EVEN = np.uint64(0x5555555555555555)
-_ODD = np.uint64(0xAAAAAAAAAAAAAAAA)
-
-
-def block_tallies(bits: np.ndarray) -> np.ndarray:
+def block_tallies(rows: PackedRows) -> np.ndarray:
     """(rows, 4) counts of the disjoint 2-bit blocks 00, 01, 10, 11 of every
-    row of a 0/1 uint8 matrix, left-aligned; an odd trailing bit is left out.
+    packed row, left-aligned; an odd trailing bit is left out.
 
     They follow from three counts per row: the ones at even positions
     (first bits of blocks), the ones at odd positions and their AND
     (blocks 11), each a popcount of the packed row under a mask.
     """
-    nb = bits.shape[1] // 2
-    w = packed_rows(bits[:, : 2 * nb])
-    masked = np.empty((3,) + w.shape, dtype=np.uint64)
-    np.bitwise_and(w, _EVEN, out=masked[0])
-    np.bitwise_and(w, _ODD, out=masked[1])
-    np.left_shift(w, 1, out=masked[2])  # each block's first bit onto its second
+    words, n = rows.words, rows.n
+    masked = np.empty((3,) + words.shape, dtype=np.uint64)
+    np.bitwise_and(words, _FIRST, out=masked[0])
+    np.bitwise_and(words, _SECOND, out=masked[1])
+    np.right_shift(words, 1, out=masked[2])  # each block's first bit onto its second
     masked[2] &= masked[1]
     first, second, both = np.bitwise_count(masked).sum(axis=2, dtype=np.int64)
+    if n % 2:
+        first -= rows.column(n - 1)
+    nb = n // 2
     return np.stack([nb - first - second + both, second - both, first - both, both], axis=1)

@@ -36,10 +36,9 @@ from kadjust.coders import (
     _periodic_cost,
     _periodic_scan,
     _tiled_words,
-    _unpacked,
     is_concrete,
 )
-from kadjust.words import packed_rows
+from kadjust.words import packed_rows, unpacked
 
 from conftest import WORD35_STR, all_words
 
@@ -169,7 +168,7 @@ class TestLengthKernelsBruteForce:
         index = np.arange(n)
         tiled = _tiled_words(packed_rows(bits[None, :P_MAX])[:, 0], range(1, P_MAX + 1), 0, -(-n // 64))
         for p in range(1, P_MAX + 1):
-            assert np.array_equal(_unpacked(tiled[p - 1], n), bits[index % p]), p
+            assert np.array_equal(unpacked(tiled[p - 1], n), bits[index % p]), p
         word = BitWord(bits)
         coder = CoderId("periodic")
         for p_max in (1, P_MAX):
@@ -192,9 +191,9 @@ class TestLengthKernelsBruteForce:
         bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
         for p in (1, min(n, P_MAX)):
             pattern = packed_rows(bits[None, :p])[:, 0]
-            tiled = _unpacked(_tiled_words(pattern, range(p, p + 1), 0, -(-n // 64)), n)
+            tiled = unpacked(_tiled_words(pattern, range(p, p + 1), 0, -(-n // 64)), n)
             assert np.array_equal(tiled, bits[np.arange(n) % p]), p
-            later = _unpacked(_tiled_words(pattern, range(p, p + 1), 64, 1), 64)
+            later = unpacked(_tiled_words(pattern, range(p, p + 1), 64, 1), 64)
             assert np.array_equal(later, bits[:p][np.arange(64, 128) % p]), p
 
     @pytest.mark.parametrize("p_max", [1, 3, 32])

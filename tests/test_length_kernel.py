@@ -13,6 +13,7 @@ from kadjust import CODER_NAMES, BitWord, CoderId, adjusted, code_lengths, code_
 from kadjust import coders
 from kadjust.bitio import elias_gamma_len
 from kadjust.coders import MODEL_MEMBERS, MODEL_TAG_BITS, encode_word, kind_lengths
+from kadjust.words import PackedRows
 
 CODERS = [CoderId(name) for name in CODER_NAMES]
 
@@ -308,10 +309,11 @@ class TestPeriodicFormula:
         for n, widths in ((2100, (1, 13, 63, 65, 1000)), (13000, (1000, 6500))):
             for row in (rng.integers(0, 2, n, dtype=np.uint8), self.planted(rng, n, p_max)):
                 want = [ref_periodic(row.tolist(), p_max)[1]]
+                block = PackedRows.of(row[None])
                 for width in widths:
-                    kernel = coders._Periodic(row[None], p_max)
+                    kernel = coders._Periodic(block, p_max)
                     for c in range(0, n, width):
-                        kernel.add(row[None, c : c + width], c)
+                        kernel.add(block.columns(c, min(n, c + width)), c)
                     assert kernel.scan(n)[0].tolist() == want, (n, width)
 
     @pytest.mark.parametrize("p_max", [1, 5, 32, 64])
@@ -397,7 +399,7 @@ def run_length_totals(matrix: np.ndarray) -> list[int]:
     run-length encoder writes."""
     totals = []
     for row in matrix:
-        lengths, counts = np.unique(coders._runs(coders._ends(row[None]))[0], return_counts=True)
+        lengths, counts = np.unique(coders._runs(coders._ends(PackedRows.of(row[None])), len(row))[0], return_counts=True)
         totals.append(1 + sum(c * elias_gamma_len(v) for v, c in zip(lengths.tolist(), counts.tolist())))
     return totals
 

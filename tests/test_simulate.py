@@ -18,7 +18,7 @@ from kadjust import adjusted_deficiencies, monte_carlo_fpr, simulate
 from kadjust.simulate import bernoulli_threshold, splitmix_outputs, uniform_floats
 from kadjust.testing import TestConfig as Config
 from kadjust.stats import write_records
-from kadjust.words import block_tallies
+from kadjust.words import PackedRows, block_tallies
 
 from conftest import SplitMix64, derive_seed
 
@@ -100,7 +100,7 @@ class TestGenerate:
         for seed in (0, 1, 7):
             for length in (1, 2, 31, 100, 4097):
                 w = generate(GeneratorSpec.block(seed, length))
-                assert block_tallies(w.bits[None])[0, 2] == 0
+                assert block_tallies(PackedRows.of(w.bits[None]))[0, 2] == 0
                 pairs = w.bits[: 2 * (length // 2)].reshape(-1, 2)
                 assert not np.any((pairs[:, 0] == 1) & (pairs[:, 1] == 0))
 

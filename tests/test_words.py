@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from kadjust import BitWord, CoderId, PairCounts
 from kadjust import code_lengths
 from kadjust.bitio import BitReader, DecodeError
-from kadjust.words import block_tallies
+from kadjust.words import PackedRows, block_tallies
 
 from conftest import WORD35_STR
 
@@ -141,7 +141,7 @@ class TestBlockCounts:
 
     @staticmethod
     def counts(text: str) -> list[int]:
-        return block_tallies(BitWord.from01(text).bits[None])[0].tolist()
+        return block_tallies(PackedRows.of(BitWord.from01(text).bits[None]))[0].tolist()
 
     def test_direct_reading(self):
         assert self.counts("000111") == [1, 1, 0, 1]
@@ -155,7 +155,7 @@ class TestBlockCounts:
 
     @given(bit_lists)
     def test_block_identity(self, bits):
-        tallies = block_tallies(BitWord(bits).bits[None])[0]
+        tallies = block_tallies(PackedRows.of(BitWord(bits).bits[None]))[0]
         assert 2 * int(tallies.sum()) + len(bits) % 2 == len(bits)
 
 
@@ -170,8 +170,8 @@ class TestBlockTallies:
     def test_matches_bincount_on_many_rows(self, n):
         rng = np.random.default_rng(n)
         bits = (rng.random((300, n)) < rng.random((300, 1))).astype(np.uint8)
-        assert np.array_equal(block_tallies(bits), self.reference(bits))
+        assert np.array_equal(block_tallies(PackedRows.of(bits)), self.reference(bits))
 
     def test_one_long_row(self):
         bits = (np.random.default_rng(2).random((1, (1 << 17) + 1)) < 0.3).astype(np.uint8)
-        assert np.array_equal(block_tallies(bits), self.reference(bits))
+        assert np.array_equal(block_tallies(PackedRows.of(bits)), self.reference(bits))
