@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="exhaustive counting-lemma audit")
     add_common(p, with_inputs=False, coder_default="model_class")
-    p.add_argument("--length", type=int, required=True, help="word length n <= 16")
+    p.add_argument("--length", type=int, required=True, help="word length n <= 20")
     p.add_argument("--lengths", default="concrete", choices=LENGTH_KINDS)
 
     return parser

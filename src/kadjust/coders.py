@@ -10,12 +10,14 @@ matrix of equal-length words, one word per row.  Every kernel reads the
 same packed chunk, a PackedRows of 64 columns to a uint64 word,
 most-significant bit first (see kadjust.words).  One loop (_scored) feeds
 the chunks to code_lengths(), code_word(), the k_* functions and
-kind_lengths(): a BitWord's packed words are sliced into chunks, and a
-0/1 matrix is packed once a block of rows; a short word is a single
-chunk.  A kernel keeps per-row totals that add up over the column
-chunks, and its last step, finish(m), turns the totals of the first m
-columns into lengths with the same scalar functions for every chunking,
-so a word scores the same however it is cut.  As finish leaves the
+kind_lengths(): a BitWord's packed words are sliced into chunks, packed
+rows (a PackedRows, as the counting-lemma audit builds them from
+integers) are sliced a block of rows at a time, and a 0/1 matrix is
+packed once a block of rows; a short word is a single chunk.  A kernel
+keeps per-row totals that add up over the column chunks, and its last
+step, finish(m), turns the totals of the first m columns into lengths
+with the same scalar functions for every chunking, so a word scores the
+same however it is cut.  As finish leaves the
 kernel able to take further chunks, kind_lengths() given cuts scores
 every prefix of a word on a schedule in one left-to-right pass, plus one
 finish per prefix.
@@ -41,16 +43,17 @@ the constant P_MAX = 32.
                coded mismatch positions                columns, from the block's first word,
                                                        tiled from the chunk's first column:
                                                        popcounts of the xor with the chunk's
-                                                       words; _periodic_cost and one argmin
-                                                       over the periods P <= m
+                                                       words, (periods, rows); one minimum
+                                                       over the periods P <= m of the key
+                                                       _periodic_cost << 6 | period index
   pair_shell   multinomial index over disjoint 2-bit   the 2-bit block tallies, masked
                block counts (ideal only)               popcounts; a chunk's unpaired last bit
                                                        pairs with the next chunk's first;
                                                        log2_multinomial per distinct key
                                                        (c01, c10, c11) in base nb + 1
   model_class  3-bit model tag plus the best of the    every member's totals from the same
-               above                                   chunk; tag bits plus the row minimum
-                                                       over the members
+               above                                   chunk; tag bits plus the minimum over
+                                                       the (members, rows) lengths
 
 A chunk holds at most _CHUNK_BYTES // 8 cells: whole rows while a row
 fits, else one row in chunks of a multiple of 64 columns.  That bounds
@@ -80,7 +83,10 @@ too.  kind_lengths() scores one kind through it; code_lengths() and
 code_word() score both kinds with every member.
 
 Tie-breaks are deterministic: smallest period for periodic, listed order
-for model_class.
+for model_class.  Both minima are elementwise passes over a (choices,
+rows) array.  The periodic key carries the period index in its low 6
+bits, so the least key holds the least cost at its smallest period; the
+model tag is the argmin over the members, the first member on ties.
 """
 
 from __future__ import annotations
@@ -399,10 +405,25 @@ class _RunLength:
         return totals.astype(np.float64), totals, None
 
 
+def _pattern_cost(p):
+    """The periodic codeword's gamma(p) and p pattern bits; elementwise."""
+    return _gamma_len(p) + p
+
+
+def _mismatch_cost(n: int, mismatches):
+    """The periodic codeword's gamma(r + 1) and r mismatch positions of
+    ceil_log2(n + 1) bits; elementwise."""
+    return _gamma_len(mismatches + 1) + mismatches * ceil_log2(n + 1)
+
+
 def _periodic_cost(n: int, p, mismatches):
-    """Periodic codeword length: gamma(p), the p pattern bits, gamma(r + 1)
-    and r mismatch positions of ceil_log2(n + 1) bits; elementwise."""
-    return _gamma_len(p) + p + _gamma_len(mismatches + 1) + mismatches * ceil_log2(n + 1)
+    """Periodic codeword length with period p and r mismatches; elementwise."""
+    return _pattern_cost(p) + _mismatch_cost(n, mismatches)
+
+
+# The part of _Periodic.scan's key cost << 6 | p - 1 that depends on the
+# period p alone, for p = 1 .. 64, as an int64 column.
+_PERIOD_KEYS = (_pattern_cost(np.arange(1, 65)) << 6 | np.arange(64))[:, None]
 
 
 # For p = 1 .. 64, as uint64 of shape (64, 1, 1): p; the repunit sum of
@@ -441,8 +462,10 @@ def _tiled_words(pattern: np.ndarray, periods: range, c: int, words: int) -> np.
     top = len(periods)
     at = slice(periods.start - 1, periods.stop - 1)
     first = pattern >> _HEADS[at]
-    tiled = first * _REPUNITS[at] << _COPIES[at]  # a shift by 64 gives 0 in numpy
-    tiled |= first >> _RESTS[at]
+    tiled = first * _REPUNITS[at]
+    tiled <<= _COPIES[at]  # a shift by 64 gives 0 in numpy
+    first >>= _RESTS[at]
+    tiled |= first
     run = max(1, 64 // m)
     built = min(words, max(_CYCLES[at]) + run - 1)
     phase = np.arange(c, c + 64 * built, 64, dtype=np.uint64)[:, None] % _PERIODS[at]
@@ -457,19 +480,17 @@ def _tiled_words(pattern: np.ndarray, periods: range, c: int, words: int) -> np.
 
 
 def _mismatch_counts(pattern: np.ndarray, top: int, chunk: PackedRows, c: int) -> np.ndarray:
-    """(rows, periods) counts of the columns of chunk, which start at column
+    """(periods, rows) counts of the columns of chunk, which start at column
     c of its rows, that differ from each row's first p columns tiled over
     the row, for every period p = 1 .. top <= 64, pattern being each row's
     first packed word: the popcounts of the chunk's words xor
-    _tiled_words, the chunk's padding masked out (Warren, ch. 5).  The
-    counts are a transposed (periods, rows) array, whose minimum over the
-    periods is one elementwise pass."""
+    _tiled_words, the chunk's padding masked out (Warren, ch. 5)."""
     words = chunk.words.shape[1]
     tiled = _tiled_words(pattern, range(1, top + 1), c, words)
     tiled ^= chunk.words.T
     if chunk.n % 64:  # the chunk's padding is zero, the pattern's is not
         tiled[:, words - 1] &= _LEADING[chunk.n % 64]
-    return np.bitwise_count(tiled).sum(axis=1, dtype=np.int32).T
+    return np.bitwise_count(tiled).sum(axis=1, dtype=np.int32)
 
 
 class _Periodic:
@@ -481,24 +502,28 @@ class _Periodic:
     before its end only."""
 
     def __init__(self, block: PackedRows, p_max: int = P_MAX):
-        self.periods = np.arange(1, min(p_max, block.shape[1]) + 1)
+        self.top = min(p_max, block.shape[1])
         self.pattern = self.counts = None
 
     def add(self, chunk: PackedRows, c: int) -> None:
         if c < 64:
             head = chunk.words[:, 0] >> c
             self.pattern = head if c == 0 else self.pattern | head
-        counts = _mismatch_counts(self.pattern, len(self.periods), chunk, c)
+        counts = _mismatch_counts(self.pattern, self.top, chunk, c)
         # a chunk's int32 counts, summed in int64 over several chunks
         self.counts = counts if self.counts is None else np.add(self.counts, counts, dtype=np.int64)
 
     def scan(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """(cost, period) of every row's first m columns at its cheapest
-        period; the smallest period wins ties."""
-        top = min(len(self.periods), m)
-        costs = _periodic_cost(m, self.periods[:top], self.counts[:, :top])
-        # argmin takes the first minimum: the smallest period
-        return costs.min(axis=1), self.periods[costs.argmin(axis=1)]
+        period; the smallest period wins ties.  Both come from one minimum
+        over the periods of the key cost << 6 | p - 1, one elementwise pass
+        over the (periods, rows) counts."""
+        top = min(self.top, m)
+        # in int64, which a single chunk's int32 counts are widened to
+        keys = np.left_shift(_mismatch_cost(m, self.counts[:top]), 6, dtype=np.int64)
+        keys += _PERIOD_KEYS[:top]
+        best = keys.min(axis=0)
+        return best >> 6, (best & 63) + 1
 
     def finish(self, m: int) -> Lengths:
         cost, _ = self.scan(m)
@@ -564,45 +589,50 @@ class _ModelClass:
             member.add(chunk, c)
 
     def member_lengths(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, members) ideal and concrete lengths of every member on
+        """(members, rows) ideal and concrete lengths of every member on
         the first m columns; a member without a concrete code has concrete
         length _NO_CODE, and ideal length inf when it is left out."""
-        ideal = np.full((self.rows, len(MODEL_MEMBERS)), np.inf)
+        ideal = np.full((len(MODEL_MEMBERS), self.rows), np.inf)
         concrete = np.full(ideal.shape, _NO_CODE, dtype=np.int64)
         for j, member in self.members.items():
-            ideal[:, j], member_concrete, _ = member.finish(m)
+            ideal[j], member_concrete, _ = member.finish(m)
             if member_concrete is not None:
-                concrete[:, j] = member_concrete
+                concrete[j] = member_concrete
         return ideal, concrete
 
     def finish(self, m: int) -> Lengths:
         """The ideal length takes the minimum over member ideal lengths and
-        the concrete length the minimum over members with a concrete code;
-        the tag indexes MODEL_MEMBERS at the ideal winner (first on ties)."""
+        the concrete length the minimum over members with a concrete code,
+        each one elementwise pass over the members; the tag indexes
+        MODEL_MEMBERS at the ideal winner (first on ties)."""
         ideal, concrete = self.member_lengths(m)
-        tag = np.argmin(ideal, axis=1)
-        return MODEL_TAG_BITS + ideal.min(axis=1), MODEL_TAG_BITS + concrete.min(axis=1), tag
+        tag = np.argmin(ideal, axis=0)
+        return MODEL_TAG_BITS + ideal.min(axis=0), MODEL_TAG_BITS + concrete.min(axis=0), tag
 
 
 def _blocks(source) -> Iterator[PackedRows]:
     """The rows of source in blocks, packed: a BitWord's packed words as
-    its one row, or a 0/1 matrix's rows, at most _CHUNK_BYTES // 8 cells a
-    block while a row fits (one row at least), each block packed once."""
+    its one row, or the rows of packed rows or of a 0/1 matrix, at most
+    _CHUNK_BYTES // 8 cells a block while a row fits (one row at least),
+    slices of the packed words or each block of the matrix packed once."""
     if isinstance(source, BitWord):
         yield PackedRows(source.packed[None], source.n)
         return
     m, n = source.shape
     rows = max(1, _CHUNK_BYTES // 8 // n)
     for first in range(0, m, rows):
-        yield PackedRows.of(source[first : first + rows])
+        if isinstance(source, PackedRows):
+            yield PackedRows(source.words[first : first + rows], n)
+        else:
+            yield PackedRows.of(source[first : first + rows])
 
 
 def _scored(kernel, source, cuts: Sequence[int] | None = None):
-    """(kernel(block), m) for every block of rows of source, a BitWord or a
-    0/1 matrix (see _blocks), the kernel fed the block's columns once, in
-    packed chunks from left to right, and yielded after the columns
-    0 .. m - 1 of every cut m in the strictly increasing cuts: after the
-    block's last column, m = n, by default.  Cuts are for one row only.  A
+    """(kernel(block), m) for every block of rows of source, a BitWord,
+    packed rows or a 0/1 matrix (see _blocks), the kernel fed the block's
+    columns once, in packed chunks from left to right, and yielded after
+    the columns 0 .. m - 1 of every cut m in the strictly increasing cuts:
+    after the block's last column, m = n, by default.  Cuts are for one row only.  A
     chunk holds at most _CHUNK_BYTES // 8 cells: whole rows while a row
     fits, else one row in chunks of a multiple of 64 columns (64 at least),
     slices of the row's words.  A chunk ends at each cut, at any column."""
@@ -675,14 +705,16 @@ def code_lengths(coder: CoderId, bits) -> Lengths:
 
 def kind_lengths(coder: CoderId, bits, kind: str, cuts: Sequence[int] | None = None) -> np.ndarray:
     """The lengths of one kind, ideal or concrete, of every row of a 0/1
-    matrix or of a BitWord as one row, as code_lengths() gives them; or,
-    given cuts, of the word's prefixes of every length m in cuts, each as
-    scored alone.  The cuts increase strictly from 1 to at most the word's
-    length; the kernel, length_kernel()'s, takes the columns once up to the
-    last cut, plus one finish(m) per cut.  A BitWord, already checked,
-    reaches it as its one row."""
+    matrix, of packed rows or of a BitWord as one row, as code_lengths()
+    gives them; or, given cuts, of the word's prefixes of every length m in
+    cuts, each as scored alone.  The cuts increase strictly from 1 to at
+    most the word's length; the kernel, length_kernel()'s, takes the
+    columns once up to the last cut, plus one finish(m) per cut.  A BitWord
+    and packed rows, a PackedRows of at least one row whose bits past
+    column n are zero as PackedRows.of leaves them, are not checked again:
+    their blocks are slices of their words, never unpacked or packed."""
     kernel = length_kernel(coder, kind)
-    source = bits if isinstance(bits, BitWord) else _matrix(bits)
+    source = bits if isinstance(bits, (BitWord, PackedRows)) else _matrix(bits)
     if cuts is not None:
         rows, n = (1, source.n) if isinstance(source, BitWord) else source.shape
         if rows != 1:
@@ -798,7 +830,7 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
 def _encode_model_class(word: BitWord) -> np.ndarray:
     ((scored, n),) = _scored(length_kernel(CoderId("model_class"), "concrete"), word)
     _, concrete = scored.member_lengths(n)
-    best = int(np.argmin(concrete[0]))  # the first shortest concrete member
+    best = int(np.argmin(concrete[:, 0]))  # the first shortest concrete member
     name = MODEL_MEMBERS[best]
     out = BitWriter()
     out.write_uint(best, MODEL_TAG_BITS)

@@ -218,11 +218,10 @@ def conditional_code_len(
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
     total = 0.0
-    ybits = y.bits
     for b in (0, 1):
-        idx = np.flatnonzero(ybits == b)
-        if idx.size:
-            total += _k_eff(BitWord(x.bits[idx]), coder, lengths)
+        subword = x.bits[y.bits == b]  # a boolean mask, not an index per bit
+        if subword.size:
+            total += _k_eff(BitWord._owning(subword), coder, lengths)
     return total
 
 

@@ -21,7 +21,7 @@ from .coders import CoderId, is_concrete, kind_lengths, length_kernel
 from .entropy import shell_log_size, shell_size
 from .simulate import _DRAW_BLOCK, _bernoulli_bits, geometric_schedule, splitmix_outputs
 from .stats import adjusted, adjusted_deficiencies, adjusted_prefixes
-from .words import BitWord
+from .words import BitWord, PackedRows
 
 
 @dataclass(frozen=True)
@@ -136,34 +136,39 @@ class AuditRow:
 
 
 AUDIT_T_MAX = 8
+_AUDIT_BLOCK = 1 << 16  # words scored a kind_lengths() call
 
 
 def counting_lemma_audit(n: int, coder: CoderId, lengths: str = "concrete") -> list[AuditRow]:
     """Exhaustively count in-shell words whose length of the kind lengths,
     concrete or ideal, undershoots the shell baseline by at least t bits,
-    for t = 1..8.
+    for t = 1..8, for 1 <= n <= 20.
 
     For lengths that satisfy Kraft's inequality, as a prefix-free code's
     concrete lengths and every coder's ideal lengths do, the count in shell
     (n,k) can be at most 2^(1-t) * C(n,k); each row records count against
-    that bound.  All 2^n words are built as one matrix and scored in one
-    kind_lengths() call.
+    that bound.  Word v is the integer v's n big-endian binary digits, so
+    its packed row is the one word v << (64 - n) and its weight that
+    word's popcount: the words come from arange in blocks of at most
+    _AUDIT_BLOCK, each scored in one kind_lengths() call as packed rows,
+    and no 0/1 matrix is built.
     A deficit reaches the integer t exactly when its floor does: one
-    bincount tallies words by weight and floor, clipped to 0..AUDIT_T_MAX,
-    and a cumulative sum from the top gives the count for each t.
+    bincount a block tallies words by weight and floor, clipped to
+    0..AUDIT_T_MAX, the blocks' tallies are added up, and a cumulative sum
+    from the top gives the count for each t.
     """
-    if not 1 <= n <= 16:
-        raise ValueError("exhaustive audit needs 1 <= n <= 16")
+    if not 1 <= n <= 20:
+        raise ValueError("exhaustive audit needs 1 <= n <= 20")
     if lengths == "concrete" and not is_concrete(coder):
         raise ValueError(f"coder {coder.name} has no concrete code to audit")
-    # Row v holds the n big-endian binary digits of v.
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
-    words = ((np.arange(1 << n, dtype=np.uint32)[:, None] >> shifts) & 1).astype(np.uint8)
-    ks = words.sum(axis=1, dtype=np.int64)
     shell_logs = np.array([shell_log_size(n, k) for k in range(n + 1)])
-    deficits = shell_logs[ks] - kind_lengths(coder, words, lengths)
-    floors = np.clip(np.floor(deficits), 0, AUDIT_T_MAX).astype(np.int64)
-    tally = np.bincount(ks * (AUDIT_T_MAX + 1) + floors, minlength=(n + 1) * (AUDIT_T_MAX + 1))
+    tally = np.zeros((n + 1) * (AUDIT_T_MAX + 1), dtype=np.int64)
+    for start in range(0, 1 << n, _AUDIT_BLOCK):
+        words = np.arange(start, min(1 << n, start + _AUDIT_BLOCK), dtype=np.uint64) << np.uint64(64 - n)
+        ks = np.bitwise_count(words).astype(np.int64)
+        deficits = shell_logs[ks] - kind_lengths(coder, PackedRows(words[:, None], n), lengths)
+        floors = np.clip(np.floor(deficits), 0, AUDIT_T_MAX).astype(np.int64)
+        tally += np.bincount(ks * (AUDIT_T_MAX + 1) + floors, minlength=tally.size)
     at_least = np.cumsum(tally.reshape(n + 1, -1)[:, ::-1], axis=1)[:, ::-1]  # [k, t]: deficit >= t
     rows = []
     for k, counts in enumerate(at_least[:, 1:].tolist()):

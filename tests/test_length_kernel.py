@@ -49,14 +49,18 @@ def ref_run_length(bits):
     return float(total), total
 
 
-def ref_periodic(bits, p_max):
+def ref_periodic_costs(bits, p_max):
+    """The periodic cost at every period p = 1 .. min(p_max, n)."""
     n = len(bits)
-    best = None
+    costs = []
     for p in range(1, min(p_max, n) + 1):
         r = sum(bits[i] != bits[i % p] for i in range(n))
-        cost = gamma_len(p) + p + gamma_len(r + 1) + r * n.bit_length()
-        if best is None or cost < best:
-            best = cost
+        costs.append(gamma_len(p) + p + gamma_len(r + 1) + r * n.bit_length())
+    return costs
+
+
+def ref_periodic(bits, p_max):
+    best = min(ref_periodic_costs(bits, p_max))
     return float(best), best
 
 
@@ -179,6 +183,32 @@ class TestKernelMatchesReference:
     def test_rejects_malformed_matrices(self, bad):
         with pytest.raises(ValueError):
             code_lengths(CoderId("shell"), bad)
+
+
+class TestTies:
+    """Every word of 12 bits: 490 tie at their cheapest period, and 130 on
+    the ideal lengths of two model_class members."""
+
+    def test_periodic_scan_takes_the_smallest_tied_period(self):
+        matrix = all_words_matrix(12)
+        cost, period = coders._periodic_scan(matrix, coders.P_MAX)
+        ties = 0
+        for i, row in enumerate(matrix.tolist()):
+            costs = ref_periodic_costs(row, coders.P_MAX)
+            best = min(costs)
+            ties += costs.count(best) > 1
+            assert (cost[i], period[i]) == (best, costs.index(best) + 1), row
+        assert ties == 490
+
+    def test_model_class_tags_of_tied_members_equal_one_row_tags(self):
+        matrix = all_words_matrix(12)
+        members = np.stack([code_lengths(CoderId(name), matrix)[0] for name in MODEL_MEMBERS])
+        tied = np.flatnonzero((members == members.min(axis=0)).sum(axis=0) > 1)
+        assert len(tied) == 130
+        _, _, tag = code_lengths(CoderId("model_class"), matrix)
+        for i in tied.tolist():
+            assert MODEL_MEMBERS[tag[i]] == code_word(CoderId("model_class"), BitWord(matrix[i])).model_tag
+            assert tag[i] == np.argmax(members[:, i] == members[:, i].min())  # the first tied member
 
 
 class TestKraft:

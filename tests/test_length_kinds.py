@@ -33,7 +33,7 @@ from kadjust.stats import (
 from kadjust.testing import TestConfig as Config
 from kadjust.testing import counting_lemma_audit, monte_carlo_fpr
 from kadjust.testing import test_word as verdict
-from kadjust.words import BitWord
+from kadjust.words import BitWord, PackedRows
 
 CODERS = [CoderId(name) for name in CODER_NAMES]
 KINDS = ("ideal", "concrete")
@@ -116,6 +116,17 @@ def test_kind_lengths_at_prefix_cuts(coder, kind):
         ideal, concrete, _ = zip(*(code_lengths(coder, word.bits[None, :m]) for m in points))
         ideal, concrete = np.concatenate(ideal), None if concrete[0] is None else np.concatenate(concrete)
         assert_kind_matches(kind, kind_lengths(coder, word, kind, points), ideal, concrete)
+
+
+@pytest.mark.parametrize("coder, kind", SCORED)
+def test_kind_lengths_of_packed_rows(monkeypatch, coder, kind):
+    """Packed rows score as the 0/1 matrix they pack.  A chunk of 64 cells
+    splits the rows of up to 12 bits into several blocks, and the longer
+    rows into one block each, cut in column chunks of 64."""
+    monkeypatch.setattr(coders, "_CHUNK_BYTES", 8 * 64)
+    for seed, n in enumerate((1, 12, 63, 64, 65, 1000)):
+        bits = seeded_rows(150 if n < 1000 else 12, n, seed)
+        assert_kind_matches(kind, kind_lengths(coder, PackedRows.of(bits), kind), *code_lengths(coder, bits)[:2])
 
 
 def test_kind_lengths_refuses_bad_input():

@@ -23,6 +23,7 @@ from kadjust import (
 from kadjust import TestConfig as Config
 from kadjust import testing
 from kadjust import test_word as run_test
+from kadjust.coders import is_concrete
 from kadjust.simulate import geometric_schedule
 from kadjust.stats import record, write_records
 from kadjust.testing import SCAN_FACTOR, SCAN_START
@@ -125,6 +126,32 @@ class TestPrefixScan:
         with pytest.raises(ValueError):
             prefix_scan(BitWord.from01("011"), Config(m=1, coder=CoderId("shell")))
 
+    @pytest.mark.parametrize(
+        "name, kind",
+        [("shell", "concrete"), ("run_length", "concrete"), ("model_class", "ideal"), ("model_class", "concrete")],
+    )
+    @pytest.mark.parametrize("p", [0.5, 0.2])
+    def test_union_bound_over_prefixes(self, name, kind, p):
+        """The share of Bernoulli words the scan flags at some prefix stays
+        within the union bound 2^(2-m) * sum_j (m_j + 1)^-2 over the
+        schedule's prefix lengths m_j, plus three binomial standard
+        deviations.  A row's penalized deficiency does not depend on m, so
+        one scan at m = 1 gives the verdict at m = 1, 2 and 3."""
+        n, trials = 256, 80
+        weights = sum((m_j + 1) ** -2 for m_j in geometric_schedule(n, SCAN_START, SCAN_FACTOR))
+        cfg = Config(m=1, coder=CoderId(name), lengths=kind)
+        flagged = {1: 0, 2: 0, 3: 0}
+        for i in range(trials):
+            res = prefix_scan(generate(GeneratorSpec.bernoulli(p, derive_seed(31, i), n)), cfg)
+            worst = max((row.penalized for row in res.rows if row.penalized is not None), default=-math.inf)
+            assert res.flagged == (worst >= 1)
+            for m in flagged:
+                flagged[m] += worst >= m
+        for m, count in flagged.items():
+            bound = 2.0 ** (2 - m) * weights
+            slack = 3 * math.sqrt(bound * (1 - bound) / trials)
+            assert count / trials <= bound + slack, (m, count, bound)
+
     def test_deterministic(self):
         word = generate(GeneratorSpec.block(4, 5000))
         cfg = Config(m=5, coder=CoderId("pair_shell"))
@@ -184,9 +211,26 @@ class TestCountingLemmaAudit:
         for row in rows:
             assert row.bound == pytest.approx(2.0 ** (1 - row.t) * shell_size(6, row.k))
 
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_every_coder_and_kind_long(self, n):
+        """The counting lemma holds on every coder and length kind at n = 17
+        and 18, each scored in blocks of 2^16 words."""
+        for name in CODER_NAMES:
+            for kind in ("ideal", "concrete") if is_concrete(CoderId(name)) else ("ideal",):
+                rows = counting_lemma_audit(n, CoderId(name), kind)
+                assert len(rows) == (n + 1) * testing.AUDIT_T_MAX
+                assert all(row.ok for row in rows), (name, kind)
+
+    def test_blocks_add_up(self, monkeypatch):
+        """Blocks of a few words tally what one block does."""
+        want = {kind: counting_lemma_audit(11, CoderId("model_class"), kind) for kind in ("ideal", "concrete")}
+        monkeypatch.setattr(testing, "_AUDIT_BLOCK", 96)
+        for kind, rows in want.items():
+            assert counting_lemma_audit(11, CoderId("model_class"), kind) == rows
+
     def test_validation(self):
-        for n in (0, 17):
-            with pytest.raises(ValueError, match=r"1 <= n <= 16"):
+        for n in (0, 21):
+            with pytest.raises(ValueError, match=r"1 <= n <= 20"):
                 counting_lemma_audit(n, CoderId("shell"))
         with pytest.raises(ValueError):
             counting_lemma_audit(8, CoderId("pair_shell"))
