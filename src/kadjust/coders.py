@@ -14,46 +14,49 @@ kind_lengths(): a BitWord's packed words are sliced into chunks, packed
 rows (a PackedRows, as the counting-lemma audit builds them from
 integers) are sliced a block of rows at a time, and a 0/1 matrix is
 packed once a block of rows; a short word is a single chunk.  A kernel
-keeps per-row totals that add up over the column chunks, and its last
-step, finish(m), turns the totals of the first m columns into lengths
-with the same scalar functions for every chunking, so a word scores the
-same however it is cut.  As finish leaves the
-kernel able to take further chunks, kind_lengths() given cuts scores
-every prefix of a word on a schedule in one left-to-right pass, plus one
-finish per prefix.
+is built with the prefix lengths it scores, its cuts (n by default), and
+records integer statistics at every cut inside each chunk, from prefix
+sums over the chunk's words; totals that add up over the chunks carry
+into the next.  Its last step, finish(), turns every cut's statistics
+into lengths at once, with the same scalar functions for every chunking,
+so a word scores the same however it is chunked, and kind_lengths()
+given cuts scores every prefix of a word on a schedule in one
+left-to-right pass and one finish.
 No coder takes a parameter: each has a kernel, a one-row k_*(word) and,
 when concrete, encode(word) and decode(n, reader).  The periodic bound is
 the constant P_MAX = 32.
 
-  coder        length                                  per-chunk totals; last step
-  literal      n bits, the word verbatim               none; the constant n
-  shell        weight header plus in-shell             the weight, a popcount of the words;
-               lexicographic rank                      ideal_len_shell and concrete_len_shell
-                                                       per distinct weight
-  run_length   leading bit plus Elias gamma code       gamma lengths of the runs that end in
-               of every maximal run                    the chunk, from the packed end mask
-                                                       x ^ (x shifted one column): by its
-                                                       popcounts on a chunk with one end per
-                                                       3 cells or more, else from the list of
-                                                       its set bits; the run still open at
-                                                       the chunk's end carries its bit and
-                                                       length into the next chunk, and
-                                                       finish adds its gamma length
+  coder        length                                  statistics at a cut; finish
+  literal      n bits, the word verbatim               none; the cut m
+  shell        weight header plus in-shell             the weight, a prefix popcount of the
+               lexicographic rank                      words; ideal_len_shell and
+                                                       concrete_len_shell per distinct
+                                                       (cut, weight)
+  run_length   leading bit plus Elias gamma code       gamma lengths of the runs that end
+               of every maximal run                    before the cut's last column, from the
+                                                       packed end mask x ^ (x shifted one
+                                                       column): by its popcounts on a chunk
+                                                       with one end per 3 cells or more, else
+                                                       from the list of its set bits; plus
+                                                       the cut's last run, from the end
+                                                       before that column on.  The run still
+                                                       open at a chunk's end carries its bit
+                                                       and length into the next chunk
   periodic     best period P <= P_MAX: pattern plus    mismatch counts against the first P
                coded mismatch positions                columns, from the block's first word,
                                                        tiled from the chunk's first column:
-                                                       popcounts of the xor with the chunk's
-                                                       words, (periods, rows); one minimum
-                                                       over the periods P <= m of the key
-                                                       _periodic_cost << 6 | period index
-  pair_shell   multinomial index over disjoint 2-bit   the 2-bit block tallies, masked
-               block counts (ideal only)               popcounts; a chunk's unpaired last bit
-                                                       pairs with the next chunk's first;
-                                                       log2_multinomial per distinct key
-                                                       (c01, c10, c11) in base nb + 1
-  model_class  3-bit model tag plus the best of the    every member's totals from the same
-               above                                   chunk; tag bits plus the minimum over
-                                                       the (members, rows) lengths
+                                                       prefix popcounts of the xor with the
+                                                       chunk's words, (periods, rows, cuts);
+                                                       one minimum over the periods P <= m of
+                                                       the key _periodic_cost << 6 | period
+                                                       index
+  pair_shell   multinomial index over disjoint 2-bit   the 2-bit block tallies, masked prefix
+               block counts (ideal only)               popcounts up to the cut's last even
+                                                       column; log2_multinomial per distinct
+                                                       key (cut, c01, c10, c11)
+  model_class  3-bit model tag plus the best of the    every member's statistics from the
+               above                                   same chunk; tag bits plus the minimum
+                                                       over the (members, entries) lengths
 
 A chunk holds at most _CHUNK_BYTES // 8 cells: whole rows while a row
 fits, else one row in chunks of a multiple of 64 columns.  That bounds
@@ -62,9 +65,10 @@ periodic kernel takes up to 8 bytes a cell on short rows.  The
 run-length kernel's end mask takes 1/8 byte a cell, twice over on a
 dense chunk; a sparse chunk unpacks it, 1 byte a cell, and its run list
 takes about 24 bytes a run: 4 bytes a cell at p = 0.1, and at most about
-8 bytes a cell on a chunk of 2^16 cells or more.  A prefix schedule cuts
-a chunk at every prefix length, shifting the words of a chunk that
-starts inside one.
+8 bytes a cell on a chunk of 2^16 cells or more.  Cuts do not end
+chunks: a chunk starts at a multiple of 64 columns, so no 2-bit block
+and no periodic pattern spans two chunks, and the statistics of a cut
+take a few words of prefix sums.
 
 The periodic coder tiles a pattern one way (_tiled_words): a row's first
 P <= 64 columns, the top bits of its first word, are tiled over a word
@@ -92,6 +96,7 @@ model tag is the argmin over the members, the first member on ties.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence
@@ -102,7 +107,7 @@ from numpy.lib.stride_tricks import as_strided
 from .bitio import BitReader, BitWriter, DecodeError, elias_gamma_len
 from .entropy import ceil_log2, log2_multinomial
 from .shellcode import concrete_len_shell, decode_shell, encode_shell, ideal_len_shell
-from .words import _LEADING, BitWord, PackedRows, as_bits, block_tallies, packed_rows, unpacked
+from .words import _LEADING, BitWord, PackedRows, as_bits, block_ones, packed_rows, prefix_ones, unpacked
 
 # The periodic coder takes the best period P <= P_MAX.
 P_MAX = 32
@@ -117,7 +122,8 @@ MODEL_TAG_BITS = 3
 # bytes a run, under one run in 3 cells (see _dense).
 _CHUNK_BYTES = 1 << 20
 
-# (ideal[rows], concrete[rows] or None, model tag[rows] or None)
+# (ideal, concrete or None, model tag or None), one entry per row, or per
+# cut of a single row
 Lengths = tuple[np.ndarray, np.ndarray | None, np.ndarray | None]
 
 
@@ -177,65 +183,130 @@ def concrete_coder_ids() -> tuple[CoderId, ...]:
 # ---------------------------------------------------------------------------
 # batched length kernels: packed rows -> (ideal, concrete, tag)
 #
-# A kernel is built on one block of rows, kernel(block), a PackedRows (of
-# which it reads the shape only); add(chunk, c) adds the per-row totals of
-# the block's columns c, c + 1, ... that chunk, a PackedRows too, holds,
-# the chunks coming left to right, and finish(m), once columns 0 .. m - 1
-# are in, turns the totals into the Lengths of the block's prefixes of m
-# columns, those the prefixes get when scored on their own.  finish leaves
-# the kernel able to take further chunks, so one pass scores every prefix
-# of a word (kind_lengths' cuts), at one finish a prefix.  What the last chunk
-# left open stays open: the run-length kernel's last run, whose gamma
-# length finish adds to its result only, and the pair kernel's unpaired
-# bit, which finish leaves out as the prefix's odd trailing bit and the
-# next chunk pairs.  The periodic kernel scores the periods p <= m only.
+# A kernel is built on one block of rows and its cuts, kernel(block, cuts),
+# block a PackedRows (of which it reads the shape only) and cuts the
+# strictly increasing prefix lengths it scores, (n,) by default; cuts other
+# than n come with a single row.  add(chunk, c) takes the block's columns
+# c, c + 1, ... that chunk, a PackedRows too, holds, the chunks coming left
+# to right and each starting at a multiple of 64 columns, and records the
+# kernel's integer statistics at every cut inside the chunk, from prefix
+# sums over the chunk's words: the shell weight and the pair kernel's
+# block tallies (words.prefix_ones), the periodic mismatch counts, and the
+# run-length kernel's gamma lengths of the runs closed before the cut plus
+# the cut's open run.  One finish() then turns every cut's statistics
+# into its Lengths, those the prefix gets when scored on its own, one
+# entry per cut of a row or per row of a block.  As every chunk starts at
+# a multiple of 64 columns, no 2-bit block spans two chunks and the first
+# chunk holds the periodic pattern, a row's first word; only a run spans
+# chunks, which the run-length kernel carries into the next one.
+
+
+def _bit_length(v):
+    """bit_length of nonnegative integers, elementwise; np.frexp gives it
+    exactly below 2^53."""
+    return np.frexp(v)[1]
 
 
 def _gamma_len(v):
     """Elias gamma lengths 2 * bit_length(v) - 1 of positive integers,
-    elementwise; np.frexp gives bit_length exactly below 2^53."""
-    return 2 * np.frexp(v)[1] - 1
+    elementwise."""
+    return 2 * _bit_length(v) - 1
 
 
-def _tabulate(fn, keys: np.ndarray, *dtypes) -> list[np.ndarray]:
-    """fn of each integer key (one per word), a tuple of one value per
-    dtype, called once per distinct key; one array per dtype."""
-    if len(keys) == 1:
-        distinct, inverse = keys[:1].tolist(), None
+def _tabulate(fn, keys: np.ndarray, cuts: Sequence[int], *dtypes) -> list[np.ndarray]:
+    """fn(m, key) of each entry's cut m and integer key, keys being (rows,
+    cuts) of a single row or a single cut, as a tuple of one value per
+    dtype: once per cut of a row, or once per distinct key of the rows of
+    one cut.  One flat array per dtype."""
+    inverse = None
+    if keys.shape[-1] > 1:
+        values = map(fn, cuts, keys[0].tolist())
     else:
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        distinct = distinct.tolist()
-    tables = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*map(fn, distinct)), dtypes)]
+        keys = keys.reshape(-1)
+        if len(keys) == 1:
+            distinct = keys.tolist()
+        else:
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            distinct = distinct.tolist()
+        values = map(partial(fn, cuts[0]), distinct)
+    tables = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*values), dtypes)]
     return tables if inverse is None else [table[inverse] for table in tables]
 
 
-class _Literal:
+class _Kernel:
+    """A block's row count and cuts, the cuts the chunks so far held, and
+    what the kernel recorded at them; add(chunk, c) hands record() the cuts
+    inside the chunk."""
+
+    def __init__(self, block: PackedRows, cuts: Sequence[int] | None = None):
+        self.rows = len(block)
+        self.cuts = cuts or (block.shape[1],)
+        self.taken = 0
+        self.parts = []
+
+    def _take(self, c: int, n: int) -> tuple[list[int], int]:
+        """The cuts in the chunk of n columns from column c on, counted from
+        c, then n if no cut falls there, as the chunk's totals carry into
+        the next; and how many of them are cuts."""
+        cuts, taken = self.cuts, self.taken
+        if cuts[taken] >= c + n:  # at most one cut, at the chunk's end; the last cut ends the last chunk
+            self.taken += cuts[taken] == c + n
+            return [n], int(cuts[taken] == c + n)
+        stop = self.taken = bisect_right(cuts, c + n, taken)
+        local = [m - c for m in cuts[taken:stop]]
+        if local[-1] != n:
+            local.append(n)
+        return local, stop - taken
+
+    def add(self, chunk: PackedRows, c: int) -> None:
+        self.record(chunk, c, *self._take(c, chunk.n))
+
+
+class _Counted(_Kernel):
+    """A kernel whose statistics are integer counts that add up over the
+    columns: tally(chunk, c, js) counts each row's first j columns of the
+    chunk, (..., len(js)), and a cut's counts are the chunks' before it
+    plus its own chunk's."""
+
+    before = None  # the counts of the chunks so far, at the last one's end
+
+    def record(self, chunk: PackedRows, c: int, js: list[int], cuts: int) -> None:
+        counts = self.tally(chunk, c, js)
+        if self.before is not None:  # in int64 over the chunks
+            counts = np.add(counts, self.before[..., -1:], dtype=np.int64)
+        if cuts:
+            self.parts.append(counts if cuts == len(js) else counts[..., :cuts])
+        self.before = counts
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The counts at every cut, cuts on the last axis."""
+        return self.parts[0] if len(self.parts) == 1 else np.concatenate(self.parts, axis=-1)
+
+
+class _Literal(_Kernel):
     """The constant n."""
 
-    def __init__(self, block: PackedRows):
-        self.rows = len(block)
-
-    def add(self, chunk: PackedRows, c: int) -> None:
+    def record(self, chunk: PackedRows, c: int, js: list[int], cuts: int) -> None:
         pass
 
-    def finish(self, m: int) -> Lengths:
-        return np.full(self.rows, float(m)), np.full(self.rows, m, dtype=np.int64), None
+    def finish(self) -> Lengths:
+        m = np.array(self.cuts, dtype=np.int64)
+        if self.rows > 1:
+            m = m.repeat(self.rows)
+        return m.astype(np.float64), m, None
 
 
-class _Shell:
+class _Shell(_Counted):
     """Each row's weight, a popcount of its packed words."""
 
-    def __init__(self, block: PackedRows):
-        self.weights = 0  # a Python int while there is one row
+    def tally(self, chunk: PackedRows, c: int, js: list[int]) -> np.ndarray:
+        return prefix_ones(chunk.words, chunk.n, js)
 
-    def add(self, chunk: PackedRows, c: int) -> None:
-        counts = np.bitwise_count(chunk.words)
-        self.weights += int(counts.sum()) if len(chunk) == 1 else counts.sum(axis=1, dtype=np.int64)
-
-    def finish(self, m: int) -> Lengths:
+    def finish(self) -> Lengths:
         ideal, concrete = _tabulate(
-            lambda k: (ideal_len_shell(m, k), concrete_len_shell(m, k)),
-            np.array(self.weights, ndmin=1), np.float64, np.int64,
+            lambda m, k: (ideal_len_shell(m, k), concrete_len_shell(m, k)),
+            self.counts, self.cuts, np.float64, np.int64,
         )
         return ideal, concrete, None
 
@@ -254,11 +325,11 @@ def _ends(chunk: PackedRows) -> np.ndarray:
     return ends
 
 
-def _runs(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Lengths of the maximal constant runs of every row of a packed end
-    mask of n columns, row by row and left to right, and the row of each
-    run (None for a single row).  The mask is unpacked in whole bytes a
-    row, whose columns past n hold no end."""
+def _end_columns(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The columns of the ends of every row of a packed end mask of n
+    columns, row by row and left to right, counted in rows of n, and the
+    row of each (None for a single row).  The mask is unpacked in whole
+    bytes a row, whose columns past n hold no end."""
     m = len(ends)
     width = 8 * -(-n // 8)
     cells = np.unpackbits(ends.astype(">u8").view(np.uint8)[:, : width // 8])
@@ -268,22 +339,35 @@ def _runs(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
         rows = at // width
         if width != n:
             at -= rows * (width - n)  # the ends' columns in rows of n
+    return at, rows
+
+
+def _run_lengths(at: np.ndarray) -> np.ndarray:
+    """The lengths of the runs that end at the columns at, from column 0."""
     runs = np.empty_like(at)
     runs[0] = at[0] + 1
     np.subtract(at[1:], at[:-1], out=runs[1:])
-    return runs, rows
+    return runs
+
+
+def _runs(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Lengths of the maximal constant runs of every row of a packed end
+    mask of n columns, row by row and left to right, and the row of each
+    run (None for a single row)."""
+    at, rows = _end_columns(ends, n)
+    return _run_lengths(at), rows
 
 
 # A chunk of at least _DENSE_CELLS cells with at least one run end per
 # _DENSE_SPACING cells sums its gamma lengths from popcounts of its packed
 # end mask (_gamma_sums), in a few rounds while its runs are short; any
-# other chunk lists its run lengths (_runs), at about 24 bytes a run: at
-# most about 8 bytes a cell from _DENSE_CELLS cells up, 1.5 MiB below.  The
-# popcounts win on rows at p = 0.5 or 0.3 and lose on short chunks, whose
-# fixed cost they raise, and on sparse ones (p = 0.1 and below), whose long
-# runs take many rounds.  Each row's ends are counted once, a popcount of
-# its packed mask, for the path and for the gamma sums, and only on a
-# chunk of _DENSE_CELLS cells or more.
+# other chunk lists its run ends (_end_columns), at about 24 bytes a run:
+# at most about 8 bytes a cell from _DENSE_CELLS cells up, 1.5 MiB below.
+# The popcounts win on rows at p = 0.5 or 0.3 and lose on short chunks,
+# whose fixed cost they raise, and on sparse ones (p = 0.1 and below),
+# whose long runs take many rounds.  Each row's ends are counted once, a
+# popcount of its packed mask, for the path and for the gamma sums of
+# whole rows, and only on a chunk of _DENSE_CELLS cells or more.
 _DENSE_CELLS = 1 << 16
 _DENSE_SPACING = 3
 
@@ -295,11 +379,13 @@ def _dense(cells: int, counts: np.ndarray | None) -> bool:
     return cells >= _DENSE_CELLS and _DENSE_SPACING * int(counts.sum()) >= cells
 
 
-def _gamma_sums(ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _gamma_sums(ends: np.ndarray, counts: np.ndarray, before: np.ndarray | None = None) -> np.ndarray:
     """Each row's sum of the Elias gamma lengths 2 * floor(log2 L) + 1 of
     its runs, the rows' end masks packed (rows, words) with counts ends a
     row: the number of runs plus twice the number of runs of at least 2^j
-    bits for every j >= 1 (Knuth, TAOCP 4A, 7.1.3).
+    bits for every j >= 1 (Knuth, TAOCP 4A, 7.1.3).  Given before, columns
+    of a single row, the sum over the runs that end before each column,
+    counts being the number of their ends.
 
     Round j moves the marks of the runs of at least 2^(j - 1) bits down
     2^(j - 1) columns and keeps those that land on 2^(j - 1) columns
@@ -327,7 +413,10 @@ def _gamma_sums(ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
             moved[..., : words - q] = pair[..., q:]
         moved[..., words - q :] = 0
         np.bitwise_and(moved[0], pair[1], out=pair[0])
-        longer = np.bitwise_count(pair[0]).sum(axis=-1, dtype=np.int64)
+        if before is None:
+            longer = np.bitwise_count(pair[0]).sum(axis=-1, dtype=np.int64)
+        else:  # a run ends before b when its mark is before b - 2 * shift + 1
+            longer = prefix_ones(pair[0], 64 * words, np.maximum(before - (2 * shift - 1), 0))[0]
         if not longer.any():
             break
         total = total + 2 * longer
@@ -336,72 +425,97 @@ def _gamma_sums(ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return total
 
 
-def _outer_runs(row: np.ndarray, n: int) -> tuple[int, int]:
-    """The lengths of the first and the last maximal run of one row of n
-    columns, from its packed end mask."""
+def _outer_ends(row: np.ndarray, before: list[int]) -> tuple[int, list[int]]:
+    """The first set column of a packed row, and its last set column before
+    each column b in before, -1 where none: the lowest set bit of b's word,
+    its columns from b on cleared, or else of the last nonzero word before
+    it."""
     nonzero = np.flatnonzero(row)
     k = int(nonzero[0])
-    first = 64 * k + 65 - int(row[k]).bit_length()
-    # the last run follows the end before the last column's, if any
-    ends = int(row[-1]) & ~(1 << (63 - (n - 1) % 64))
-    k = len(row) - 1
-    if not ends and len(nonzero) > 1:
-        k = int(nonzero[-2])
-        ends = int(row[k])
-    before = 64 * k + 64 - (ends & -ends).bit_length() if ends else -1
-    return first, n - 1 - before
+    first = 64 * k + 64 - int(row[k]).bit_length()
+    last = []
+    for b in before:
+        word, r = divmod(b, 64)
+        head = int(row[word]) >> (64 - r) << (64 - r)  # the word's columns before b
+        if not head:
+            i = int(np.searchsorted(nonzero, word))  # the nonzero words before b's
+            if not i:
+                last.append(-1)
+                continue
+            word = int(nonzero[i - 1])
+            head = int(row[word])
+        last.append(64 * word + 64 - (head & -head).bit_length())
+    return first, last
 
 
-class _RunLength:
-    """Each row's leading bit and the Elias gamma lengths of its closed
-    runs, from the chunk's packed end mask: by popcounts on a dense chunk
-    (_gamma_sums), from its run list (_runs) on any other.  Several rows
-    come in one chunk of whole rows (see _scored), where every run closes.
-    One row may come in many chunks: the run still open at a chunk's last
-    column carries its bit and length into the next chunk, whose first run
-    it extends or, on the other bit, ends, and finish closes it."""
+class _RunLength(_Kernel):
+    """Each row's leading bit and the Elias gamma lengths of its runs, from
+    the chunk's packed end mask: by popcounts on a dense chunk
+    (_gamma_sums), from the list of its ends (_end_columns) on any other.
+    Several rows come in one chunk of whole rows (see _scored), where every
+    run closes.  One row may come in many chunks, cut anywhere: a cut's
+    prefix has the runs that end before its last column, and its last run,
+    from the end before that column on.  The run still open at a chunk's
+    last column carries its bit and length into the next chunk, whose
+    first run it extends or, on the other bit, ends."""
 
-    def __init__(self, block: PackedRows):
-        self.totals = 1  # the leading bit; a Python int while there is one row
-        self.open_bit = self.open_len = None
+    closed = 0  # the gamma lengths of the runs closed before the chunk
+    open_bit = open_len = None  # the run open at its end
 
-    def add(self, chunk: PackedRows, c: int) -> None:
+    def record(self, chunk: PackedRows, c: int, js: list[int], cuts: int) -> None:
         ends = _ends(chunk)
         m, n = chunk.shape
         counts = np.bitwise_count(ends).sum(axis=1, dtype=np.int64) if m * n >= _DENSE_CELLS else None
-        if _dense(m * n, counts):
-            gamma = _gamma_sums(ends, counts)
-            if m > 1:
-                self.totals = self.totals + gamma
-                return
-            gamma = int(gamma[0])
-            first, last = _outer_runs(ends[0], n)
+        dense = _dense(m * n, counts)
+        if m > 1:
+            if dense:
+                gamma = _gamma_sums(ends, counts)
+            else:
+                runs, rows = _runs(ends, n)
+                del ends  # before the gamma lengths, which take about 24 bytes a run
+                gamma = np.bincount(rows, weights=_gamma_len(runs), minlength=m).astype(np.int64)
+            self.parts = 1 + gamma
+            return
+        if dense:
+            columns = [j - 1 for j in js]  # each prefix's last column
+            first, before = _outer_ends(ends[0], columns)
+            if len(js) == 1:  # the chunk's end only: every run but the last
+                closed = [int(_gamma_sums(ends, counts)[0]) - elias_gamma_len(columns[0] - before[0])]
+            else:
+                closed = _gamma_sums(ends, prefix_ones(ends, n, columns)[0], np.array(columns)).tolist()
         else:
-            runs, rows = _runs(ends, n)
-            del ends  # before the gamma lengths, which take about 24 bytes a run
-            if rows is not None:
-                gamma = np.bincount(rows, weights=_gamma_len(runs), minlength=m)
-                self.totals = self.totals + gamma.astype(np.int64)
-                return
-            gamma = 2 * int(np.frexp(runs)[1].sum()) - runs.size  # the sum of _gamma_len(runs)
-            first, last = int(runs[0]), int(runs[-1])
-        closed = gamma - elias_gamma_len(last)  # the runs but the last, as they stand
-        row = chunk.words[0]
-        if self.open_len is not None:
-            if int(row[0]) >> 63 != self.open_bit:  # the chunk's first run ends it
-                closed += elias_gamma_len(self.open_len)
-            elif first < n:  # it extends the chunk's first run, which ends
-                closed += elias_gamma_len(first + self.open_len) - elias_gamma_len(first)
-            else:  # it extends the chunk's one run, still open
-                last += self.open_len
-        self.totals += closed
-        self.open_bit, self.open_len = int(row[-1]) >> (63 - (n - 1) % 64) & 1, last
+            at, _ = _end_columns(ends, n)
+            del ends
+            bits = _bit_length(_run_lengths(at))
+            first = int(at[0])
+            if len(js) == 1:  # the chunk's end only: every run but the last
+                closed = [2 * int(np.add.reduce(bits[:-1])) - len(at) + 1]
+                before = [int(at[-2]) if len(at) > 1 else -1]
+            else:
+                np.cumsum(bits, out=bits)  # int32: a chunk's bit lengths sum to at most its cells
+                k = np.searchsorted(at, [j - 1 for j in js]).tolist()  # the ends before each last column
+                sums, before = bits[[i - 1 for i in k]].tolist(), at[[i - 1 for i in k]].tolist()
+                closed = [2 * s - i if i else 0 for s, i in zip(sums, k)]
+                before = [b if i else -1 for b, i in zip(before, k)]
+        carried, length = self.closed, self.open_len
+        same = length is not None and int(chunk.words[0, 0]) >> 63 == self.open_bit
+        for i, (j, x, b) in enumerate(zip(js, closed, before)):
+            y = j - 1 - b  # the prefix's last run, from the end before its last column on
+            if length is not None:  # the run open at column c - 1
+                x += carried
+                if not same:  # ends at the chunk's first column
+                    x += elias_gamma_len(length)
+                elif j <= first + 1:  # extends the chunk's first run, the prefix's last
+                    y += length
+                else:  # extends the chunk's first run, closed before the prefix's last column
+                    x += elias_gamma_len(first + 1 + length) - elias_gamma_len(first + 1)
+            if i < cuts:
+                self.parts.append(1 + x + elias_gamma_len(y))
+        self.closed, self.open_len = x, y
+        self.open_bit = int(chunk.words[0, -1]) >> (63 - (n - 1) % 64) & 1
 
-    def finish(self, m: int) -> Lengths:
-        totals = self.totals
-        if self.open_len is not None:
-            totals += elias_gamma_len(self.open_len)
-        totals = np.array(totals, dtype=np.int64, ndmin=1)
+    def finish(self) -> Lengths:
+        totals = np.array(self.parts, dtype=np.int64)
         return totals.astype(np.float64), totals, None
 
 
@@ -410,10 +524,11 @@ def _pattern_cost(p):
     return _gamma_len(p) + p
 
 
-def _mismatch_cost(n: int, mismatches):
+def _mismatch_cost(n, mismatches):
     """The periodic codeword's gamma(r + 1) and r mismatch positions of
-    ceil_log2(n + 1) bits; elementwise."""
-    return _gamma_len(mismatches + 1) + mismatches * ceil_log2(n + 1)
+    ceil_log2(n + 1) = bit_length(n) bits; elementwise, n an int or an
+    array of them."""
+    return _gamma_len(mismatches + 1) + mismatches * (n.bit_length() if isinstance(n, int) else _bit_length(n))
 
 
 def _periodic_cost(n: int, p, mismatches):
@@ -479,133 +594,126 @@ def _tiled_words(pattern: np.ndarray, periods: range, c: int, words: int) -> np.
     return runs[np.arange(top)[:, None], starts].reshape(top, -1, m)[:, :words]
 
 
-def _mismatch_counts(pattern: np.ndarray, top: int, chunk: PackedRows, c: int) -> np.ndarray:
-    """(periods, rows) counts of the columns of chunk, which start at column
-    c of its rows, that differ from each row's first p columns tiled over
-    the row, for every period p = 1 .. top <= 64, pattern being each row's
-    first packed word: the popcounts of the chunk's words xor
-    _tiled_words, the chunk's padding masked out (Warren, ch. 5)."""
+def _mismatch_counts(pattern: np.ndarray, top: int, chunk: PackedRows, c: int, js: list[int]) -> np.ndarray:
+    """(periods, rows, len(js)) counts of the first j columns of chunk, for
+    each j in js, that differ from each row's first p columns tiled over
+    the row, for every period p = 1 .. top <= 64, the chunk starting at
+    column c of its rows and pattern being each row's first packed word:
+    the prefix popcounts of the chunk's words xor _tiled_words (Warren,
+    ch. 5), which read no column past j."""
     words = chunk.words.shape[1]
     tiled = _tiled_words(pattern, range(1, top + 1), c, words)
     tiled ^= chunk.words.T
     if chunk.n % 64:  # the chunk's padding is zero, the pattern's is not
         tiled[:, words - 1] &= _LEADING[chunk.n % 64]
-    return np.bitwise_count(tiled).sum(axis=1, dtype=np.int32)
+    return prefix_ones(tiled.transpose(0, 2, 1), chunk.n, js)
 
 
-class _Periodic:
+class _Periodic(_Counted):
     """Each row's mismatch counts against its first p columns tiled over
-    the row, for every period p <= min(p_max, n), summed over the chunks;
-    the first m columns score the periods p <= min(p_max, m) only.  The
-    pattern is the rows' first packed word, which the chunks that start
-    before column 64 fill in: a chunk's columns are tiled from columns
-    before its end only."""
+    the row, for every period p <= min(p_max, n), at every cut; a cut of m
+    columns scores the periods p <= min(p_max, m) only.  The pattern is
+    the rows' first packed word, which the first chunk holds whole."""
 
-    def __init__(self, block: PackedRows, p_max: int = P_MAX):
+    def __init__(self, block: PackedRows, cuts: Sequence[int] | None = None, p_max: int = P_MAX):
+        super().__init__(block, cuts)
         self.top = min(p_max, block.shape[1])
-        self.pattern = self.counts = None
+        self.pattern = None
 
-    def add(self, chunk: PackedRows, c: int) -> None:
-        if c < 64:
-            head = chunk.words[:, 0] >> c
-            self.pattern = head if c == 0 else self.pattern | head
-        counts = _mismatch_counts(self.pattern, self.top, chunk, c)
-        # a chunk's int32 counts, summed in int64 over several chunks
-        self.counts = counts if self.counts is None else np.add(self.counts, counts, dtype=np.int64)
+    def tally(self, chunk: PackedRows, c: int, js: list[int]) -> np.ndarray:
+        if c == 0:
+            self.pattern = chunk.words[:, 0]
+        return _mismatch_counts(self.pattern, self.top, chunk, c, js)
 
-    def scan(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """(cost, period) of every row's first m columns at its cheapest
-        period; the smallest period wins ties.  Both come from one minimum
-        over the periods of the key cost << 6 | p - 1, one elementwise pass
-        over the (periods, rows) counts."""
-        top = min(self.top, m)
-        # in int64, which a single chunk's int32 counts are widened to
-        keys = np.left_shift(_mismatch_cost(m, self.counts[:top]), 6, dtype=np.int64)
+    def scan(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cost, period) of every entry at its cheapest period; the
+        smallest period wins ties.  Both come from one minimum over the
+        periods of the key cost << 6 | p - 1, one elementwise pass over the
+        (periods, entries) counts."""
+        cuts = self.cuts
+        top = min(self.top, cuts[-1])
+        counts = self.counts[:top].reshape(top, -1)
+        m = np.array(cuts) if len(cuts) > 1 else cuts[0]  # a row's cuts, or every row's n
+        keys = np.left_shift(_mismatch_cost(m, counts), 6, dtype=np.int64)
         keys += _PERIOD_KEYS[:top]
+        if cuts[0] < top:  # a row's cuts, the short ones lacking the long periods
+            keys[np.arange(1, top + 1)[:, None] > m] = _NO_CODE
         best = keys.min(axis=0)
         return best >> 6, (best & 63) + 1
 
-    def finish(self, m: int) -> Lengths:
-        cost, _ = self.scan(m)
+    def finish(self) -> Lengths:
+        cost, _ = self.scan()
         return cost.astype(np.float64), cost, None
 
 
-class _PairShell:
-    """Each row's tallies of the disjoint 2-bit blocks 00, 01, 10, 11.  A
-    chunk that ends on a block's first bit leaves it unpaired, and the next
-    chunk's first bit completes the block; finish leaves it out, as the odd
-    trailing bit of the prefix."""
+class _PairShell(_Counted):
+    """Each row's ones at the first bits of its disjoint 2-bit blocks, at
+    their second bits, and its blocks 11, at every cut; a cut's odd
+    trailing bit is left out.  As every chunk starts at an even column, no
+    block spans two chunks."""
 
-    def __init__(self, block: PackedRows):
-        self.tallies = 0
-        self.unpaired = None  # each row's bit at the last column in, on a block's first bit
+    def tally(self, chunk: PackedRows, c: int, js: list[int]) -> np.ndarray:
+        return block_ones(chunk.words, chunk.n, [j - j % 2 for j in js])
 
-    def add(self, chunk: PackedRows, c: int) -> None:
-        if self.unpaired is not None:
-            pair = 2 * self.unpaired + chunk.column(0)
-            self.tallies = self.tallies + (pair[:, None] == np.arange(4))
-            self.unpaired = None
-            if chunk.n == 1:
-                return
-            chunk = chunk.columns(1, chunk.n)
-        self.tallies = self.tallies + block_tallies(chunk)
-        if chunk.n % 2:
-            self.unpaired = chunk.column(chunk.n - 1)
-
-    def finish(self, m: int) -> Lengths:
-        nb, tail = divmod(m, 2)
-        header = 4 * math.log2(nb + 1)
+    def finish(self) -> Lengths:
         # Key: the tallies (c01, c10, c11) in base b = nb + 1, c00 being the
-        # rest of nb.  Every key is below b^3: int64 while b^3 < 2^63, that
-        # is for n below about 2^22, and Python ints above.
-        b = nb + 1
-        place = np.array([b * b, b, 1], dtype=np.int64 if b**3 < 1 << 63 else object)
+        # rest of nb: c01 b^2 + c10 b + c11, which weighs the ones at first
+        # bits by b, at second bits by b^2 and the blocks 11 by 1 - b - b^2.
+        # Every key is below b^3: int64 while b^3 < 2^63, that is for cuts
+        # below about 2^22, and Python ints above.
+        cuts = self.cuts
+        big = (cuts[-1] // 2 + 1) ** 3 >= 1 << 63
+        counts = self.counts.reshape(3, -1).astype(object) if big else self.counts.reshape(3, -1)
+        b = [m // 2 + 1 for m in cuts]
+        weights = np.array([b, [x * x for x in b], [1 - x - x * x for x in b]], dtype=object if big else np.int64)
 
-        def length(key):
+        def length(m, key):
+            nb = m // 2
+            b = nb + 1
             c = [key // (b * b), key // b % b, key % b]
-            return (log2_multinomial([nb - sum(c), *c]) + header,)
+            return (log2_multinomial([nb - sum(c), *c]) + 4 * math.log2(nb + 1),)
 
-        (ideal,) = _tabulate(length, self.tallies[:, 1:] @ place, np.float64)
-        return ideal + tail, None, None
+        (ideal,) = _tabulate(length, (weights * counts).sum(axis=0).reshape(-1, len(cuts)), cuts, np.float64)
+        return ideal + np.array(cuts) % 2, None, None
 
 
 _NO_CODE = np.iinfo(np.int64).max
 
 
-class _ModelClass:
+class _ModelClass(_Kernel):
     """Every model_class member's kernel, or those of the members with a
-    concrete code only, fed the same chunks."""
+    concrete code only, fed the same chunks and cuts."""
 
-    def __init__(self, block: PackedRows, concrete_only: bool = False):
-        self.rows = len(block)
+    def __init__(self, block: PackedRows, cuts: Sequence[int] | None = None, concrete_only: bool = False):
+        super().__init__(block, cuts)
         self.members = {
-            j: _CODERS[name].kernel(block)
+            j: _CODERS[name].kernel(block, cuts)
             for j, name in enumerate(MODEL_MEMBERS)
             if not concrete_only or _CODERS[name].encode is not None
         }
 
-    def add(self, chunk: PackedRows, c: int) -> None:
+    def record(self, chunk: PackedRows, c: int, js: list[int], cuts: int) -> None:
         for member in self.members.values():
-            member.add(chunk, c)
+            member.record(chunk, c, js, cuts)
 
-    def member_lengths(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """(members, rows) ideal and concrete lengths of every member on
-        the first m columns; a member without a concrete code has concrete
-        length _NO_CODE, and ideal length inf when it is left out."""
-        ideal = np.full((len(MODEL_MEMBERS), self.rows), np.inf)
+    def member_lengths(self) -> tuple[np.ndarray, np.ndarray]:
+        """(members, entries) ideal and concrete lengths of every member; a
+        member without a concrete code has concrete length _NO_CODE, and
+        ideal length inf when it is left out."""
+        ideal = np.full((len(MODEL_MEMBERS), self.rows * len(self.cuts)), np.inf)
         concrete = np.full(ideal.shape, _NO_CODE, dtype=np.int64)
         for j, member in self.members.items():
-            ideal[j], member_concrete, _ = member.finish(m)
+            ideal[j], member_concrete, _ = member.finish()
             if member_concrete is not None:
                 concrete[j] = member_concrete
         return ideal, concrete
 
-    def finish(self, m: int) -> Lengths:
+    def finish(self) -> Lengths:
         """The ideal length takes the minimum over member ideal lengths and
         the concrete length the minimum over members with a concrete code,
         each one elementwise pass over the members; the tag indexes
         MODEL_MEMBERS at the ideal winner (first on ties)."""
-        ideal, concrete = self.member_lengths(m)
+        ideal, concrete = self.member_lengths()
         tag = np.argmin(ideal, axis=0)
         return MODEL_TAG_BITS + ideal.min(axis=0), MODEL_TAG_BITS + concrete.min(axis=0), tag
 
@@ -628,26 +736,23 @@ def _blocks(source) -> Iterator[PackedRows]:
 
 
 def _scored(kernel, source, cuts: Sequence[int] | None = None):
-    """(kernel(block), m) for every block of rows of source, a BitWord,
-    packed rows or a 0/1 matrix (see _blocks), the kernel fed the block's
-    columns once, in packed chunks from left to right, and yielded after
-    the columns 0 .. m - 1 of every cut m in the strictly increasing cuts:
-    after the block's last column, m = n, by default.  Cuts are for one row only.  A
-    chunk holds at most _CHUNK_BYTES // 8 cells: whole rows while a row
+    """kernel(block, cuts) for every block of rows of source, a BitWord,
+    packed rows or a 0/1 matrix (see _blocks), fed the block's columns once,
+    in packed chunks from left to right, up to the last of the strictly
+    increasing cuts, which are for one row only (the block's n by default).
+    A chunk holds at most _CHUNK_BYTES // 8 cells: whole rows while a row
     fits, else one row in chunks of a multiple of 64 columns (64 at least),
-    slices of the row's words.  A chunk ends at each cut, at any column."""
+    slices of the row's words; the kernel records every cut inside a chunk,
+    so no chunk ends at a cut but the last."""
     cells = _CHUNK_BYTES // 8
     for block in _blocks(source):
         n = block.n
         width = n if n <= cells else max(64, cells - cells % 64)
-        scorer = kernel(block)
-        c = 0
-        for cut in cuts or (n,):
-            while c < cut:
-                end = min(cut, c + width)
-                scorer.add(block.columns(c, end), c)
-                c = end
-            yield scorer, cut
+        scorer = kernel(block, cuts)
+        end = cuts[-1] if cuts else n
+        for c in range(0, end, width):
+            scorer.add(block.columns(c, min(end, c + width)), c)
+        yield scorer
 
 
 def _joined(parts: list[Lengths]) -> Lengths:
@@ -659,7 +764,7 @@ def _joined(parts: list[Lengths]) -> Lengths:
 
 def _lengths(kernel, source, cuts: Sequence[int] | None = None) -> Lengths:
     """The Lengths of every row of source, or of one row's prefix at every cut."""
-    return _joined([scorer.finish(m) for scorer, m in _scored(kernel, source, cuts)])
+    return _joined([scorer.finish() for scorer in _scored(kernel, source, cuts)])
 
 
 def _periodic_scan(source, p_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -669,7 +774,7 @@ def _periodic_scan(source, p_max: int) -> tuple[np.ndarray, np.ndarray]:
     64."""
     if not 1 <= p_max <= 64:
         raise ValueError(f"the periodic scan takes 1 <= p_max <= 64, not {p_max}")
-    scans = [scorer.scan(n) for scorer, n in _scored(partial(_Periodic, p_max=p_max), source)]
+    scans = [scorer.scan() for scorer in _scored(partial(_Periodic, p_max=p_max), source)]
     return tuple(np.concatenate(part) for part in zip(*scans))
 
 
@@ -709,7 +814,8 @@ def kind_lengths(coder: CoderId, bits, kind: str, cuts: Sequence[int] | None = N
     gives them; or, given cuts, of the word's prefixes of every length m in
     cuts, each as scored alone.  The cuts increase strictly from 1 to at
     most the word's length; the kernel, length_kernel()'s, takes the
-    columns once up to the last cut, plus one finish(m) per cut.  A BitWord
+    columns once up to the last cut, records its statistics at every cut
+    and finishes them all at once.  A BitWord
     and packed rows, a PackedRows of at least one row whose bits past
     column n are zero as PackedRows.of leaves them, are not checked again:
     their blocks are slices of their words, never unpacked or packed."""
@@ -828,14 +934,14 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
 
 
 def _encode_model_class(word: BitWord) -> np.ndarray:
-    ((scored, n),) = _scored(length_kernel(CoderId("model_class"), "concrete"), word)
-    _, concrete = scored.member_lengths(n)
+    (scored,) = _scored(length_kernel(CoderId("model_class"), "concrete"), word)
+    _, concrete = scored.member_lengths()
     best = int(np.argmin(concrete[:, 0]))  # the first shortest concrete member
     name = MODEL_MEMBERS[best]
     out = BitWriter()
     out.write_uint(best, MODEL_TAG_BITS)
     if name == "periodic":  # the member's counts save the encoder a second scan
-        out.write_bits(_periodic_codeword(word, int(scored.members[best].scan(n)[1][0])))
+        out.write_bits(_periodic_codeword(word, int(scored.members[best].scan()[1][0])))
     else:
         out.write_bits(_CODERS[name].encode(word))
     return out.getvalue()

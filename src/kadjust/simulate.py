@@ -13,9 +13,10 @@ equals the generated word of its seed and memory stays linear in the bits.
 
 convergence_trace scores every prefix on its schedule in one pass over
 the word (stats.adjusted_prefixes, coders.kind_lengths): the kernel takes
-the columns once, up to the last point, plus one finish per point, where
-scoring each prefix from scratch would take the sum of the points (2n for
-a doubling schedule).  Each row equals adjusted() of its prefix.
+the columns once, up to the last point, records its statistics at every
+point and finishes them all at once, where scoring each prefix from
+scratch would take the sum of the points (2n for a doubling schedule).
+Each row equals adjusted() of its prefix.
 """
 
 from __future__ import annotations

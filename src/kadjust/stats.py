@@ -27,7 +27,7 @@ from .entropy import (
     log2_multinomial,
     mutual_information_emp,
 )
-from .words import BitWord, PairCounts
+from .words import BitWord, PairCounts, prefix_ones
 
 logger = logging.getLogger(__name__)
 
@@ -168,24 +168,12 @@ def adjusted_prefixes(
 ) -> list[AdjustedReport]:
     """adjusted(word.prefix(m), coder, lengths) for every m in points,
     which increase strictly from 1 to at most word.n, from one pass over
-    the word: kind_lengths() scores every prefix, and the weights come
-    from one running popcount of the packed words."""
+    the word: kind_lengths() scores every prefix, and the weights are the
+    prefix popcounts of the packed words at the points (prefix_ones)."""
     points = list(points)
     k_effs = kind_lengths(coder, word, lengths, points).tolist()
-    weights = _prefix_weights(word, points)
+    weights = prefix_ones(word.packed[None], word.n, points)[0].tolist()
     return [_report(m, w, float(k_eff), coder) for m, w, k_eff in zip(points, weights, k_effs)]
-
-
-def _prefix_weights(word: BitWord, points: list[int]) -> list[int]:
-    """The weight of the word's prefix of every length m in points: the
-    ones of its m // 64 whole packed words plus those of its next m % 64
-    columns."""
-    packed = word.packed
-    ones = np.concatenate([[0], np.cumsum(np.bitwise_count(packed), dtype=np.int64)])
-    whole, tail = np.divmod(np.array(points, dtype=np.int64), 64)
-    # a shift by 64 gives 0 in numpy, so a prefix of whole words adds none
-    head = packed[np.minimum(whole, len(packed) - 1)] >> (64 - tail).astype(np.uint64)
-    return (ones[whole] + np.bitwise_count(head)).tolist()
 
 
 def adjusted_deficiencies(bits, coder: CoderId, lengths: str = "ideal") -> np.ndarray:

@@ -5,9 +5,10 @@ n*H - K_eff reaches m bits, equivalently when R <= c(m) = 1 - m/(n*H).
 The prefix scan applies the same rule along a geometric schedule of
 prefixes with a 2*log2(len+1) penalty that keeps the union over prefix
 lengths conservative.  It scores all its prefixes in one pass over the
-word (stats.adjusted_prefixes through coders.kind_lengths), one finish
-per prefix, where scoring each from scratch would take about 5n for the
-factor 1.25; each deficiency equals adjusted() of its prefix.
+word (stats.adjusted_prefixes through coders.kind_lengths), the kernel
+recording its statistics at every prefix and finishing them all at once,
+where scoring each from scratch would take about 5n for the factor 1.25;
+each deficiency equals adjusted() of its prefix.
 """
 
 from __future__ import annotations

@@ -13,12 +13,15 @@ on first use and kept.
 
 packed_rows packs every row of a 0/1 matrix in that layout, one row of
 words per row.  PackedRows is such a matrix with its column count: the
-blocks and chunks the length kernels (coders) read, cut at any column by
-PackedRows.columns.  Everything downstream consumes a BitWord, a
-PackedRows or one of the tallies defined here: aligned-pair counts for a
-pair of words, and the disjoint 2-bit block counts of every packed row
-(block_tallies).  as_bits (and bit_bytes, its form for bitstreams) is the
-package's one check that an array holds only 0/1 values.
+blocks and chunks the length kernels (coders) read, sliced at a multiple
+of 64 columns by PackedRows.columns.  Everything downstream consumes a
+BitWord, a PackedRows or one of the tallies defined here: aligned-pair
+counts for a pair of words, and the disjoint 2-bit block counts of every
+packed row (block_tallies).  prefix_ones is the one prefix popcount: the
+ones of every row's first j columns at any cuts j, which the length
+kernels and stats.adjusted_prefixes read.  as_bits (and bit_bytes, its
+form for bitstreams) is the package's one check that an array holds only
+0/1 values.
 """
 
 from __future__ import annotations
@@ -131,29 +134,16 @@ class PackedRows:
     def shape(self) -> tuple[int, int]:
         return len(self.words), self.n
 
-    def column(self, i: int) -> np.ndarray:
-        """Every row's bit at column i, as int64."""
-        return ((self.words[:, i // 64] >> (63 - i % 64)) & 1).view(np.int64)
-
     def columns(self, start: int, stop: int) -> "PackedRows":
-        """The columns start .. stop - 1 of every row, packed from column 0
-        on: a slice of the words when start is a multiple of 64, else every
-        word shifted up by start % 64 columns with the next word's first
-        columns carried in; the last word is masked where stop falls inside
-        it before the rows end."""
+        """The columns start .. stop - 1 of every row, start a multiple of
+        64: a slice of the words, the last word masked where stop falls
+        inside it before the rows end."""
         if start == 0 and stop == self.n:
             return self
-        q, r = divmod(start, 64)
         width = stop - start
-        count = -(-width // 64)
-        words = self.words[:, q : q + count]
-        if r:
-            words = words << r
-            carry = self.words[:, q + 1 : q + count + 1]
-            words[:, : carry.shape[1]] |= carry >> (64 - r)
+        words = self.words[:, start // 64 : -(-stop // 64)]
         if width % 64 and stop < self.n:  # the columns past stop may be set
-            if not r:
-                words = words.copy()
+            words = words.copy()
             words[:, -1] &= _LEADING[width % 64]
         return PackedRows(words, width)
 
@@ -314,22 +304,54 @@ _FIRST = np.uint64(0xAAAAAAAAAAAAAAAA)
 _SECOND = np.uint64(0x5555555555555555)
 
 
-def block_tallies(rows: PackedRows) -> np.ndarray:
-    """(rows, 4) counts of the disjoint 2-bit blocks 00, 01, 10, 11 of every
-    packed row, left-aligned; an odd trailing bit is left out.
+def prefix_ones(words: np.ndarray, n: int, cuts) -> np.ndarray:
+    """(..., len(cuts)): the ones among the first j columns of packed words,
+    for each j in cuts, 0 <= j <= n, a row's words along the last axis, as
+    many as hold n columns, and its bits past column n zero: the popcounts
+    of the row's first j // 64 words, summed, plus those of the top j % 64
+    bits of the next.  One cut takes one sum of popcounts, of every word at
+    j = n; several take the sums of the words between consecutive cuts
+    (np.add.reduceat), added up from the left.  int32 while a row's count
+    fits, as the sums run about twice as fast as in int64; int64 past 2^31
+    columns."""
+    dtype = np.int32 if words.shape[-1] < 1 << 25 else np.int64
+    if len(cuts) == 1:
+        if cuts[0] == n:
+            return np.add.reduce(np.bitwise_count(words), -1, dtype, keepdims=True)
+        whole, tail = divmod(int(cuts[0]), 64)
+        ones = np.add.reduce(np.bitwise_count(words[..., :whole]), -1, dtype, keepdims=True)
+        if tail:
+            ones += np.bitwise_count(words[..., whole : whole + 1] >> np.uint64(64 - tail))
+        return ones
+    whole, tail = np.divmod(np.asarray(cuts, dtype=np.int64), 64)
+    bounds = sorted(set(whole.tolist()) - {0})  # the ends of the runs of whole words summed
+    sums = np.zeros(words.shape[:-1] + (len(bounds) + 1,), dtype=dtype)
+    if bounds:
+        counts = np.bitwise_count(words[..., : bounds[-1]])
+        segments = np.add.reduceat(counts, [0] + bounds[:-1], axis=-1, dtype=dtype)
+        np.cumsum(segments, axis=-1, out=sums[..., 1:])
+    # a shift by 64 gives 0 in numpy, so a cut at a word's start adds none
+    head = words[..., np.minimum(whole, words.shape[-1] - 1)] >> (64 - tail).astype(np.uint64)
+    return sums[..., np.searchsorted(bounds, whole, side="right")] + np.bitwise_count(head)
 
-    They follow from three counts per row: the ones at even positions
-    (first bits of blocks), the ones at odd positions and their AND
-    (blocks 11), each a popcount of the packed row under a mask.
-    """
-    words, n = rows.words, rows.n
+
+def block_ones(words: np.ndarray, n: int, cuts) -> np.ndarray:
+    """(3, rows, len(cuts)), as prefix_ones: among the first j columns of
+    every row of packed words (rows, words) whose bits past column n are
+    zero, for each even j <= n in cuts, the ones at even positions (first
+    bits of 2-bit blocks), the ones at odd positions and the blocks 11,
+    each a prefix popcount of the packed rows under a mask."""
     masked = np.empty((3,) + words.shape, dtype=np.uint64)
     np.bitwise_and(words, _FIRST, out=masked[0])
     np.bitwise_and(words, _SECOND, out=masked[1])
     np.right_shift(words, 1, out=masked[2])  # each block's first bit onto its second
     masked[2] &= masked[1]
-    first, second, both = np.bitwise_count(masked).sum(axis=2, dtype=np.int64)
-    if n % 2:
-        first -= rows.column(n - 1)
-    nb = n // 2
+    return prefix_ones(masked, n, cuts)
+
+
+def block_tallies(rows: PackedRows) -> np.ndarray:
+    """(rows, 4) counts of the disjoint 2-bit blocks 00, 01, 10, 11 of every
+    packed row, left-aligned; an odd trailing bit is left out."""
+    nb = rows.n // 2
+    first, second, both = block_ones(rows.words, rows.n, [2 * nb])[..., 0]
     return np.stack([nb - first - second + both, second - both, first - both, both], axis=1)

@@ -319,7 +319,7 @@ class TestGatheredPeriodicScan:
 
 
 class TestPeriodicFormula:
-    """The periodic kernel fed chunks that start off the multiples of 64 and
+    """The periodic kernel fed chunks that start at any multiple of 64 and
     end mid-word, and rows of every length up to 200 bits, against the
     reference at bounds up to a whole 64-bit pattern: period 64 takes the
     full-width mask and, at phase 0, a shift by 64."""
@@ -333,18 +333,18 @@ class TestPeriodicFormula:
 
     @pytest.mark.parametrize("p_max", [1, 5, 32, 64])
     def test_one_row_in_chunks(self, p_max):
-        # a chunk of 6500 columns holds more words than the formula builds
-        # for one row, so the gather lays them out, at column 0 and 6500
+        # a chunk of 6528 columns holds more words than the formula builds
+        # for one row, so the gather lays them out, at column 0 and 6528
         rng = np.random.default_rng(p_max)
-        for n, widths in ((2100, (1, 13, 63, 65, 1000)), (13000, (1000, 6500))):
+        for n, widths in ((2100, (64, 128, 1024)), (13000, (1024, 6528))):
             for row in (rng.integers(0, 2, n, dtype=np.uint8), self.planted(rng, n, p_max)):
                 want = [ref_periodic(row.tolist(), p_max)[1]]
                 block = PackedRows.of(row[None])
                 for width in widths:
-                    kernel = coders._Periodic(block, p_max)
+                    kernel = coders._Periodic(block, p_max=p_max)
                     for c in range(0, n, width):
                         kernel.add(block.columns(c, min(n, c + width)), c)
-                    assert kernel.scan(n)[0].tolist() == want, (n, width)
+                    assert kernel.scan()[0].tolist() == want, (n, width)
 
     @pytest.mark.parametrize("p_max", [1, 5, 32, 64])
     def test_rows_of_every_length(self, p_max):

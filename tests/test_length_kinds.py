@@ -160,9 +160,9 @@ def pair_shells(monkeypatch) -> list[int]:
     built = []
     init = coders._PairShell.__init__
 
-    def spy(self, block):
+    def spy(self, block, cuts=None):
         built.append(len(block))
-        init(self, block)
+        init(self, block, cuts)
 
     monkeypatch.setattr(coders._PairShell, "__init__", spy)
     return built

@@ -128,7 +128,12 @@ class TestPrefixScan:
 
     @pytest.mark.parametrize(
         "name, kind",
-        [("shell", "concrete"), ("run_length", "concrete"), ("model_class", "ideal"), ("model_class", "concrete")],
+        [
+            ("literal", "ideal"), ("literal", "concrete"), ("shell", "ideal"), ("shell", "concrete"),
+            ("run_length", "ideal"), ("run_length", "concrete"), ("periodic", "ideal"),
+            ("periodic", "concrete"), ("pair_shell", "ideal"), ("model_class", "ideal"),
+            ("model_class", "concrete"),
+        ],
     )
     @pytest.mark.parametrize("p", [0.5, 0.2])
     def test_union_bound_over_prefixes(self, name, kind, p):
