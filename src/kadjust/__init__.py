@@ -11,7 +11,6 @@ from .coders import (
     CODER_NAMES,
     CodeResult,
     CoderId,
-    code_lengths,
     code_word,
     concrete_coder_ids,
     decode_word,
@@ -22,6 +21,7 @@ from .coders import (
     k_pair_shell,
     k_periodic,
     k_run_length,
+    kind_lengths,
 )
 from .entropy import (
     binary_entropy,
@@ -89,7 +89,6 @@ __all__ = [
     "adjusted_deficiencies",
     "adjusted_mutual",
     "binary_entropy",
-    "code_lengths",
     "code_word",
     "concrete_coder_ids",
     "conditional_entropy",
@@ -107,6 +106,7 @@ __all__ = [
     "k_pair_shell",
     "k_periodic",
     "k_run_length",
+    "kind_lengths",
     "log2_multinomial",
     "monte_carlo_fpr",
     "mutual_information_emp",

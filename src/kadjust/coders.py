@@ -9,19 +9,22 @@ Every length is computed by one batched kernel per coder, which scores a
 matrix of equal-length words, one word per row.  Every kernel reads the
 same packed chunk, a PackedRows of 64 columns to a uint64 word,
 most-significant bit first (see kadjust.words).  One loop (_scored) feeds
-the chunks to code_lengths(), code_word(), the k_* functions and
-kind_lengths(): a BitWord's packed words are sliced into chunks, packed
+the chunks to kind_lengths() and to code_word() through the k_*
+functions: a BitWord's packed words are sliced into chunks, packed
 rows (a PackedRows, as the counting-lemma audit builds them from
 integers) are sliced a block of rows at a time, and a 0/1 matrix is
 packed once a block of rows; a short word is a single chunk.  A kernel
 is built with the prefix lengths it scores, its cuts (n by default), and
 records integer statistics at every cut inside each chunk, from prefix
 sums over the chunk's words; totals that add up over the chunks carry
-into the next.  Its last step, finish(), turns every cut's statistics
-into lengths at once, with the same scalar functions for every chunking,
-so a word scores the same however it is chunked, and kind_lengths()
-given cuts scores every prefix of a word on a schedule in one
-left-to-right pass and one finish.
+into the next.  Its last step, finishes(kinds), turns every cut's
+statistics into each length kind's Score, lengths and winner, at once,
+with the same scalar functions for every chunking, so a word scores the
+same however it is chunked, and kind_lengths() given cuts scores every
+prefix of a word on a schedule in one left-to-right pass and one finish.
+code_word() finishes one pass for both kinds, and a kernel whose two
+kinds are one integer length (literal, run_length, periodic) takes it
+once.
 No coder takes a parameter: each has a kernel, a one-row k_*(word) and,
 when concrete, encode(word) and decode(n, reader).  The periodic bound is
 the constant P_MAX = 32.
@@ -82,15 +85,17 @@ so it takes the periods the encoder writes only, 1 <= P <= min(P_MAX, n).
 The length kind picks the members that run.  length_kernel(coder, kind)
 decides it, and alone checks that the coder has the kind: under concrete,
 model_class runs only its members with a concrete code, as pair_shell has
-none and cannot change a concrete length; its encoder takes that kernel
-too.  kind_lengths() scores one kind through it; code_lengths() and
-code_word() score both kinds with every member.
+none and cannot change a concrete length.  kind_lengths() scores one
+kind through it, and the periodic and model_class encoders write the
+winner of its concrete Score; code_word() scores both kinds with every
+member.
 
 Tie-breaks are deterministic: smallest period for periodic, listed order
-for model_class.  Both minima are elementwise passes over a (choices,
+for model_class.  Each minimum is one elementwise pass over a (choices,
 rows) array.  The periodic key carries the period index in its low 6
-bits, so the least key holds the least cost at its smallest period; the
-model tag is the argmin over the members, the first member on ties.
+bits, so the least key holds the least cost at its smallest period, and
+the concrete model tag the same way, length << 3 | member; the ideal tag
+is the argmin over the members, the first member on ties.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -122,9 +127,17 @@ MODEL_TAG_BITS = 3
 # bytes a run, under one run in 3 cells (see _dense).
 _CHUNK_BYTES = 1 << 20
 
-# (ideal, concrete or None, model tag or None), one entry per row, or per
-# cut of a single row
-Lengths = tuple[np.ndarray, np.ndarray | None, np.ndarray | None]
+
+class Score(NamedTuple):
+    """One length kind's lengths, one entry per row or per cut of a single
+    row, and the winner where the coder picks one, else None: tag, for
+    model_class, the MODEL_MEMBERS index of the kind's first shortest
+    member; period, for periodic and model_class's periodic member, the
+    least-cost period, the smallest on ties."""
+
+    lengths: np.ndarray
+    tag: np.ndarray | None = None
+    period: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -153,7 +166,7 @@ def length_kernel(coder: CoderId, kind: str):
         if not is_concrete(coder):
             raise ValueError(f"coder {coder.name} has no concrete code")
         if coder.name == "model_class":
-            return partial(_ModelClass, concrete_only=True)
+            return partial(_ModelClass, kind="concrete")
     return _CODERS[coder.name].kernel
 
 
@@ -162,7 +175,7 @@ class CodeResult:
     """Description length of one word under one coder.
 
     concrete_len is None for purely ideal coders (pair_shell); model_tag
-    names the winning sub-model for model_class.
+    names model_class's ideal winner, the ideal Score's tag.
     """
 
     coder: CoderId
@@ -181,7 +194,7 @@ def concrete_coder_ids() -> tuple[CoderId, ...]:
 
 
 # ---------------------------------------------------------------------------
-# batched length kernels: packed rows -> (ideal, concrete, tag)
+# batched length kernels: packed rows -> Score
 #
 # A kernel is built on one block of rows and its cuts, kernel(block, cuts),
 # block a PackedRows (of which it reads the shape only) and cuts the
@@ -193,12 +206,13 @@ def concrete_coder_ids() -> tuple[CoderId, ...]:
 # sums over the chunk's words: the shell weight and the pair kernel's
 # block tallies (words.prefix_ones), the periodic mismatch counts, and the
 # run-length kernel's gamma lengths of the runs closed before the cut plus
-# the cut's open run.  One finish() then turns every cut's statistics
-# into its Lengths, those the prefix gets when scored on its own, one
-# entry per cut of a row or per row of a block.  As every chunk starts at
-# a multiple of 64 columns, no 2-bit block spans two chunks and the first
-# chunk holds the periodic pattern, a row's first word; only a run spans
-# chunks, which the run-length kernel carries into the next one.
+# the cut's open run.  One finishes(kinds) then turns every cut's
+# statistics into each kind's Score, the one the prefix gets when scored on
+# its own, one entry per cut of a row or per row of a block.  As every
+# chunk starts at a multiple of 64 columns, no 2-bit block spans two chunks
+# and the first chunk holds the periodic pattern, a row's first word; only
+# a run spans chunks, which the run-length kernel carries into the next
+# one.
 
 
 def _bit_length(v):
@@ -213,30 +227,36 @@ def _gamma_len(v):
     return 2 * _bit_length(v) - 1
 
 
-def _tabulate(fn, keys: np.ndarray, cuts: Sequence[int], *dtypes) -> list[np.ndarray]:
-    """fn(m, key) of each entry's cut m and integer key, keys being (rows,
-    cuts) of a single row or a single cut, as a tuple of one value per
-    dtype: once per cut of a row, or once per distinct key of the rows of
-    one cut.  One flat array per dtype."""
+def _tabulate(fns, keys: np.ndarray, cuts: Sequence[int]) -> list[np.ndarray]:
+    """fn(m, key) of each entry's cut m and integer key, for each (fn,
+    dtype) of fns, keys being (rows, cuts) of a single row or a single cut:
+    once per cut of a row, or once per distinct key of the rows of one cut.
+    One flat array of dtype per fn."""
     inverse = None
     if keys.shape[-1] > 1:
-        values = map(fn, cuts, keys[0].tolist())
+        ms, keys = cuts, keys[0].tolist()
     else:
         keys = keys.reshape(-1)
-        if len(keys) == 1:
-            distinct = keys.tolist()
-        else:
-            distinct, inverse = np.unique(keys, return_inverse=True)
-            distinct = distinct.tolist()
-        values = map(partial(fn, cuts[0]), distinct)
-    tables = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*values), dtypes)]
+        if len(keys) > 1:
+            keys, inverse = np.unique(keys, return_inverse=True)
+        keys = keys.tolist()
+        ms = [cuts[0]] * len(keys)
+    tables = [np.array(list(map(fn, ms, keys)), dtype=dtype) for fn, dtype in fns]
     return tables if inverse is None else [table[inverse] for table in tables]
+
+
+def _integral(lengths: np.ndarray, period: np.ndarray | None = None) -> dict[str, Score]:
+    """Both Scores of a coder whose ideal length is its integer concrete
+    length, as a float, whatever the kinds asked for."""
+    return {"ideal": Score(lengths.astype(np.float64), None, period), "concrete": Score(lengths, None, period)}
 
 
 class _Kernel:
     """A block's row count and cuts, the cuts the chunks so far held, and
     what the kernel recorded at them; add(chunk, c) hands record() the cuts
-    inside the chunk."""
+    inside the chunk, and finishes(kinds) makes the Score of each of the
+    kinds from them, in one pass where the kinds share their work (a
+    kernel may give more kinds than asked for)."""
 
     def __init__(self, block: PackedRows, cuts: Sequence[int] | None = None):
         self.rows = len(block)
@@ -290,11 +310,9 @@ class _Literal(_Kernel):
     def record(self, chunk: PackedRows, c: int, js: list[int], cuts: int) -> None:
         pass
 
-    def finish(self) -> Lengths:
+    def finishes(self, kinds: Sequence[str]) -> dict[str, Score]:
         m = np.array(self.cuts, dtype=np.int64)
-        if self.rows > 1:
-            m = m.repeat(self.rows)
-        return m.astype(np.float64), m, None
+        return _integral(m.repeat(self.rows) if self.rows > 1 else m)
 
 
 class _Shell(_Counted):
@@ -303,12 +321,10 @@ class _Shell(_Counted):
     def tally(self, chunk: PackedRows, c: int, js: list[int]) -> np.ndarray:
         return prefix_ones(chunk.words, chunk.n, js)
 
-    def finish(self) -> Lengths:
-        ideal, concrete = _tabulate(
-            lambda m, k: (ideal_len_shell(m, k), concrete_len_shell(m, k)),
-            self.counts, self.cuts, np.float64, np.int64,
-        )
-        return ideal, concrete, None
+    def finishes(self, kinds: Sequence[str]) -> dict[str, Score]:
+        lengths = {"ideal": (ideal_len_shell, np.float64), "concrete": (concrete_len_shell, np.int64)}
+        tables = _tabulate([lengths[kind] for kind in kinds], self.counts, self.cuts)
+        return {kind: Score(table) for kind, table in zip(kinds, tables)}
 
 
 def _ends(chunk: PackedRows) -> np.ndarray:
@@ -514,9 +530,8 @@ class _RunLength(_Kernel):
         self.closed, self.open_len = x, y
         self.open_bit = int(chunk.words[0, -1]) >> (63 - (n - 1) % 64) & 1
 
-    def finish(self) -> Lengths:
-        totals = np.array(self.parts, dtype=np.int64)
-        return totals.astype(np.float64), totals, None
+    def finishes(self, kinds: Sequence[str]) -> dict[str, Score]:
+        return _integral(np.array(self.parts, dtype=np.int64))
 
 
 def _pattern_cost(p):
@@ -536,9 +551,11 @@ def _periodic_cost(n: int, p, mismatches):
     return _pattern_cost(p) + _mismatch_cost(n, mismatches)
 
 
-# The part of _Periodic.scan's key cost << 6 | p - 1 that depends on the
+# The part of _Periodic.finishes' key cost << 6 | p - 1 that depends on the
 # period p alone, for p = 1 .. 64, as an int64 column.
 _PERIOD_KEYS = (_pattern_cost(np.arange(1, 65)) << 6 | np.arange(64))[:, None]
+# The key of a period longer than the cut, above every cost.
+_NO_CODE = np.iinfo(np.int64).max
 
 
 # For p = 1 .. 64, as uint64 of shape (64, 1, 1): p; the repunit sum of
@@ -616,6 +633,8 @@ class _Periodic(_Counted):
     the rows' first packed word, which the first chunk holds whole."""
 
     def __init__(self, block: PackedRows, cuts: Sequence[int] | None = None, p_max: int = P_MAX):
+        if not 1 <= p_max <= 64:  # a pattern is one uint64 word
+            raise ValueError(f"the periodic kernel takes 1 <= p_max <= 64, not {p_max}")
         super().__init__(block, cuts)
         self.top = min(p_max, block.shape[1])
         self.pattern = None
@@ -625,8 +644,8 @@ class _Periodic(_Counted):
             self.pattern = chunk.words[:, 0]
         return _mismatch_counts(self.pattern, self.top, chunk, c, js)
 
-    def scan(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cost, period) of every entry at its cheapest period; the
+    def finishes(self, kinds: Sequence[str]) -> dict[str, Score]:
+        """Every entry's cost at its cheapest period, and that period; the
         smallest period wins ties.  Both come from one minimum over the
         periods of the key cost << 6 | p - 1, one elementwise pass over the
         (periods, entries) counts."""
@@ -639,11 +658,7 @@ class _Periodic(_Counted):
         if cuts[0] < top:  # a row's cuts, the short ones lacking the long periods
             keys[np.arange(1, top + 1)[:, None] > m] = _NO_CODE
         best = keys.min(axis=0)
-        return best >> 6, (best & 63) + 1
-
-    def finish(self) -> Lengths:
-        cost, _ = self.scan()
-        return cost.astype(np.float64), cost, None
+        return _integral(best >> 6, (best & 63) + 1)
 
 
 class _PairShell(_Counted):
@@ -655,12 +670,13 @@ class _PairShell(_Counted):
     def tally(self, chunk: PackedRows, c: int, js: list[int]) -> np.ndarray:
         return block_ones(chunk.words, chunk.n, [j - j % 2 for j in js])
 
-    def finish(self) -> Lengths:
-        # Key: the tallies (c01, c10, c11) in base b = nb + 1, c00 being the
-        # rest of nb: c01 b^2 + c10 b + c11, which weighs the ones at first
-        # bits by b, at second bits by b^2 and the blocks 11 by 1 - b - b^2.
-        # Every key is below b^3: int64 while b^3 < 2^63, that is for cuts
-        # below about 2^22, and Python ints above.
+    def finishes(self, kinds: Sequence[str]) -> dict[str, Score]:
+        # The ideal Score only, whatever the kinds.  Key: the tallies (c01,
+        # c10, c11) in base b = nb + 1, c00 being the rest of nb: c01 b^2 +
+        # c10 b + c11, which weighs the ones at first bits by b, at second
+        # bits by b^2 and the blocks 11 by 1 - b - b^2.  Every key is below
+        # b^3: int64 while b^3 < 2^63, that is for cuts below about 2^22,
+        # and Python ints above.
         cuts = self.cuts
         big = (cuts[-1] // 2 + 1) ** 3 >= 1 << 63
         counts = self.counts.reshape(3, -1).astype(object) if big else self.counts.reshape(3, -1)
@@ -671,51 +687,46 @@ class _PairShell(_Counted):
             nb = m // 2
             b = nb + 1
             c = [key // (b * b), key // b % b, key % b]
-            return (log2_multinomial([nb - sum(c), *c]) + 4 * math.log2(nb + 1),)
+            return log2_multinomial([nb - sum(c), *c]) + 4 * math.log2(nb + 1)
 
-        (ideal,) = _tabulate(length, (weights * counts).sum(axis=0).reshape(-1, len(cuts)), cuts, np.float64)
-        return ideal + np.array(cuts) % 2, None, None
-
-
-_NO_CODE = np.iinfo(np.int64).max
+        (ideal,) = _tabulate([(length, np.float64)], (weights * counts).sum(axis=0).reshape(-1, len(cuts)), cuts)
+        return {"ideal": Score(ideal + np.array(cuts) % 2)}
 
 
 class _ModelClass(_Kernel):
-    """Every model_class member's kernel, or those of the members with a
-    concrete code only, fed the same chunks and cuts."""
+    """The kernels of the model_class members the kind reads, every member
+    by default, fed the same chunks and cuts."""
 
-    def __init__(self, block: PackedRows, cuts: Sequence[int] | None = None, concrete_only: bool = False):
+    def __init__(self, block: PackedRows, cuts: Sequence[int] | None = None, kind: str = "ideal"):
         super().__init__(block, cuts)
-        self.members = {
-            j: _CODERS[name].kernel(block, cuts)
-            for j, name in enumerate(MODEL_MEMBERS)
-            if not concrete_only or _CODERS[name].encode is not None
-        }
+        self.members = {j: _CODERS[MODEL_MEMBERS[j]].kernel(block, cuts) for j in _KIND_MEMBERS[kind]}
 
     def record(self, chunk: PackedRows, c: int, js: list[int], cuts: int) -> None:
         for member in self.members.values():
             member.record(chunk, c, js, cuts)
 
-    def member_lengths(self) -> tuple[np.ndarray, np.ndarray]:
-        """(members, entries) ideal and concrete lengths of every member; a
-        member without a concrete code has concrete length _NO_CODE, and
-        ideal length inf when it is left out."""
-        ideal = np.full((len(MODEL_MEMBERS), self.rows * len(self.cuts)), np.inf)
-        concrete = np.full(ideal.shape, _NO_CODE, dtype=np.int64)
-        for j, member in self.members.items():
-            ideal[j], member_concrete, _ = member.finish()
-            if member_concrete is not None:
-                concrete[j] = member_concrete
-        return ideal, concrete
-
-    def finish(self) -> Lengths:
-        """The ideal length takes the minimum over member ideal lengths and
-        the concrete length the minimum over members with a concrete code,
-        each one elementwise pass over the members; the tag indexes
-        MODEL_MEMBERS at the ideal winner (first on ties)."""
-        ideal, concrete = self.member_lengths()
-        tag = np.argmin(ideal, axis=0)
-        return MODEL_TAG_BITS + ideal.min(axis=0), MODEL_TAG_BITS + concrete.min(axis=0), tag
+    def finishes(self, kinds: Sequence[str]) -> dict[str, Score]:
+        """The tag bits plus each kind's shortest member length, over the
+        kind's _KIND_MEMBERS; the tag names that member, the first on ties,
+        and the period is the periodic member's.  Each member is finished
+        once for all the kinds.  The ideal tag is the argmin over the
+        (members, entries) lengths, every member in order; the concrete
+        length and tag come from one minimum of the key
+        (MODEL_TAG_BITS + length) << 3 | member."""
+        finished = {j: member.finishes(kinds) for j, member in self.members.items()}
+        out = {}
+        for kind in kinds:
+            lengths = np.array([finished[j][kind].lengths for j in _KIND_MEMBERS[kind]])
+            if kind == "ideal":
+                tag = lengths.argmin(axis=0)
+                lengths = lengths.min(axis=0) + MODEL_TAG_BITS
+            else:
+                lengths <<= 3
+                lengths += _CONCRETE_KEYS
+                best = lengths.min(axis=0)
+                tag, lengths = best & 7, best >> 3
+            out[kind] = Score(lengths, tag, finished[MODEL_MEMBERS.index("periodic")][kind].period)
+        return out
 
 
 def _blocks(source) -> Iterator[PackedRows]:
@@ -755,27 +766,13 @@ def _scored(kernel, source, cuts: Sequence[int] | None = None):
         yield scorer
 
 
-def _joined(parts: list[Lengths]) -> Lengths:
-    """Lengths of consecutive rows, joined."""
+def _lengths(kernel, source, kind: str, cuts: Sequence[int] | None = None) -> Score:
+    """The kind's Score of every row of source, or of one row's prefix at
+    every cut, the blocks' scores joined."""
+    parts = [scorer.finishes((kind,))[kind] for scorer in _scored(kernel, source, cuts)]
     if len(parts) == 1:
         return parts[0]
-    return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
-
-
-def _lengths(kernel, source, cuts: Sequence[int] | None = None) -> Lengths:
-    """The Lengths of every row of source, or of one row's prefix at every cut."""
-    return _joined([scorer.finish() for scorer in _scored(kernel, source, cuts)])
-
-
-def _periodic_scan(source, p_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cost, period) of every row of source, a BitWord or a 0/1 matrix,
-    minimizing the periodic cost over p <= min(p_max, n); the smallest
-    period wins ties.  A pattern is one uint64 word, so p_max is at most
-    64."""
-    if not 1 <= p_max <= 64:
-        raise ValueError(f"the periodic scan takes 1 <= p_max <= 64, not {p_max}")
-    scans = [scorer.scan() for scorer in _scored(partial(_Periodic, p_max=p_max), source)]
-    return tuple(np.concatenate(part) for part in zip(*scans))
+    return Score(*(None if part[0] is None else np.concatenate(part) for part in zip(*parts)))
 
 
 def _prefix_points(points: Sequence[int], n: int) -> list[int]:
@@ -797,25 +794,16 @@ def _matrix(bits) -> np.ndarray:
     return as_bits(bits)
 
 
-def code_lengths(coder: CoderId, bits) -> Lengths:
-    """Lengths of every row of a 0/1 matrix, one word per row.
-
-    Returns ideal[rows], concrete[rows] (None for ideal-only coders) and,
-    for model_class, tag[rows], the index into MODEL_MEMBERS of each row's
-    ideal winner (None otherwise).  Row i scores exactly like
-    code_word(coder, BitWord(bits[i])).
-    """
-    return _lengths(_CODERS[coder.name].kernel, _matrix(bits))
-
-
-def kind_lengths(coder: CoderId, bits, kind: str, cuts: Sequence[int] | None = None) -> np.ndarray:
-    """The lengths of one kind, ideal or concrete, of every row of a 0/1
-    matrix, of packed rows or of a BitWord as one row, as code_lengths()
-    gives them; or, given cuts, of the word's prefixes of every length m in
-    cuts, each as scored alone.  The cuts increase strictly from 1 to at
-    most the word's length; the kernel, length_kernel()'s, takes the
-    columns once up to the last cut, records its statistics at every cut
-    and finishes them all at once.  A BitWord
+def kind_lengths(coder: CoderId, bits, kind: str, cuts: Sequence[int] | None = None) -> Score:
+    """The Score of one length kind, ideal or concrete, of every row of a
+    0/1 matrix, of packed rows or of a BitWord as one row, each as
+    code_word() scores it; or, given cuts, of the word's prefixes of every
+    length m in cuts, each as scored alone.  Its lengths are float64 under
+    ideal and int64 under concrete; its tag and period name the winner
+    (see Score).  The cuts increase strictly from 1 to at most the word's
+    length; the kernel, length_kernel()'s, takes the columns once up to
+    the last cut, records its statistics at every cut and finishes them
+    all at once.  A BitWord
     and packed rows, a PackedRows of at least one row whose bits past
     column n are zero as PackedRows.of leaves them, are not checked again:
     their blocks are slices of their words, never unpacked or packed."""
@@ -826,17 +814,19 @@ def kind_lengths(coder: CoderId, bits, kind: str, cuts: Sequence[int] | None = N
         if rows != 1:
             raise ValueError("prefix cuts take a single word")
         cuts = _prefix_points(cuts, n)
-    ideal, concrete, _ = _lengths(kernel, source, cuts)
-    return ideal if kind == "ideal" else concrete
+    return _lengths(kernel, source, kind, cuts)
 
 
 def _one_row(coder: CoderId, word: BitWord) -> CodeResult:
-    ideal, concrete, tag = _lengths(_CODERS[coder.name].kernel, word)
+    """Both kinds of the word from one pass of the coder's kernel."""
+    (scorer,) = _scored(_CODERS[coder.name].kernel, word)
+    scores = scorer.finishes(LENGTH_KINDS)  # pair_shell's ideal only
+    ideal, concrete = scores["ideal"], scores.get("concrete")
     return CodeResult(
         coder,
-        float(ideal[0]),
-        None if concrete is None else int(concrete[0]),
-        model_tag=None if tag is None else MODEL_MEMBERS[tag[0]],
+        float(ideal.lengths[0]),
+        None if concrete is None else int(concrete.lengths[0]),
+        model_tag=None if ideal.tag is None else MODEL_MEMBERS[ideal.tag[0]],
     )
 
 
@@ -902,7 +892,7 @@ def _decode_run_length(n: int, reader: BitReader) -> BitWord:
 
 
 def _encode_periodic(word: BitWord) -> np.ndarray:
-    return _periodic_codeword(word, int(_periodic_scan(word, P_MAX)[1][0]))
+    return _periodic_codeword(word, int(kind_lengths(CoderId("periodic"), word, "concrete").period[0]))
 
 
 def _periodic_codeword(word: BitWord, p: int) -> np.ndarray:
@@ -934,14 +924,13 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
 
 
 def _encode_model_class(word: BitWord) -> np.ndarray:
-    (scored,) = _scored(length_kernel(CoderId("model_class"), "concrete"), word)
-    _, concrete = scored.member_lengths()
-    best = int(np.argmin(concrete[:, 0]))  # the first shortest concrete member
-    name = MODEL_MEMBERS[best]
+    score = kind_lengths(CoderId("model_class"), word, "concrete")
+    tag = int(score.tag[0])  # the first shortest concrete member
+    name = MODEL_MEMBERS[tag]
     out = BitWriter()
-    out.write_uint(best, MODEL_TAG_BITS)
-    if name == "periodic":  # the member's counts save the encoder a second scan
-        out.write_bits(_periodic_codeword(word, int(scored.members[best].scan()[1][0])))
+    out.write_uint(tag, MODEL_TAG_BITS)
+    if name == "periodic":  # the score's period saves the encoder a second scan
+        out.write_bits(_periodic_codeword(word, int(score.period[0])))
     else:
         out.write_bits(_CODERS[name].encode(word))
     return out.getvalue()
@@ -997,3 +986,11 @@ _CODERS = {
 }
 CODER_NAMES = tuple(_CODERS)
 MODEL_MEMBERS = tuple(name for name in CODER_NAMES if name != "model_class")
+# The MODEL_MEMBERS indices of the members each length kind reads: every
+# one under ideal, those with a concrete code under concrete.
+_KIND_MEMBERS = {
+    "ideal": tuple(range(len(MODEL_MEMBERS))),
+    "concrete": tuple(j for j, name in enumerate(MODEL_MEMBERS) if _CODERS[name].encode is not None),
+}
+# the low bits of each concrete member's model_class key, with the tag bits
+_CONCRETE_KEYS = np.array(_KIND_MEMBERS["concrete"])[:, None] + (MODEL_TAG_BITS << 3)

@@ -153,7 +153,7 @@ def adjusted(word: BitWord, coder: CoderId, lengths: str = "ideal") -> AdjustedR
 
 def _k_eff(word: BitWord, coder: CoderId, lengths: str) -> float:
     """The word's length of the kind lengths under the coder."""
-    return float(kind_lengths(coder, word, lengths)[0])
+    return float(kind_lengths(coder, word, lengths).lengths[0])
 
 
 def _report(n: int, w: int, k_eff: float, coder: CoderId) -> AdjustedReport:
@@ -171,7 +171,7 @@ def adjusted_prefixes(
     the word: kind_lengths() scores every prefix, and the weights are the
     prefix popcounts of the packed words at the points (prefix_ones)."""
     points = list(points)
-    k_effs = kind_lengths(coder, word, lengths, points).tolist()
+    k_effs = kind_lengths(coder, word, lengths, points).lengths.tolist()
     weights = prefix_ones(word.packed[None], word.n, points)[0].tolist()
     return [_report(m, w, float(k_eff), coder) for m, w, k_eff in zip(points, weights, k_effs)]
 
@@ -185,7 +185,7 @@ def adjusted_deficiencies(bits, coder: CoderId, lengths: str = "ideal") -> np.nd
     binary_entropy() call per distinct weight.
     """
     bits = np.asarray(bits)
-    k_eff = np.asarray(kind_lengths(coder, bits, lengths), dtype=np.float64)
+    k_eff = np.asarray(kind_lengths(coder, bits, lengths).lengths, dtype=np.float64)
     n = bits.shape[1]
     weights, inverse = np.unique(bits.sum(axis=1), return_inverse=True)
     h = np.array([binary_entropy(w / n) for w in weights.tolist()])[inverse]

@@ -167,7 +167,7 @@ def counting_lemma_audit(n: int, coder: CoderId, lengths: str = "concrete") -> l
     for start in range(0, 1 << n, _AUDIT_BLOCK):
         words = np.arange(start, min(1 << n, start + _AUDIT_BLOCK), dtype=np.uint64) << np.uint64(64 - n)
         ks = np.bitwise_count(words).astype(np.int64)
-        deficits = shell_logs[ks] - kind_lengths(coder, PackedRows(words[:, None], n), lengths)
+        deficits = shell_logs[ks] - kind_lengths(coder, PackedRows(words[:, None], n), lengths).lengths
         floors = np.clip(np.floor(deficits), 0, AUDIT_T_MAX).astype(np.int64)
         tally += np.bincount(ks * (AUDIT_T_MAX + 1) + floors, minlength=tally.size)
     at_least = np.cumsum(tally.reshape(n + 1, -1)[:, ::-1], axis=1)[:, ::-1]  # [k, t]: deficit >= t

@@ -1,7 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from kadjust import BitWord, PairCounts
+from kadjust import BitWord, CoderId, PairCounts, coders
+from kadjust.coders import is_concrete, kind_lengths
 
 # 35-bit running example word: 9 ones among 35 symbols.
 WORD35_STR = "01010001001000001010000100000100001"
@@ -35,6 +38,25 @@ def all_words(n: int):
     """Every word of length n, in integer order."""
     for v in range(1 << n):
         yield BitWord.from_uint(v, n)
+
+
+def lengths_of(coder, bits, cuts=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ideal and the concrete lengths kind_lengths() gives the rows of
+    bits, or a word's prefixes at cuts; concrete is None for a coder
+    without a concrete code."""
+    ideal = kind_lengths(coder, bits, "ideal", cuts).lengths
+    return ideal, kind_lengths(coder, bits, "concrete", cuts).lengths if is_concrete(coder) else None
+
+
+def periodic_scan(bits, p_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cost, period) of every row of bits, a BitWord or a 0/1 matrix, at
+    the period bound p_max: kind_lengths() at P_MAX, and at any other bound,
+    which no public call takes, the periodic kernel's finish."""
+    if p_max == coders.P_MAX:
+        score = kind_lengths(CoderId("periodic"), bits, "concrete")
+    else:
+        score = coders._lengths(partial(coders._Periodic, p_max=p_max), bits, "concrete")
+    return score.lengths, score.period
 
 
 def random_word(rng: np.random.Generator, n: int) -> BitWord:

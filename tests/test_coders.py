@@ -13,7 +13,6 @@ from kadjust import (
     CoderId,
     GeneratorSpec,
     binary_entropy,
-    code_lengths,
     code_word,
     concrete_coder_ids,
     decode_word,
@@ -34,13 +33,13 @@ from kadjust.coders import (
     _CODERS,
     _periodic_codeword,
     _periodic_cost,
-    _periodic_scan,
     _tiled_words,
     is_concrete,
+    kind_lengths,
 )
 from kadjust.words import packed_rows, unpacked
 
-from conftest import WORD35_STR, all_words
+from conftest import WORD35_STR, all_words, periodic_scan
 
 # sha256 over the codewords of test_codeword_bits_pinned; change it only with
 # an intended change of bitstream.
@@ -127,7 +126,7 @@ class TestPeriodic:
                 else:  # a larger bound would find the period
                     assert brute(row, 33) < brute(row, 32)
         for n, rows in cases.items():
-            _, batch, _ = code_lengths(coder, np.array(rows))
+            batch = kind_lengths(coder, np.array(rows), "concrete").lengths
             for row, length in zip(rows, batch.tolist()):
                 word = BitWord(row)
                 assert code_word(coder, word).concrete_len == length == brute(row, 32)
@@ -151,7 +150,7 @@ class TestLengthKernelsBruteForce:
             _periodic_cost(n, p, sum(bits[i] != bits[i % p] for i in range(p, n)))
             for p in range(1, min(max(p_max, P_MAX), n) + 1)
         ]
-        assert _periodic_scan(word.bits[None], p_max)[0][0] == min(costs[:p_max])
+        assert periodic_scan(word.bits[None], p_max)[0][0] == min(costs[:p_max])
         assert k_periodic(word).concrete_len == min(costs[:P_MAX])
         runs = [len(list(run)) for _, run in itertools.groupby(bits)]
         assert sum(runs) == n
@@ -176,7 +175,7 @@ class TestLengthKernelsBruteForce:
                 _periodic_cost(n, p, int(np.count_nonzero(bits != bits[index % p])))
                 for p in range(1, p_max + 1)
             )
-            cost, period = _periodic_scan(bits[None], p_max)
+            cost, period = periodic_scan(bits[None], p_max)
             assert cost[0] == best
             codeword = _periodic_codeword(word, int(period[0]))
             assert len(codeword) == best
@@ -205,7 +204,7 @@ class TestLengthKernelsBruteForce:
         monkeypatch.setattr(coders, "_CHUNK_BYTES", 1)
         for n in range(1, 11):
             rows = [word.tolist() for word in all_words(n)]
-            cost, period = _periodic_scan(np.array(rows, dtype=np.uint8), p_max)
+            cost, period = periodic_scan(np.array(rows, dtype=np.uint8), p_max)
             for row, c, q in zip(rows, cost.tolist(), period.tolist()):
                 costs = [
                     _periodic_cost(n, p, sum(row[i] != row[i % p] for i in range(n)))
@@ -362,7 +361,7 @@ class TestConcreteCodecs:
         # Periodic codewords of the best period <= 5 too, under the label the
         # digest was first taken with; the decoder reads any period up to P_MAX.
         for word in words:
-            period = int(_periodic_scan(word.bits[None], 5)[1][0])
+            period = int(periodic_scan(word.bits[None], 5)[1][0])
             bits = "".join(map(str, _periodic_codeword(word, period).tolist()))
             digest.update(f"periodic(p_max=5):{word.n}:{bits};".encode())
         assert digest.hexdigest() == CODEWORD_DIGEST

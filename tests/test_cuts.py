@@ -1,5 +1,6 @@
 """Prefix cuts in one pass: kind_lengths(coder, word, kind, cuts) equals
-each prefix scored alone, for every coder and length kind.
+each prefix scored alone, for every coder and length kind: its lengths
+and its winners, model_class's tag and the periodic period.
 
 The kernels record their statistics at every cut inside a chunk, from
 prefix sums over the chunk's words, and finish every cut at once; chunks
@@ -13,9 +14,9 @@ prefixes, and the run-length kernel's popcount path at every chunk size.
 import numpy as np
 import pytest
 
-from kadjust import CODER_NAMES, BitWord, CoderId, adjusted, code_lengths
+from kadjust import CODER_NAMES, BitWord, CoderId, adjusted
 from kadjust import coders
-from kadjust.coders import is_concrete, kind_lengths
+from kadjust.coders import Score, is_concrete, kind_lengths
 from kadjust.stats import adjusted_prefixes
 from kadjust.words import PackedRows, packed_rows
 
@@ -30,11 +31,17 @@ def coder_kinds() -> list[tuple[str, str]]:
     ]
 
 
+def entries(score: Score) -> list[tuple]:
+    """A Score's (length, tag, period) at each of its entries, None for a
+    winner the coder does not name."""
+    fields = ([None] * len(score.lengths) if field is None else field.tolist() for field in score)
+    return list(zip(*fields))
+
+
 def alone(coder: CoderId, bits: np.ndarray, kind: str, cuts) -> list:
-    """Each prefix's length of the kind, every row of bits cut at m and
+    """Each prefix's entries of the kind, every row of bits cut at m and
     scored without cuts: (rows, cuts)."""
-    column = 0 if kind == "ideal" else 1
-    return np.stack([code_lengths(coder, bits[:, :m])[column] for m in cuts], axis=1).tolist()
+    return [list(row) for row in zip(*(entries(kind_lengths(coder, bits[:, :m], kind)) for m in cuts))]
 
 
 def all_words(n: int) -> np.ndarray:
@@ -55,7 +62,7 @@ def assert_cuts_score_alone(name: str, kind: str, bits: np.ndarray, cuts, want=N
     coder = CoderId(name)
     want = alone(coder, bits, kind, cuts) if want is None else want
     for row, expected in zip(bits, want):
-        got = kind_lengths(coder, BitWord(row), kind, cuts).tolist()
+        got = entries(kind_lengths(coder, BitWord(row), kind, cuts))
         assert got == expected, (name, kind, len(row), [(m, g, w) for m, g, w in zip(cuts, got, expected) if g != w])
 
 
@@ -66,7 +73,7 @@ def test_every_cut_of_every_short_word(name, kind):
         words = all_words(n)
         packed = packed_rows(words)
         want = alone(coder, words, kind, range(1, n + 1))
-        got = [kind_lengths(coder, PackedRows(packed[i : i + 1], n), kind, range(1, n + 1)).tolist()
+        got = [entries(kind_lengths(coder, PackedRows(packed[i : i + 1], n), kind, range(1, n + 1)))
                for i in range(len(words))]
         assert got == want, n
 
@@ -129,3 +136,22 @@ def test_constant_prefixes_give_none_rows(name, kind):
     assert rows == [adjusted(word.prefix(m), CoderId(name), kind) for m in cuts]
     constant = [not 0 < bits[:m].sum() < m for m in cuts]
     assert [row.R is None for row in rows] == constant and constant[:6] == [True] * 6
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", ["periodic", "model_class"])
+def test_winners_at_cuts_inside_and_across_chunks(monkeypatch, name, kind):
+    # chunks of 256 columns: cuts inside the first chunk, on either side of
+    # each edge and every 37 columns across them, on rows where the
+    # winning member and period change from cut to cut
+    n = 1000
+    rng = np.random.default_rng(37)
+    bits = np.concatenate([seeded_rows(n), [np.resize(rng.integers(0, 2, 7), n) ^ (rng.random(n) < 0.02)]])
+    bits[4, 600:] = np.resize([1, 1, 0], n - 600)  # period 7, then period 3
+    edges = {m + d for m in (256, 512, 768) for d in (-1, 0, 1)}
+    cuts = sorted(set(range(1, n + 1, 37)) | edges | {n})
+    want = alone(CoderId(name), bits, kind, cuts)
+    monkeypatch.setattr(coders, "_CHUNK_BYTES", 8 * 256)
+    assert_cuts_score_alone(name, kind, bits, cuts, want)
+    winners = {entry[1] if name == "model_class" else entry[2] for row in want for entry in row}
+    assert len(winners) >= 3, winners

@@ -9,13 +9,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kadjust import CODER_NAMES, BitWord, CoderId, adjusted, code_lengths, code_word
+from kadjust import CODER_NAMES, BitWord, CoderId, adjusted, code_word
 from kadjust import coders
 from kadjust.bitio import elias_gamma_len
-from kadjust.coders import MODEL_MEMBERS, MODEL_TAG_BITS, encode_word, kind_lengths
+from kadjust.coders import LENGTH_KINDS, MODEL_MEMBERS, MODEL_TAG_BITS, encode_word, is_concrete, kind_lengths
 from kadjust.words import PackedRows
 
+from conftest import lengths_of, periodic_scan
+
 CODERS = [CoderId(name) for name in CODER_NAMES]
+# every (coder, kind) pair that has lengths
+SCORED = [(coder, kind) for coder in CODERS for kind in LENGTH_KINDS if kind == "ideal" or is_concrete(coder)]
 
 
 def all_words_matrix(n: int) -> np.ndarray:
@@ -85,42 +89,45 @@ def ref_members(bits):
 
 
 def reference(coder: CoderId, bits):
-    """(ideal, concrete, model tag) of one word."""
+    """(ideal, concrete, ideal model tag, concrete model tag) of one word."""
     if coder.name == "model_class":
         members = ref_members(bits)
         ideals = [ideal for ideal, _ in members]
-        tag = ideals.index(min(ideals))
-        concrete = min(c for _, c in members if c is not None)
-        return MODEL_TAG_BITS + ideals[tag], MODEL_TAG_BITS + concrete, MODEL_MEMBERS[tag]
+        concretes = [math.inf if c is None else c for _, c in members]
+        tag, concrete_tag = ideals.index(min(ideals)), concretes.index(min(concretes))
+        return (MODEL_TAG_BITS + ideals[tag], MODEL_TAG_BITS + concretes[concrete_tag],
+                MODEL_MEMBERS[tag], MODEL_MEMBERS[concrete_tag])
     if coder.name == "periodic":
-        return (*ref_periodic(bits, coders.P_MAX), None)
+        return (*ref_periodic(bits, coders.P_MAX), None, None)
     scalar = {
         "literal": ref_literal,
         "shell": ref_shell,
         "run_length": ref_run_length,
         "pair_shell": ref_pair_shell,
     }[coder.name]
-    return (*scalar(bits), None)
+    return (*scalar(bits), None, None)
 
 
 def assert_matches_reference(coder: CoderId, matrix: np.ndarray):
-    ideal, concrete, tag = code_lengths(coder, matrix)
-    assert ideal.shape == (len(matrix),)
+    ideal = kind_lengths(coder, matrix, "ideal")
+    concrete = kind_lengths(coder, matrix, "concrete") if is_concrete(coder) else None
+    assert ideal.lengths.shape == (len(matrix),)
     assert (concrete is None) == (coder.name == "pair_shell")
-    assert (tag is None) == (coder.name != "model_class")
+    assert (ideal.tag is None) == (coder.name != "model_class")
     for i, row in enumerate(matrix.tolist()):
         want = reference(coder, row)
         got = (
-            float(ideal[i]),
-            None if concrete is None else int(concrete[i]),
-            None if tag is None else MODEL_MEMBERS[tag[i]],
+            float(ideal.lengths[i]),
+            None if concrete is None else int(concrete.lengths[i]),
+            None if ideal.tag is None else MODEL_MEMBERS[ideal.tag[i]],
+            None if ideal.tag is None else MODEL_MEMBERS[concrete.tag[i]],
         )
         assert got == want, (coder.name, row)
 
 
 def assert_scan_matches_reference(matrix: np.ndarray, p_max: int):
-    """The periodic scan at any bound, not only P_MAX, against the reference."""
-    cost, _ = coders._periodic_scan(matrix.astype(np.uint8), p_max)
+    """The periodic kernel at any bound, not only P_MAX, against the reference."""
+    cost, _ = periodic_scan(matrix.astype(np.uint8), p_max)
     assert cost.tolist() == [ref_periodic(row, p_max)[1] for row in matrix.tolist()], p_max
 
 
@@ -162,27 +169,20 @@ class TestKernelMatchesReference:
             assert_matches_reference(coder, matrix)
         for p_max in (1, 5):
             assert_scan_matches_reference(matrix, p_max)
-        _, _, tag = code_lengths(CoderId("model_class"), matrix)
+        tag = kind_lengths(CoderId("model_class"), matrix, "ideal").tag
         assert {MODEL_MEMBERS[t] for t in tag} == set(MODEL_MEMBERS)
 
     def test_bool_rows_and_one_row(self):
         matrix = random_matrix(64, seed=3)
         for coder in CODERS:
-            ideal, concrete, tag = code_lengths(coder, matrix.astype(bool))
-            for i, row in enumerate(matrix):
-                one = code_lengths(coder, row[None])
-                assert one[0][0] == ideal[i]
-                if concrete is not None:
-                    assert one[1][0] == concrete[i]
-                if tag is not None:
-                    assert one[2][0] == tag[i]
+            assert_batch_equals_rows(coder, matrix, batch=matrix.astype(bool))
 
     @pytest.mark.parametrize(
         "bad", [np.zeros(5), np.zeros((0, 5)), np.zeros((2, 0)), np.full((2, 3), 2), [[0.5, 1]]]
     )
     def test_rejects_malformed_matrices(self, bad):
         with pytest.raises(ValueError):
-            code_lengths(CoderId("shell"), bad)
+            kind_lengths(CoderId("shell"), bad, "ideal")
 
 
 class TestTies:
@@ -191,7 +191,7 @@ class TestTies:
 
     def test_periodic_scan_takes_the_smallest_tied_period(self):
         matrix = all_words_matrix(12)
-        cost, period = coders._periodic_scan(matrix, coders.P_MAX)
+        cost, _, period = kind_lengths(CoderId("periodic"), matrix, "concrete")
         ties = 0
         for i, row in enumerate(matrix.tolist()):
             costs = ref_periodic_costs(row, coders.P_MAX)
@@ -202,10 +202,10 @@ class TestTies:
 
     def test_model_class_tags_of_tied_members_equal_one_row_tags(self):
         matrix = all_words_matrix(12)
-        members = np.stack([code_lengths(CoderId(name), matrix)[0] for name in MODEL_MEMBERS])
+        members = np.stack([kind_lengths(CoderId(name), matrix, "ideal").lengths for name in MODEL_MEMBERS])
         tied = np.flatnonzero((members == members.min(axis=0)).sum(axis=0) > 1)
         assert len(tied) == 130
-        _, _, tag = code_lengths(CoderId("model_class"), matrix)
+        tag = kind_lengths(CoderId("model_class"), matrix, "ideal").tag
         for i in tied.tolist():
             assert MODEL_MEMBERS[tag[i]] == code_word(CoderId("model_class"), BitWord(matrix[i])).model_tag
             assert tag[i] == np.argmax(members[:, i] == members[:, i].min())  # the first tied member
@@ -218,7 +218,7 @@ class TestKraft:
     def test_kraft_sums(self, n):
         matrix = all_words_matrix(n)
         for coder in CODERS:
-            ideal, concrete, _ = code_lengths(coder, matrix)
+            ideal, concrete = lengths_of(coder, matrix)
             assert math.fsum(np.exp2(-ideal).tolist()) <= 1 + 1e-9, coder.name
             if concrete is not None:
                 lengths, counts = np.unique(concrete, return_counts=True)
@@ -244,11 +244,13 @@ class TestPackedPeriodicScan:
         # factorization and the reference from the exact integer; the two
         # may differ in the last place, so ideal lengths match to 1e-12.
         matrix = random_matrix(n, seed=n)[::3]
-        ideal, concrete, tag = code_lengths(CoderId("model_class"), matrix)
+        ideal = kind_lengths(CoderId("model_class"), matrix, "ideal")
+        concrete = kind_lengths(CoderId("model_class"), matrix, "concrete")
         for i, row in enumerate(matrix.tolist()):
-            want_ideal, want_concrete, want_tag = reference(CoderId("model_class"), row)
-            assert ideal[i] == pytest.approx(want_ideal, rel=1e-12)
-            assert (int(concrete[i]), MODEL_MEMBERS[tag[i]]) == (want_concrete, want_tag)
+            want_ideal, *want = reference(CoderId("model_class"), row)
+            assert ideal.lengths[i] == pytest.approx(want_ideal, rel=1e-12)
+            got = int(concrete.lengths[i]), MODEL_MEMBERS[ideal.tag[i]], MODEL_MEMBERS[concrete.tag[i]]
+            assert list(got) == want
 
     def test_multi_row_matrix_across_period_chunks(self, monkeypatch):
         # a budget this small scans a few periods per chunk
@@ -256,14 +258,16 @@ class TestPackedPeriodicScan:
         assert_scan_matches_reference(random_matrix(1500, seed=9), 40)
 
 
-def assert_batch_equals_rows(coder: CoderId, matrix: np.ndarray):
-    """code_lengths on the matrix scores every row as code_lengths on that row alone."""
-    batch = code_lengths(coder, matrix)
-    for i, row in enumerate(matrix):
-        for got, want in zip(batch, code_lengths(coder, row[None])):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got[i] == want[0], (coder.name, i)
+def assert_batch_equals_rows(coder: CoderId, matrix: np.ndarray, batch: np.ndarray | None = None):
+    """kind_lengths on the matrix (or on batch, the same rows) scores every
+    row as on that row alone, under each kind: lengths, tag and period."""
+    for kind in LENGTH_KINDS if is_concrete(coder) else ("ideal",):
+        scores = kind_lengths(coder, matrix if batch is None else batch, kind)
+        for i, row in enumerate(matrix):
+            for got, want in zip(scores, kind_lengths(coder, row[None], kind), strict=True):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got[i] == want[0], (coder.name, kind, i)
 
 
 class TestPairShellKey:
@@ -288,7 +292,7 @@ class TestPairShellKey:
         matrix = np.array(rows, dtype=np.uint8)
         for name in ("pair_shell", "periodic", "model_class"):
             assert_batch_equals_rows(CoderId(name), matrix)
-        ideal, _, _ = code_lengths(CoderId("pair_shell"), matrix)
+        ideal = kind_lengths(CoderId("pair_shell"), matrix, "ideal").lengths
         assert ideal.tolist() == [ref_pair_shell(row)[0] for row in matrix.tolist()]
 
     def test_widest_multi_row_key(self):
@@ -314,7 +318,7 @@ class TestGatheredPeriodicScan:
             monkeypatch.setattr(coders, "_CHUNK_BYTES", budget)
         matrix = (random_matrix(n, seed=n) if n > 2 else all_words_matrix(n)).astype(np.uint8)
         for rows in (matrix[:1], matrix):
-            cost, _ = coders._periodic_scan(rows, 40)
+            cost, _ = periodic_scan(rows, 40)
             assert cost.tolist() == [ref_periodic(row, 40)[1] for row in rows.tolist()]
 
 
@@ -344,7 +348,7 @@ class TestPeriodicFormula:
                     kernel = coders._Periodic(block, p_max=p_max)
                     for c in range(0, n, width):
                         kernel.add(block.columns(c, min(n, c + width)), c)
-                    assert kernel.scan()[0].tolist() == want, (n, width)
+                    assert kernel.finishes(("concrete",))["concrete"].lengths.tolist() == want, (n, width)
 
     @pytest.mark.parametrize("p_max", [1, 5, 32, 64])
     def test_rows_of_every_length(self, p_max):
@@ -358,10 +362,10 @@ class TestPeriodicFormula:
     @pytest.mark.parametrize("p_max", [0, 65])
     def test_bound_is_one_word(self, p_max):
         with pytest.raises(ValueError, match="p_max"):
-            coders._periodic_scan(np.zeros((1, 100), dtype=np.uint8), p_max)
+            periodic_scan(np.zeros((1, 100), dtype=np.uint8), p_max)
 
 
-def assert_same_lengths(got, want):
+def assert_same_scores(got, want):
     for a, b in zip(got, want, strict=True):
         assert (a is None) == (b is None)
         if a is not None:
@@ -392,15 +396,16 @@ class TestColumnChunks:
     def test_chunked_rows_score_as_one_chunk(self, monkeypatch, n):
         assert n <= coders._CHUNK_BYTES // 8  # one chunk per row by default
         matrix = self.matrix(n)
-        whole = {coder: code_lengths(coder, matrix) for coder in CODERS}
+        whole = {(coder, kind): kind_lengths(coder, matrix, kind) for coder, kind in SCORED}
         words = [BitWord(matrix[i]) for i in (0, 2, len(matrix) - 1)]
         singles = {coder: [code_word(coder, word) for word in words] for coder in CODERS}
         for width in self.WIDTHS:
             monkeypatch.setattr(coders, "_CHUNK_BYTES", 8 * width)
+            for coder, kind in SCORED:
+                assert_same_scores(kind_lengths(coder, matrix, kind), whole[coder, kind])
             for coder in CODERS:
-                assert_same_lengths(code_lengths(coder, matrix), whole[coder])
                 assert [code_word(coder, word) for word in words] == singles[coder]
-        _, _, tag = whole[CoderId("model_class")]
+        tag = whole[CoderId("model_class"), "ideal"].tag
         assert {MODEL_MEMBERS[t] for t in tag} == set(MODEL_MEMBERS)
 
     @pytest.mark.parametrize("n", [(1 << 12) - 1, 3 * (1 << 10) + 5])
@@ -491,7 +496,7 @@ class TestDenseRunLengths:
     def test_totals_are_the_encoded_runs(self, monkeypatch, inputs, name):
         matrix = inputs[name]
         taken = self.paths_taken(monkeypatch)
-        ideal, concrete, _ = code_lengths(RUN_LENGTH, matrix)
+        ideal, concrete = lengths_of(RUN_LENGTH, matrix)
         assert set(taken) == self.PATHS[name]
         want = run_length_totals(matrix)
         assert concrete.tolist() == want and ideal.tolist() == want
@@ -503,10 +508,10 @@ class TestDenseRunLengths:
         # would take about 24 bytes a run, here about 20 a cell
         row = np.zeros((1, 1 << 17), dtype=np.uint8)
         row[0, 8193::2] = 1
-        code_lengths(RUN_LENGTH, row)
+        kind_lengths(RUN_LENGTH, row, "concrete")
         tracemalloc.start()
         try:
-            code_lengths(RUN_LENGTH, row)
+            kind_lengths(RUN_LENGTH, row, "concrete")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -517,7 +522,7 @@ class TestDenseRunLengths:
         start = (1 << 17) - 3
         points = [1, 63, 65537, start + 1, (1 << 17) + 1, (1 << 18) + 1, start + (1 << 17) + 5,
                   3 * (1 << 17) + 4097, row.size]
-        concrete = kind_lengths(RUN_LENGTH, BitWord(row), "concrete", points)
+        concrete = kind_lengths(RUN_LENGTH, BitWord(row), "concrete", points).lengths
         assert concrete.tolist() == [run_length_totals(row[None, :m])[0] for m in points]
 
     @pytest.mark.parametrize("cells", [1, 64, 1088])
@@ -544,7 +549,7 @@ class TestMemory:
         bits = (np.random.default_rng(21).random(n) < 0.3).astype(np.uint8)
         word = BitWord(bits)
         adjusted(word, CoderId("model_class"))  # grows the sieve, fills the caches
-        calls = {coder.name: (lambda c=coder: code_lengths(c, bits[None])) for coder in CODERS}
+        calls = {coder.name: (lambda c=coder: lengths_of(c, bits[None])) for coder in CODERS}
         calls["adjusted"] = lambda: adjusted(word, CoderId("model_class"))
         for name, call in calls.items():
             tracemalloc.start()

@@ -1,8 +1,10 @@
 """One length kind at a time: kind_lengths() and the kernel length_kernel()
 picks for it.
 
-kind_lengths() must equal the ideal or concrete entry of code_lengths(),
-of every row or of each prefix scored alone, for every coder and kind.
+kind_lengths() must give the lengths code_word() gives, which runs the
+coder's full kernel, every member under model_class, and finishes both
+kinds at once, and under ideal model_class's tag, of every row or of
+each prefix scored alone, for every coder and kind.
 Under concrete, model_class must build no pair_shell kernel on any
 one-kind path, as pair_shell has no concrete code; under ideal it still
 needs one.  The counting-lemma audit takes either kind.
@@ -17,7 +19,8 @@ from kadjust.coders import (
     CODER_NAMES,
     MODEL_MEMBERS,
     CoderId,
-    code_lengths,
+    Score,
+    code_word,
     kind_lengths,
     length_kernel,
 )
@@ -61,11 +64,23 @@ def seeded_rows(rows: int, n: int, seed: int) -> np.ndarray:
     return bits
 
 
-def assert_kind_matches(kind: str, got, ideal, concrete):
-    """got equals ideal or concrete, by kind, dtype included."""
-    want = ideal if kind == "ideal" else concrete
-    assert got.dtype == want.dtype
-    np.testing.assert_array_equal(got, want)
+def by_code_word(coder: CoderId, bits, kind: str) -> Score:
+    """The kind's length code_word() gives each row of bits and, under
+    ideal, model_class's tag, CodeResult.model_tag."""
+    results = [code_word(coder, BitWord(row)) for row in bits]
+    if kind == "concrete":
+        return Score(np.array([r.concrete_len for r in results], dtype=np.int64))
+    tag = np.array([MODEL_MEMBERS.index(r.model_tag) for r in results]) if coder == MODEL_CLASS else None
+    return Score(np.array([r.ideal_len for r in results]), tag)
+
+
+def assert_matches_code_word(got: Score, want: Score):
+    """got's lengths equal want's, dtype included, and so does its tag
+    where want has one."""
+    assert got.lengths.dtype == want.lengths.dtype
+    np.testing.assert_array_equal(got.lengths, want.lengths)
+    if want.tag is not None:
+        np.testing.assert_array_equal(got.tag, want.tag)
 
 
 @pytest.mark.parametrize("coder", CODERS, ids=CODER_NAMES)
@@ -73,12 +88,11 @@ def assert_kind_matches(kind: str, got, ideal, concrete):
 def test_kind_lengths_equal_code_lengths_exhaustive(coder, kind):
     for n in range(1, 13):
         bits = matrix(n)
-        ideal, concrete, _ = code_lengths(coder, bits)
-        if kind == "concrete" and concrete is None:
+        if kind == "concrete" and not coders.is_concrete(coder):
             with pytest.raises(ValueError, match="^coder pair_shell has no concrete code$"):
                 kind_lengths(coder, bits, kind)
             continue
-        assert_kind_matches(kind, kind_lengths(coder, bits, kind), ideal, concrete)
+        assert_matches_code_word(kind_lengths(coder, bits, kind), by_code_word(coder, bits, kind))
 
 
 def test_model_class_concrete_where_pair_shell_wins():
@@ -87,11 +101,12 @@ def test_model_class_concrete_where_pair_shell_wins():
     pair = MODEL_MEMBERS.index("pair_shell")
     for n in (128, 1000, CELLS + 1):
         bits = np.array([generate(GeneratorSpec.block(seed, n)).bits for seed in range(8)], dtype=np.uint8)
-        _, concrete, tag = code_lengths(MODEL_CLASS, bits)
+        tag = by_code_word(MODEL_CLASS, bits, "ideal").tag
+        concrete = by_code_word(MODEL_CLASS, bits, "concrete")
         assert np.count_nonzero(tag == pair) >= 2, n
-        np.testing.assert_array_equal(kind_lengths(MODEL_CLASS, bits, "concrete"), concrete)
-        word = BitWord(bits[np.argmax(tag == pair)])
-        assert kind_lengths(MODEL_CLASS, word, "concrete")[0] == concrete[np.argmax(tag == pair)]
+        assert_matches_code_word(kind_lengths(MODEL_CLASS, bits, "concrete"), concrete)
+        i = np.argmax(tag == pair)
+        assert_matches_code_word(kind_lengths(MODEL_CLASS, BitWord(bits[i]), "concrete"), Score(concrete.lengths[i : i + 1]))
 
 
 @pytest.mark.parametrize("coder, kind", SCORED)
@@ -100,11 +115,10 @@ def test_kind_lengths_straddle_the_chunk_width(coder, kind):
     shapes = [(1, CELLS - 1), (1, CELLS), (1, CELLS + 1), (1, 2 * CELLS + 65), (300, 1000)]
     for seed, (rows, n) in enumerate(shapes):
         bits = seeded_rows(rows, n, seed)
-        ideal, concrete, _ = code_lengths(coder, bits)
-        assert_kind_matches(kind, kind_lengths(coder, bits, kind), ideal, concrete)
+        want = by_code_word(coder, bits, kind)
+        assert_matches_code_word(kind_lengths(coder, bits, kind), want)
         if rows == 1:
-            word = BitWord(bits[0])
-            assert_kind_matches(kind, kind_lengths(coder, word, kind), ideal, concrete)
+            assert_matches_code_word(kind_lengths(coder, BitWord(bits[0]), kind), want)
 
 
 @pytest.mark.parametrize("coder, kind", SCORED)
@@ -113,9 +127,9 @@ def test_kind_lengths_at_prefix_cuts(coder, kind):
         word = BitWord(seeded_rows(3, n, seed)[seed % 3])
         points = sorted(set(geometric_schedule(n, 4, 1.25)) | {min(n, 64), min(n, CELLS)})
         # each prefix scored alone
-        ideal, concrete, _ = zip(*(code_lengths(coder, word.bits[None, :m]) for m in points))
-        ideal, concrete = np.concatenate(ideal), None if concrete[0] is None else np.concatenate(concrete)
-        assert_kind_matches(kind, kind_lengths(coder, word, kind, points), ideal, concrete)
+        alone = zip(*(by_code_word(coder, word.bits[None, :m], kind) for m in points))
+        want = Score(*(None if field[0] is None else np.concatenate(field) for field in alone))
+        assert_matches_code_word(kind_lengths(coder, word, kind, points), want)
 
 
 @pytest.mark.parametrize("coder, kind", SCORED)
@@ -126,7 +140,7 @@ def test_kind_lengths_of_packed_rows(monkeypatch, coder, kind):
     monkeypatch.setattr(coders, "_CHUNK_BYTES", 8 * 64)
     for seed, n in enumerate((1, 12, 63, 64, 65, 1000)):
         bits = seeded_rows(150 if n < 1000 else 12, n, seed)
-        assert_kind_matches(kind, kind_lengths(coder, PackedRows.of(bits), kind), *code_lengths(coder, bits)[:2])
+        assert_matches_code_word(kind_lengths(coder, PackedRows.of(bits), kind), by_code_word(coder, bits, kind))
 
 
 def test_kind_lengths_refuses_bad_input():
@@ -231,7 +245,7 @@ def test_audit_ideal_counts_match_masks(name):
     coder, n = CoderId(name), 12
     words = matrix(n)
     ks = words.sum(axis=1)
-    deficits = np.array([shell_log_size(n, k) for k in ks.tolist()]) - code_lengths(coder, words)[0]
+    deficits = np.array([shell_log_size(n, k) for k in ks.tolist()]) - kind_lengths(coder, words, "ideal").lengths
     want = [(k, t, int(np.count_nonzero(deficits[ks == k] >= t))) for k in range(n + 1) for t in range(1, 9)]
     assert [(r.k, r.t, r.count) for r in counting_lemma_audit(n, coder, "ideal")] == want
 

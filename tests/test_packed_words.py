@@ -83,9 +83,9 @@ def test_prefix_lengths_at_mid_word_cuts(origins):
     n = origins["uint8"].n
     cuts = [m for m in (16, 33, 100, (1 << 17) + 5) if m < n] + [n]
     for coder, kind in KINDS:
-        want = kind_lengths(coder, origins["uint8"], kind, cuts).tolist()
+        want = kind_lengths(coder, origins["uint8"], kind, cuts).lengths.tolist()
         for name in ("raw", "hex"):
-            assert kind_lengths(coder, origins[name], kind, cuts).tolist() == want, (name, coder.name, kind)
+            assert kind_lengths(coder, origins[name], kind, cuts).lengths.tolist() == want, (name, coder.name, kind)
 
 
 def test_word_api_agrees_across_origins(origins):

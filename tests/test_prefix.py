@@ -18,7 +18,6 @@ from kadjust import (
     CoderId,
     GeneratorSpec,
     adjusted,
-    code_lengths,
     convergence_trace,
     generate,
     geometric_schedule,
@@ -29,6 +28,8 @@ from kadjust.coders import P_MAX, is_concrete, kind_lengths
 from kadjust.simulate import TraceRow
 from kadjust.testing import SCAN_FACTOR, SCAN_START, PrefixScanRow
 from kadjust.testing import TestConfig as Config
+
+from conftest import lengths_of
 
 KINDS = ("ideal", "concrete")
 # longer than one chunk of _scored: 2^17 cells
@@ -169,10 +170,9 @@ def test_rows_match_pinned_digests(length):
 def test_prefix_lengths_equal_code_lengths_of_each_prefix(name, length):
     coder, word = CoderId(name), generate(specs(length)[2])
     points = schedules(length)[1]
-    ideal = kind_lengths(coder, word, "ideal", points)
-    concrete = kind_lengths(coder, word, "concrete", points) if is_concrete(coder) else None
+    ideal, concrete = lengths_of(coder, word, points)
     for i, m in enumerate(points):
-        one_ideal, one_concrete, _ = code_lengths(coder, word.bits[None, :m])
+        one_ideal, one_concrete = lengths_of(coder, word.bits[None, :m])
         assert ideal[i] == one_ideal[0], m
         assert (concrete is None) == (one_concrete is None)
         if concrete is not None:

@@ -199,12 +199,12 @@ class TestCountingLemmaAudit:
     def test_counts_match_masks_n16(self):
         # periodic deficits at n=16 reach every floor from 1 to 7; the
         # reference counts each (k, t) with its own mask
-        from kadjust import code_lengths
+        from kadjust import kind_lengths
 
         n, coder = 16, CoderId("periodic")
         words = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
         ks = words.sum(axis=1)
-        deficits = np.array([shell_log_size(n, k) for k in ks.tolist()]) - code_lengths(coder, words)[1]
+        deficits = np.array([shell_log_size(n, k) for k in ks.tolist()]) - kind_lengths(coder, words, "concrete").lengths
         want = [
             (k, t, int(np.count_nonzero(deficits[ks == k] >= t))) for k in range(n + 1) for t in range(1, 9)
         ]

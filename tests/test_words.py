@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kadjust import BitWord, CoderId, PairCounts
-from kadjust import code_lengths
+from kadjust import kind_lengths
 from kadjust.bitio import BitReader, DecodeError
 from kadjust.words import PackedRows, block_tallies
 
@@ -75,7 +75,7 @@ def _two_at_end(size: int) -> np.ndarray:
 
 
 class TestOneBitCheck:
-    """BitWord, code_lengths and BitReader share one 0/1 check."""
+    """BitWord, kind_lengths and BitReader share one 0/1 check."""
 
     @pytest.mark.parametrize(
         "bad",
@@ -89,7 +89,7 @@ class TestOneBitCheck:
         with pytest.raises(ValueError) as word_error:
             BitWord(bad)
         with pytest.raises(ValueError) as kernel_error:
-            code_lengths(CoderId("shell"), np.asarray(bad)[None])
+            kind_lengths(CoderId("shell"), np.asarray(bad)[None], "ideal")
         assert word_error.type is ValueError and kernel_error.type is ValueError
         with pytest.raises(DecodeError):
             BitReader(bad)
@@ -98,7 +98,7 @@ class TestOneBitCheck:
     def test_bool_and_integer_arrays_accepted(self, dtype):
         bits = np.array([1, 0, 0, 1, 1], dtype=dtype)
         assert BitWord(bits).tolist() == [1, 0, 0, 1, 1]
-        assert code_lengths(CoderId("literal"), bits[None])[1].tolist() == [5]
+        assert kind_lengths(CoderId("literal"), bits[None], "concrete").lengths.tolist() == [5]
         assert BitReader(bits).read_bits(5).tolist() == [1, 0, 0, 1, 1]
 
 
