@@ -3,10 +3,12 @@
 
 For each symbol probability p the empirical rejection rate at threshold m
 is tabulated against the reference bound 2^(2-m); CSVs land in --outdir.
+Exits 1 if any rate exceeds its bound.
 """
 
 import argparse
 import pathlib
+import sys
 
 from kadjust import CoderId, TestConfig, monte_carlo_fpr
 from kadjust.stats import write_records
@@ -26,6 +28,7 @@ def main() -> None:
     cfg = TestConfig(m=1, coder=CoderId(args.coder))
 
     print(f"{'p':>5} {'m':>3} {'rate':>10} {'bound':>10}")
+    violations = 0
     for p in (0.1, 0.3, 0.5):
         result = monte_carlo_fpr(p, args.length, cfg, args.trials, args.seed)
         path = outdir / f"fpr_p{int(100 * p):02d}.csv"
@@ -33,8 +36,11 @@ def main() -> None:
             write_records(result.rows, "csv", fh)
         for row in result.rows:
             mark = "" if row.ok else "  VIOLATION"
+            violations += not row.ok
             print(f"{p:>5.2f} {row.m:>3} {row.rate:>10.5f} {row.bound:>10.5f}{mark}")
     print(f"\ntables written to {outdir}/")
+    if violations:
+        sys.exit(f"{violations} rates exceed their bound")
 
 
 if __name__ == "__main__":

@@ -872,7 +872,7 @@ def code_word(coder: CoderId, word: BitWord) -> CodeResult:
 
 
 def _decode_literal(n: int, reader: BitReader) -> BitWord:
-    return BitWord._owning(reader.read_bits(n).view(np.bool_))  # the reader holds 0/1 only
+    return BitWord(reader.read_bits(n).view(np.bool_))  # the reader holds 0/1 only
 
 
 def _encode_run_length(word: BitWord) -> np.ndarray:
@@ -888,7 +888,7 @@ def _decode_run_length(n: int, reader: BitReader) -> BitWord:
     if sum(runs) > n:
         raise DecodeError("run overruns the declared word length")
     values = (bit + np.arange(len(runs))) & 1  # the runs alternate from bit
-    return BitWord._owning(np.repeat(values.astype(np.bool_), runs))
+    return BitWord(np.repeat(values.astype(np.bool_), runs))
 
 
 def _encode_periodic(word: BitWord) -> np.ndarray:
@@ -920,7 +920,7 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
         raise DecodeError(f"mismatch position {pos} out of range")
     bits = unpacked(_tiled_words(pattern, range(p, p + 1), 0, -(-n // 64)), n)
     np.bitwise_xor.at(bits, positions, 1)  # a position listed twice flips back
-    return BitWord._owning(bits.view(np.bool_))  # the reader holds 0/1 only
+    return BitWord(bits.view(np.bool_))  # the reader holds 0/1 only
 
 
 def _encode_model_class(word: BitWord) -> np.ndarray:
@@ -977,7 +977,7 @@ class _Coder:
 
 # Order fixes both the model tag values and the model_class tie-break.
 _CODERS = {
-    "literal": _Coder(_Literal, k_len, lambda w: w.bits.copy(), _decode_literal),
+    "literal": _Coder(_Literal, k_len, lambda w: unpacked(w.packed, w.n), _decode_literal),
     "shell": _Coder(_Shell, k_comb, lambda w: encode_shell(w).bits, decode_shell),
     "run_length": _Coder(_RunLength, k_run_length, _encode_run_length, _decode_run_length),
     "periodic": _Coder(_Periodic, k_periodic, _encode_periodic, _decode_periodic),

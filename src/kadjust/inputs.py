@@ -7,7 +7,8 @@ hex       hexadecimal text for the same byte expansion
 read_word reads a word from a path (None or "-" for standard input) and
 parse_word decodes it; an optional bit cap truncates after expansion.  A
 raw or hex payload becomes the word's packed words (BitWord.from_bytes),
-1/8 byte a bit, and is never unpacked to one byte a bit.
+1/8 byte a bit, and is never unpacked to one byte a bit.  An ascii01
+payload is read as a 0/1 array, which the word packs and does not keep.
 """
 
 from __future__ import annotations
@@ -39,10 +40,7 @@ def parse_word(payload: bytes, fmt: str, max_bits: int | None = None) -> BitWord
             raise ValueError(f"ascii01 input admits only 0, 1 and line breaks, got {bad!r}")
         if not cleaned:
             raise ValueError("empty input")
-        bits = np.frombuffer(cleaned, dtype=np.uint8) - ord("0")
-        if max_bits is not None and max_bits < bits.size:
-            bits = bits[:max_bits].copy()  # a short word does not pin the whole buffer
-        return BitWord._owning(bits)
+        return BitWord((np.frombuffer(cleaned, dtype=np.uint8) - ord("0"))[:max_bits])
     if fmt == "raw":
         data = payload
     elif fmt == "hex":

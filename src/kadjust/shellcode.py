@@ -160,7 +160,7 @@ def unrank(shell: ShellId, index: int) -> BitWord:
                 r -= 1
         m = stop
     put(index >= c)  # the last position, m = 0
-    return BitWord._owning(np.frombuffer(out, dtype=np.bool_))
+    return BitWord(np.frombuffer(out, dtype=np.bool_))
 
 
 # unrank decides blocks of bits while C(m, r) has more than _BLOCK_FROM

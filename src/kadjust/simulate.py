@@ -164,7 +164,7 @@ def _bernoulli_bits(p: float, seed: int | np.ndarray, length: int) -> np.ndarray
 def generate(spec: GeneratorSpec) -> BitWord:
     """Emit the word determined by the spec; identical seeds give identical bits."""
     if spec.kind == "bernoulli":
-        return BitWord._owning(_bernoulli_bits(spec.p, spec.seed, spec.length))
+        return BitWord(_bernoulli_bits(spec.p, spec.seed, spec.length))
     if spec.kind == "mixture":
         # output 1 of the stream picks the component, output 2 seeds its bits
         u = uniform_floats(spec.seed, 1)[0]
@@ -176,7 +176,7 @@ def generate(spec: GeneratorSpec) -> BitWord:
                 chosen = p
                 break
         stream_seed = int(splitmix_outputs(spec.seed, 2)[1])
-        return BitWord._owning(_bernoulli_bits(chosen, stream_seed, spec.length))
+        return BitWord(_bernoulli_bits(chosen, stream_seed, spec.length))
     # block: uniform over {00, 01, 11}, index min(floor(3u), 2) of output
     # i's uniform u; block 10 never occurs.
     nblocks = (spec.length + 1) // 2
@@ -184,7 +184,7 @@ def generate(spec: GeneratorSpec) -> BitWord:
     for start, z in _output_blocks(spec.seed, nblocks):
         np.greater_equal(z, _BLOCK_11, out=pairs[start : start + z.size, 0])
         np.greater_equal(z, _BLOCK_01, out=pairs[start : start + z.size, 1])
-    return BitWord._owning(pairs.reshape(-1)[: spec.length])
+    return BitWord(pairs.reshape(-1)[: spec.length])
 
 
 @dataclass(frozen=True)

@@ -206,10 +206,10 @@ def conditional_code_len(
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
     total = 0.0
-    for b in (0, 1):
-        subword = x.bits[y.bits == b]  # a boolean mask, not an index per bit
-        if subword.size:
-            total += _k_eff(BitWord._owning(subword), coder, lengths)
+    xbits, ybits, ones = x.bits, y.bits, y.weight
+    for b, size in ((0, x.n - ones), (1, ones)):
+        if size:  # a boolean mask, not an index per bit; the class's bits go once packed
+            total += _k_eff(BitWord(xbits[ybits == b]), coder, lengths)
     return total
 
 

@@ -6,20 +6,19 @@ np.packbits fills a byte, so that column i is bit 63 - i % 64 of word
 i // 64 and the bits past the last column are zero.  A raw or hex payload
 is in that order already, so BitWord.from_bytes makes its words with one
 byte swap, at 1/8 byte a bit; a word built from a 0/1 array is packed
-when it is built.  n, the weight (a popcount), equality, hashing and
-prefixes read the packed words.  The 0/1 view (bits, tolist(), one byte a
-bit) is the array a word was built from, if it was; else it is unpacked
-on first use and kept.
+when it is built, and the array is not kept.  n, the weight (a popcount),
+equality, hashing, prefixes and single bits read the packed words.  The
+0/1 view (bits, tolist(), one byte a bit) is unpacked afresh on each call.
 
 packed_rows packs every row of a 0/1 matrix in that layout, one row of
 words per row.  PackedRows is such a matrix with its column count: the
 blocks and chunks the length kernels (coders) read, sliced at a multiple
 of 64 columns by PackedRows.columns.  Everything downstream consumes a
 BitWord, a PackedRows or one of the tallies defined here: aligned-pair
-counts for a pair of words, and the disjoint 2-bit block counts of every
-packed row (block_tallies).  prefix_ones is the one prefix popcount: the
+counts for a pair of words.  prefix_ones is the one prefix popcount: the
 ones of every row's first j columns at any cuts j, which the length
-kernels and stats.adjusted_prefixes read.  as_bits (and bit_bytes, its
+kernels and stats.adjusted_prefixes read, and block_ones its form for the
+2-bit blocks of every packed row.  as_bits (and bit_bytes, its
 form for bitstreams) is the package's one check that an array holds only
 0/1 values.
 """
@@ -62,17 +61,6 @@ def bit_bytes(values, error: type[Exception] = ValueError) -> bytes:
     if bits.ndim != 1:
         raise error("a bitstream must be one-dimensional")
     return bits.tobytes()
-
-
-def _word_bits(arr: np.ndarray) -> np.ndarray:
-    """arr, a uint8 array of 0/1 values, checked to hold a word and made
-    read-only."""
-    if arr.ndim != 1:
-        raise ValueError("bits must be one-dimensional")
-    if arr.size == 0:
-        raise ValueError("a word must contain at least one bit")
-    arr.setflags(write=False)
-    return arr
 
 
 def _native(packed: np.ndarray) -> np.ndarray:
@@ -149,25 +137,17 @@ class PackedRows:
 
 
 class BitWord:
-    """Immutable finite binary word of length >= 1: its packed words and,
-    once built from it or asked for, its 0/1 view (see the module
-    docstring)."""
+    """Immutable finite binary word of length >= 1, held as its packed
+    words (see the module docstring)."""
 
-    __slots__ = ("_n", "_packed", "_bits")
+    __slots__ = ("_n", "_packed")
 
     def __init__(self, bits: Iterable[int] | np.ndarray):
-        self._hold(np.array(as_bits(bits)))  # a copy the caller cannot write to
-
-    @classmethod
-    def _owning(cls, bits: np.ndarray) -> "BitWord":
-        """The word of a 0/1 array the package has just built and holds no
-        other reference to: checked and made read-only, but not copied."""
-        word = cls.__new__(cls)
-        word._hold(as_bits(bits))
-        return word
-
-    def _hold(self, bits: np.ndarray) -> None:
-        self._bits = _word_bits(bits)
+        bits = as_bits(bits)
+        if bits.ndim != 1:
+            raise ValueError("bits must be one-dimensional")
+        if bits.size == 0:
+            raise ValueError("a word must contain at least one bit")
         self._n = bits.size
         self._packed = packed_rows(bits[None])[0]
         self._packed.setflags(write=False)
@@ -178,13 +158,15 @@ class BitWord:
         whose bits past n are zero: made read-only, but not copied."""
         word = cls.__new__(cls)
         packed.setflags(write=False)
-        word._n, word._packed, word._bits = n, packed, None
+        word._n, word._packed = n, packed
         return word
 
     @classmethod
     def from01(cls, text: str) -> "BitWord":
-        """Build a word from a string of '0'/'1' characters."""
-        if not text or any(c not in "01" for c in text):
+        """Build a word from a string of '0'/'1' characters.  Any other
+        ASCII character becomes a byte other than 0 or 1, which as_bits
+        rejects; a non-ASCII one raises UnicodeEncodeError, a ValueError."""
+        if not text:
             raise ValueError("expected a nonempty string over {0,1}")
         return cls(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
 
@@ -193,7 +175,7 @@ class BitWord:
         """Word of length n whose bits are the big-endian binary digits of value."""
         if n < 1 or value < 0 or value >= (1 << n):
             raise ValueError("value out of range for word length")
-        return cls(np.array([(value >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8))
+        return cls.from_bytes((value << -n % 8).to_bytes(-(-n // 8), "big"), n)
 
     @classmethod
     def from_bytes(cls, data: bytes, n: int) -> "BitWord":
@@ -215,12 +197,10 @@ class BitWord:
 
     @property
     def bits(self) -> np.ndarray:
-        """The 0/1 view, one uint8 a bit, read-only."""
-        if self._bits is None:
-            bits = unpacked(self._packed, self._n)
-            bits.setflags(write=False)
-            self._bits = bits
-        return self._bits
+        """The 0/1 view, one uint8 a bit, unpacked on each call, read-only."""
+        bits = unpacked(self._packed, self._n)
+        bits.setflags(write=False)
+        return bits
 
     @property
     def n(self) -> int:
@@ -246,7 +226,8 @@ class BitWord:
         return self._n
 
     def __getitem__(self, i: int) -> int:
-        return int(self.bits[i])
+        i = range(self._n)[i]  # a Python int in range, as a list takes its index
+        return int(self._packed[i // 64]) >> (63 - i % 64) & 1
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.tolist())
@@ -347,11 +328,3 @@ def block_ones(words: np.ndarray, n: int, cuts) -> np.ndarray:
     np.right_shift(words, 1, out=masked[2])  # each block's first bit onto its second
     masked[2] &= masked[1]
     return prefix_ones(masked, n, cuts)
-
-
-def block_tallies(rows: PackedRows) -> np.ndarray:
-    """(rows, 4) counts of the disjoint 2-bit blocks 00, 01, 10, 11 of every
-    packed row, left-aligned; an odd trailing bit is left out."""
-    nb = rows.n // 2
-    first, second, both = block_ones(rows.words, rows.n, [2 * nb])[..., 0]
-    return np.stack([nb - first - second + both, second - both, first - both, both], axis=1)

@@ -186,7 +186,7 @@ class TestOneInputAtATime:
         def tracked(*args):
             assert all(ref() is None for ref in words)  # every earlier word is gone
             word = read(*args)
-            words.append(weakref.ref(word.bits))
+            words.append(weakref.ref(word.packed))
             return word
 
         monkeypatch.setattr(kadjust.cli, "read_word", tracked)

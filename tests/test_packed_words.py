@@ -139,8 +139,8 @@ def test_packed_reads_never_unpack(unpacks):
     assert (word.n, word.weight) == (65, int(np.unpackbits(np.frombuffer(data, np.uint8))[:65].sum()))
     assert word == other.prefix(65) and hash(word) == hash(other.prefix(65)) and word != other
     assert unpacks == []
-    assert word.tolist() == word.tolist()  # the view is unpacked once, then kept
-    assert unpacks == [65]
+    assert word.tolist() == word.tolist()  # the view is unpacked on each call, never kept
+    assert unpacks == [65, 65]
 
 
 def test_from_bytes_checks_its_length():

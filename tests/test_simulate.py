@@ -22,7 +22,6 @@ from kadjust import adjusted_deficiencies, monte_carlo_fpr, simulate
 from kadjust.simulate import bernoulli_threshold, splitmix_outputs, uniform_floats
 from kadjust.testing import TestConfig as Config
 from kadjust.stats import write_records
-from kadjust.words import PackedRows, block_tallies
 
 from conftest import SplitMix64, derive_seed
 
@@ -104,7 +103,6 @@ class TestGenerate:
         for seed in (0, 1, 7):
             for length in (1, 2, 31, 100, 4097):
                 w = generate(GeneratorSpec.block(seed, length))
-                assert block_tallies(PackedRows.of(w.bits[None]))[0, 2] == 0
                 pairs = w.bits[: 2 * (length // 2)].reshape(-1, 2)
                 assert not np.any((pairs[:, 0] == 1) & (pairs[:, 1] == 0))
 
@@ -230,9 +228,10 @@ class TestConvergenceTrace:
 
     def test_memory_per_input_bit(self):
         """convergence_trace for model_class and pair_shell on a 2^22-bit
-        block word, cut at 16, 32, ..., 2^22, peaks under 3 bytes a bit
-        (tracemalloc, about 2.8 and 2.1, most of it the generated word):
-        the statistics recorded at the cuts add nothing a bit.  A fresh
+        block word, cut at 16, 32, ..., 2^22, peaks under 2 bytes a bit
+        (tracemalloc, about 1.8 and 1.4; the generated word keeps only its
+        packed words): the statistics recorded at the cuts add nothing a
+        bit.  A fresh
         interpreter starts with cold entropy caches and numpy modules not
         yet imported, as the first call of a command does."""
         code = """
@@ -249,7 +248,7 @@ print(tracemalloc.get_traced_memory()[1] / n)
             proc = subprocess.run([sys.executable, "-c", code, name], capture_output=True, text=True, env=env,
                                   timeout=120)
             assert proc.returncode == 0, proc.stderr
-            assert float(proc.stdout) <= 3.0, (name, proc.stdout)
+            assert float(proc.stdout) <= 2.0, (name, proc.stdout)
 
 
 class TestEntropyRate:

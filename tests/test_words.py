@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kadjust import BitWord, CoderId, PairCounts
+from kadjust import BitWord, CoderId, GeneratorSpec, PairCounts, generate
 from kadjust import kind_lengths
 from kadjust.bitio import BitReader, DecodeError
-from kadjust.words import PackedRows, block_tallies
+from kadjust.words import PackedRows, block_ones
 
 from conftest import WORD35_STR
 
@@ -27,10 +29,9 @@ class TestBitWord:
             BitWord([])
         with pytest.raises(ValueError):
             BitWord([0, 2])
-        with pytest.raises(ValueError):
-            BitWord.from01("01a")
-        with pytest.raises(ValueError):
-            BitWord.from01("")
+        for text in ("01a", "0 1", "/", "0\u00e91", ""):  # "/" wraps to 255, "\u00e9" is not ASCII
+            with pytest.raises(ValueError):
+                BitWord.from01(text)
 
     @pytest.mark.parametrize(
         "bits",
@@ -57,6 +58,35 @@ class TestBitWord:
         assert BitWord.from_uint(0, 3).to01() == "000"
         with pytest.raises(ValueError):
             BitWord.from_uint(8, 3)
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 8, 9, 63, 64, 65, 130):
+            value = int.from_bytes(rng.bytes(17), "big") >> (136 - n)
+            assert BitWord.from_uint(value, n).to01() == format(value, f"0{n}b")
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_index_reads_the_packed_words(self, n):
+        w = BitWord(np.random.default_rng(n).integers(0, 2, n))
+        bits = w.tolist()
+        assert [w[i] for i in range(-n, n)] == bits + bits
+        assert [w[i] for i in np.arange(-n, n)] == bits + bits
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                w[i]
+
+    def test_keeps_only_packed_words(self):
+        """A word built from an array, or generated, holds its packed words
+        alone, 1/8 byte a bit, and not the 0/1 array, 1 byte a bit."""
+        n = 1 << 22
+        bits = np.random.default_rng(4).integers(0, 2, n, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            words = [BitWord(bits)]
+            built = tracemalloc.get_traced_memory()[0]
+            words.append(generate(GeneratorSpec.bernoulli(0.3, 9, n)))
+            generated = tracemalloc.get_traced_memory()[0] - built
+        finally:
+            tracemalloc.stop()
+        assert built <= 0.2 * n and generated <= 0.2 * n, (built / n, generated / n)
 
     def test_prefix_and_equality(self):
         w = BitWord.from01("110010")
@@ -136,42 +166,55 @@ class TestCounts:
         assert pc.n == len(bits)
 
 
+def block_counts(rows: PackedRows) -> np.ndarray:
+    """(rows, 3) of block_ones over every row's disjoint 2-bit blocks: the
+    ones at even positions, the ones at odd positions and the blocks 11;
+    an odd trailing bit is left out."""
+    return block_ones(rows.words, rows.n, [rows.n - rows.n % 2])[..., 0].T
+
+
 class TestBlockCounts:
-    """block_tallies on one word: counts of 00, 01, 10, 11, in that order."""
+    """block_ones on one word: first bits, second bits and blocks 11."""
 
     @staticmethod
     def counts(text: str) -> list[int]:
-        return block_tallies(PackedRows.of(BitWord.from01(text).bits[None]))[0].tolist()
+        return block_counts(PackedRows(BitWord.from01(text).packed[None], len(text)))[0].tolist()
 
     def test_direct_reading(self):
-        assert self.counts("000111") == [1, 1, 0, 1]
+        assert self.counts("000111") == [1, 2, 1]
 
     def test_single_bit(self):
-        assert self.counts("0") == [0, 0, 0, 0]
+        assert self.counts("0") == [0, 0, 0]
+        assert self.counts("1") == [0, 0, 0]
 
     def test_block_order_is_first_then_second(self):
-        assert self.counts("10") == [0, 0, 1, 0]
-        assert self.counts("01") == [0, 1, 0, 0]
+        assert self.counts("10") == [1, 0, 0]
+        assert self.counts("01") == [0, 1, 0]
 
     @given(bit_lists)
     def test_block_identity(self, bits):
-        tallies = block_tallies(PackedRows.of(BitWord(bits).bits[None]))[0]
-        assert 2 * int(tallies.sum()) + len(bits) % 2 == len(bits)
+        first, second, both = block_counts(PackedRows.of(np.array([bits], dtype=np.uint8)))[0]
+        nb = len(bits) // 2
+        assert first + second == sum(bits[: 2 * nb])
+        assert both == sum(a & b for a, b in zip(bits[: 2 * nb : 2], bits[1 : 2 * nb : 2]))
 
 
 class TestBlockTallies:
     @staticmethod
     def reference(bits: np.ndarray) -> np.ndarray:
+        """The first bits, second bits and blocks 11 of every row, from the
+        bincount of its blocks 00, 01, 10, 11."""
         nb = bits.shape[1] // 2
         pairs = 2 * bits[:, : 2 * nb : 2].astype(np.intp) + bits[:, 1 : 2 * nb : 2]
-        return np.array([np.bincount(row, minlength=4) for row in pairs]).reshape(-1, 4)
+        c = np.array([np.bincount(row, minlength=4) for row in pairs]).reshape(-1, 4)
+        return np.stack([c[:, 2] + c[:, 3], c[:, 1] + c[:, 3], c[:, 3]], axis=1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 13, 63, 64, 65, 127, 129, 1001, 4159])
     def test_matches_bincount_on_many_rows(self, n):
         rng = np.random.default_rng(n)
         bits = (rng.random((300, n)) < rng.random((300, 1))).astype(np.uint8)
-        assert np.array_equal(block_tallies(PackedRows.of(bits)), self.reference(bits))
+        assert np.array_equal(block_counts(PackedRows.of(bits)), self.reference(bits))
 
     def test_one_long_row(self):
         bits = (np.random.default_rng(2).random((1, (1 << 17) + 1)) < 0.3).astype(np.uint8)
-        assert np.array_equal(block_tallies(PackedRows.of(bits)), self.reference(bits))
+        assert np.array_equal(block_counts(PackedRows.of(bits)), self.reference(bits))
