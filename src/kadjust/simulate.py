@@ -2,14 +2,25 @@
 
 All randomness flows through SplitMix64 with the fixed constants below, so
 output is bit-identical across runs and platforms for a given seed.  The
-generator is counter-based (output i is the finalizer applied to
-seed + i*GAMMA), so splitmix_outputs computes any prefix of the stream at
-once, without stepping through it.  A draw is defined on the uniform
-(output >> 11) * 2^-53, but the Bernoulli and block sources compare the
-outputs with integer thresholds instead, which give the same bits.
+generator is counter-based: output i is the finalizer applied to the
+counter state seed + i*GAMMA, two xorshift-multiply rounds (_mix) and a
+final xorshift z ^= z >> 31 (_finish), so splitmix_outputs computes any
+prefix of the stream at once, without stepping through it.  A draw is
+defined on the uniform (output >> 11) * 2^-53, but the Bernoulli and block
+sources compare the outputs with integer thresholds instead, which give
+the same bits.  The final xorshift keeps the top 31 bits of its state and
+changes only the low 33, so a threshold whose low 33 bits are zero (p *
+2^31 an integer, as the calibration null p = 1/2) splits the states before
+it exactly as it splits the outputs, and the Bernoulli draw skips it there
+(_below).
+
 generate and the Monte Carlo (testing.monte_carlo_fpr) draw through one
-loop, _output_blocks, in blocks of at most 2^16 outputs, so a trial word
-equals the generated word of its seed and memory stays linear in the bits.
+loop, _drawn_words, in blocks of at most 2^16 outputs that reuse one set of
+buffers.  Each block is compared with its thresholds and packed straight
+into its rows' uint64 words, the layout of a BitWord, so the full 0/1
+array never exists: a word of 2^22 bits peaks at about 0.33 byte a bit
+(tracemalloc), its packed words and one block's buffers.  A trial word
+equals the generated word of its seed.
 
 convergence_trace scores every prefix on its schedule in one pass over
 the word (stats.adjusted_prefixes, coders.kind_lengths): the kernel takes
@@ -23,18 +34,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .coders import CoderId
 from .stats import adjusted_prefixes
-from .words import BitWord
+from .words import _LEADING, BitWord
 
 GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
+
+
+def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Counter states z = seed + i * GAMMA mixed, in place, into the states
+    behind outputs i: each an output before its final xorshift (_finish).
+    scratch, of z's shape, takes the shifts."""
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= np.uint64(mix)
+    return z
+
+
+def _finish(z: np.ndarray, scratch: np.ndarray) -> None:
+    """States z made their outputs in place by the final xorshift z ^= z >> 31."""
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
 def splitmix_outputs(seed: int | np.ndarray, count: int) -> np.ndarray:
@@ -44,10 +73,9 @@ def splitmix_outputs(seed: int | np.ndarray, count: int) -> np.ndarray:
     """
     z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GAMMA)
     z = np.asarray(seed & _MASK, dtype=np.uint64)[..., None] + z
-    for shift, mix in ((30, _MIX1), (27, _MIX2)):  # in place: no temporaries but the shifts
-        z ^= z >> np.uint64(shift)
-        z *= np.uint64(mix)
-    return z ^ (z >> np.uint64(31))
+    scratch = np.empty_like(z)
+    _finish(_mix(z, scratch), scratch)
+    return z
 
 
 def uniform_floats(seed: int | np.ndarray, count: int) -> np.ndarray:
@@ -135,37 +163,85 @@ _BLOCK_01, _BLOCK_11 = _block_thresholds()
 
 
 # The sources and the Monte Carlo trials (testing.monte_carlo_fpr) draw
-# their outputs in blocks of this many, which keeps the temporaries of each
-# block at 512 KiB: 2^19 outputs drawn at once took 3x longer, as the
-# allocator maps and faults in every 4 MiB temporary afresh.
+# their outputs in blocks of at most this many, whose states take 512 KiB:
+# the Monte Carlo's 10^4 words of 256 bits drew 16% slower in blocks of
+# 2^15 outputs and 22% slower in blocks of 2^17.
 _DRAW_BLOCK = 1 << 16
 
-
-def _output_blocks(seed: int | np.ndarray, count: int):
-    """(start, outputs start + 1 ..) of splitmix_outputs(seed, count), a block
-    of columns at a time, of at most _DRAW_BLOCK outputs over the rows of
-    an array of seeds: output i of seed is output i - start of seed +
-    start * GAMMA."""
-    width = max(1, _DRAW_BLOCK // np.size(seed))
-    for start in range(0, count, width):
-        size = min(width, count - start)
-        yield start, splitmix_outputs(seed + (start * GAMMA & _MASK), size)
+# The final xorshift of an output, z ^ (z >> 31), keeps the top 31 bits of
+# its state z and changes only the low 33.
+_LOW33 = (1 << 33) - 1
 
 
-def _bernoulli_bits(p: float, seed: int | np.ndarray, length: int) -> np.ndarray:
-    """Bernoulli(p) bits from the outputs of seed, one row per seed of an array."""
-    threshold = bernoulli_threshold(p)
-    bits = np.empty(np.shape(seed) + (length,), dtype=bool)
-    for start, z in _output_blocks(seed, length):
-        np.less(z, threshold, out=bits[..., start : start + z.shape[-1]])
-    return bits
+def _below(threshold: np.uint64, z: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """out = whether the outputs of the states z are below threshold.  A
+    threshold whose low 33 bits are zero (p * 2^31 an integer, as p = 1/2)
+    splits states and outputs alike, so the states are compared as they
+    are; others take their final xorshift first, in place."""
+    if int(threshold) & _LOW33:
+        _finish(z, scratch)
+    np.less(z, threshold, out=out)
+
+
+def _block_pairs(z: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """The blocks of the states z, 00, 01 or 11 (see _block_thresholds),
+    interleaved into out, two columns an output."""
+    _finish(z, scratch)
+    np.greater_equal(z, _BLOCK_11, out=out[:, 0::2])
+    np.greater_equal(z, _BLOCK_01, out=out[:, 1::2])
+
+
+def _drawn_words(seeds: np.ndarray, n: int, per_output: int, draw) -> np.ndarray:
+    """(len(seeds), ceil(n / 64)) packed words (see kadjust.words): row r
+    holds n bits from the outputs of seeds[r], per_output bits an output,
+    which draw(z, scratch, out) writes from the states z[rows, outputs] of
+    a block of outputs into the bool out[rows, per_output * outputs].
+
+    The outputs come in blocks of at most _DRAW_BLOCK: whole rows while a
+    row's words fit, else one row in column blocks of _DRAW_BLOCK // 2
+    outputs, as its counter states are as long as the block.  Output i of a
+    seed is output i - start of seed + start * GAMMA.  Each block's bits are
+    packed straight into its rows' words, so the full 0/1 array never
+    exists.  The blocks reuse one set of buffers, the states, a scratch for
+    the shifts, the counter and the bits: fresh temporaries of 512 KiB a
+    block are faulted in afresh, which took the draw twice as long."""
+    words = np.empty((len(seeds), -(-n // 64)), dtype=np.uint64)
+    count = -(-n // per_output)
+    cells = 64 * words.shape[1] // per_output  # a row's outputs, padded to whole words
+    if cells <= _DRAW_BLOCK:
+        step, width = min(len(seeds), _DRAW_BLOCK // cells), count
+    else:  # one row, whose counter is as long as its states: half a block at a time
+        step, width = 1, _DRAW_BLOCK // 2
+    states, scratch = np.empty((2, step, width), dtype=np.uint64)
+    bits = np.empty((step, -(-per_output * width // 64) * 64), dtype=bool)
+    counter = np.arange(1, width + 1, dtype=np.uint64)
+    counter *= np.uint64(GAMMA)  # output i's counter state, less the seed
+    for first in range(0, len(seeds), step):
+        rows = seeds[first : first + step]
+        for start in range(0, count, width):
+            size = min(width, count - start)
+            z, s = states[: len(rows), :size], scratch[: len(rows), :size]
+            np.add((rows + np.uint64(start * GAMMA & _MASK))[:, None], counter[:size], out=z)
+            drawn = bits[: len(rows), : -(-per_output * size // 64) * 64]
+            draw(_mix(z, s), s, drawn[:, : per_output * size])
+            packed = np.packbits(drawn).view(">u8").reshape(len(rows), -1)
+            column = per_output * start // 64
+            words[first : first + len(rows), column : column + packed.shape[1]] = packed
+    words[:, -1] &= _LEADING[n % 64 or 64]  # past n: stale padding, the block source's last bit
+    return words
+
+
+def _bernoulli_words(p: float, seeds: np.ndarray, n: int) -> np.ndarray:
+    """Bernoulli(p) rows of n bits, packed, one row per seed of an array."""
+    return _drawn_words(seeds, n, 1, partial(_below, bernoulli_threshold(p)))
 
 
 def generate(spec: GeneratorSpec) -> BitWord:
     """Emit the word determined by the spec; identical seeds give identical bits."""
+    seeds = np.array([spec.seed], dtype=np.uint64)
     if spec.kind == "bernoulli":
-        return BitWord(_bernoulli_bits(spec.p, spec.seed, spec.length))
-    if spec.kind == "mixture":
+        words = _bernoulli_words(spec.p, seeds, spec.length)
+    elif spec.kind == "mixture":
         # output 1 of the stream picks the component, output 2 seeds its bits
         u = uniform_floats(spec.seed, 1)[0]
         cum = 0.0
@@ -175,16 +251,12 @@ def generate(spec: GeneratorSpec) -> BitWord:
             if u < cum:
                 chosen = p
                 break
-        stream_seed = int(splitmix_outputs(spec.seed, 2)[1])
-        return BitWord(_bernoulli_bits(chosen, stream_seed, spec.length))
-    # block: uniform over {00, 01, 11}, index min(floor(3u), 2) of output
-    # i's uniform u; block 10 never occurs.
-    nblocks = (spec.length + 1) // 2
-    pairs = np.empty((nblocks, 2), dtype=bool)
-    for start, z in _output_blocks(spec.seed, nblocks):
-        np.greater_equal(z, _BLOCK_11, out=pairs[start : start + z.size, 0])
-        np.greater_equal(z, _BLOCK_01, out=pairs[start : start + z.size, 1])
-    return BitWord(pairs.reshape(-1)[: spec.length])
+        words = _bernoulli_words(chosen, splitmix_outputs(spec.seed, 2)[1:], spec.length)
+    else:
+        # block: uniform over {00, 01, 11}, index min(floor(3u), 2) of output
+        # i's uniform u; block 10 never occurs.
+        words = _drawn_words(seeds, spec.length, 2, _block_pairs)
+    return BitWord._from_packed(words[0], spec.length)
 
 
 @dataclass(frozen=True)

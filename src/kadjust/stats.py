@@ -20,14 +20,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .coders import CoderId, kind_lengths
+from .coders import CoderId, _matrix, kind_lengths
 from .entropy import (
     binary_entropy,
     conditional_entropy,
     log2_multinomial,
     mutual_information_emp,
 )
-from .words import BitWord, PairCounts, prefix_ones
+from .words import BitWord, PackedRows, PairCounts, prefix_ones
 
 logger = logging.getLogger(__name__)
 
@@ -177,20 +177,25 @@ def adjusted_prefixes(
 
 
 def adjusted_deficiencies(bits, coder: CoderId, lengths: str = "ideal") -> np.ndarray:
-    """Deficiency n*H - K_eff of every row of a 0/1 matrix, one word per
-    row, equal to adjusted(BitWord(row), coder, lengths).deficiency; -inf
-    for a constant row.
+    """Deficiency n*H - K_eff of every row of packed rows (a PackedRows) or
+    of a 0/1 matrix, one word per row, equal to adjusted(BitWord(row),
+    coder, lengths).deficiency; -inf for a constant row.
 
-    The rows are scored in one kind_lengths() call and H comes from one
-    binary_entropy() call per distinct weight.
+    A 0/1 matrix is checked and packed once.  The rows are scored in one
+    kind_lengths() call, which slices them into chunks of at most
+    _CHUNK_BYTES // 8 cells; the weights are the rows' popcounts, and H
+    comes from one binary_entropy() call per distinct weight.
     """
-    bits = np.asarray(bits)
-    k_eff = np.asarray(kind_lengths(coder, bits, lengths).lengths, dtype=np.float64)
-    n = bits.shape[1]
-    weights, inverse = np.unique(bits.sum(axis=1), return_inverse=True)
-    h = np.array([binary_entropy(w / n) for w in weights.tolist()])[inverse]
-    deficiency = n * h - k_eff
-    deficiency[h == 0.0] = -np.inf
+    rows = bits if isinstance(bits, PackedRows) else PackedRows.of(_matrix(bits))
+    k_eff = kind_lengths(coder, rows, lengths).lengths
+    n = rows.n
+    # with return_inverse np.unique sorts; without, numpy 2 takes a hashing
+    # path that imports numpy.ma on first use, about 1 MiB of RSS
+    weights, inverse = np.unique(prefix_ones(rows.words, n, [n])[:, 0], return_inverse=True)
+    baselines = np.array([n * binary_entropy(w / n) for w in weights.tolist()])
+    baselines[baselines == 0.0] = -np.inf  # a constant row's deficiency
+    deficiency = baselines[inverse]
+    deficiency -= k_eff
     return deficiency
 
 

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coders import CoderId, is_concrete, kind_lengths, length_kernel
+from .coders import _CHUNK_BYTES, CoderId, is_concrete, kind_lengths, length_kernel
 from .entropy import shell_log_size, shell_size
-from .simulate import _DRAW_BLOCK, _bernoulli_bits, geometric_schedule, splitmix_outputs
+from .simulate import GAMMA, _bernoulli_words, geometric_schedule, splitmix_outputs
+from .simulate import _DRAW_BLOCK  # noqa: F401  re-exported: the tests size trials by the draw block
 from .stats import adjusted, adjusted_deficiencies, adjusted_prefixes
 from .words import BitWord, PackedRows
 
@@ -215,13 +216,17 @@ def monte_carlo_fpr(
     """Empirical rejection rate under Bernoulli(p) for thresholds m = 1..8.
 
     Trial i draws its word from the seed s_i = splitmix_outputs(seed, trials)[i],
-    through _bernoulli_bits, the draw generate() makes, so it equals
-    generate(GeneratorSpec.bernoulli(p, s_i, n)).  The words come in blocks
-    of at most 2^16 outputs (one word when n is larger, itself drawn in
-    column blocks of 2^16) and each block is scored in one
-    adjusted_deficiencies() call under cfg's coder and length kind, which
-    gives every word the deficiency adjusted() gives it.  Constant words
-    count as non-rejections.
+    through the draw generate() makes, so it equals
+    generate(GeneratorSpec.bernoulli(p, s_i, n)).  The trials come in
+    batches of at most _CHUNK_BYTES of packed words (one word when n is
+    larger), the budget of a kernel's chunk: 10^4 words of 256 bits are one
+    batch.  Each batch's seeds are outputs start + 1 .. of seed, its words
+    are drawn straight into packed rows, a draw block at a time, and it is
+    scored in one adjusted_deficiencies() call under cfg's coder and length
+    kind, which gives every word the deficiency adjusted() gives it.  Its
+    rejections are tallied before the next batch is drawn, so memory is one
+    batch and one draw block's temporaries, however many trials there are.
+    Constant words count as non-rejections.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0,1)")
@@ -229,17 +234,17 @@ def monte_carlo_fpr(
         raise ValueError("length must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    seeds = splitmix_outputs(seed, trials)
-    block = max(1, _DRAW_BLOCK // n)
-    deficiencies = np.empty(trials, dtype=np.float64)
-    for start in range(0, trials, block):
-        words = _bernoulli_bits(p, seeds[start : start + block], n)
-        deficiencies[start : start + len(words)] = adjusted_deficiencies(
-            words, cfg.coder, cfg.lengths
-        )
+    batch = max(1, _CHUNK_BYTES // 8 // -(-n // 64))
+    ms = np.array(FPR_M_RANGE)
+    counts = np.zeros(len(ms), dtype=np.int64)
+    for start in range(0, trials, batch):
+        size = min(batch, trials - start)  # the seeds: outputs start + 1 .. of seed
+        words = PackedRows(_bernoulli_words(p, splitmix_outputs(int(seed) + start * GAMMA, size), n), n)
+        deficiencies = adjusted_deficiencies(words, cfg.coder, cfg.lengths)
+        counts += np.count_nonzero(deficiencies[:, None] >= ms, axis=0)
+        del words, deficiencies  # not held while the next batch is drawn
     rows = []
-    for m in FPR_M_RANGE:
-        rejections = int(np.count_nonzero(deficiencies >= m))
+    for m, rejections in zip(FPR_M_RANGE, counts.tolist()):
         rate, bound = rejections / trials, 2.0 ** (2 - m)
         rows.append(
             FprRow(

@@ -118,6 +118,10 @@ class PackedRows:
     def __len__(self) -> int:
         return len(self.words)
 
+    def __iter__(self) -> Iterator[np.ndarray]:
+        """Every row as a 0/1 uint8 array, unpacked afresh."""
+        return (unpacked(row, self.n) for row in self.words)
+
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.words), self.n

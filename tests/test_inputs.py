@@ -90,3 +90,37 @@ class TestFormatWord:
         back = parse_word(parse_word(raw, "raw").to01().encode("ascii"), "ascii01")
         assert back == word
         assert parse_word(raw.hex().encode("ascii"), "hex") == word
+
+
+class TestAscii01:
+    def test_every_other_byte_is_rejected_by_name(self):
+        # the bytes 0x00 and 0x01 are not the bits 0 and 1; the message names
+        # the first byte that is not 0, 1 or a line break, wherever it stands
+        for bad in set(range(256)) - set(b"01\r\n"):
+            for payload in (bytes([bad]), b"01\r\n" * 700 + b"1" + bytes([bad]) + b"0 "):
+                with pytest.raises(ValueError, match="admits only 0, 1 and line breaks") as err:
+                    parse_word(payload, "ascii01")
+                assert str(err.value).endswith(repr(bytes([bad])))
+
+    def test_bad_byte_past_the_cap_is_rejected(self):
+        with pytest.raises(ValueError, match=r"got b'x'"):
+            parse_word(b"0101x", "ascii01", max_bits=2)
+
+    def test_peak_below_one_and_a_half_bytes_per_bit(self):
+        # one translate to the bits, one byte a bit, then the packed word:
+        # about 1.25 bytes a bit beyond the payload, where a copy without
+        # line breaks and a 0/1 array made it 2.25
+        n = 1 << 22
+        digits = np.frombuffer(b"01", dtype=np.uint8)[np.random.default_rng(8).integers(0, 2, n)]
+        lines = np.full((n // 64, 65), ord("\n"), dtype=np.uint8)
+        lines[:, :64] = digits.reshape(-1, 64)
+        payload = lines.tobytes()
+        del digits, lines
+        tracemalloc.start()
+        try:
+            word = parse_word(payload, "ascii01")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert word.n == n and word.prefix(64).to01() == payload[:64].decode("ascii")
+        assert peak <= 1.5 * n, peak / n
