@@ -8,23 +8,23 @@ as side information.
 Every length is computed by one batched kernel per coder, which scores a
 matrix of equal-length words, one word per row.  Every kernel reads the
 same packed chunk, a PackedRows of 64 columns to a uint64 word,
-most-significant bit first (see kadjust.words).  One loop (_scored) feeds
-the chunks to kind_lengths() and to code_word() through the k_*
-functions: a BitWord's packed words are sliced into chunks, packed
-rows (a PackedRows, as the counting-lemma audit builds them from
-integers) are sliced a block of rows at a time, and a 0/1 matrix is
-packed once a block of rows; a short word is a single chunk.  A kernel
-is built with the prefix lengths it scores, its cuts (n by default), and
-records integer statistics at every cut inside each chunk, from prefix
-sums over the chunk's words; totals that add up over the chunks carry
-into the next.  Its last step, finishes(kinds), turns every cut's
-statistics into each length kind's Score, lengths and winner, at once,
-with the same scalar functions for every chunking, so a word scores the
-same however it is chunked, and kind_lengths() given cuts scores every
-prefix of a word on a schedule in one left-to-right pass and one finish.
-code_word() finishes one pass for both kinds, and a kernel whose two
-kinds are one integer length (literal, run_length, periodic) takes it
-once.
+most-significant bit first (see kadjust.words).  One loop (_scored)
+feeds the chunks to kind_lengths() and to code_word() through the k_*
+functions.  It reads packed rows only, which PackedRows.of makes once of
+a BitWord (its one row), of packed rows (as the audit and the Monte
+Carlo build them) or of a 0/1 matrix (checked and packed), and slices
+them a block of rows at a time, each block into chunks; a short word is
+a single chunk.  A kernel is built with the prefix lengths it scores,
+its cuts (n by default), and records integer statistics at every cut
+inside each chunk, from prefix sums over the chunk's words; totals that
+add up over the chunks carry into the next.  Its last step,
+finishes(kinds), turns every cut's statistics into each length kind's
+Score, lengths and winner, at once, with the same scalar functions for
+every chunking, so a word scores the same however it is chunked, and
+kind_lengths() given cuts scores every prefix of a word on a schedule in
+one left-to-right pass and one finish.  code_word() finishes one pass for
+both kinds, and a kernel whose two kinds are one integer length
+(literal, run_length, periodic) takes it once.
 No coder takes a parameter: each has a kernel, a one-row k_*(word) and,
 when concrete, encode(word) and decode(n, reader).  The periodic bound is
 the constant P_MAX = 32.
@@ -101,10 +101,11 @@ is the argmin over the members, the first member on ties.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -112,7 +113,7 @@ from numpy.lib.stride_tricks import as_strided
 from .bitio import BitReader, BitWriter, DecodeError, elias_gamma_len
 from .entropy import ceil_log2, log2_multinomial
 from .shellcode import concrete_len_shell, decode_shell, encode_shell, ideal_len_shell
-from .words import _LEADING, BitWord, PackedRows, as_bits, block_ones, packed_rows, prefix_ones, unpacked
+from .words import _LEADING, BitWord, PackedRows, block_ones, packed_rows, prefix_ones, unpacked
 
 # The periodic coder takes the best period P <= P_MAX.
 P_MAX = 32
@@ -729,69 +730,50 @@ class _ModelClass(_Kernel):
         return out
 
 
-def _blocks(source) -> Iterator[PackedRows]:
-    """The rows of source in blocks, packed: a BitWord's packed words as
-    its one row, or the rows of packed rows or of a 0/1 matrix, at most
-    _CHUNK_BYTES // 8 cells a block while a row fits (one row at least),
-    slices of the packed words or each block of the matrix packed once."""
-    if isinstance(source, BitWord):
-        yield PackedRows(source.packed[None], source.n)
-        return
-    m, n = source.shape
-    rows = max(1, _CHUNK_BYTES // 8 // n)
-    for first in range(0, m, rows):
-        if isinstance(source, PackedRows):
-            yield PackedRows(source.words[first : first + rows], n)
-        else:
-            yield PackedRows.of(source[first : first + rows])
-
-
-def _scored(kernel, source, cuts: Sequence[int] | None = None):
-    """kernel(block, cuts) for every block of rows of source, a BitWord,
-    packed rows or a 0/1 matrix (see _blocks), fed the block's columns once,
-    in packed chunks from left to right, up to the last of the strictly
-    increasing cuts, which are for one row only (the block's n by default).
-    A chunk holds at most _CHUNK_BYTES // 8 cells: whole rows while a row
-    fits, else one row in chunks of a multiple of 64 columns (64 at least),
-    slices of the row's words; the kernel records every cut inside a chunk,
-    so no chunk ends at a cut but the last."""
-    cells = _CHUNK_BYTES // 8
-    for block in _blocks(source):
-        n = block.n
-        width = n if n <= cells else max(64, cells - cells % 64)
+def _scored(kernel, rows: PackedRows, cuts: Sequence[int] | None = None):
+    """kernel(block, cuts) for every block of packed rows, at most
+    _CHUNK_BYTES // 8 cells a block while a row fits (one row at least):
+    the rows when they fit one block, as a word does, else slices of the
+    words.  Each is fed its columns once, in packed chunks from left to
+    right, up to the last of the strictly increasing cuts, which are for
+    one row only (n by default).  A chunk holds at most _CHUNK_BYTES // 8
+    cells: whole rows while a row fits, else one row in chunks of a
+    multiple of 64 columns (64 at least), slices of the row's words; the
+    kernel records every cut inside a chunk, so no chunk ends at a cut but
+    the last."""
+    cells, m, n = _CHUNK_BYTES // 8, len(rows.words), rows.n
+    width = n if n <= cells else max(64, cells - cells % 64)
+    step = max(1, cells // n)
+    end = cuts[-1] if cuts else n
+    for first in range(0, m, step):
+        block = rows if step >= m else PackedRows(rows.words[first : first + step], n)
         scorer = kernel(block, cuts)
-        end = cuts[-1] if cuts else n
         for c in range(0, end, width):
             scorer.add(block.columns(c, min(end, c + width)), c)
         yield scorer
 
 
-def _lengths(kernel, source, kind: str, cuts: Sequence[int] | None = None) -> Score:
-    """The kind's Score of every row of source, or of one row's prefix at
-    every cut, the blocks' scores joined."""
-    parts = [scorer.finishes((kind,))[kind] for scorer in _scored(kernel, source, cuts)]
+def _lengths(kernel, rows: PackedRows, kind: str, cuts: Sequence[int] | None = None) -> Score:
+    """The kind's Score of every row of packed rows, or of one row's prefix
+    at every cut, the blocks' scores joined."""
+    parts = [scorer.finishes((kind,))[kind] for scorer in _scored(kernel, rows, cuts)]
     if len(parts) == 1:
         return parts[0]
     return Score(*(None if part[0] is None else np.concatenate(part) for part in zip(*parts)))
 
 
 def _prefix_points(points: Sequence[int], n: int) -> list[int]:
-    """The prefix lengths points, checked to increase strictly from 1 to at
-    most n."""
-    points = list(points)
+    """The prefix lengths points, checked to be integers (operator.index)
+    that increase strictly from 1 to at most n, as Python ints."""
+    try:
+        points = list(map(operator.index, points))
+    except TypeError:
+        raise ValueError("prefix lengths must be integers") from None
     if not points or points[0] < 1 or points[-1] > n:
         raise ValueError(f"prefix lengths must lie in 1..{n}")
     if any(b <= a for a, b in zip(points, points[1:])):
         raise ValueError("prefix lengths must be strictly increasing")
     return points
-
-
-def _matrix(bits) -> np.ndarray:
-    """A 0/1 matrix of at least one row and one column, checked."""
-    bits = np.asarray(bits)
-    if bits.ndim != 2 or 0 in bits.shape:
-        raise ValueError("bits must be a matrix of at least one row and one column")
-    return as_bits(bits)
 
 
 def kind_lengths(coder: CoderId, bits, kind: str, cuts: Sequence[int] | None = None) -> Score:
@@ -800,26 +782,25 @@ def kind_lengths(coder: CoderId, bits, kind: str, cuts: Sequence[int] | None = N
     code_word() scores it; or, given cuts, of the word's prefixes of every
     length m in cuts, each as scored alone.  Its lengths are float64 under
     ideal and int64 under concrete; its tag and period name the winner
-    (see Score).  The cuts increase strictly from 1 to at most the word's
-    length; the kernel, length_kernel()'s, takes the columns once up to
-    the last cut, records its statistics at every cut and finishes them
-    all at once.  A BitWord
-    and packed rows, a PackedRows of at least one row whose bits past
-    column n are zero as PackedRows.of leaves them, are not checked again:
-    their blocks are slices of their words, never unpacked or packed."""
+    (see Score).  The cuts are integers that increase strictly from 1 to
+    at most the word's length; the kernel, length_kernel()'s, takes the
+    columns once up to the last cut, records its statistics at every cut
+    and finishes them all at once.  bits becomes packed rows once, by
+    PackedRows.of: a matrix is checked and packed there, and a BitWord's or
+    packed rows' words, whose bits past column n are zero, are sliced,
+    never unpacked or packed."""
     kernel = length_kernel(coder, kind)
-    source = bits if isinstance(bits, (BitWord, PackedRows)) else _matrix(bits)
+    rows = PackedRows.of(bits)
     if cuts is not None:
-        rows, n = (1, source.n) if isinstance(source, BitWord) else source.shape
-        if rows != 1:
+        if len(rows) != 1:
             raise ValueError("prefix cuts take a single word")
-        cuts = _prefix_points(cuts, n)
-    return _lengths(kernel, source, kind, cuts)
+        cuts = _prefix_points(cuts, rows.n)
+    return _lengths(kernel, rows, kind, cuts)
 
 
 def _one_row(coder: CoderId, word: BitWord) -> CodeResult:
     """Both kinds of the word from one pass of the coder's kernel."""
-    (scorer,) = _scored(_CODERS[coder.name].kernel, word)
+    (scorer,) = _scored(_CODERS[coder.name].kernel, PackedRows.of(word))
     scores = scorer.finishes(LENGTH_KINDS)  # pair_shell's ideal only
     ideal, concrete = scores["ideal"], scores.get("concrete")
     return CodeResult(
@@ -878,7 +859,7 @@ def _decode_literal(n: int, reader: BitReader) -> BitWord:
 def _encode_run_length(word: BitWord) -> np.ndarray:
     out = BitWriter()
     out.write_bit(int(word.packed[0]) >> 63)
-    out.write_elias_gammas(_runs(_ends(PackedRows(word.packed[None], word.n)), word.n)[0])
+    out.write_elias_gammas(_runs(_ends(PackedRows.of(word)), word.n)[0])
     return out.getvalue()
 
 

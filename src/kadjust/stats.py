@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .coders import CoderId, _matrix, kind_lengths
+from .coders import CoderId, kind_lengths
 from .entropy import (
     binary_entropy,
     conditional_entropy,
@@ -181,12 +181,12 @@ def adjusted_deficiencies(bits, coder: CoderId, lengths: str = "ideal") -> np.nd
     of a 0/1 matrix, one word per row, equal to adjusted(BitWord(row),
     coder, lengths).deficiency; -inf for a constant row.
 
-    A 0/1 matrix is checked and packed once.  The rows are scored in one
-    kind_lengths() call, which slices them into chunks of at most
+    PackedRows.of checks and packs a 0/1 matrix once.  The rows are scored
+    in one kind_lengths() call, which slices them into chunks of at most
     _CHUNK_BYTES // 8 cells; the weights are the rows' popcounts, and H
     comes from one binary_entropy() call per distinct weight.
     """
-    rows = bits if isinstance(bits, PackedRows) else PackedRows.of(_matrix(bits))
+    rows = PackedRows.of(bits)
     k_eff = kind_lengths(coder, rows, lengths).lengths
     n = rows.n
     # with return_inverse np.unique sorts; without, numpy 2 takes a hashing

@@ -21,7 +21,6 @@ import numpy as np
 from .coders import _CHUNK_BYTES, CoderId, is_concrete, kind_lengths, length_kernel
 from .entropy import shell_log_size, shell_size
 from .simulate import GAMMA, _bernoulli_words, geometric_schedule, splitmix_outputs
-from .simulate import _DRAW_BLOCK  # noqa: F401  re-exported: the tests size trials by the draw block
 from .stats import adjusted, adjusted_deficiencies, adjusted_prefixes
 from .words import BitWord, PackedRows
 

@@ -11,16 +11,17 @@ equality, hashing, prefixes and single bits read the packed words.  The
 0/1 view (bits, tolist(), one byte a bit) is unpacked afresh on each call.
 
 packed_rows packs every row of a 0/1 matrix in that layout, one row of
-words per row.  PackedRows is such a matrix with its column count: the
-blocks and chunks the length kernels (coders) read, sliced at a multiple
-of 64 columns by PackedRows.columns.  Everything downstream consumes a
+words per row.  PackedRows, such a matrix with its column count, is all
+the length kernels (coders) read: PackedRows.of, the one place a 0/1
+matrix is checked and packed, makes it of any source, and its columns()
+slices it at a multiple of 64 columns.  Everything downstream consumes a
 BitWord, a PackedRows or one of the tallies defined here: aligned-pair
 counts for a pair of words.  prefix_ones is the one prefix popcount: the
 ones of every row's first j columns at any cuts j, which the length
-kernels and stats.adjusted_prefixes read, and block_ones its form for the
-2-bit blocks of every packed row.  as_bits (and bit_bytes, its
-form for bitstreams) is the package's one check that an array holds only
-0/1 values.
+kernels and stats.adjusted_prefixes read, and block_ones its form for
+the 2-bit blocks of every packed row.  as_bits (and bit_bytes, its form
+for bitstreams) is the package's one check that an array holds only 0/1
+values.
 """
 
 from __future__ import annotations
@@ -79,17 +80,15 @@ def packed_rows(bits: np.ndarray) -> np.ndarray:
     to a word, most-significant bit first, so that column i of a row is
     bit 63 - i % 64 of its word i // 64, in the fewest words that hold a
     row, the last word's unused bits zero.  A single row is packed as it
-    is; many rows, which np.packbits(axis=1) takes one at a time, are
-    padded to whole words first and packed in one call."""
+    is; many rows by np.packbits(axis=1), into a zeroed buffer of words."""
     m, n = bits.shape
     words = -(-n // 64)
     if m == 1:
         packed = np.zeros(8 * words, dtype=np.uint8)
         packed[: -(-n // 8)] = np.packbits(bits)
     else:
-        padded = np.zeros((m, 64 * words), dtype=np.uint8)
-        padded[:, :n] = bits
-        packed = np.packbits(padded)
+        packed = np.zeros((m, 8 * words), dtype=np.uint8)
+        packed[:, : -(-n // 8)] = np.packbits(bits, axis=1)
     return _native(packed).reshape(m, words)
 
 
@@ -111,16 +110,21 @@ class PackedRows:
         self.n = n
 
     @classmethod
-    def of(cls, bits: np.ndarray) -> "PackedRows":
-        """The rows of a 0/1 uint8 matrix, packed."""
-        return cls(packed_rows(bits), bits.shape[1])
+    def of(cls, source) -> "PackedRows":
+        """The rows the length kernels read of source, which must hold at
+        least one row and one column: a BitWord as its one row, its words
+        not copied; packed rows as they are; anything else checked as a 0/1
+        matrix (as_bits), and packed."""
+        if isinstance(source, BitWord):
+            return cls(source.packed[None], source.n)
+        packed = isinstance(source, PackedRows)
+        bits = source if packed else np.asarray(source)
+        if len(bits.shape) != 2 or min(bits.shape) < 1:
+            raise ValueError("bits must be a matrix of at least one row and one column")
+        return source if packed else cls(packed_rows(as_bits(bits)), bits.shape[1])
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        """Every row as a 0/1 uint8 array, unpacked afresh."""
-        return (unpacked(row, self.n) for row in self.words)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -5,6 +5,7 @@ import pytest
 
 from kadjust import BitWord, CoderId, PairCounts, coders
 from kadjust.coders import is_concrete, kind_lengths
+from kadjust.words import PackedRows
 
 # 35-bit running example word: 9 ones among 35 symbols.
 WORD35_STR = "01010001001000001010000100000100001"
@@ -55,7 +56,7 @@ def periodic_scan(bits, p_max: int) -> tuple[np.ndarray, np.ndarray]:
     if p_max == coders.P_MAX:
         score = kind_lengths(CoderId("periodic"), bits, "concrete")
     else:
-        score = coders._lengths(partial(coders._Periodic, p_max=p_max), bits, "concrete")
+        score = coders._lengths(partial(coders._Periodic, p_max=p_max), PackedRows.of(bits), "concrete")
     return score.lengths, score.period
 
 

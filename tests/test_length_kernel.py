@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kadjust import CODER_NAMES, BitWord, CoderId, adjusted, code_word
+from kadjust import CODER_NAMES, BitWord, CoderId, adjusted, adjusted_deficiencies, code_word
 from kadjust import coders
 from kadjust.bitio import elias_gamma_len
 from kadjust.coders import LENGTH_KINDS, MODEL_MEMBERS, MODEL_TAG_BITS, encode_word, is_concrete, kind_lengths
@@ -183,6 +183,17 @@ class TestKernelMatchesReference:
     def test_rejects_malformed_matrices(self, bad):
         with pytest.raises(ValueError):
             kind_lengths(CoderId("shell"), bad, "ideal")
+
+    @pytest.mark.parametrize(
+        "rows", [PackedRows(np.zeros((0, 1), dtype=np.uint64), 5), PackedRows(np.zeros((3, 0), dtype=np.uint64), 0)]
+    )
+    def test_rejects_degenerate_packed_rows(self, rows):
+        # no row, or rows of no column: refused on entry, not deep in a kernel
+        for coder in CODERS:
+            with pytest.raises(ValueError, match="at least one row and one column"):
+                kind_lengths(coder, rows, "ideal")
+            with pytest.raises(ValueError, match="at least one row and one column"):
+                adjusted_deficiencies(rows, coder)
 
 
 class TestTies:
@@ -559,3 +570,17 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
             assert peak < n, (name, peak / n)
+
+    def test_matrix_packed_once_below_two_bytes_per_cell(self):
+        # 2^18 rows of 18 bits: a copy of the matrix padded to whole words,
+        # 64 bytes a row, would alone take 3.6 bytes a cell
+        bits = (np.random.default_rng(18).random((1 << 18, 18)) < 0.5).astype(np.uint8)
+        shell = CoderId("shell")
+        kind_lengths(shell, bits, "ideal")  # fills the caches
+        tracemalloc.start()
+        try:
+            kind_lengths(shell, bits, "ideal")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * bits.size, peak / bits.size

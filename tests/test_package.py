@@ -33,6 +33,29 @@ def test_readme_coder_table():
 
 
 @pytest.mark.parametrize(
+    "body, error",
+    [
+        ("from hypothesis import given, strategies as st\n\n"
+         "@given(st.integers())\ndef test_case(x):\n    assert x < 5\n", "Falsifying example"),
+        ("import numpy as np\n\ndef test_case():\n    np.float64(1.0) / np.float64(0.0)\n", "RuntimeWarning"),
+    ],
+)
+def test_failures_reported_under_the_warning_filters(body, error, tmp_path):
+    # The repository's config turns warnings into errors.  A failing
+    # hypothesis test must still fail alone, exit 1, and not end the
+    # session with an INTERNALERROR (exit 3) from a warning raised while
+    # its report is written; a numpy RuntimeWarning must still fail a test.
+    (tmp_path / "test_case.py").write_text(body)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "test_case.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed" in proc.stdout and error in proc.stdout, proc.stdout
+
+
+@pytest.mark.parametrize(
     "script, args",
     [
         ("worked_example.py", []),

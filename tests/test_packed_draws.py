@@ -28,7 +28,7 @@ from kadjust import TestConfig as Config
 from kadjust.coders import LENGTH_KINDS, kind_lengths, length_kernel
 from kadjust.simulate import GAMMA, bernoulli_threshold, splitmix_outputs
 from kadjust.testing import FPR_M_RANGE
-from kadjust.words import PackedRows
+from kadjust.words import PackedRows, unpacked
 
 # The Monte Carlo as it stood before trial words were drawn packed: each
 # block of at most 2^16 outputs is drawn as a bool matrix, scored as a 0/1
@@ -167,9 +167,10 @@ class TestFinalXorshift:
 
 
 class TestPackedRows:
-    def test_iteration_unpacks_rows(self):
+    def test_rows_unpack_to_the_matrix(self):
         bits = (np.random.default_rng(3).random((5, 130)) < 0.4).astype(np.uint8)
-        assert [row.tolist() for row in PackedRows.of(bits)] == bits.tolist()
+        rows = PackedRows.of(bits)
+        assert [unpacked(row, rows.n).tolist() for row in rows.words] == bits.tolist()
 
     def test_deficiencies_of_packed_rows_equal_the_matrix(self):
         bits = (np.random.default_rng(4).random((40, 77)) < 0.5).astype(np.uint8)

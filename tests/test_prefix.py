@@ -26,6 +26,7 @@ from kadjust import (
 from kadjust import coders
 from kadjust.coders import P_MAX, is_concrete, kind_lengths
 from kadjust.simulate import TraceRow
+from kadjust.stats import adjusted_prefixes
 from kadjust.testing import SCAN_FACTOR, SCAN_START, PrefixScanRow
 from kadjust.testing import TestConfig as Config
 
@@ -184,6 +185,29 @@ def test_prefix_lengths_refuses_bad_points(points):
     for kind in KINDS:
         with pytest.raises(ValueError):
             kind_lengths(CoderId("shell"), generate(specs(3001)[0]), kind, points)
+
+
+@pytest.mark.parametrize("name", CODER_NAMES)
+def test_prefix_lengths_refuse_non_integers(name):
+    # a prefix of 1.5 bits is no prefix, under any coder and entry point
+    coder, spec = CoderId(name), GeneratorSpec.bernoulli(0.5, 1, 64)
+    word = generate(spec)
+    kinds = KINDS if is_concrete(coder) else ("ideal",)
+    for points in ([1.5, 64], [1, np.float64(64)], np.array([2.0, 64.0])):
+        calls = [lambda: convergence_trace(spec, coder, points), lambda: adjusted_prefixes(word, coder, points)]
+        calls += [lambda kind=kind: kind_lengths(coder, word, kind, points) for kind in kinds]
+        for call in calls:
+            with pytest.raises(ValueError, match="must be integers"):
+                call()
+
+
+@pytest.mark.parametrize("name", CODER_NAMES)
+def test_prefix_lengths_take_numpy_integers(name):
+    coder, spec = CoderId(name), GeneratorSpec.bernoulli(0.5, 1, 64)
+    points = [1, 7, 64]
+    want = convergence_trace(spec, coder, points)
+    for numpy_points in (np.array(points), [np.int64(1), np.uint8(7), np.int32(64)]):
+        assert convergence_trace(spec, coder, numpy_points) == want
 
 
 def _feed_log(monkeypatch, name: str) -> list[tuple[int, int]]:

@@ -24,9 +24,10 @@ from kadjust import TestConfig as Config
 from kadjust import testing
 from kadjust import test_word as run_test
 from kadjust.coders import is_concrete
-from kadjust.simulate import geometric_schedule
+from kadjust.simulate import _DRAW_BLOCK, geometric_schedule
 from kadjust.stats import record, write_records
 from kadjust.testing import SCAN_FACTOR, SCAN_START
+from kadjust.words import unpacked
 
 from conftest import all_words, derive_seed
 
@@ -264,11 +265,11 @@ class TestMonteCarloFpr:
     @pytest.mark.parametrize("n", [3000, (1 << 16) + 1031])  # the second: two column blocks
     def test_trial_words_match_generate_across_draw_blocks(self, monkeypatch, n):
         p, seed = 0.3, 21
-        trials = 2 * (testing._DRAW_BLOCK // n) + 3  # three draw blocks
+        trials = 2 * (_DRAW_BLOCK // n) + 3  # three draw blocks
         scored = []
 
         def spy(bits, coder, lengths):
-            scored.extend(BitWord(row) for row in bits)
+            scored.extend(BitWord(unpacked(row, bits.n)) for row in bits.words)
             return adjusted_deficiencies(bits, coder, lengths)
 
         monkeypatch.setattr(testing, "adjusted_deficiencies", spy)
@@ -294,7 +295,7 @@ class TestMonteCarloFpr:
         # Words of 16 bits reject at every m = 1..8 under Bernoulli(0.5) and
         # the periodic coder.
         n, p, seed = 16, 0.5, 21
-        trials = testing._DRAW_BLOCK // n + 904  # two draw blocks
+        trials = _DRAW_BLOCK // n + 904  # two draw blocks
         coder = CoderId("periodic")
         res = monte_carlo_fpr(p, n, Config(m=1, coder=coder, lengths="concrete"), trials, seed)
         words = [generate(GeneratorSpec.bernoulli(p, derive_seed(seed, i), n)) for i in range(trials)]
