@@ -24,7 +24,10 @@ about b log2(n) bits, and two products of that size replace b divides of
 w bits.  Still O(n w), at a fraction of the per-bit cost.
 
   rank    While C(m, r) has more than _RANK_FROM bits, blocks of
-          width / 16 bits, at most _BLOCK_MAX, of the known bits.
+          width / 64 positions, a power of two from 128 to 1024, read from
+          the packed words a chunk at a time: the ratios of 4 positions (2
+          past 2^15 bits) are multiplied out in uint64, then joined into
+          blocks by a pairwise product tree of Python ints.
   unrank  While C(m, r) has more than _BLOCK_FROM bits, a block of up to
           _BLOCK_MAX bits is decided from bounds on the leading
           _BLOCK_PREC bits of the index and of C(m, r).  A comparison the
@@ -41,7 +44,7 @@ import numpy as np
 
 from .bitio import BitReader, BitWriter, DecodeError, elias_gamma_len
 from .entropy import ceil_log2_comb, shell_log_size, shell_size
-from .words import BitWord
+from .words import BitWord, unpacked
 
 
 @dataclass(frozen=True)
@@ -80,28 +83,39 @@ class ShellCodeword:
 def rank(word: BitWord) -> int:
     """0-based lexicographic position of the word within its shell."""
     n, k = word.n, word.weight
-    bits = word.tolist()
-    bits.pop()  # the last position adds C(0, 1) = 0 when it holds a 1
     r = k
     m = n - 1  # positions after the current one, r ones from it on; c == C(m, r)
     c = shell_size(n, k) * (n - k) // n
-    idx = 0
-    i = 0  # the next position
+    idx = i = 0  # i: the next position, a multiple of every block so far and of 64
+    narrow = 2 if 4 * m.bit_length() + 2 <= 64 else 1  # uint64 levels: 4 or 2 positions
     while (width := c.bit_length()) > _RANK_FROM:
-        top, num, acc = m, 1, 0
-        for bit in bits[i : i + min(width >> 4, _BLOCK_MAX)]:
-            if bit:
-                acc = (acc + num) * m
-                num *= r
-                r -= 1
-            else:
-                acc *= m
-                num *= m - r
-            m -= 1
-        i += top - m
-        step, c = _exact_step(c, num, acc, math.perm(top, top - m))
-        idx += step
-    for bit in bits[i:]:
+        b = 1 << min(max(width.bit_length() - 7, 7), 10)  # width / 64, 128 .. 1024
+        ahead = m - m * _RANK_FROM // width  # positions until C(m, r) narrows, at its bits a position
+        stop = i + min(-(-ahead // b) * b, _RANK_CHUNK, m - m % b)
+        bits = unpacked(word.packed[i >> 6 : stop >> 6], stop - i)
+        ms = np.arange(m, m - (stop - i), -1, dtype=np.uint64)
+        rs = r - np.cumsum(bits, dtype=np.uint64) + bits  # r at each position
+        f = np.where(bits, rs, ms - rs)  # C(m, r) steps by f / m at each position
+        a = ms * bits
+        # (num, acc, den) of each pair of positions, of pairs of pairs, ...,
+        # of each block: (f, a, m) then (f f', a m' + f a', m m')
+        for level in range(b.bit_length() - 1):
+            if level == narrow:
+                f, a, ms = f.astype(object), a.astype(object), ms.astype(object)
+            a = a[0::2] * ms[1::2] + f[0::2] * a[1::2]
+            f = f[0::2] * f[1::2]
+            ms = ms[0::2] * ms[1::2]
+        ones = np.add.reduce(bits.reshape(-1, b), 1).tolist()
+        for num, acc, den, w in zip(f.tolist(), a.tolist(), ms.tolist(), ones):
+            step, c = _exact_step(c, num, acc, den)
+            idx += step
+            r -= w
+            m -= b
+            i += b
+            if c.bit_length() <= _RANK_FROM:
+                break
+    # the last position adds C(0, 1) = 0 when it holds a 1
+    for bit in unpacked(word.packed[i >> 6 :], n - i)[:-1].tolist():
         if bit:
             idx += c
             c = c * r // m
@@ -112,11 +126,14 @@ def rank(word: BitWord) -> int:
     return idx
 
 
-# rank walks blocks of width / 16 bits, at most _BLOCK_MAX, while C(m, r)
-# has more than _RANK_FROM bits, and then one exact update per bit.  In a
-# sweep over words of 2^12 to 2^15 bits, blocks of width / 8 or width / 32,
-# caps of 128 or 512 bits and thresholds of 768 to 2048 bits were no faster.
-_RANK_FROM = 1024
+# A chunk of rank's walk is at most _RANK_CHUNK positions, and stops where
+# C(m, r) would narrow to _RANK_FROM bits at its present bits a position.
+# Per position, blocks of 128, 256, 512 and 1024 were the fastest of 64 to
+# 1024 at widths of 2^12, 2^14, 2^15 and 2^16 bits (words of 2^15 and 2^17
+# bits).  On words of 2^12 to 2^15 bits, thresholds of 128 to 384 bits were
+# alike and 1024 up to 13% slower; chunks of 2048 positions up to 8% slower.
+_RANK_FROM = 256
+_RANK_CHUNK = 4096
 
 
 def _exact_step(c: int, num: int, acc: int, den: int) -> tuple[int, int]:

@@ -3,12 +3,13 @@ and the codeword bits of every concrete coder pinned on long words."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kadjust import BitWord, ShellId, concrete_coder_ids, decode_word, encode_word, rank, unrank
-from kadjust.shellcode import _BLOCK_FROM, _BLOCK_MAX, _RANK_FROM
+from kadjust.shellcode import _BLOCK_FROM, _RANK_CHUNK, _RANK_FROM
 
 # sha256 over the codewords of test_long_codeword_bits_pinned; change it only
 # with an intended change of bitstream.
@@ -123,7 +124,7 @@ def test_long_codeword_bits_pinned():
 # whose codewords the digest above pins.
 
 
-def _at_width(width: int, n0: int = 512) -> tuple[int, int]:
+def _at_width(width: int, n0: int = 64) -> tuple[int, int]:
     """The shortest balanced shell (n, n // 2), n >= n0, whose C(n-1, k)
     has the given number of bits."""
     n = n0
@@ -133,31 +134,39 @@ def _at_width(width: int, n0: int = 512) -> tuple[int, int]:
     return n, n // 2
 
 
-def _block_walk_end(word: BitWord) -> int:
+def _block_walk_end(word: BitWord) -> tuple[int, bool]:
     """The position where rank's block walk hands over to its per-bit loop,
-    by the rank's rule: blocks of width // 16 bits, at most _BLOCK_MAX,
-    while C(m, r) has more than _RANK_FROM bits."""
+    and whether a chunk of the walk ends there, by the rank's rule: while
+    C(m, r) has more than _RANK_FROM bits, chunks of blocks of width / 64
+    positions, a power of two from 128 to 1024, each chunk at most
+    _RANK_CHUNK positions and stopping where C(m, r) would narrow at its
+    present bits a position."""
     n, r = word.n, word.weight
     bits = word.tolist()
     m = n - 1
     c = math.comb(m, r)
-    i = 0
-    while c.bit_length() > _RANK_FROM:
-        stop = min(i + min(c.bit_length() >> 4, _BLOCK_MAX), n - 1)
-        for bit in bits[i:stop]:
+    i = stop = 0
+    while (width := c.bit_length()) > _RANK_FROM:
+        if i == stop:
+            b = 1 << min(max(width.bit_length() - 7, 7), 10)
+            ahead = m - m * _RANK_FROM // width
+            stop = i + min(-(-ahead // b) * b, _RANK_CHUNK, m - m % b)
+        for bit in bits[i : i + b]:
             if bit:
                 c = c * r // m
                 r -= 1
             else:
                 c = c * (m - r) // m
             m -= 1
-        i = stop
-    return i
+        i += b
+    return i, i == stop
 
 
 def _block_walk_words() -> dict[str, BitWord]:
     words = {}
-    for threshold in (_RANK_FROM, _BLOCK_FROM):
+    # just wide at rank's threshold, at 1024 bits (a walk of a few blocks of
+    # 128 positions) and at unrank's threshold
+    for threshold in (_RANK_FROM, 1024, _BLOCK_FROM):
         for width in (threshold, threshold + 1):
             n, k = _at_width(width)
             rng = np.random.default_rng([n, k])
@@ -167,9 +176,17 @@ def _block_walk_words() -> dict[str, BitWord]:
     for last in (0, 1):  # the last bit of the block walk
         for seed in range(100):
             word = BitWord((np.random.default_rng([4096, seed]).random(4096) < 0.5).astype(np.uint8))
-            if word[_block_walk_end(word) - 1] == last:
+            if word[_block_walk_end(word)[0] - 1] == last:
                 words[f"block walk ends on {last}"] = word
                 break
+    # the walk hands over to the per-bit loop where a chunk ends, or inside
+    # one: a fair first half, then a sparser second half, on which C(m, r)
+    # narrows sooner than the chunk's estimate
+    for seed in range(100):
+        density = np.repeat([0.5, 0.5 - seed / 200], 2048)
+        word = BitWord((np.random.default_rng([4096, seed, 1]).random(4096) < density).astype(np.uint8))
+        edge = _block_walk_end(word)[1]
+        words.setdefault(f"hands over {'at a chunk edge' if edge else 'inside a chunk'}", word)
     for n in (3072, 1 << 14):
         for pos in (0, n // 2 + 1, n - 1):
             words[f"k=1 at {pos}/{n}"] = _ones_at(n, [pos])
@@ -182,6 +199,10 @@ BLOCK_WALK_WORDS = _block_walk_words()
 
 def test_block_walk_words_cover_both_endings():
     assert {"block walk ends on 0", "block walk ends on 1"} <= set(BLOCK_WALK_WORDS)
+
+
+def test_block_walk_words_cover_both_handovers():
+    assert {"hands over at a chunk edge", "hands over inside a chunk"} <= set(BLOCK_WALK_WORDS)
 
 
 @pytest.mark.parametrize("label", list(BLOCK_WALK_WORDS))
@@ -200,3 +221,41 @@ def test_rank_inverts_unrank_at_the_ends(n, share):
         word = unrank(shell, index)
         assert word == unrank_reference(n, shell.k, index)
         assert rank(word) == index
+
+
+@pytest.mark.parametrize(
+    "n,p", [(n, p) for n in ((1 << 15) - 1, 1 << 15, (1 << 15) + 1, (1 << 15) + 7) for p in (0.02, 0.5, 0.98)]
+    + [(1 << 17, 0.02)],
+)
+def test_rank_across_the_uint64_groups(n, p):
+    """rank multiplies out 4 positions in a uint64 up to 2^15 bits and 2
+    past it; n - 1 is a multiple of no block.  At 2^17 bits the product of
+    4 positions would overflow a uint64."""
+    word = _seeded(n, p)
+    assert rank(word) == rank_reference(word)
+
+
+@pytest.mark.parametrize("n", [1 << 12, 1 << 14])
+def test_rank_where_the_zeros_run_out_inside_a_block(n):
+    """60 zeros among the first 100 positions, then ones: at the last zero
+    m == r, so the first block's num is 0 and C(m, r) drops to 0 inside it,
+    which ends the block walk."""
+    bits = np.ones(n, dtype=np.uint8)
+    bits[np.random.default_rng(n).choice(100, 60, replace=False)] = 0
+    word = BitWord(bits)
+    assert _block_walk_end(word)[0] == 128
+    assert rank(word) == rank_reference(word)
+
+
+def test_rank_peaks_below_8_bytes_a_bit():
+    """rank reads the packed words a chunk at a time and builds no list of
+    the word (8 bytes a bit alone): at 2^17 bits it peaks at about 7.7
+    bytes a bit, most of it shell_size's prime powers."""
+    word = _seeded(1 << 17, 0.5)
+    tracemalloc.start()
+    try:
+        rank(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * word.n, peak / word.n
