@@ -132,6 +132,8 @@ def rank(word: BitWord) -> int:
 # 1024 at widths of 2^12, 2^14, 2^15 and 2^16 bits (words of 2^15 and 2^17
 # bits).  On words of 2^12 to 2^15 bits, thresholds of 128 to 384 bits were
 # alike and 1024 up to 13% slower; chunks of 2048 positions up to 8% slower.
+# Groups of 2 positions at every n, not 4 where they fit, were 1-12% slower
+# on those words, and codec-roundtrip's encode pass 5.5% (9 of 10 runs).
 _RANK_FROM = 256
 _RANK_CHUNK = 4096
 

@@ -80,9 +80,7 @@ def packed_rows(bits: np.ndarray) -> np.ndarray:
     to a word, most-significant bit first, so that column i of a row is
     bit 63 - i % 64 of its word i // 64, in the fewest words that hold a
     row, the last word's unused bits zero.  A single row is packed as it
-    is; many rows into a zeroed buffer of words, by one np.packbits of the
-    flat matrix when rows are whole bytes, else by np.packbits(axis=1),
-    whose loop over short rows is several times slower."""
+    is; many rows by np.packbits(axis=1), into a zeroed buffer of words."""
     m, n = bits.shape
     words = -(-n // 64)
     if m == 1:
@@ -90,8 +88,7 @@ def packed_rows(bits: np.ndarray) -> np.ndarray:
         packed[: -(-n // 8)] = np.packbits(bits)
     else:
         packed = np.zeros((m, 8 * words), dtype=np.uint8)
-        rows = np.packbits(bits, axis=1) if n % 8 else np.packbits(bits.reshape(-1)).reshape(m, -1)
-        packed[:, : rows.shape[1]] = rows
+        packed[:, : -(-n // 8)] = np.packbits(bits, axis=1)
     return _native(packed).reshape(m, words)
 
 

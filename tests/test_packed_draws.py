@@ -28,7 +28,7 @@ from kadjust import TestConfig as Config
 from kadjust.coders import LENGTH_KINDS, kind_lengths, length_kernel
 from kadjust.simulate import GAMMA, bernoulli_threshold, splitmix_outputs
 from kadjust.testing import FPR_M_RANGE
-from kadjust.words import PackedRows, packed_rows, unpacked
+from kadjust.words import PackedRows, unpacked
 
 # The Monte Carlo as it stood before trial words were drawn packed: each
 # block of at most 2^16 outputs is drawn as a bool matrix, scored as a 0/1
@@ -171,16 +171,6 @@ class TestPackedRows:
         bits = (np.random.default_rng(3).random((5, 130)) < 0.4).astype(np.uint8)
         rows = PackedRows.of(bits)
         assert [unpacked(row, rows.n).tolist() for row in rows.words] == bits.tolist()
-
-    @pytest.mark.parametrize("n", [8, 16, 24, 64, 72])
-    @pytest.mark.parametrize("rows", [2, 3, 65, 1000])
-    def test_whole_byte_rows_pack_as_each_row(self, n, rows):
-        """Rows of whole bytes are packed by one packbits of the flat
-        matrix: the words of each row as the single-row packing gives them,
-        for a contiguous matrix and for a strided view of one."""
-        wide = (np.random.default_rng([n, rows]).random((rows, n + 5)) < 0.5).astype(np.uint8)
-        for bits in (np.ascontiguousarray(wide[:, :n]), wide[:, :n], wide[:, 5:]):
-            assert np.array_equal(packed_rows(bits), np.stack([packed_rows(row[None])[0] for row in bits]))
 
     def test_deficiencies_of_packed_rows_equal_the_matrix(self):
         bits = (np.random.default_rng(4).random((40, 77)) < 0.5).astype(np.uint8)
