@@ -79,8 +79,10 @@ by one multiply, the copies moved to the top of the word, and rotated
 to each packed word's phase, right at any column.  The kernel
 (_mismatch_counts) popcounts the xor with a chunk's packed words; the
 encoder unpacks the xor of the word with the tiled words of its one
-period to list the mismatches, and the decoder unpacks the tiled words,
-so it takes the periods the encoder writes only, 1 <= P <= min(P_MAX, n).
+period to list the mismatches, and the decoder flips its mismatches in
+the tiled words (_flip), so it takes the periods the encoder writes only,
+1 <= P <= min(P_MAX, n).  The run-length decoder writes packed words too:
+a flip at every run's start, then their prefix parity.
 
 The length kind picks the members that run.  length_kernel(coder, kind)
 decides it, and alone checks that the coder has the kind: under concrete,
@@ -113,7 +115,7 @@ from numpy.lib.stride_tricks import as_strided
 from .bitio import BitReader, BitWriter, DecodeError, elias_gamma_len
 from .entropy import ceil_log2, log2_multinomial
 from .shellcode import concrete_len_shell, decode_shell, encode_shell, ideal_len_shell
-from .words import _LEADING, BitWord, PackedRows, block_ones, packed_rows, prefix_ones, unpacked
+from .words import _LEADING, BitWord, PackedRows, block_ones, prefix_ones, unpacked
 
 # The periodic coder takes the best period P <= P_MAX.
 P_MAX = 32
@@ -863,13 +865,62 @@ def _encode_run_length(word: BitWord) -> np.ndarray:
     return out.getvalue()
 
 
+# The decoders read the runs of at most _DECODE_BLOCK columns at a time and
+# flip at most that many columns at a time, which bounds their temporaries
+# to a few dozen bytes a column of a block.  A run-length decode builds a
+# word of at most _SHORT_WORD columns in a Python loop over its runs, below
+# the fixed cost of the packed build.
+_DECODE_BLOCK = 1 << 16
+_SHORT_WORD = 256
+# _COLUMNS[c]: the bit of column c of a packed word.
+_COLUMNS = np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64)
+
+
+def _flip(words: np.ndarray, columns: np.ndarray) -> None:
+    """Flip each listed column of the packed words, in place; a column
+    listed twice flips back."""
+    for first in range(0, columns.size, _DECODE_BLOCK):
+        block = columns[first : first + _DECODE_BLOCK]
+        np.bitwise_xor.at(words, block >> 6, _COLUMNS[block & 63])
+
+
 def _decode_run_length(n: int, reader: BitReader) -> BitWord:
+    """The runs alternate from the first bit.  A flip at column 0 for a
+    first bit 1 and at every later run's start, in packed words, makes the
+    word their prefix parity: bit i is the parity of the flips at columns
+    0 .. i.  Read as one integer, column 0 its top bit, that is x ^= x >> s
+    for s = 1, 2, 4, ... below the width (Warren, Hacker's Delight, 2nd ed.,
+    5-2)."""
     bit = reader.read_bit()
-    runs = reader.read_elias_gammas(n)
-    if sum(runs) > n:
-        raise DecodeError("run overruns the declared word length")
-    values = (bit + np.arange(len(runs))) & 1  # the runs alternate from bit
-    return BitWord(np.repeat(values.astype(np.bool_), runs))
+    if n <= _SHORT_WORD:
+        runs = reader.read_elias_gammas(n).tolist()
+        if sum(runs) > n:
+            raise DecodeError("run overruns the declared word length")
+        value = 0
+        for run in runs:
+            value = value << run | ((1 << run) - 1) * bit
+            bit ^= 1
+        return BitWord.from_bytes((value << (-n % 8)).to_bytes(-(-n // 8), "big"), n)
+    flips = np.zeros(-(-n // 64), dtype=np.uint64)
+    flips[0] = bit << 63
+    start = 0  # the column of the next run
+    while start < n:
+        runs = reader.read_elias_gammas(min(n - start, _DECODE_BLOCK))
+        if runs[-1] > n - start:  # so that the sum stays int64
+            raise DecodeError("run overruns the declared word length")
+        ends = np.cumsum(runs)
+        ends += start
+        start = int(ends[-1])
+        if start > n:
+            raise DecodeError("run overruns the declared word length")
+        _flip(flips, ends[:-1] if start == n else ends)
+    x = int.from_bytes(flips.astype(">u8").tobytes(), "big")
+    del flips
+    shift = 1
+    while shift < n:
+        x ^= x >> shift
+        shift <<= 1
+    return BitWord.from_bytes(x.to_bytes(-(-n // 64) * 8, "big"), n)
 
 
 def _encode_periodic(word: BitWord) -> np.ndarray:
@@ -893,15 +944,17 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
     p = reader.read_elias_gamma()
     if p > min(P_MAX, n):  # the encoder writes p <= min(P_MAX, n) only
         raise DecodeError(f"period {p} exceeds min(P_MAX, n) = {min(P_MAX, n)}")
-    pattern = packed_rows(reader.read_bits(p)[None])[:, 0]
+    pattern = np.array([reader.read_uint(p) << (64 - p)], dtype=np.uint64)
     r = reader.read_elias_gamma() - 1
     positions = reader.read_uints(r, ceil_log2(n + 1))
     if r and positions.max() >= n:
         pos = positions[np.argmax(positions >= n)]
         raise DecodeError(f"mismatch position {pos} out of range")
-    bits = unpacked(_tiled_words(pattern, range(p, p + 1), 0, -(-n // 64)), n)
-    np.bitwise_xor.at(bits, positions, 1)  # a position listed twice flips back
-    return BitWord(bits.view(np.bool_))  # the reader holds 0/1 only
+    words = _tiled_words(pattern, range(p, p + 1), 0, -(-n // 64)).reshape(-1)
+    words[-1] &= _LEADING[n % 64 or 64]
+    if r:
+        _flip(words, positions)
+    return BitWord._from_packed(words, n)
 
 
 def _encode_model_class(word: BitWord) -> np.ndarray:

@@ -11,9 +11,10 @@ itself, without building the integer.
 The factorization of a factorial m! comes from Legendre's formula: one
 division m // p over the primes up to m, then the higher powers m // p^i
 over the primes up to sqrt(m) only, the few whose square divides into m.
-A multinomial takes one such pass per factorial, each over the primes up
-to its own m, and subtracts the exponents of the denominator's factorials
-from those of the numerator's.
+A multinomial takes one division per factorial, each over the primes up
+to its own m, subtracting the denominator's first powers from the
+numerator's, and then the higher powers of every factorial in one loop
+over the primes up to sqrt of the total.
 """
 
 from __future__ import annotations
@@ -115,10 +116,34 @@ def _multinomial(counts: list[int]) -> int:
 
 def _multinomial_exponents(counts: list[int]) -> np.ndarray:
     """The exponent of each prime <= sum(counts) in the multinomial
-    coefficient of the counts."""
-    exps = _factorial_prime_exponents(sum(counts))
+    coefficient of the counts, by Legendre's formula in one pass: the first
+    powers m // p of the total and of each count, one division over each
+    one's primes, then the higher powers of them all in one loop over the
+    primes <= sqrt(total)."""
+    total = sum(counts)
+    primes = _primes_upto(total)
+    # int32 like the primes, so numpy divides without casting them: every
+    # exponent is below total < 2^31
+    exps = np.floor_divide(np.int32(total), primes)
+    own = np.empty_like(exps)
     for c in counts:
-        _subtract_exponents(exps, c)
+        below = _prime_count(primes, c)  # primes > c divide c! zero times
+        np.floor_divide(np.int32(c), primes[:below], out=own[:below])
+        exps[:below] -= own[:below]
+    small = _prime_count(primes, math.isqrt(total))
+    higher = []
+    for p in primes[:small].tolist():
+        e, q = 0, total // p
+        while q >= p:  # m // p^i for i >= 2, from m // p^(i - 1)
+            q //= p
+            e += q
+        for c in counts:
+            q = c // p
+            while q >= p:
+                q //= p
+                e -= q
+        higher.append(e)
+    exps[:small] += np.array(higher, dtype=np.int32)
     return exps
 
 
@@ -249,10 +274,3 @@ def _factorial_prime_exponents(m: int, upto: int | None = None) -> np.ndarray:
         higher.append(e)
     exps[:small] += np.array(higher, dtype=np.int32)
     return exps
-
-
-def _subtract_exponents(exps: np.ndarray, c: int) -> None:
-    """Subtract the prime exponents of c! from exps, in place, over the
-    primes <= c only."""
-    own = _factorial_prime_exponents(c)
-    exps[: own.size] -= own

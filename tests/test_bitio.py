@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kadjust import CoderId, decode_word
+from kadjust import CoderId, bitio, decode_word
 from kadjust.bitio import BitReader, BitWriter, DecodeError, elias_gamma_len
 
 
@@ -192,16 +193,129 @@ class TestEliasGamma:
         writer = BitWriter()
         writer.write_elias_gammas(values)
         reader = BitReader(writer.getvalue())
-        assert reader.read_elias_gammas(5) == [3, 1, 1]
-        assert reader.read_elias_gammas(8) == [7, 2]
-        assert reader.read_elias_gammas(0) == []
-        assert reader.read_elias_gammas(2) == [1 << 20]
-        assert reader.read_elias_gammas(1) == [1]
+        assert reader.read_elias_gammas(5).tolist() == [3, 1, 1]
+        assert reader.read_elias_gammas(8).tolist() == [7, 2]
+        assert reader.read_elias_gammas(0).tolist() == []
+        assert reader.read_elias_gammas(2).tolist() == [1 << 20]
+        assert reader.read_elias_gammas(1).tolist() == [1]
         assert reader.remaining == 0
         with pytest.raises(DecodeError):
             reader.read_elias_gammas(1)
         with pytest.raises(DecodeError):
             BitReader([0, 0, 1, 0]).read_elias_gammas(1)
+
+
+def read_gammas_by_code(bits, pos: int, total: int) -> tuple[list[int], int]:
+    """The batched gamma read as one loop over the codes: the values read
+    from pos until they sum to total or more, and the position after them;
+    DecodeError, with the position of the code cut short, when the stream
+    ends first."""
+    raw = np.asarray(bits, dtype=np.uint8).tobytes()
+    values = []
+    while total > 0:
+        one = raw.find(1, pos)
+        if one == pos:
+            pos += 1
+            values.append(1)
+            total -= 1
+            continue
+        end = 2 * one - pos + 1
+        if one < 0 or end > len(raw):
+            raise DecodeError(pos)
+        v = int(raw[one:end].translate(bytes.maketrans(b"\x00\x01", b"01")), 2)
+        pos = end
+        values.append(v)
+        total -= v
+    return values, pos
+
+
+def _gamma_stream(values) -> np.ndarray:
+    writer = BitWriter()
+    for v in values:
+        writer.write_elias_gamma(v)
+    return writer.getvalue()
+
+
+def _assert_reads_as_loop(bits, totals) -> None:
+    """Consecutive batched reads of the totals give the loop's values and
+    positions, or its DecodeError at its position."""
+    reader, pos = BitReader(bits), 0
+    for total in totals:
+        try:
+            want, pos = read_gammas_by_code(bits, pos, total)
+        except DecodeError as error:
+            with pytest.raises(DecodeError):
+                reader.read_elias_gammas(total)
+            assert reader.pos == error.args[0]
+            return
+        got = reader.read_elias_gammas(total)
+        assert got.dtype == (np.int64 if max(want, default=0) >> 63 == 0 else object)
+        assert got.tolist() == want
+        assert reader.pos == pos
+
+
+class TestArrayGammaReads:
+    """read_elias_gammas against the loop it replaces, on streams of many
+    codes, which it parses in windows."""
+
+    @pytest.mark.parametrize("window", [64, 1000, 1 << 16])
+    @pytest.mark.parametrize("p", [0.5, 0.1, 0.02])
+    def test_run_streams_match_the_loop(self, monkeypatch, window, p):
+        # a window of 64 bits is narrower than the widest codes here, so
+        # codes straddle every window edge and some are read alone
+        monkeypatch.setattr(bitio, "_WINDOW", window)
+        rng = np.random.default_rng([window, round(100 * p)])
+        runs = rng.geometric(p, 20_000)
+        bits = _gamma_stream(runs.tolist())
+        total = int(runs.sum())
+        _assert_reads_as_loop(bits, [total])  # hit exactly
+        _assert_reads_as_loop(bits, [total // 3, 1, total // 2, 7, total])  # overshoots, then runs out
+        _assert_reads_as_loop(bits[: bits.size - 1], [total])  # cut inside the last code
+
+    @pytest.mark.parametrize("window", [128, 1 << 16])
+    def test_wide_values_match_the_loop(self, monkeypatch, window):
+        # values with up to 46 leading zeros are parsed in windows, wider
+        # ones one at a time; past 2^63 the values are Python ints
+        monkeypatch.setattr(bitio, "_WINDOW", window)
+        rng = np.random.default_rng(window)
+        values = [int(v) for v in 1 + rng.integers(0, 1 << rng.integers(0, 47, 3000), dtype=np.int64)]
+        for wide in ((1 << 47) - 1, 1 << 47, (1 << 63) - 1, 1 << 63, (1 << 64) + 5):
+            values.insert(int(rng.integers(len(values))), wide)
+        bits = _gamma_stream(values)
+        _assert_reads_as_loop(bits, [sum(values[:1000]), 5, sum(values[1000:2000]) - 3, 1 << 80])
+        _assert_reads_as_loop(bits, [sum(values)])
+
+    @pytest.mark.parametrize("zeros", [63, 64, 100])
+    def test_a_code_of_63_or_more_zeros_read_last(self, zeros):
+        values = [1, 2, 3] * 200 + [(1 << zeros) + 12345]
+        bits = _gamma_stream(values)
+        _assert_reads_as_loop(bits, [sum(values[:-1]) + 1])
+        _assert_reads_as_loop(bits, [sum(values)])
+        _assert_reads_as_loop(bits[:-1], [sum(values)])  # cut inside it
+
+    def test_a_zero_run_longer_than_a_window(self):
+        values = [3, 1, 4, 1, 5] * 100 + [1 << 70_000, 2, 7]
+        bits = _gamma_stream(values)
+        assert bits.size > 140_000 > 2 * bitio._WINDOW
+        _assert_reads_as_loop(bits, [sum(values[:-2]), 2, 7])
+        _assert_reads_as_loop(bits, [sum(values[:-2]) + 1])
+        # a stream of zeros only: exhausted at the code's start
+        zeros = np.concatenate([_gamma_stream([1] * 300), np.zeros(3 * bitio._WINDOW, np.uint8)])
+        _assert_reads_as_loop(zeros, [1000])
+
+    @given(
+        bits=st.lists(st.integers(0, 1), max_size=3000),
+        totals=st.lists(st.integers(0, 1 << 12), min_size=1, max_size=4),
+        window=st.sampled_from([64, 96, 1 << 16]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_stream_matches_the_loop(self, bits, totals, window):
+        original = bitio._WINDOW
+        bitio._WINDOW = window
+        try:
+            _assert_reads_as_loop(np.array(bits, dtype=np.uint8), totals)
+        finally:
+            bitio._WINDOW = original
 
 
 def test_reader_keeps_the_checked_bits():

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kadjust import BitWord, ShellId, concrete_coder_ids, decode_word, encode_word, rank, unrank
+from kadjust import BitWord, CoderId, ShellId, concrete_coder_ids, decode_word, encode_word, rank, unrank
 from kadjust.shellcode import _BLOCK_FROM, _RANK_CHUNK, _RANK_FROM
 
 # sha256 over the codewords of test_long_codeword_bits_pinned; change it only
@@ -262,3 +262,34 @@ def test_rank_peaks_below_8_bytes_a_bit():
         tracemalloc.stop()
     assert peak <= 8 * word.n, peak / word.n
     assert unrank(ShellId(word.n, word.weight), index) == word
+
+
+def _decode_peak(name: str, word: BitWord) -> float:
+    """The tracemalloc peak of decoding the word's codeword, in bytes a bit
+    of the word, the codeword made before tracing starts."""
+    coder = CoderId(name)
+    codeword = encode_word(coder, word)
+    tracemalloc.start()
+    try:
+        decoded = decode_word(coder, word.n, codeword)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decoded == word
+    return peak / word.n
+
+
+def test_run_length_decode_peaks_below_3_bytes_a_bit():
+    """The decoder reads the runs a block of columns at a time and writes
+    packed words: at 2^22 bits, p = 0.5, it peaks at about 2.35 bytes a
+    bit, of which 1.13 is the reader's byte-a-bit copy of the codeword."""
+    assert _decode_peak("run_length", _seeded(1 << 22, 0.5)) < 3
+
+
+def test_periodic_decode_peaks_below_1_byte_a_bit():
+    """Period 7 with a flip every 1000 bits: the tiled packed words and the
+    flips, about 0.2 bytes a bit at 2^22 bits."""
+    n = 1 << 22
+    bits = np.resize(np.random.default_rng(7).integers(0, 2, 7, dtype=np.uint8), n)
+    bits[7::1000] ^= 1
+    assert _decode_peak("periodic", BitWord(bits)) < 1

@@ -429,6 +429,42 @@ class TestConcreteCodecs:
                     with pytest.raises(ValueError, match="length must be >= 1"):
                         decode_word(coder, n, stream)
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, (1 << 12) + 1, (1 << 16) + 3])
+    @pytest.mark.parametrize("p", [0.5, 0.02])
+    def test_run_length_and_periodic_round_trip_packed(self, n, p):
+        # the decoders write packed words: words of one packed word and of
+        # a partial last word, and run lists that span read blocks
+        rng = np.random.default_rng([n, round(100 * p)])
+        words = [BitWord((rng.random(n) < p).astype(np.uint8))]
+        if n >= 64:  # a noisy period-7 word, for a long periodic codeword
+            bits = np.resize(rng.integers(0, 2, 7, dtype=np.uint8), n)
+            bits[7:][rng.random(n - 7) < p / 10] ^= 1
+            words.append(BitWord(bits))
+        for word in words:
+            for name in ("run_length", "periodic", "model_class"):
+                coder = CoderId(name)
+                codeword = encode_word(coder, word)
+                assert len(codeword) == code_word(coder, word).concrete_len
+                decoded = decode_word(coder, n, codeword)
+                assert decoded == word, name
+                assert not decoded.packed.flags.writeable
+
+    @pytest.mark.parametrize("times", [2, 3])
+    def test_periodic_position_listed_more_than_once(self, times):
+        # a position listed an even number of times flips nothing, an odd
+        # number once, as xor.at on the 0/1 bits decodes it
+        n, p = 200, 5
+        pattern = [1, 0, 0, 1, 1]
+        positions = [3, 64, 64, 130, 199] + [77] * times
+        out = BitWriter()
+        out.write_elias_gamma(p)
+        out.write_bits(pattern)
+        out.write_elias_gamma(len(positions) + 1)
+        out.write_uints(positions, math.ceil(math.log2(n + 1)))
+        want = np.resize(np.array(pattern, dtype=np.uint8), n)
+        np.bitwise_xor.at(want, positions, 1)
+        assert decode_word(CoderId("periodic"), n, out.getvalue()).bits.tolist() == want.tolist()
+
     @given(
         coder=st.sampled_from(concrete_coder_ids()),
         n=st.integers(1, 64),
