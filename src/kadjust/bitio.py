@@ -59,7 +59,7 @@ _ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
 # A batched gamma read parses at most this many stream bits at a time, so
 # that its temporaries stay a few dozen bytes a window bit.
 _WINDOW = 1 << 16
-# The widest zero run a window parses: fewer than _WINDOW values below
+# The widest zero run a window parses: at most _WINDOW values below
 # 2^47 sum below 2^63, so the running sum stays int64.
 _WINDOW_ZEROS = 46
 _MAX_SUM = (1 << 63) - 1

@@ -952,8 +952,7 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
         raise DecodeError(f"mismatch position {pos} out of range")
     words = _tiled_words(pattern, range(p, p + 1), 0, -(-n // 64)).reshape(-1)
     words[-1] &= _LEADING[n % 64 or 64]
-    if r:
-        _flip(words, positions)
+    _flip(words, positions)
     return BitWord._from_packed(words, n)
 
 
