@@ -5,32 +5,30 @@ concrete coder in the package, so its lengths are reproducible everywhere:
 a positive integer v costs 2*floor(log2(v)) + 1 bits, namely v itself
 written in that many bits, so behind floor(log2(v)) leading zeros.
 
-Both ends work on whole arrays.  The writer keeps a list of uint8 chunks
-and joins them once; an integer becomes its bits through int.to_bytes and
-np.unpackbits.  The reader keeps the stream as bytes, one per bit, and reads
-an integer by translating its bits to ASCII digits for int(_, 2); a gamma
-code's zero run ends at the next 1, which bytes.find locates.  The batched
-forms write_uints, read_uints, write_elias_gammas and read_elias_gammas
-take one call for a whole array of integers.  read_uints dots each field's
-bits with the powers of two, a block of fields at a time.
-read_elias_gammas reads its first codes one at a time, as read_elias_gamma
-does, which covers headers and short words, and the rest in array passes
-over windows of at most _WINDOW stream bits: a code's end follows from its
-start by the next 1, the codes of a window are the list that successor
-links from its first column, found by pointer jumping, and their values
-are two shifts of the window's packed words.  Every cost is linear in the
-bits written or read, but for the pointer jumping's log factor within a
-window.  The reader leaves the 0/1 check of an array stream to
-words.bit_bytes.
+The writer keeps a list of uint8 chunks of 0/1 and joins them once; an
+integer becomes its bits through int.to_bytes and np.unpackbits.  The
+reader holds the stream as its packed bytes, most-significant bit first,
+and every read is a shift and a mask of them: one field through
+int.from_bytes, many at once by two shifts of the stream's big-endian
+uint64 words.  A gamma code's zero run ends at the next 1, in its own byte
+or the next nonzero one.  The batched forms write_uints, read_uints,
+write_elias_gammas and read_elias_gammas take one call for a whole array
+of integers.  read_elias_gammas reads its first codes one at a time, which
+covers headers and short words, and the rest in windows of at most _WINDOW
+stream bits, whose codes are the list that each code's successor links
+from the window's first column, found by pointer jumping.  Every cost is
+linear in the bits written or read, but for the pointer jumping's log
+factor within a window.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 
 import numpy as np
 
-from .words import bit_bytes, packed_rows
+from .words import as_bits
 
 
 class DecodeError(ValueError):
@@ -54,7 +52,8 @@ _ZERO = np.zeros(1, dtype=np.uint8)
 _ONE = np.ones(1, dtype=np.uint8)
 _ZERO.setflags(write=False)
 _ONE.setflags(write=False)
-_ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
+# The first nonzero byte of a buffer from a given index on, or None.
+_NONZERO = re.compile(rb"[^\x00]").search
 
 # A batched gamma read parses at most this many stream bits at a time, so
 # that its temporaries stay a few dozen bytes a window bit.
@@ -156,19 +155,22 @@ class BitWriter:
 class BitReader:
     """Reads bits MSB-first from an array produced by BitWriter (or bytes).
 
-    An array must hold only 0/1 values; words.bit_bytes checks them and
-    raises DecodeError at construction for anything else, so no malformed
+    An array must be one-dimensional and hold only 0/1 values (as_bits);
+    anything else raises DecodeError at construction, so no malformed
     stream is coerced into bits.
     """
 
     def __init__(self, bits):
         if isinstance(bits, (bytes, bytearray)):
-            raw = np.unpackbits(np.frombuffer(bits, dtype=np.uint8)).tobytes()
+            size, data = 8 * len(bits), bytes(bits)
         else:
-            raw = bit_bytes(bits, DecodeError)  # one byte per bit, for bytes.find and int(_, 2)
-        self._bits = np.frombuffer(raw, dtype=np.uint8)  # the checked copy, not the input
-        self._raw = raw
-        self._size = len(raw)
+            bits = as_bits(bits, DecodeError)
+            if bits.ndim != 1:
+                raise DecodeError("a bitstream must be one-dimensional")
+            size, data = bits.size, np.packbits(bits).tobytes()
+        # zero bytes up to a whole uint64 word, and one zero word past it for _fields
+        self._data = data + bytes(-len(data) % 8 + 8)
+        self._size = size
         self._pos = 0
 
     @property
@@ -180,28 +182,30 @@ class BitReader:
         return self._size - self._pos
 
     def read_bit(self) -> int:
-        pos = self._pos
-        if pos >= self._size:
-            raise DecodeError("bitstream exhausted")
-        self._pos = pos + 1
-        return self._raw[pos]
-
-    def read_bits(self, count: int) -> np.ndarray:
-        """The next count bits as a uint8 array."""
-        if count < 0 or self._pos + count > self._size:
-            raise DecodeError("bitstream exhausted")
-        bits = self._bits[self._pos : self._pos + count].copy()
-        self._pos += count
-        return bits
+        return self.read_uint(1)
 
     def read_uint(self, width: int) -> int:
         pos = self._pos
         if width < 0 or pos + width > self._size:
             raise DecodeError("bitstream exhausted")
-        if not width:
-            return 0
-        self._pos = pos + width
-        return int(self._raw[pos : pos + width].translate(_ASCII01), 2)
+        self._pos = end = pos + width
+        return self._uint(pos, end)
+
+    def _uint(self, start: int, end: int) -> int:
+        """The stream's bits start .. end - 1: a shift and a mask of the
+        bytes that hold them."""
+        value = int.from_bytes(self._data[start >> 3 : (end + 7) >> 3], "big") >> (-end & 7)
+        return value & ((1 << (end - start)) - 1)
+
+    def _fields(self, starts: np.ndarray, widths) -> np.ndarray:
+        """The fields of 1 to 64 bits (widths, an int or an array) at the
+        stream positions starts, as uint64: two shifts of the words that hold each."""
+        words = np.frombuffer(self._data, dtype=">u8")
+        word, shift = starts >> 6, (starts & 63).astype(np.uint64)
+        values = words[word] << shift
+        values |= words[word + 1] >> (np.uint64(64) - shift)  # numpy shifts by 64 to 0
+        values >>= np.asarray(64 - widths, dtype=np.uint64)
+        return values
 
     def read_uints(self, count: int, width: int) -> np.ndarray:
         """count integers of width bits each (1 <= width <= 63) as an int64
@@ -211,14 +215,11 @@ class BitReader:
         if count < 0 or count * width > self.remaining:
             raise DecodeError("bitstream exhausted")
         pos = self._pos
-        rows = self._bits[pos : pos + count * width].reshape(count, width)
         self._pos = pos + count * width
-        # each row's bits dotted with the powers of two, a block of rows at
-        # a time: the dot takes them as int64, 8 bytes a bit
-        powers = np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64)
         values = np.empty(count, dtype=np.int64)
-        for i in range(0, count, _BATCH):
-            np.dot(rows[i : i + _BATCH], powers, out=values[i : i + _BATCH])
+        for i in range(0, count, _BATCH):  # a block of fields at a time bounds the temporaries
+            starts = np.arange(pos + i * width, pos + min(count, i + _BATCH) * width, width)
+            values[i : i + _BATCH] = self._fields(starts, width).view(np.int64)
         return values
 
     def read_elias_gamma(self) -> int:
@@ -259,22 +260,29 @@ class BitReader:
     def _gammas_by_code(self, total: int) -> tuple[list[int], int]:
         """Codes read one at a time until their values sum to total > 0 or
         more, and what is left of total (zero or less)."""
-        raw, pos, size = self._raw, self._pos, self._size
-        find = raw.find
+        data, pos, size = self._data, self._pos, self._size
         values: list[int] = []
         put = values.append
         while total > 0:
-            one = find(1, pos)  # the 1 that ends the zero run
-            if one == pos:  # the code of 1
-                pos += 1
-                put(1)
-                total -= 1
-                continue
-            end = 2 * one - pos + 1
-            if one < 0 or end > size:
+            # the 1 that ends the zero run: the first of pos's byte's bits from
+            # pos on, or else the next nonzero byte's, or with none (the pad
+            # bytes are zero) past the end
+            head = 8 - (pos & 7)
+            byte = data[pos >> 3] & ((1 << head) - 1)
+            if byte:
+                zeros = head - byte.bit_length()
+            else:
+                found = _NONZERO(data, (pos >> 3) + 1)
+                one = 8 * found.start() + 8 - data[found.start()].bit_length() if found else size
+                zeros = one - pos
+            end = pos + 2 * zeros + 1
+            if end > size:
                 self._pos = pos
                 raise DecodeError("bitstream exhausted")
-            v = int(raw[one:end].translate(_ASCII01), 2)
+            if 2 * zeros < head:  # the code ends in pos's byte
+                v = byte >> (head - 2 * zeros - 1)
+            else:  # its value is its bits from pos on, zeros and all
+                v = self._uint(pos, end)
             pos = end
             put(v)
             total -= v
@@ -295,10 +303,12 @@ class BitReader:
         first 2^k starts become its first 2^(k + 1).  A column whose code
         does not end in the window is its own successor, so the list ends
         there.  A code's value is the z + 1 bits from its first 1, z its
-        zeros: two shifts of the window's packed words."""
+        zeros: one field gather.  The window unpacks only its own bytes."""
         pos = self._pos
         width = min(_WINDOW, self._size - pos, width)
-        bits = self._bits[pos : pos + width]
+        skip = pos & 7
+        window = np.frombuffer(self._data, np.uint8, (skip + width + 7) >> 3, pos >> 3)
+        bits = np.unpackbits(window, count=skip + width)[skip:]
         ones = np.flatnonzero(bits.view(np.bool_))  # faster on bool; the bits are 0/1
         if not ones.size:
             return _NO_VALUES
@@ -326,13 +336,7 @@ class BitReader:
         end = starts[read]
         starts = starts[:read]
         ones = first_one[starts]
-        packed = np.zeros(-(-width // 64) + 1, dtype=np.uint64)
-        packed[:-1] = packed_rows(bits[None])[0]
-        word, shift = ones >> 6, (ones & 63).astype(np.uint64)
-        values = packed[word] << shift
-        values |= packed[word + 1] >> (np.uint64(64) - shift)  # numpy shifts by 64 to 0
-        values >>= (63 - (ones - starts)).astype(np.uint64)
-        values = values.view(np.int64)
+        values = self._fields(ones + pos, ones - starts + 1).view(np.int64)
         sums = np.cumsum(values)
         last = int(np.searchsorted(sums, min(total, _MAX_SUM)))
         if last < read:  # the sum reaches total at code last

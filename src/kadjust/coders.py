@@ -855,7 +855,7 @@ def code_word(coder: CoderId, word: BitWord) -> CodeResult:
 
 
 def _decode_literal(n: int, reader: BitReader) -> BitWord:
-    return BitWord(reader.read_bits(n).view(np.bool_))  # the reader holds 0/1 only
+    return BitWord.from_uint(reader.read_uint(n), n)
 
 
 def _encode_run_length(word: BitWord) -> np.ndarray:

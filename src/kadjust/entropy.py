@@ -251,26 +251,3 @@ def _prime_count(primes: np.ndarray, m: int) -> int:
     """The number of ascending int32 primes <= m, for m < 2^31; m is made
     an int32 so that numpy does not cast the primes to int64."""
     return int(np.searchsorted(primes, np.int32(m), side="right"))
-
-
-def _factorial_prime_exponents(m: int, upto: int | None = None) -> np.ndarray:
-    """Exponent of each prime <= (upto or m) in the factorization of m!,
-    by Legendre's formula: the sum over i >= 1 of m // p^i."""
-    primes = _primes_upto(upto if upto is not None else m)
-    # int32 like the primes, so numpy divides without casting them: every
-    # exponent is below m < 2^31
-    exps = np.zeros(primes.size, dtype=np.int32)
-    below = _prime_count(primes, m)  # primes > m divide m! zero times
-    np.floor_divide(np.int32(m), primes[:below], out=exps[:below])
-    # only the primes <= sqrt(m) have p^2 <= m: add m // p^i for i >= 2, in
-    # Python, as numpy would take log2(m) calls of a few small primes each
-    small = _prime_count(primes, math.isqrt(m))
-    higher = []
-    for p, q in zip(primes[:small].tolist(), exps[:small].tolist()):
-        e = 0
-        while q >= p:
-            q //= p
-            e += q
-        higher.append(e)
-    exps[:small] += np.array(higher, dtype=np.int32)
-    return exps

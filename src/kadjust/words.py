@@ -19,9 +19,8 @@ BitWord, a PackedRows or one of the tallies defined here: aligned-pair
 counts for a pair of words.  prefix_ones is the one prefix popcount: the
 ones of every row's first j columns at any cuts j, which the length
 kernels and stats.adjusted_prefixes read, and block_ones its form for
-the 2-bit blocks of every packed row.  as_bits (and bit_bytes, its form
-for bitstreams) is the package's one check that an array holds only 0/1
-values.
+the 2-bit blocks of every packed row.  as_bits is the package's one
+check that an array holds only 0/1 values.
 """
 
 from __future__ import annotations
@@ -53,15 +52,6 @@ def as_bits(values, error: type[Exception] = ValueError) -> np.ndarray:
     if bad:
         raise error("bits must be integers 0 or 1")
     return bits if char == "B" else bits.astype(np.uint8)
-
-
-def bit_bytes(values, error: type[Exception] = ValueError) -> bytes:
-    """The bits of a one-dimensional values, one byte each, checked as
-    as_bits checks them."""
-    bits = as_bits(values, error)
-    if bits.ndim != 1:
-        raise error("a bitstream must be one-dimensional")
-    return bits.tobytes()
 
 
 def _native(packed: np.ndarray) -> np.ndarray:

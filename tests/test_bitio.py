@@ -23,31 +23,31 @@ class TestBitReader:
     def test_checks_uint8_streams_on_both_sides_of_the_translate_limit(self, size):
         bits = np.tile(np.array([1, 0], dtype=np.uint8), size)[:size]
         reader = BitReader(bits)
-        assert reader.read_bits(size).tolist() == bits.tolist()
+        assert reader.read_uint(size) == int("".join(map(str, bits.tolist())), 2)
         bits[-1] = 2
         with pytest.raises(DecodeError):
             BitReader(bits)
         with pytest.raises(DecodeError):
             BitReader(bits[:-1].reshape(1, -1))
 
-    def test_read_bits(self):
+    def test_read_uint_bounds(self):
         reader = BitReader(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
-        assert reader.read_bits(0).tolist() == []
-        assert reader.read_bits(3).tolist() == [1, 0, 1]
+        assert reader.read_uint(0) == 0
+        assert reader.read_uint(3) == 0b101
         with pytest.raises(DecodeError):
-            reader.read_bits(3)
+            reader.read_uint(3)
         assert reader.pos == 3
-        assert reader.read_bits(2).tolist() == [1, 0]
+        assert reader.read_uint(2) == 0b10
         with pytest.raises(DecodeError):
-            reader.read_bits(1)
+            reader.read_uint(1)
         with pytest.raises(DecodeError):
-            reader.read_bits(-1)
+            reader.read_uint(-1)
 
     def test_bytes_input(self):
         reader = BitReader(bytes([0b10110000, 0xFF]))
         assert reader.remaining == 16
         assert reader.read_uint(4) == 0b1011
-        assert reader.read_bits(4).tolist() == [0, 0, 0, 0]
+        assert reader.read_uint(4) == 0
         assert reader.read_uint(8) == 255
         writer = BitWriter()
         writer.write_uint(0xABC, 12)
@@ -322,5 +322,5 @@ def test_reader_keeps_the_checked_bits():
     bits = np.array([1, 0, 1, 1], dtype=np.uint8)
     reader = BitReader(bits)
     bits[:] = 7
-    assert reader.read_bits(2).tolist() == [1, 0]
+    assert reader.read_uint(2) == 0b10
     assert reader.read_uint(2) == 3

@@ -279,11 +279,18 @@ def _decode_peak(name: str, word: BitWord) -> float:
     return peak / word.n
 
 
-def test_run_length_decode_peaks_below_3_bytes_a_bit():
+def test_run_length_decode_peaks_below_2_bytes_a_bit():
     """The decoder reads the runs a block of columns at a time and writes
-    packed words: at 2^22 bits, p = 0.5, it peaks at about 2.35 bytes a
-    bit, of which 1.13 is the reader's byte-a-bit copy of the codeword."""
-    assert _decode_peak("run_length", _seeded(1 << 22, 0.5)) < 3
+    packed words: at 2^22 bits, p = 0.5, it peaks at about 1.5 bytes a bit."""
+    assert _decode_peak("run_length", _seeded(1 << 22, 0.5)) < 2
+
+
+@pytest.mark.parametrize("name", ["literal", "model_class"])
+def test_literal_decode_peaks_below_1_byte_a_bit(name):
+    """A p = 0.5 word is its own codeword (model_class behind its tag): the
+    reader's packed bytes and the word read from them as one integer, about
+    0.53 bytes a bit at 2^22 bits."""
+    assert _decode_peak(name, _seeded(1 << 22, 0.5)) < 1
 
 
 def test_periodic_decode_peaks_below_1_byte_a_bit():
@@ -293,3 +300,10 @@ def test_periodic_decode_peaks_below_1_byte_a_bit():
     bits = np.resize(np.random.default_rng(7).integers(0, 2, 7, dtype=np.uint8), n)
     bits[7::1000] ^= 1
     assert _decode_peak("periodic", BitWord(bits)) < 1
+
+
+def test_random_word_periodic_decode_peaks_below_8_bytes_a_bit():
+    """A random word's periodic codeword lists about n / 2 mismatches of 23
+    bits each, 11.5 bits a word bit: their int64 positions (4 bytes a bit)
+    and the packed codeword, about 5.9 bytes a bit at 2^22 bits."""
+    assert _decode_peak("periodic", _seeded(1 << 22, 0.5)) < 8

@@ -480,6 +480,34 @@ class TestConcreteCodecs:
             return
         assert word.n == n
 
+    @given(
+        coder=st.sampled_from(concrete_coder_ids()),
+        n=st.integers(1, 64),
+        data=st.binary(max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decode_is_total_on_bytes(self, coder, n, data):
+        # The same for a packed stream: any bytes decode to a word of the
+        # declared length or raise DecodeError.
+        try:
+            word = decode_word(coder, n, data)
+        except DecodeError:
+            return
+        assert word.n == n
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, (1 << 12) + 1])
+    @pytest.mark.parametrize("coder", concrete_coder_ids(), ids=lambda c: c.name)
+    def test_round_trip_through_packed_bytes(self, coder, n):
+        # a codeword packed to bytes decodes as its bits do, whatever the
+        # bits that pad its last byte
+        for p in (0.5, 0.02):
+            word = BitWord((np.random.default_rng([n, round(100 * p)]).random(n) < p).astype(np.uint8))
+            codeword = encode_word(coder, word)
+            packed = np.packbits(codeword)
+            assert decode_word(coder, n, packed.tobytes()) == word
+            packed[-1] |= (1 << (-len(codeword) % 8)) - 1
+            assert decode_word(coder, n, packed.tobytes()) == word
+
 
 class TestRegistry:
     def test_names_and_params(self):

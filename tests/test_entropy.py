@@ -306,13 +306,11 @@ class TestFactorizedPath:
         int(v) for v in np.random.default_rng(20).integers(2, 1 << 20, 6)
     ])
     def test_prime_exponents_match_legendre(self, m):
-        upto = m + 1000
-        primes = entropy._primes_upto(upto).tolist()
-        want = [_legendre(m, p) for p in primes]
-        assert entropy._factorial_prime_exponents(m, upto).tolist() == want
-        if m >= 2:
-            assert entropy._factorial_prime_exponents(m).tolist() == want[: len(
-                entropy._primes_upto(m))]
+        primes = entropy._primes_upto(m).tolist()
+        four = (m // 7, m // 5, m // 2, m - m // 7 - m // 5 - m // 2)
+        for counts in ((m // 3, m - m // 3), four):
+            want = [_legendre(m, p) - sum(_legendre(c, p) for c in counts) for p in primes]
+            assert entropy._multinomial_exponents(list(counts)).tolist() == want, counts
 
     def test_log2_multinomial_equals_frozen_code(self):
         rng = np.random.default_rng(21)
@@ -370,8 +368,3 @@ class TestExactMultinomial:
                     exact *= math.comb(remaining, c)
                     remaining -= c
                 assert log2_multinomial(counts) == math.log2(exact), counts
-
-    def test_exponents_stay_int32(self):
-        exps = entropy._factorial_prime_exponents((1 << 31) - 1, upto=1000)
-        assert exps.dtype == np.int32
-        assert exps[0] == sum((((1 << 31) - 1) >> i) for i in range(1, 31))

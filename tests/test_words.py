@@ -129,7 +129,7 @@ class TestOneBitCheck:
         bits = np.array([1, 0, 0, 1, 1], dtype=dtype)
         assert BitWord(bits).tolist() == [1, 0, 0, 1, 1]
         assert kind_lengths(CoderId("literal"), bits[None], "concrete").lengths.tolist() == [5]
-        assert BitReader(bits).read_bits(5).tolist() == [1, 0, 0, 1, 1]
+        assert BitReader(bits).read_uint(5) == 0b10011
 
 
 class TestWeight:
