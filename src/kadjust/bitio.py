@@ -5,20 +5,20 @@ concrete coder in the package, so its lengths are reproducible everywhere:
 a positive integer v costs 2*floor(log2(v)) + 1 bits, namely v itself
 written in that many bits, so behind floor(log2(v)) leading zeros.
 
-The writer keeps a list of uint8 chunks of 0/1 and joins them once; an
-integer becomes its bits through int.to_bytes and np.unpackbits.  The
-reader holds the stream as its packed bytes, most-significant bit first,
-and every read is a shift and a mask of them: one field through
-int.from_bytes, many at once by two shifts of the stream's big-endian
-uint64 words.  A gamma code's zero run ends at the next 1, in its own byte
-or the next nonzero one.  The batched forms write_uints, read_uints,
+The writer keeps fields, each a Python int and its width, and joins them
+pairwise into one int, unpacked once.  The reader holds the stream as its
+packed bytes, most-significant bit first, and every read is a shift and a
+mask of them: one field through int.from_bytes, many at once by two shifts
+of the stream's big-endian uint64 words, as a batched write places its
+values.  A gamma code's zero run ends at the next 1, in its own byte or the
+next nonzero one.  The batched forms write_uints, read_uints,
 write_elias_gammas and read_elias_gammas take one call for a whole array
 of integers.  read_elias_gammas reads its first codes one at a time, which
 covers headers and short words, and the rest in windows of at most _WINDOW
 stream bits, whose codes are the list that each code's successor links
 from the window's first column, found by pointer jumping.  Every cost is
-linear in the bits written or read, but for the pointer jumping's log
-factor within a window.
+linear in the bits written or read, but for the log factors of the
+pointer jumping within a window and of the writer's join.
 """
 
 from __future__ import annotations
@@ -42,16 +42,24 @@ def elias_gamma_len(v: int) -> int:
     return 2 * (v.bit_length() - 1) + 1
 
 
+def _bit_length(v):
+    """bit_length of nonnegative int64 integers, elementwise, exact: with each
+    bit just below a set bit cleared, v is under 4/3 of its top bit, which
+    float64 cannot round up to the next power of two."""
+    return np.frexp(v & ~(v >> 1))[1]
+
+
+def _gamma_len(v):
+    """Elias gamma lengths 2 * bit_length(v) - 1 of positive int64 integers."""
+    return 2 * _bit_length(v) - 1
+
+
 # Widest integer of the batched forms, which carry values as int64.
 _MAX_BATCH_WIDTH = 63
-# Values per array in the batched writes, which bounds their temporaries
-# to a few hundred bytes per value.
+# Values per block of the batched writes and reads, which bounds their
+# temporaries to a few dozen bytes per value.
 _BATCH = 1 << 12
 
-_ZERO = np.zeros(1, dtype=np.uint8)
-_ONE = np.ones(1, dtype=np.uint8)
-_ZERO.setflags(write=False)
-_ONE.setflags(write=False)
 # The first nonzero byte of a buffer from a given index on, or None.
 _NONZERO = re.compile(rb"[^\x00]").search
 
@@ -70,37 +78,37 @@ _NO_VALUES = np.zeros(0, dtype=np.int64)
 _NO_VALUES.setflags(write=False)
 
 
-def _values_array(values: list[int]) -> np.ndarray:
-    """values as an int64 array, or as an array of Python ints if one does
-    not fit int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _uint64_bits(values: np.ndarray) -> np.ndarray:
-    """(len(values), 64) matrix of the big-endian bits of each value."""
-    return np.unpackbits(values.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
+def _integers(values) -> np.ndarray:
+    """values as a flat int64 array, or of Python ints if one does not fit
+    int64; TypeError if one is not an integer, as operator.index raises."""
+    array = np.asarray(values).reshape(-1)
+    if array.size and array.dtype.kind not in "bi":  # as given: np.asarray makes floats of ints past int64
+        ints = [operator.index(v) for v in np.asarray(values, dtype=object).flat]
+        try:
+            return np.array(ints, dtype=np.int64)
+        except OverflowError:
+            return np.array(ints, dtype=object)
+    return array.astype(np.int64, copy=False)
 
 
 class BitWriter:
-    """Accumulates bits most-significant-bit first."""
+    """Accumulates bits most-significant-bit first, as fields (value, width)."""
 
     def __init__(self):
-        self._chunks: list[np.ndarray] = []
+        self._fields: list[tuple[int, int]] = []
         self._len = 0
 
-    def _append(self, bits: np.ndarray) -> None:
-        self._chunks.append(bits)
-        self._len += bits.size
+    def _put(self, value: int, width: int) -> None:
+        self._fields.append((value, width))
+        self._len += width
 
     def write_bit(self, bit: int) -> None:
-        self._append(_ONE if bit else _ZERO)
+        self._put(1 if bit else 0, 1)
 
     def write_bits(self, bits) -> None:
-        """Append a sequence of bits as one chunk; any nonzero entry is a 1."""
-        self._append(np.not_equal(np.asarray(bits), 0).view(np.uint8).reshape(-1))
+        """Append a sequence of bits as one field; any nonzero entry is a 1."""
+        bits = np.not_equal(np.asarray(bits), 0).reshape(-1)
+        self._put(int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8), bits.size)
 
     def write_uint(self, value: int, width: int) -> None:
         """Fixed-width big-endian unsigned integer; width may be 0 when value is 0."""
@@ -109,47 +117,56 @@ class BitWriter:
             raise ValueError(f"negative width {width}")
         if value < 0 or value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
-        if width:
-            nbytes = (width + 7) >> 3
-            data = np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8)
-            self._append(np.unpackbits(data)[8 * nbytes - width :])
+        self._put(value, width)
 
     def write_uints(self, values, width: int) -> None:
         """Each value as write_uint(value, width) would write it, for 1 <= width <= 63."""
-        values = np.asarray(values, dtype=np.int64).reshape(-1)
+        values = _integers(values)
         if not 1 <= width <= _MAX_BATCH_WIDTH:
             raise ValueError(f"batched width {width} not in [1, {_MAX_BATCH_WIDTH}]")
         if values.size and (values.min() < 0 or values.max() >> width):
             raise ValueError(f"a value does not fit in {width} bits")
         for i in range(0, values.size, _BATCH):
-            self._append(_uint64_bits(values[i : i + _BATCH])[:, 64 - width :].ravel())
+            block = values[i : i + _BATCH]
+            self._block(block, np.arange(width, width * (block.size + 1), width))
 
     def write_elias_gamma(self, v: int) -> None:
         self.write_uint(v, elias_gamma_len(v))
 
     def write_elias_gammas(self, values) -> None:
-        """The Elias gamma code of each value, in order."""
-        values = np.asarray(values, dtype=np.int64).reshape(-1)
-        if values.size and values.min() < 1:
-            raise ValueError("Elias gamma is defined for positive integers")
-        for i in range(0, values.size, _BATCH):
-            bits = _uint64_bits(values[i : i + _BATCH])
-            lengths = 2 * (64 - bits.argmax(axis=1)) - 1  # the first 1 of a row
-            width = int(lengths.max())
-            if width > 64:
-                bits = np.concatenate([np.zeros((len(bits), width - 64), np.uint8), bits], 1)
-            else:
-                bits = bits[:, 64 - width :]
-            # each row's code is its last `length` bits: the value behind its zeros
-            self._append(bits[np.arange(width) >= (width - lengths)[:, None]])
+        """The Elias gamma code of each value, in order: v in _gamma_len(v) bits."""
+        values = _integers(values)
+        if values.dtype == object or values.size and values.min() < 1:
+            raise ValueError("batched Elias gamma codes take integers from 1 to 2^63 - 1")
+        for i in range(0, values.size, _BATCH):  # a block at a time bounds the temporaries
+            block = values[i : i + _BATCH]
+            self._block(block, np.add.accumulate(_gamma_len(block), dtype=np.int64))
+
+    def _block(self, values: np.ndarray, ends: np.ndarray) -> None:
+        """Nonnegative int64 values as one field, each ending at its entry of
+        ends, by two shifts in its uint64 words as BitReader._fields reads it."""
+        size = int(ends[-1])
+        after = size - ends  # the columns after each value, to the block's end
+        word, shift = after >> 6, (after & 63).view(np.uint64)
+        words = np.zeros(size // 64 + 2, dtype=np.uint64)  # from the block's last word back
+        values = values.view(np.uint64)
+        # the values' bits are disjoint, so adding them ORs them
+        np.add.at(words, word, values << shift)
+        np.add.at(words[1:], word, values >> (64 - shift))  # numpy shifts by 64 to 0
+        self._put(int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little"), size)
 
     def __len__(self) -> int:
         return self._len
 
     def getvalue(self) -> np.ndarray:
-        if not self._chunks:
-            return np.zeros(0, dtype=np.uint8)
-        return np.concatenate(self._chunks)
+        """The bits written, one uint8 0/1 a bit."""
+        fields = self._fields or [(0, 0)]
+        while len(fields) > 1:  # joined pairwise
+            pairs = zip(fields[::2], fields[1::2])
+            fields = [(a << w | b, v + w) for (a, v), (b, w) in pairs] + fields[len(fields) & ~1 :]
+        nbytes = (self._len + 7) >> 3
+        data = np.frombuffer(fields[0][0].to_bytes(nbytes, "big"), dtype=np.uint8)
+        return np.unpackbits(data)[8 * nbytes - self._len :]
 
 
 class BitReader:
@@ -248,7 +265,7 @@ class BitReader:
             if step:
                 values, rest = self._gammas_by_code(step)
                 left -= step - rest
-                batch = _values_array(values)
+                batch = _integers(values)
             else:
                 left -= int(batch.sum())
             parts.append(batch)

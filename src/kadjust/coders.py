@@ -26,8 +26,8 @@ one left-to-right pass and one finish.  code_word() finishes one pass for
 both kinds, and a kernel whose two kinds are one integer length
 (literal, run_length, periodic) takes it once.
 No coder takes a parameter: each has a kernel, a one-row k_*(word) and,
-when concrete, encode(word) and decode(n, reader).  The periodic bound is
-the constant P_MAX = 32.
+when concrete, encode(word, writer) and decode(n, reader) on the caller's
+BitWriter and BitReader.  The periodic bound is the constant P_MAX = 32.
 
   coder        length                                  statistics at a cut; finish
   literal      n bits, the word verbatim               none; the cut m
@@ -112,7 +112,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bitio import BitReader, BitWriter, DecodeError, elias_gamma_len
+from .bitio import BitReader, BitWriter, DecodeError, _bit_length, _gamma_len, elias_gamma_len
 from .entropy import ceil_log2, log2_multinomial
 from .shellcode import concrete_len_shell, decode_shell, encode_shell, ideal_len_shell
 from .words import _LEADING, BitWord, PackedRows, block_ones, prefix_ones, unpacked
@@ -216,18 +216,6 @@ def concrete_coder_ids() -> tuple[CoderId, ...]:
 # and the first chunk holds the periodic pattern, a row's first word; only
 # a run spans chunks, which the run-length kernel carries into the next
 # one.
-
-
-def _bit_length(v):
-    """bit_length of nonnegative integers, elementwise; np.frexp gives it
-    exactly below 2^53."""
-    return np.frexp(v)[1]
-
-
-def _gamma_len(v):
-    """Elias gamma lengths 2 * bit_length(v) - 1 of positive integers,
-    elementwise."""
-    return 2 * _bit_length(v) - 1
 
 
 def _tabulate(fns, keys: np.ndarray, cuts: Sequence[int]) -> list[np.ndarray]:
@@ -854,15 +842,17 @@ def code_word(coder: CoderId, word: BitWord) -> CodeResult:
 # concrete encoders / decoders
 
 
+def _encode_literal(word: BitWord, out: BitWriter) -> None:
+    out.write_uint(int.from_bytes(word.packed.astype(">u8").tobytes(), "big") >> (-word.n % 64), word.n)
+
+
 def _decode_literal(n: int, reader: BitReader) -> BitWord:
     return BitWord.from_uint(reader.read_uint(n), n)
 
 
-def _encode_run_length(word: BitWord) -> np.ndarray:
-    out = BitWriter()
+def _encode_run_length(word: BitWord, out: BitWriter) -> None:
     out.write_bit(int(word.packed[0]) >> 63)
     out.write_elias_gammas(_runs(_ends(PackedRows.of(word)), word.n)[0])
-    return out.getvalue()
 
 
 # The decoders read the runs of at most _DECODE_BLOCK columns at a time and
@@ -900,7 +890,7 @@ def _decode_run_length(n: int, reader: BitReader) -> BitWord:
         for run in runs:
             value = value << run | ((1 << run) - 1) * bit
             bit ^= 1
-        return BitWord.from_bytes((value << (-n % 8)).to_bytes(-(-n // 8), "big"), n)
+        return BitWord.from_uint(value, n)
     flips = np.zeros(-(-n // 64), dtype=np.uint64)
     flips[0] = bit << 63
     start = 0  # the column of the next run
@@ -923,21 +913,17 @@ def _decode_run_length(n: int, reader: BitReader) -> BitWord:
     return BitWord.from_bytes(x.to_bytes(-(-n // 64) * 8, "big"), n)
 
 
-def _encode_periodic(word: BitWord) -> np.ndarray:
-    return _periodic_codeword(word, int(kind_lengths(CoderId("periodic"), word, "concrete").period[0]))
-
-
-def _periodic_codeword(word: BitWord, p: int) -> np.ndarray:
-    """The periodic codeword of the word with period p."""
+def _encode_periodic(word: BitWord, out: BitWriter, p: int | None = None) -> None:
+    """The periodic codeword with period p, by default its Score's."""
+    if p is None:
+        p = int(kind_lengths(CoderId("periodic"), word, "concrete").period[0])
     n, packed = word.n, word.packed
     tiled = _tiled_words(packed[:1], range(p, p + 1), 0, len(packed))
     positions = np.flatnonzero(unpacked(tiled.reshape(-1) ^ packed, n).view(np.bool_))  # flatnonzero is faster on bool
-    out = BitWriter()
     out.write_elias_gamma(p)
-    out.write_bits(unpacked(packed[:1], p))
+    out.write_uint(int(packed[0]) >> (64 - p), p)
     out.write_elias_gamma(positions.size + 1)
     out.write_uints(positions, ceil_log2(n + 1))
-    return out.getvalue()
 
 
 def _decode_periodic(n: int, reader: BitReader) -> BitWord:
@@ -956,17 +942,14 @@ def _decode_periodic(n: int, reader: BitReader) -> BitWord:
     return BitWord._from_packed(words, n)
 
 
-def _encode_model_class(word: BitWord) -> np.ndarray:
+def _encode_model_class(word: BitWord, out: BitWriter) -> None:
     score = kind_lengths(CoderId("model_class"), word, "concrete")
     tag = int(score.tag[0])  # the first shortest concrete member
-    name = MODEL_MEMBERS[tag]
-    out = BitWriter()
     out.write_uint(tag, MODEL_TAG_BITS)
-    if name == "periodic":  # the score's period saves the encoder a second scan
-        out.write_bits(_periodic_codeword(word, int(score.period[0])))
+    if MODEL_MEMBERS[tag] == "periodic":  # the score's period saves the encoder a second scan
+        _encode_periodic(word, out, int(score.period[0]))
     else:
-        out.write_bits(_CODERS[name].encode(word))
-    return out.getvalue()
+        _CODERS[MODEL_MEMBERS[tag]].encode(word, out)
 
 
 def _decode_model_class(n: int, reader: BitReader) -> BitWord:
@@ -980,7 +963,9 @@ def _decode_model_class(n: int, reader: BitReader) -> BitWord:
 def encode_word(coder: CoderId, word: BitWord) -> np.ndarray:
     """Concrete codeword bits for the word; n is side information for decoding."""
     length_kernel(coder, "concrete")  # raises for a coder without a concrete code
-    return _CODERS[coder.name].encode(word)
+    out = BitWriter()
+    _CODERS[coder.name].encode(word, out)
+    return out.getvalue()
 
 
 def decode_word(coder: CoderId, n: int, source) -> BitWord:
@@ -1004,14 +989,14 @@ class _Coder:
 
     kernel: type
     length: Callable[[BitWord], CodeResult]
-    encode: Callable[[BitWord], np.ndarray] | None = None
+    encode: Callable[[BitWord, BitWriter], None] | None = None
     decode: Callable[[int, BitReader], BitWord] | None = None
 
 
 # Order fixes both the model tag values and the model_class tie-break.
 _CODERS = {
-    "literal": _Coder(_Literal, k_len, lambda w: unpacked(w.packed, w.n), _decode_literal),
-    "shell": _Coder(_Shell, k_comb, lambda w: encode_shell(w).bits, decode_shell),
+    "literal": _Coder(_Literal, k_len, _encode_literal, _decode_literal),
+    "shell": _Coder(_Shell, k_comb, lambda w, out: out.write_bits(encode_shell(w).bits), decode_shell),
     "run_length": _Coder(_RunLength, k_run_length, _encode_run_length, _decode_run_length),
     "periodic": _Coder(_Periodic, k_periodic, _encode_periodic, _decode_periodic),
     "pair_shell": _Coder(_PairShell, k_pair_shell),

@@ -247,15 +247,12 @@ def concrete_len_shell(n: int, k: int) -> int:
 def encode_shell(word: BitWord) -> ShellCodeword:
     """Encode a word as weight header plus in-shell rank."""
     n, k = word.n, word.weight
-    header = BitWriter()
-    header.write_elias_gamma(k + 1)
-    index = BitWriter()
-    index.write_uint(rank(word), ceil_log2_comb(n, k))
-    return ShellCodeword(
-        header_bits=header.getvalue(),
-        index_bits=index.getvalue(),
-        concrete_len=len(header) + len(index),
-    )
+    out = BitWriter()
+    out.write_elias_gamma(k + 1)
+    header = len(out)
+    out.write_uint(rank(word), ceil_log2_comb(n, k))
+    bits = out.getvalue()
+    return ShellCodeword(header_bits=bits[:header], index_bits=bits[header:], concrete_len=bits.size)
 
 
 def decode_shell(n: int, reader: BitReader) -> BitWord:

@@ -138,9 +138,13 @@ class TestIntegers:
 
     def test_batched_uint_errors(self):
         writer = BitWriter()
-        for values, width in (([8], 3), ([-1], 3), ([0], 0), ([0], 64)):
+        for values, width in (([8], 3), ([-1], 3), ([0], 0), ([0], 64), ([1 << 64], 3), ([1 << 63], 63)):
             with pytest.raises(ValueError):
                 writer.write_uints(values, width)
+        for values in ([1.5], np.array([2.0]), [1, None]):
+            with pytest.raises(TypeError):  # as write_uint raises, not truncated
+                writer.write_uints(values, 3)
+        assert len(writer) == 0
         reader = BitReader([1] * 10)
         with pytest.raises(DecodeError):
             reader.read_uints(4, 3)  # 12 bits asked, 10 there
@@ -182,6 +186,10 @@ class TestEliasGamma:
             assert len(batched) == sum(elias_gamma_len(v) for v in values)
         with pytest.raises(ValueError):
             BitWriter().write_elias_gammas([3, 0])
+        with pytest.raises(ValueError):
+            BitWriter().write_elias_gammas([3, 1 << 63])  # np.asarray makes this list float64
+        with pytest.raises(TypeError):  # as write_elias_gamma raises, not gamma(2)
+            BitWriter().write_elias_gammas([2.5])
 
     def test_truncated_codes(self):
         for bits in ([], [0, 0, 0], [0, 0, 1, 0]):
@@ -316,6 +324,63 @@ class TestArrayGammaReads:
             _assert_reads_as_loop(np.array(bits, dtype=np.uint8), totals)
         finally:
             bitio._WINDOW = original
+
+
+_GAMMA_VALUES = st.integers(1, (1 << 63) - 1)
+_FIELDS = st.one_of(
+    st.tuples(st.just("bit"), st.integers(0, 1)),
+    st.integers(0, 200).flatmap(lambda w: st.tuples(st.just("uint"), st.integers(0, (1 << w) - 1), st.just(w))),
+    st.integers(1, 63).flatmap(
+        lambda w: st.tuples(st.just("uints"), st.lists(st.integers(0, (1 << w) - 1), max_size=40), st.just(w))
+    ),
+    st.tuples(st.just("gamma"), _GAMMA_VALUES),
+    st.tuples(st.just("gammas"), st.lists(_GAMMA_VALUES, max_size=40)),
+)
+
+
+def _value_widths(field) -> list[tuple[int, int]]:
+    """Each value of a field and its width in the stream."""
+    kind, values, *width = field
+    values = values if kind in ("uints", "gammas") else [values]
+    if kind.startswith("gamma"):
+        return [(v, elias_gamma_len(v)) for v in values]
+    return [(v, width[0] if width else 1) for v in values]
+
+
+@given(fields=st.lists(_FIELDS, max_size=12), batch=st.sampled_from([4, 1 << 12]))
+@settings(max_examples=300, deadline=None)
+def test_mixed_writes_join_at_any_offset(fields, batch):
+    """Fields of every write joined in any order, so at offsets that are
+    no multiple of 8 or 64: the stream is the fields' bits in order, and
+    reads back field by field; a batch of 4 values splits the batched
+    writes and reads into many blocks."""
+    original = bitio._BATCH
+    bitio._BATCH = batch
+    try:
+        writer = BitWriter()
+        for kind, *args in fields:
+            getattr(writer, {"bit": "write_bit", "uint": "write_uint", "uints": "write_uints",
+                             "gamma": "write_elias_gamma", "gammas": "write_elias_gammas"}[kind])(*args)
+        pairs = [pair for field in fields for pair in _value_widths(field)]
+        bits = writer.getvalue()
+        assert bits.dtype == np.uint8
+        assert "".join(map(str, bits.tolist())) == "".join(format(v, f"0{w}b") if w else "" for v, w in pairs)
+        assert len(writer) == sum(w for _, w in pairs)
+        reader = BitReader(bits)
+        for kind, values, *width in fields:
+            if kind == "bit":
+                assert reader.read_bit() == values
+            elif kind == "uint":
+                assert reader.read_uint(width[0]) == values
+            elif kind == "uints":
+                assert reader.read_uints(len(values), width[0]).tolist() == values
+            elif kind == "gamma":
+                assert reader.read_elias_gamma() == values
+            else:
+                assert reader.read_elias_gammas(sum(values)).tolist() == values
+        assert reader.remaining == 0
+    finally:
+        bitio._BATCH = original
 
 
 def test_reader_keeps_the_checked_bits():

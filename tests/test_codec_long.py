@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kadjust import BitWord, CoderId, ShellId, concrete_coder_ids, decode_word, encode_word, rank, unrank
+from kadjust import BitWord, CoderId, ShellId, code_word, concrete_coder_ids, decode_word, encode_word, rank, unrank
 from kadjust.shellcode import _BLOCK_FROM, _RANK_CHUNK, _RANK_FROM
 
 # sha256 over the codewords of test_long_codeword_bits_pinned; change it only
@@ -307,3 +307,40 @@ def test_random_word_periodic_decode_peaks_below_8_bytes_a_bit():
     bits each, 11.5 bits a word bit: their int64 positions (4 bytes a bit)
     and the packed codeword, about 5.9 bytes a bit at 2^22 bits."""
     assert _decode_peak("periodic", _seeded(1 << 22, 0.5)) < 8
+
+
+def _period_7(n: int) -> BitWord:
+    """Period 7 with a flip every 1000 bits."""
+    bits = np.resize(np.random.default_rng(7).integers(0, 2, 7, dtype=np.uint8), n)
+    bits[7::1000] ^= 1
+    return BitWord(bits)
+
+
+@pytest.mark.parametrize(
+    "name,word,bound",
+    [
+        ("literal", lambda n: _seeded(n, 0.5), 1.5),
+        ("periodic", _period_7, 1.5),
+        ("model_class", lambda n: _seeded(n, 0.5), 1.5),
+        ("run_length", lambda n: _seeded(n, 0.02), 2),
+        ("run_length", lambda n: _seeded(n, 0.5), 9),
+    ],
+    ids=["literal-p0.5", "periodic-period7", "model_class-p0.5", "run_length-p0.02", "run_length-p0.5"],
+)
+def test_encode_peaks(name, word, bound):
+    """Each encoder writes its fields into one packed writer and unpacks the
+    codeword once: at 2^22 bits the codeword's 0/1 array is 1 byte a
+    codeword bit, and literal, period-7 periodic and model_class (literal
+    behind its tag) peak at about 1.3-1.4 bytes a word bit.  run_length at
+    p = 0.5 peaks at about 8.1, set by its int64 run list; shell is left
+    out, as its rank is quadratic."""
+    coder, word = CoderId(name), word(1 << 22)
+    length = code_word(coder, word).concrete_len  # before tracing: it fills the entropy caches encode reads
+    tracemalloc.start()
+    try:
+        codeword = encode_word(coder, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(codeword) == length
+    assert peak <= bound * word.n, peak / word.n

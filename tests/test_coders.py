@@ -31,7 +31,7 @@ from kadjust.coders import (
     MODEL_TAG_BITS,
     P_MAX,
     _CODERS,
-    _periodic_codeword,
+    _encode_periodic,
     _periodic_cost,
     _tiled_words,
     is_concrete,
@@ -44,6 +44,13 @@ from conftest import WORD35_STR, all_words, periodic_scan
 # sha256 over the codewords of test_codeword_bits_pinned; change it only with
 # an intended change of bitstream.
 CODEWORD_DIGEST = "8b544eae4fd6725d5a80d50f1bb9e3fc8f508303efdfbb89aa87c806149f701e"
+
+
+def periodic_codeword(word: BitWord, p: int) -> np.ndarray:
+    """The periodic codeword of the word with period p."""
+    out = BitWriter()
+    _encode_periodic(word, out, p)
+    return out.getvalue()
 
 
 class TestLiteral:
@@ -177,7 +184,7 @@ class TestLengthKernelsBruteForce:
             )
             cost, period = periodic_scan(bits[None], p_max)
             assert cost[0] == best
-            codeword = _periodic_codeword(word, int(period[0]))
+            codeword = periodic_codeword(word, int(period[0]))
             assert len(codeword) == best
             assert decode_word(coder, n, codeword) == word
         assert k_periodic(word).concrete_len == best
@@ -362,7 +369,7 @@ class TestConcreteCodecs:
         # digest was first taken with; the decoder reads any period up to P_MAX.
         for word in words:
             period = int(periodic_scan(word.bits[None], 5)[1][0])
-            bits = "".join(map(str, _periodic_codeword(word, period).tolist()))
+            bits = "".join(map(str, periodic_codeword(word, period).tolist()))
             digest.update(f"periodic(p_max=5):{word.n}:{bits};".encode())
         assert digest.hexdigest() == CODEWORD_DIGEST
 
