@@ -10,15 +10,16 @@ pairwise into one int, unpacked once.  The reader holds the stream as its
 packed bytes, most-significant bit first, and every read is a shift and a
 mask of them: one field through int.from_bytes, many at once by two shifts
 of the stream's big-endian uint64 words, as a batched write places its
-values.  A gamma code's zero run ends at the next 1, in its own byte or the
-next nonzero one.  The batched forms write_uints, read_uints,
-write_elias_gammas and read_elias_gammas take one call for a whole array
-of integers.  read_elias_gammas reads its first codes one at a time, which
-covers headers and short words, and the rest in windows of at most _WINDOW
-stream bits, whose codes are the list that each code's successor links
-from the window's first column, found by pointer jumping.  Every cost is
-linear in the bits written or read, but for the log factors of the
-pointer jumping within a window and of the writer's join.
+values.  The batched forms write_uints, read_uints, write_elias_gammas and
+read_elias_gammas take one call for a whole array of integers.  A gamma
+code is parsed one of two ways, with no schedule between them:
+read_elias_gamma reads one code, whose zero run ends at the next 1, in its
+own byte or the next nonzero one; read_elias_gamma_batch reads the codes
+that end in one window of at most _WINDOW stream bits, the list that each
+code's successor links from the window's first column, found by pointer
+jumping.  Every cost is linear in the bits written or read, but for the
+log factors of the pointer jumping within a window and of the writer's
+join.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ _WINDOW = 1 << 16
 # 2^47 sum below 2^63, so the running sum stays int64.
 _WINDOW_ZEROS = 46
 _MAX_SUM = (1 << 63) - 1
-# A batched read takes its codes one at a time up to this sum of values,
-# and on while they leave fewer than this many codes to read: below it
-# the loop costs less than a window's fixed cost (read_elias_gammas).
-_LOOP_CODES = 256
 _NO_VALUES = np.zeros(0, dtype=np.int64)
 _NO_VALUES.setflags(write=False)
 
@@ -240,73 +237,46 @@ class BitReader:
         return values
 
     def read_elias_gamma(self) -> int:
-        values, _ = self._gammas_by_code(1)  # every value is at least 1
-        return values[0]
+        """One Elias gamma code: its zero run ends at the first 1 of pos's
+        byte's bits from pos on, or else of the next nonzero byte's, or with
+        none (the pad bytes are zero) past the end."""
+        data, pos = self._data, self._pos
+        head = 8 - (pos & 7)
+        byte = data[pos >> 3] & ((1 << head) - 1)
+        if byte:
+            zeros = head - byte.bit_length()
+        else:
+            found = _NONZERO(data, (pos >> 3) + 1)
+            one = 8 * found.start() + 8 - data[found.start()].bit_length() if found else self._size
+            zeros = one - pos
+        end = pos + 2 * zeros + 1
+        if end > self._size:
+            raise DecodeError("bitstream exhausted")
+        self._pos = end
+        if 2 * zeros < head:  # the code ends in pos's byte
+            return byte >> (head - 2 * zeros - 1)
+        return self._uint(pos, end)  # its value is its bits from pos on, zeros and all
 
     def read_elias_gammas(self, total: int) -> np.ndarray:
         """Elias gamma codes, read until their values sum to total or more,
-        as an int64 array (of Python ints if a value does not fit int64).
-
-        The codes are read one at a time up to a sum of _LOOP_CODES, and
-        then on while their mean value so far leaves fewer than _LOOP_CODES
-        of them in what is left of total; else a window at a time."""
-        parts, left, codes, start = [], total, 0, self._pos
-        while left > 0:
-            if not codes:
-                step = min(left, _LOOP_CODES)
-            elif left * codes <= _LOOP_CODES * (total - left):
-                step = left
-            else:
-                # a quarter more bits than the values read so far take for what is left
-                width = 5 * left * (self._pos - start) // (4 * (total - left)) + 2 * _WINDOW_ZEROS + 1
-                batch = self._gamma_window(left, width)
-                # a code that does not end in a window, or is too wide for one, is read alone
-                step = 0 if batch.size else 1
-            if step:
-                values, rest = self._gammas_by_code(step)
-                left -= step - rest
-                batch = _integers(values)
-            else:
-                left -= int(batch.sum())
-            parts.append(batch)
-            codes += batch.size
+        as an int64 array (of Python ints if a value does not fit int64)."""
+        parts = []
+        while total > 0:
+            parts.append(self.read_elias_gamma_batch(total))
+            total -= int(parts[-1].sum())
         if len(parts) < 2:
             return parts[0] if parts else _NO_VALUES
         return np.concatenate(parts)
 
-    def _gammas_by_code(self, total: int) -> tuple[list[int], int]:
-        """Codes read one at a time until their values sum to total > 0 or
-        more, and what is left of total (zero or less)."""
-        data, pos, size = self._data, self._pos, self._size
-        values: list[int] = []
-        put = values.append
-        while total > 0:
-            # the 1 that ends the zero run: the first of pos's byte's bits from
-            # pos on, or else the next nonzero byte's, or with none (the pad
-            # bytes are zero) past the end
-            head = 8 - (pos & 7)
-            byte = data[pos >> 3] & ((1 << head) - 1)
-            if byte:
-                zeros = head - byte.bit_length()
-            else:
-                found = _NONZERO(data, (pos >> 3) + 1)
-                one = 8 * found.start() + 8 - data[found.start()].bit_length() if found else size
-                zeros = one - pos
-            end = pos + 2 * zeros + 1
-            if end > size:
-                self._pos = pos
-                raise DecodeError("bitstream exhausted")
-            if 2 * zeros < head:  # the code ends in pos's byte
-                v = byte >> (head - 2 * zeros - 1)
-            else:  # its value is its bits from pos on, zeros and all
-                v = self._uint(pos, end)
-            pos = end
-            put(v)
-            total -= v
-        self._pos = pos
-        return values, total
+    def read_elias_gamma_batch(self, total: int) -> np.ndarray:
+        """The codes from pos on that end within the next _WINDOW stream bits,
+        read until their values sum to total > 0 or more, as an int64 array;
+        or the first code alone, as read_elias_gamma reads it, when it does
+        not end there or has more than _WINDOW_ZEROS zeros."""
+        values = self._gamma_window(total)
+        return values if values.size else _integers([self.read_elias_gamma()])
 
-    def _gamma_window(self, total: int, width: int) -> np.ndarray:
+    def _gamma_window(self, total: int) -> np.ndarray:
         """The values of the codes from pos on that end inside the next
         window of the stream, read up to the one at which they sum to total
         or more; none if the first code does not end there or has more than
@@ -322,7 +292,7 @@ class BitReader:
         there.  A code's value is the z + 1 bits from its first 1, z its
         zeros: one field gather.  The window unpacks only its own bytes."""
         pos = self._pos
-        width = min(_WINDOW, self._size - pos, width)
+        width = min(_WINDOW, self._size - pos)
         skip = pos & 7
         window = np.frombuffer(self._data, np.uint8, (skip + width + 7) >> 3, pos >> 3)
         bits = np.unpackbits(window, count=skip + width)[skip:]

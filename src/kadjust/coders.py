@@ -117,7 +117,8 @@ from .entropy import ceil_log2, log2_multinomial
 from .shellcode import concrete_len_shell, decode_shell, encode_shell, ideal_len_shell
 from .words import _LEADING, BitWord, PackedRows, block_ones, prefix_ones, unpacked
 
-# The periodic coder takes the best period P <= P_MAX.
+# The periodic coder takes the best period P <= P_MAX, at most 64, as a
+# pattern is one uint64 word.
 P_MAX = 32
 MODEL_TAG_BITS = 3
 
@@ -619,15 +620,13 @@ def _mismatch_counts(pattern: np.ndarray, top: int, chunk: PackedRows, c: int, j
 
 class _Periodic(_Counted):
     """Each row's mismatch counts against its first p columns tiled over
-    the row, for every period p <= min(p_max, n), at every cut; a cut of m
-    columns scores the periods p <= min(p_max, m) only.  The pattern is
+    the row, for every period p <= min(P_MAX, n), at every cut; a cut of m
+    columns scores the periods p <= min(P_MAX, m) only.  The pattern is
     the rows' first packed word, which the first chunk holds whole."""
 
-    def __init__(self, block: PackedRows, cuts: Sequence[int] | None = None, p_max: int = P_MAX):
-        if not 1 <= p_max <= 64:  # a pattern is one uint64 word
-            raise ValueError(f"the periodic kernel takes 1 <= p_max <= 64, not {p_max}")
+    def __init__(self, block: PackedRows, cuts: Sequence[int] | None = None):
         super().__init__(block, cuts)
-        self.top = min(p_max, block.shape[1])
+        self.top = min(P_MAX, block.shape[1])
         self.pattern = None
 
     def tally(self, chunk: PackedRows, c: int, js: list[int]) -> np.ndarray:
@@ -855,11 +854,10 @@ def _encode_run_length(word: BitWord, out: BitWriter) -> None:
     out.write_elias_gammas(_runs(_ends(PackedRows.of(word)), word.n)[0])
 
 
-# The decoders read the runs of at most _DECODE_BLOCK columns at a time and
-# flip at most that many columns at a time, which bounds their temporaries
-# to a few dozen bytes a column of a block.  A run-length decode builds a
-# word of at most _SHORT_WORD columns in a Python loop over its runs, below
-# the fixed cost of the packed build.
+# The decoders flip at most _DECODE_BLOCK columns at a time, which bounds
+# _flip's temporaries to a few dozen bytes a column of a block.  A
+# run-length decode builds a word of at most _SHORT_WORD columns in a
+# Python loop over its runs, below the fixed cost of the packed build.
 _DECODE_BLOCK = 1 << 16
 _SHORT_WORD = 256
 # _COLUMNS[c]: the bit of column c of a packed word.
@@ -883,19 +881,20 @@ def _decode_run_length(n: int, reader: BitReader) -> BitWord:
     5-2)."""
     bit = reader.read_bit()
     if n <= _SHORT_WORD:
-        runs = reader.read_elias_gammas(n).tolist()
-        if sum(runs) > n:
-            raise DecodeError("run overruns the declared word length")
-        value = 0
-        for run in runs:
+        value, left = 0, n
+        while left:
+            run = reader.read_elias_gamma()
+            if run > left:  # checked before the shift, which would take 2^run bits
+                raise DecodeError("run overruns the declared word length")
             value = value << run | ((1 << run) - 1) * bit
+            left -= run
             bit ^= 1
         return BitWord.from_uint(value, n)
     flips = np.zeros(-(-n // 64), dtype=np.uint64)
     flips[0] = bit << 63
     start = 0  # the column of the next run
-    while start < n:
-        runs = reader.read_elias_gammas(min(n - start, _DECODE_BLOCK))
+    while start < n:  # a batch of at most _WINDOW runs bounds the temporaries
+        runs = reader.read_elias_gamma_batch(n - start)
         if runs[-1] > n - start:  # so that the sum stays int64
             raise DecodeError("run overruns the declared word length")
         ends = np.cumsum(runs)
@@ -968,13 +967,13 @@ def encode_word(coder: CoderId, word: BitWord) -> np.ndarray:
     return out.getvalue()
 
 
-def decode_word(coder: CoderId, n: int, source) -> BitWord:
-    """Decode a concrete codeword back to the original word of known length n."""
+def decode_word(coder: CoderId, n: int, codeword) -> BitWord:
+    """Decode a concrete codeword, a 0/1 array or its packed bytes, back to
+    the original word of known length n."""
     length_kernel(coder, "concrete")  # raises for a coder without a concrete code
     if n < 1:
         raise ValueError("length must be >= 1")
-    reader = source if isinstance(source, BitReader) else BitReader(source)
-    return _CODERS[coder.name].decode(n, reader)
+    return _CODERS[coder.name].decode(n, BitReader(codeword))
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ def encode_shell(word: BitWord) -> ShellCodeword:
 
 def decode_shell(n: int, reader: BitReader) -> BitWord:
     """Read the shell codeword of a length-n word from the reader;
-    decode_word(CoderId("shell"), n, source) takes any bit source."""
+    decode_word(CoderId("shell"), n, codeword) takes a codeword's bits."""
     k = reader.read_elias_gamma() - 1
     if k > n:
         raise DecodeError(f"decoded weight {k} exceeds word length {n}")

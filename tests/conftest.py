@@ -1,11 +1,9 @@
-from functools import partial
 
 import numpy as np
 import pytest
 
 from kadjust import BitWord, CoderId, PairCounts, coders
 from kadjust.coders import is_concrete, kind_lengths
-from kadjust.words import PackedRows
 
 # 35-bit running example word: 9 ones among 35 symbols.
 WORD35_STR = "01010001001000001010000100000100001"
@@ -51,12 +49,11 @@ def lengths_of(coder, bits, cuts=None) -> tuple[np.ndarray, np.ndarray | None]:
 
 def periodic_scan(bits, p_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(cost, period) of every row of bits, a BitWord or a 0/1 matrix, at
-    the period bound p_max: kind_lengths() at P_MAX, and at any other bound,
-    which no public call takes, the periodic kernel's finish."""
-    if p_max == coders.P_MAX:
+    the period bound p_max, 1 <= p_max <= 64: kind_lengths() with P_MAX set
+    to p_max for the call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coders, "P_MAX", p_max)
         score = kind_lengths(CoderId("periodic"), bits, "concrete")
-    else:
-        score = coders._lengths(partial(coders._Periodic, p_max=p_max), PackedRows.of(bits), "concrete")
     return score.lengths, score.period
 
 

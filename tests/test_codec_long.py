@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kadjust import BitWord, CoderId, ShellId, code_word, concrete_coder_ids, decode_word, encode_word, rank, unrank
+from kadjust import BitWord, CoderId, ShellId, bitio, code_word, concrete_coder_ids, decode_word, encode_word, rank, unrank
+from kadjust.bitio import BitReader, BitWriter, DecodeError
 from kadjust.shellcode import _BLOCK_FROM, _RANK_CHUNK, _RANK_FROM
 
 # sha256 over the codewords of test_long_codeword_bits_pinned; change it only
@@ -280,8 +281,9 @@ def _decode_peak(name: str, word: BitWord) -> float:
 
 
 def test_run_length_decode_peaks_below_2_bytes_a_bit():
-    """The decoder reads the runs a block of columns at a time and writes
-    packed words: at 2^22 bits, p = 0.5, it peaks at about 1.5 bytes a bit."""
+    """The decoder reads the runs a window of the codeword at a time and
+    writes packed words: at 2^22 bits, p = 0.5, it peaks at about 1.5 bytes
+    a bit."""
     assert _decode_peak("run_length", _seeded(1 << 22, 0.5)) < 2
 
 
@@ -307,6 +309,66 @@ def test_random_word_periodic_decode_peaks_below_8_bytes_a_bit():
     bits each, 11.5 bits a word bit: their int64 positions (4 bytes a bit)
     and the packed codeword, about 5.9 bytes a bit at 2^22 bits."""
     assert _decode_peak("periodic", _seeded(1 << 22, 0.5)) < 8
+
+
+# The run-length decoder across the edges of the gamma reader's windows,
+# narrowed from 2^16 bits so that a codeword of a few thousand bits spans
+# many of them.
+_WINDOWS = pytest.mark.parametrize("window", [64, 1000])
+
+
+@_WINDOWS
+@pytest.mark.parametrize("n", [1 << 12, 1 << 13, 1 << 14])
+@pytest.mark.parametrize("p", [0.5, 0.02, 1e-3])
+def test_run_length_round_trips_across_windows(monkeypatch, window, n, p):
+    monkeypatch.setattr(bitio, "_WINDOW", window)
+    coder, word = CoderId("run_length"), _seeded(n, p)
+    codeword = encode_word(coder, word)
+    assert codeword.size == code_word(coder, word).concrete_len
+    assert decode_word(coder, n, codeword) == word
+    assert decode_word(coder, n, np.packbits(codeword).tobytes()) == word
+
+
+def _runs_codeword(runs) -> np.ndarray:
+    """A run-length codeword with first bit 0 and these runs."""
+    out = BitWriter()
+    out.write_bit(0)
+    for run in runs:
+        out.write_elias_gamma(run)
+    return out.getvalue()
+
+
+@_WINDOWS
+@pytest.mark.parametrize("last", [300, 1 << 40, 1 << 70])
+def test_last_run_overrunning_past_a_window_edge(monkeypatch, window, last):
+    # window - 4 runs of 1 bit fill the first window, which starts after
+    # the first bit, to 3 bits short of its edge; the last run's code, of
+    # 17 bits or more, ends past it and is read in a batch of its own
+    monkeypatch.setattr(bitio, "_WINDOW", window)
+    coder, runs = CoderId("run_length"), [1] * (window - 4) + [last]
+    reader = BitReader(_runs_codeword(runs))
+    reader.read_bit()
+    assert reader.read_elias_gamma_batch(sum(runs)).tolist() == runs[:-1]
+    n = sum(runs[:-1]) + 299  # the last run would end one column past n
+    with pytest.raises(DecodeError, match="overruns"):
+        decode_word(coder, n, _runs_codeword(runs))
+    runs[-1] = 299  # a last run that ends at n
+    assert decode_word(coder, n, _runs_codeword(runs)) == BitWord(np.repeat(np.arange(len(runs)) % 2, runs))
+
+
+@_WINDOWS
+def test_short_word_with_a_huge_run_fails_before_allocating(monkeypatch, window):
+    # one gamma code of 70 zeros: the run 2^70 would take 2^70 bits to build
+    monkeypatch.setattr(bitio, "_WINDOW", window)
+    codeword = _runs_codeword([3, 1 << 70])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError, match="overruns"):
+            decode_word(CoderId("run_length"), 100, codeword)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def _period_7(n: int) -> BitWord:

@@ -347,16 +347,17 @@ class TestPeriodicFormula:
         return row
 
     @pytest.mark.parametrize("p_max", [1, 5, 32, 64])
-    def test_one_row_in_chunks(self, p_max):
+    def test_one_row_in_chunks(self, monkeypatch, p_max):
         # a chunk of 6528 columns holds more words than the formula builds
         # for one row, so the gather lays them out, at column 0 and 6528
+        monkeypatch.setattr(coders, "P_MAX", p_max)
         rng = np.random.default_rng(p_max)
         for n, widths in ((2100, (64, 128, 1024)), (13000, (1024, 6528))):
             for row in (rng.integers(0, 2, n, dtype=np.uint8), self.planted(rng, n, p_max)):
                 want = [ref_periodic(row.tolist(), p_max)[1]]
                 block = PackedRows.of(row[None])
                 for width in widths:
-                    kernel = coders._Periodic(block, p_max=p_max)
+                    kernel = coders._Periodic(block)
                     for c in range(0, n, width):
                         kernel.add(block.columns(c, min(n, c + width)), c)
                     assert kernel.finishes(("concrete",))["concrete"].lengths.tolist() == want, (n, width)
@@ -369,11 +370,6 @@ class TestPeriodicFormula:
                 rng.integers(0, 2, n, dtype=np.uint8), self.planted(rng, n, min(n, p_max))
             ])
             assert_scan_matches_reference(matrix, p_max)
-
-    @pytest.mark.parametrize("p_max", [0, 65])
-    def test_bound_is_one_word(self, p_max):
-        with pytest.raises(ValueError, match="p_max"):
-            periodic_scan(np.zeros((1, 100), dtype=np.uint8), p_max)
 
 
 def assert_same_scores(got, want):
