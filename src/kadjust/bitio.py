@@ -6,20 +6,20 @@ a positive integer v costs 2*floor(log2(v)) + 1 bits, namely v itself
 written in that many bits, so behind floor(log2(v)) leading zeros.
 
 The writer keeps fields, each a Python int and its width, and joins them
-pairwise into one int, unpacked once.  The reader holds the stream as its
-packed bytes, most-significant bit first, and every read is a shift and a
-mask of them: one field through int.from_bytes, many at once by two shifts
-of the stream's big-endian uint64 words, as a batched write places its
-values.  The batched forms write_uints, read_uints, write_elias_gammas and
-read_elias_gammas take one call for a whole array of integers.  A gamma
-code is parsed one of two ways, with no schedule between them:
-read_elias_gamma reads one code, whose zero run ends at the next 1, in its
-own byte or the next nonzero one; read_elias_gamma_batch reads the codes
-that end in one window of at most _WINDOW stream bits, the list that each
-code's successor links from the window's first column, found by pointer
-jumping.  Every cost is linear in the bits written or read, but for the
-log factors of the pointer jumping within a window and of the writer's
-join.
+pairwise into one int, made a BitWord with no unpack.  The reader takes a
+BitWord or bytes, holds the stream as its packed bytes, most-significant
+bit first, and every read is a shift and a mask of them: one field through
+int.from_bytes, many at once by two shifts of the stream's big-endian
+uint64 words, as a batched write places its values.  The batched forms
+write_uints, read_uints, write_elias_gammas and read_elias_gammas take one
+call for a whole array of integers.  A gamma code is parsed one of two
+ways, with no schedule between them: read_elias_gamma reads one code,
+whose zero run ends at the next 1, in its own byte or the next nonzero
+one; read_elias_gamma_batch reads the codes that end in one window of at
+most _WINDOW stream bits, the list that each code's successor links from
+the window's first column, found by pointer jumping.  Every cost is linear
+in the bits written or read, but for the log factors of the pointer
+jumping within a window and of the writer's join.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import re
 
 import numpy as np
 
-from .words import as_bits
+from .words import BitWord
 
 
 class DecodeError(ValueError):
@@ -102,11 +102,6 @@ class BitWriter:
     def write_bit(self, bit: int) -> None:
         self._put(1 if bit else 0, 1)
 
-    def write_bits(self, bits) -> None:
-        """Append a sequence of bits as one field; any nonzero entry is a 1."""
-        bits = np.not_equal(np.asarray(bits), 0).reshape(-1)
-        self._put(int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8), bits.size)
-
     def write_uint(self, value: int, width: int) -> None:
         """Fixed-width big-endian unsigned integer; width may be 0 when value is 0."""
         value = operator.index(value)
@@ -155,33 +150,27 @@ class BitWriter:
     def __len__(self) -> int:
         return self._len
 
-    def getvalue(self) -> np.ndarray:
-        """The bits written, one uint8 0/1 a bit."""
+    def getvalue(self) -> BitWord:
+        """The bits written, as a word; ValueError if none were."""
         fields = self._fields or [(0, 0)]
         while len(fields) > 1:  # joined pairwise
             pairs = zip(fields[::2], fields[1::2])
             fields = [(a << w | b, v + w) for (a, v), (b, w) in pairs] + fields[len(fields) & ~1 :]
-        nbytes = (self._len + 7) >> 3
-        data = np.frombuffer(fields[0][0].to_bytes(nbytes, "big"), dtype=np.uint8)
-        return np.unpackbits(data)[8 * nbytes - self._len :]
+        return BitWord.from_uint(fields[0][0], self._len)
 
 
 class BitReader:
-    """Reads bits MSB-first from an array produced by BitWriter (or bytes).
+    """Reads bits MSB-first from a BitWord, such as BitWriter.getvalue()
+    returns, or from bytes, 8 bits a byte.  Anything else raises TypeError,
+    so that no array's raw bytes are read as a stream."""
 
-    An array must be one-dimensional and hold only 0/1 values (as_bits);
-    anything else raises DecodeError at construction, so no malformed
-    stream is coerced into bits.
-    """
-
-    def __init__(self, bits):
-        if isinstance(bits, (bytes, bytearray)):
-            size, data = 8 * len(bits), bytes(bits)
+    def __init__(self, stream):
+        if isinstance(stream, BitWord):
+            size, data = stream.n, stream.packed.astype(">u8").tobytes()
+        elif isinstance(stream, (bytes, bytearray)):
+            size, data = 8 * len(stream), bytes(stream)
         else:
-            bits = as_bits(bits, DecodeError)
-            if bits.ndim != 1:
-                raise DecodeError("a bitstream must be one-dimensional")
-            size, data = bits.size, np.packbits(bits).tobytes()
+            raise TypeError(f"a bitstream is a BitWord or bytes, not {type(stream).__name__}")
         # zero bytes up to a whole uint64 word, and one zero word past it for _fields
         self._data = data + bytes(-len(data) % 8 + 8)
         self._size = size

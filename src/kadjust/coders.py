@@ -27,7 +27,8 @@ both kinds, and a kernel whose two kinds are one integer length
 (literal, run_length, periodic) takes it once.
 No coder takes a parameter: each has a kernel, a one-row k_*(word) and,
 when concrete, encode(word, writer) and decode(n, reader) on the caller's
-BitWriter and BitReader.  The periodic bound is the constant P_MAX = 32.
+BitWriter and BitReader, and a codeword is a BitWord (or its packed
+bytes, for decode_word).  The periodic bound is the constant P_MAX = 32.
 
   coder        length                                  statistics at a cut; finish
   literal      n bits, the word verbatim               none; the cut m
@@ -114,7 +115,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .bitio import BitReader, BitWriter, DecodeError, _bit_length, _gamma_len, elias_gamma_len
 from .entropy import ceil_log2, log2_multinomial
-from .shellcode import concrete_len_shell, decode_shell, encode_shell, ideal_len_shell
+from .shellcode import _encode_shell, concrete_len_shell, decode_shell, ideal_len_shell
 from .words import _LEADING, BitWord, PackedRows, block_ones, prefix_ones, unpacked
 
 # The periodic coder takes the best period P <= P_MAX, at most 64, as a
@@ -959,17 +960,17 @@ def _decode_model_class(n: int, reader: BitReader) -> BitWord:
     return decode(n, reader)
 
 
-def encode_word(coder: CoderId, word: BitWord) -> np.ndarray:
-    """Concrete codeword bits for the word; n is side information for decoding."""
+def encode_word(coder: CoderId, word: BitWord) -> BitWord:
+    """The word's concrete codeword, a BitWord; n is side information for decoding."""
     length_kernel(coder, "concrete")  # raises for a coder without a concrete code
     out = BitWriter()
     _CODERS[coder.name].encode(word, out)
     return out.getvalue()
 
 
-def decode_word(coder: CoderId, n: int, codeword) -> BitWord:
-    """Decode a concrete codeword, a 0/1 array or its packed bytes, back to
-    the original word of known length n."""
+def decode_word(coder: CoderId, n: int, codeword: BitWord | bytes) -> BitWord:
+    """Decode a concrete codeword, a BitWord or its packed bytes, back to
+    the original word of known length n; TypeError for any other input."""
     length_kernel(coder, "concrete")  # raises for a coder without a concrete code
     if n < 1:
         raise ValueError("length must be >= 1")
@@ -995,7 +996,7 @@ class _Coder:
 # Order fixes both the model tag values and the model_class tie-break.
 _CODERS = {
     "literal": _Coder(_Literal, k_len, _encode_literal, _decode_literal),
-    "shell": _Coder(_Shell, k_comb, lambda w, out: out.write_bits(encode_shell(w).bits), decode_shell),
+    "shell": _Coder(_Shell, k_comb, _encode_shell, decode_shell),
     "run_length": _Coder(_RunLength, k_run_length, _encode_run_length, _decode_run_length),
     "periodic": _Coder(_Periodic, k_periodic, _encode_periodic, _decode_periodic),
     "pair_shell": _Coder(_PairShell, k_pair_shell),

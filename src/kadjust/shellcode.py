@@ -7,10 +7,10 @@ combinatorial number system, giving an exact bijection between the shell
 and the integer range [0, C(n,k)).
 
 The concrete codeword for a word is a self-delimiting Elias gamma header
-for k+1 followed by the rank in ceil(log2(C(n,k))) fixed-width bits; n is
-side information supplied by the caller.  The idealized per-word cost used
-by the statistics charges log2(C(n,k)) for the index plus log2(n+1) real
-bits for the weight header.
+for k+1 followed by the rank in ceil(log2(C(n,k))) fixed-width bits, both
+written into the caller's BitWriter; n is side information supplied by the
+caller.  The idealized per-word cost used by the statistics charges
+log2(C(n,k)) for the index plus log2(n+1) real bits for the weight header.
 
 The rank is the sum of C(m, r) over the ones of the word, where m positions
 follow the one and r ones remain, itself included; unrank reads the word
@@ -244,20 +244,24 @@ def concrete_len_shell(n: int, k: int) -> int:
     return elias_gamma_len(k + 1) + ceil_log2_comb(n, k)
 
 
+def _encode_shell(word: BitWord, out: BitWriter) -> None:
+    """Write the word's weight header and in-shell rank to the writer."""
+    k = word.weight
+    out.write_elias_gamma(k + 1)
+    out.write_uint(rank(word), ceil_log2_comb(word.n, k))
+
+
 def encode_shell(word: BitWord) -> ShellCodeword:
     """Encode a word as weight header plus in-shell rank."""
-    n, k = word.n, word.weight
     out = BitWriter()
-    out.write_elias_gamma(k + 1)
-    header = len(out)
-    out.write_uint(rank(word), ceil_log2_comb(n, k))
-    bits = out.getvalue()
+    _encode_shell(word, out)
+    bits, header = out.getvalue().bits, elias_gamma_len(word.weight + 1)
     return ShellCodeword(header_bits=bits[:header], index_bits=bits[header:], concrete_len=bits.size)
 
 
 def decode_shell(n: int, reader: BitReader) -> BitWord:
     """Read the shell codeword of a length-n word from the reader;
-    decode_word(CoderId("shell"), n, codeword) takes a codeword's bits."""
+    decode_word(CoderId("shell"), n, codeword) takes a codeword."""
     k = reader.read_elias_gamma() - 1
     if k > n:
         raise DecodeError(f"decoded weight {k} exceeds word length {n}")

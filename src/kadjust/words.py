@@ -7,8 +7,8 @@ i // 64 and the bits past the last column are zero.  A raw or hex payload
 is in that order already, so BitWord.from_bytes makes its words with one
 byte swap, at 1/8 byte a bit; a word built from a 0/1 array is packed
 when it is built, and the array is not kept.  n, the weight (a popcount),
-equality, hashing, prefixes and single bits read the packed words.  The
-0/1 view (bits, tolist(), one byte a bit) is unpacked afresh on each call.
+equality, hashing, prefixes and single bits read the packed words.  The 0/1
+view (bits, tolist(), np.asarray(word); one byte a bit) is unpacked afresh.
 
 packed_rows packs every row of a 0/1 matrix in that layout, one row of
 words per row.  PackedRows, such a matrix with its column count, is all
@@ -32,8 +32,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
-def as_bits(values, error: type[Exception] = ValueError) -> np.ndarray:
-    """values as a uint8 array, or error raised if an entry is not the
+def as_bits(values) -> np.ndarray:
+    """values as a uint8 array, or ValueError if an entry is not the
     integer 0 or 1.  uint8 and bool arrays are not copied; anything else is
     checked before the uint8 cast, which would truncate floats and wrap
     negative or large integers."""
@@ -50,7 +50,7 @@ def as_bits(values, error: type[Exception] = ValueError) -> np.ndarray:
     else:
         bad = bits.size and (bits.dtype.kind not in "iu" or bits.min() < 0 or bits.max() > 1)
     if bad:
-        raise error("bits must be integers 0 or 1")
+        raise ValueError("bits must be integers 0 or 1")
     return bits if char == "B" else bits.astype(np.uint8)
 
 
@@ -173,7 +173,8 @@ class BitWord:
         """Word of length n whose bits are the big-endian binary digits of value."""
         if n < 1 or value < 0 or value >= (1 << n):
             raise ValueError("value out of range for word length")
-        return cls.from_bytes((value << -n % 8).to_bytes(-(-n // 8), "big"), n)
+        data = (value << -n % 64).to_bytes(-(-n // 64) * 8, "big")
+        return cls._from_packed(np.frombuffer(data, dtype=">u8").astype(np.uint64), n)
 
     @classmethod
     def from_bytes(cls, data: bytes, n: int) -> "BitWord":
@@ -219,6 +220,9 @@ class BitWord:
 
     def tolist(self) -> list[int]:
         return self.bits.tolist()
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.bits if dtype is None else self.bits.astype(dtype)
 
     def __len__(self) -> int:
         return self._n

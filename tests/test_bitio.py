@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kadjust import CoderId, bitio, decode_word
+from kadjust import BitWord, CoderId, bitio, concrete_coder_ids, decode_word
 from kadjust.bitio import BitReader, BitWriter, DecodeError, elias_gamma_len
 
 
@@ -22,16 +22,16 @@ class TestBitReader:
     @pytest.mark.parametrize("size", [5, 2048, 2049])
     def test_checks_uint8_streams_on_both_sides_of_the_translate_limit(self, size):
         bits = np.tile(np.array([1, 0], dtype=np.uint8), size)[:size]
-        reader = BitReader(bits)
+        reader = BitReader(BitWord(bits))
         assert reader.read_uint(size) == int("".join(map(str, bits.tolist())), 2)
         bits[-1] = 2
-        with pytest.raises(DecodeError):
+        with pytest.raises(TypeError):  # the reader takes no array; BitWord checks one
             BitReader(bits)
-        with pytest.raises(DecodeError):
+        with pytest.raises(TypeError):
             BitReader(bits[:-1].reshape(1, -1))
 
     def test_read_uint_bounds(self):
-        reader = BitReader(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
+        reader = BitReader(BitWord(np.array([1, 0, 1, 1, 0], dtype=np.uint8)))
         assert reader.read_uint(0) == 0
         assert reader.read_uint(3) == 0b101
         with pytest.raises(DecodeError):
@@ -58,13 +58,16 @@ class TestBitReader:
     def test_input_kinds(self):
         for bits in ([1, 0, 1], (1, 0, 1), np.array([True, False, True]),
                      np.array([1, 0, 1], dtype=np.int64)):
-            assert BitReader(bits).read_uint(3) == 5
-        assert BitReader([]).remaining == 0
+            assert BitReader(BitWord(bits)).read_uint(3) == 5
+            with pytest.raises(TypeError):
+                BitReader(bits)
+        assert BitReader(bytearray(b"\xa0")).read_uint(3) == 5
+        assert BitReader(b"").remaining == 0
 
     def test_non_binary_rejected(self):
         for bits in ([0, 2], np.array([1, 3], dtype=np.uint8), [1, -1], [0.0, 1.0],
                      np.zeros((2, 2), dtype=np.uint8)):
-            with pytest.raises(DecodeError):
+            with pytest.raises(TypeError):
                 BitReader(bits)
 
 
@@ -94,7 +97,7 @@ class TestIntegers:
         with pytest.raises(ValueError):
             writer.write_uint(0, -1)
         assert len(writer) == 0
-        reader = BitReader([1, 0])
+        reader = BitReader(BitWord([1, 0]))
         with pytest.raises(DecodeError):
             reader.read_uint(-1)
         with pytest.raises(DecodeError):
@@ -109,7 +112,7 @@ class TestIntegers:
             for v in values.tolist():
                 single.write_uint(v, width)
             batched.write_uints(values, width)
-            assert np.array_equal(batched.getvalue(), single.getvalue())
+            assert batched.getvalue() == single.getvalue()
             assert len(batched) == len(single) == 300 * width
             reader = BitReader(batched.getvalue())
             assert reader.read_uints(300, width).tolist() == values.tolist()
@@ -117,7 +120,7 @@ class TestIntegers:
         empty = BitWriter()
         empty.write_uints([], 4)
         assert len(empty) == 0
-        assert BitReader([1]).read_uints(0, 4).tolist() == []
+        assert BitReader(BitWord([1])).read_uints(0, 4).tolist() == []
 
     def test_huge_periodic_count_rejected_before_allocating(self):
         # gamma(1) + pattern bit + gamma(2^40 + 1): 2^40 mismatch positions
@@ -145,7 +148,7 @@ class TestIntegers:
             with pytest.raises(TypeError):  # as write_uint raises, not truncated
                 writer.write_uints(values, 3)
         assert len(writer) == 0
-        reader = BitReader([1] * 10)
+        reader = BitReader(BitWord([1] * 10))
         with pytest.raises(DecodeError):
             reader.read_uints(4, 3)  # 12 bits asked, 10 there
         with pytest.raises(DecodeError):
@@ -182,7 +185,7 @@ class TestEliasGamma:
             for v in values:
                 single.write_elias_gamma(v)
             batched.write_elias_gammas(values)
-            assert np.array_equal(batched.getvalue(), single.getvalue())
+            assert batched.getvalue() == single.getvalue()
             assert len(batched) == sum(elias_gamma_len(v) for v in values)
         with pytest.raises(ValueError):
             BitWriter().write_elias_gammas([3, 0])
@@ -192,7 +195,7 @@ class TestEliasGamma:
             BitWriter().write_elias_gammas([2.5])
 
     def test_truncated_codes(self):
-        for bits in ([], [0, 0, 0], [0, 0, 1, 0]):
+        for bits in (b"", BitWord([0, 0, 0]), BitWord([0, 0, 1, 0])):
             with pytest.raises(DecodeError):
                 BitReader(bits).read_elias_gamma()
 
@@ -210,7 +213,7 @@ class TestEliasGamma:
         with pytest.raises(DecodeError):
             reader.read_elias_gammas(1)
         with pytest.raises(DecodeError):
-            BitReader([0, 0, 1, 0]).read_elias_gammas(1)
+            BitReader(BitWord([0, 0, 1, 0])).read_elias_gammas(1)
 
 
 def read_gammas_by_code(bits, pos: int, total: int) -> tuple[list[int], int]:
@@ -241,13 +244,14 @@ def _gamma_stream(values) -> np.ndarray:
     writer = BitWriter()
     for v in values:
         writer.write_elias_gamma(v)
-    return writer.getvalue()
+    return writer.getvalue().bits
 
 
 def _assert_reads_as_loop(bits, totals) -> None:
     """Consecutive batched reads of the totals give the loop's values and
-    positions, or its DecodeError at its position."""
-    reader, pos = BitReader(bits), 0
+    positions, or its DecodeError at its position; bits is a 0/1 array,
+    read as its BitWord."""
+    reader, pos = BitReader(BitWord(bits) if len(bits) else b""), 0
     for total in totals:
         try:
             want, pos = read_gammas_by_code(bits, pos, total)
@@ -362,11 +366,17 @@ def test_mixed_writes_join_at_any_offset(fields, batch):
             getattr(writer, {"bit": "write_bit", "uint": "write_uint", "uints": "write_uints",
                              "gamma": "write_elias_gamma", "gammas": "write_elias_gammas"}[kind])(*args)
         pairs = [pair for field in fields for pair in _value_widths(field)]
-        bits = writer.getvalue()
-        assert bits.dtype == np.uint8
-        assert "".join(map(str, bits.tolist())) == "".join(format(v, f"0{w}b") if w else "" for v, w in pairs)
+        want = "".join(format(v, f"0{w}b") if w else "" for v, w in pairs)
+        if want:
+            codeword = writer.getvalue()
+            assert isinstance(codeword, BitWord)
+            assert "".join(map(str, codeword.tolist())) == want
+        else:  # a word has at least one bit
+            with pytest.raises(ValueError):
+                writer.getvalue()
+            codeword = b""
         assert len(writer) == sum(w for _, w in pairs)
-        reader = BitReader(bits)
+        reader = BitReader(codeword)
         for kind, values, *width in fields:
             if kind == "bit":
                 assert reader.read_bit() == values
@@ -384,8 +394,25 @@ def test_mixed_writes_join_at_any_offset(fields, batch):
 
 
 def test_reader_keeps_the_checked_bits():
-    bits = np.array([1, 0, 1, 1], dtype=np.uint8)
-    reader = BitReader(bits)
-    bits[:] = 7
+    data = bytearray([0b10110000])
+    reader = BitReader(data)
+    data[:] = b"\x07"
     assert reader.read_uint(2) == 0b10
     assert reader.read_uint(2) == 3
+
+
+@pytest.mark.parametrize(
+    "stream",
+    # the last array's raw bytes, 0b10100000, would decode as literal 101
+    [np.array([1, 0, 1], dtype=np.uint8), [1, 0, 1], "101", np.array([0b10100000], dtype=np.uint8)],
+    ids=["01-array", "list", "str", "raw-bytes-array"],
+)
+def test_only_a_word_or_bytes_is_a_stream(stream):
+    """BitReader and decode_word take a BitWord, bytes or a bytearray; any
+    other input raises TypeError, and an array's raw bytes are never read
+    as a stream."""
+    with pytest.raises(TypeError):
+        BitReader(stream)
+    for coder in concrete_coder_ids():
+        with pytest.raises(TypeError):
+            decode_word(coder, 3, stream)

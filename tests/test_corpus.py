@@ -52,5 +52,5 @@ def test_output_corpus_pinned():
                 bits = encode_word(coder, word)
                 assert decode_word(coder, word.n, bits) == word, (name, label)
                 packed = hashlib.sha256(np.packbits(bits)).hexdigest()
-                digest.update(f"{name}:codeword:{label}:{packed}:{bits.size};".encode())
+                digest.update(f"{name}:codeword:{label}:{packed}:{len(bits)};".encode())
     assert digest.hexdigest() == CORPUS_DIGEST

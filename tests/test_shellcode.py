@@ -100,12 +100,12 @@ class TestShellCodec:
         assert cw.header_bits.tolist() == [0, 1, 1]
         assert cw.index_bits.tolist() == [0, 0, 0]
         assert cw.concrete_len == 6
-        assert decode_shell(4, BitReader(cw.bits)) == BitWord.from01("0011")
+        assert decode_shell(4, BitReader(BitWord(cw.bits))) == BitWord.from01("0011")
 
     def test_round_trip_exhaustive_n12(self):
         n = 12
         for word in all_words(n):
-            assert decode_shell(n, BitReader(encode_shell(word).bits)) == word
+            assert decode_shell(n, BitReader(BitWord(encode_shell(word).bits))) == word
 
     def test_byte_layout_round_trip(self):
         word = BitWord.from01(WORD35_STR)
@@ -147,12 +147,12 @@ class TestShellCodec:
 
     def test_decode_errors(self):
         with pytest.raises(DecodeError):
-            decode_shell(4, BitReader(np.array([0, 0, 0, 0], dtype=np.uint8)))  # truncated gamma
+            decode_shell(4, BitReader(BitWord(np.array([0, 0, 0, 0], dtype=np.uint8))))  # truncated gamma
         # weight header exceeding n
         with pytest.raises(DecodeError):
             bad = encode_shell(BitWord.from01("111"))
-            decode_shell(2, BitReader(bad.bits))
+            decode_shell(2, BitReader(BitWord(bad.bits)))
         # index out of range: k=2, n=3 -> width 2, ranks valid 0..2
-        reader = BitReader(np.array([0, 1, 1, 1, 1], dtype=np.uint8))
+        reader = BitReader(BitWord(np.array([0, 1, 1, 1, 1], dtype=np.uint8)))
         with pytest.raises(DecodeError):
             decode_shell(3, reader)

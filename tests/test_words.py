@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from kadjust import BitWord, CoderId, GeneratorSpec, PairCounts, generate
 from kadjust import kind_lengths
-from kadjust.bitio import BitReader, DecodeError
+from kadjust.bitio import BitReader
 from kadjust.words import PackedRows, block_ones
 
 from conftest import WORD35_STR
@@ -105,7 +105,8 @@ def _two_at_end(size: int) -> np.ndarray:
 
 
 class TestOneBitCheck:
-    """BitWord, kind_lengths and BitReader share one 0/1 check."""
+    """BitWord and kind_lengths share one 0/1 check; BitReader takes no
+    array, so it raises TypeError on each input they check."""
 
     @pytest.mark.parametrize(
         "bad",
@@ -121,7 +122,7 @@ class TestOneBitCheck:
         with pytest.raises(ValueError) as kernel_error:
             kind_lengths(CoderId("shell"), np.asarray(bad)[None], "ideal")
         assert word_error.type is ValueError and kernel_error.type is ValueError
-        with pytest.raises(DecodeError):
+        with pytest.raises(TypeError):
             BitReader(bad)
 
     @pytest.mark.parametrize("dtype", [np.bool_, np.int64])
@@ -129,7 +130,9 @@ class TestOneBitCheck:
         bits = np.array([1, 0, 0, 1, 1], dtype=dtype)
         assert BitWord(bits).tolist() == [1, 0, 0, 1, 1]
         assert kind_lengths(CoderId("literal"), bits[None], "concrete").lengths.tolist() == [5]
-        assert BitReader(bits).read_uint(5) == 0b10011
+        with pytest.raises(TypeError):
+            BitReader(bits)
+        assert BitReader(BitWord(bits)).read_uint(5) == 0b10011
 
 
 class TestWeight:
